@@ -33,11 +33,10 @@ from .devmaps import (
     UniPoly,
     exponent_list,
     is_admissible,
-    is_semiadmissible,
 )
 from .group import GroupElt, HomogPoly, Mat2
 from .hopf import HopfSurface
-from .scalars import GaussRat, Scalar, as_gauss
+from .scalars import GaussRat, as_gauss
 
 DEFAULT_ROOT_POOL = (2, 3, 5, 7, 11, 13)
 
@@ -80,24 +79,20 @@ class StructureRecord:
         return rec
 
 
-def _scalar_record(s: Scalar):
-    return [[c.as_quad(), [e[0].numerator, e[0].denominator, e[1].numerator, e[1].denominator]] for c, e in s.terms]
-
-
 def _holonomy_invariants(hol: GroupElt):
     """Quotient-invariant data of the holonomy generator."""
     g = hol.g
     n = hol.degree
-    out = {"n": n, "p": [_scalar_record(c) for c in hol.p.coeffs]}
+    out = {"n": n, "p": [c.to_record() for c in hol.p.coeffs]}
     if g.is_diagonal():
         a, d = g.entries[0][0], g.entries[1][1]
         out["type"] = "diagonal"
-        out["ratio"] = _scalar_record(a * d.inverse())
-        out["den_pow_n"] = _scalar_record(d**n)
+        out["ratio"] = (a * d.inverse()).to_record()
+        out["den_pow_n"] = (d**n).to_record()
     else:
         out["type"] = "matrix"
-        out["matrix"] = [[_scalar_record(e) for e in row] for row in g.entries]
-        out["det"] = _scalar_record(g.det())
+        out["matrix"] = [[e.to_record() for e in row] for row in g.entries]
+        out["det"] = g.det().to_record()
     return out
 
 
@@ -389,8 +384,6 @@ def brute_force_admissible(
                 k2 = kt2 + (m2 * (d1 - dq) if hyper else 0)
                 l2 = lt2 + (m2 * (d3 - n * dq) if hyper else 0)
                 d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
-                if not is_semiadmissible(d):
-                    continue
                 if not is_admissible(d):
                     continue
                 key = canonical_key(d, n)

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .classify import (
+    DEFAULT_ROOT_POOL,
     ClassifyError,
     brute_force_admissible,
     enumerate_structures,
@@ -147,6 +148,11 @@ def cmd_verify(args) -> int:
         raise InputError("the bundle degree is required (--n or spec key 'n')")
     cfg = _verify_config(spec, args)
     params = _params_from(spec, args)
+    if params is None and args.deg_bound:
+        # the oracle draws the roots of a degree-N factor from the pool's prefix
+        # of length N, so instantiate the hyperresonant rows with those prefixes
+        top = min(args.deg_bound, len(DEFAULT_ROOT_POOL))
+        params = [DEFAULT_ROOT_POOL[:N] for N in range(1, top + 1)]
     try:
         records = enumerate_structures(s, int(n), hyper_params=params)
     except ClassifyError as exc:
@@ -255,18 +261,11 @@ def cmd_normal_form(args) -> int:
         "unique": nf.unique,
         "swap_applied": nf.swap_applied,
         "resonance": report.to_record(),
-        "g": [[_scalar_json(e) for e in row] for row in g.entries],
-        "p": [_scalar_json(c) for c in nf.element.p.coeffs],
+        "g": [[e.to_record() for e in row] for row in g.entries],
+        "p": [c.to_record() for c in nf.element.p.coeffs],
     }
     _emit(payload, args)
     return 0
-
-
-def _scalar_json(s: Scalar):
-    return [
-        [c.as_quad(), [e[0].numerator, e[0].denominator, e[1].numerator, e[1].denominator]]
-        for c, e in s.terms
-    ]
 
 
 def cmd_sections(args) -> int:
@@ -340,7 +339,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suite")
     add_common(p)
     p.add_argument("--n", type=int)
-    p.add_argument("--params", help="hyperresonant parameter lists")
+    p.add_argument("--params", help="hyperresonant parameter lists (default with --deg-bound D: the root-pool prefixes of length 1..D)")
     p.add_argument("--trials", type=int, default=300, help="group-axiom trials")
     p.add_argument("--deg-bound", dest="deg_bound", type=int, help="run the brute-force completeness oracle")
     p.add_argument("--samples", type=int)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import GR_ONE, GR_ZERO, GaussRat, as_gauss
+from .scalars import GR_ONE, GR_ZERO, GaussRat, _power, as_gauss
 
 def exponent_list(n: int):
     """Allowed (first, second) exponent pairs: (-1,-n), (0,0), (0,1), (1,0)."""
@@ -99,14 +99,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = UniPoly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, UniPoly([1]))
 
     def _lift(self, other):
         return other if isinstance(other, UniPoly) else UniPoly([other])

@@ -30,9 +30,9 @@ _MODULUS_TOL = 1e-12
 class HopfSurface:
     """Contraction data for a primary Hopf surface, diagonal or exceptional."""
 
-    __slots__ = ("kind", "basis", "m", "search_bound")
+    __slots__ = ("kind", "basis", "m")
 
-    def __init__(self, kind: str, basis: EigenBasis, m: int = None, search_bound: int = 64):
+    def __init__(self, kind: str, basis: EigenBasis, m: int = None):
         if kind not in ("diagonal", "exceptional"):
             raise SurfaceError("kind must be 'diagonal' or 'exceptional'")
         if kind == "exceptional":
@@ -46,7 +46,6 @@ class HopfSurface:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "search_bound", search_bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfSurface is immutable")
@@ -54,14 +53,14 @@ class HopfSurface:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def diagonal(cls, l1, l2, bound: int = 64) -> "HopfSurface":
+    def diagonal(cls, l1, l2) -> "HopfSurface":
         """Diagonal surface with Gaussian-rational eigenvalues.
 
-        The relation lattice is found by bounded search (|m1|, |m2| <=
-        bound) with exact power comparison.
+        The relation lattice is found by a search over |m1|, |m2| <= 64
+        with exact power comparison (`scalars.find_relations`).
         """
-        basis = EigenBasis.from_gauss_values(as_gauss(l1), as_gauss(l2), bound)
-        return cls("diagonal", basis, search_bound=bound)
+        basis = EigenBasis.from_gauss_values(as_gauss(l1), as_gauss(l2))
+        return cls("diagonal", basis)
 
     @classmethod
     def diagonal_formal(cls, relations, witness, names=("l1", "l2")) -> "HopfSurface":
@@ -145,7 +144,7 @@ class HopfSurface:
         }
 
     @classmethod
-    def from_record(cls, rec: dict, bound: int = 64) -> "HopfSurface":
+    def from_record(cls, rec: dict) -> "HopfSurface":
         if not isinstance(rec, dict):
             raise SurfaceError("surface record must be an object")
         kind = rec.get("type")
@@ -159,7 +158,7 @@ class HopfSurface:
                 l2 = GaussRat.from_quad(rec["lambda2"])
             except KeyError as exc:
                 raise SurfaceError("diagonal record needs lambda1 and lambda2") from exc
-            return cls.diagonal(l1, l2, bound)
+            return cls.diagonal(l1, l2)
         if kind == "exceptional":
             try:
                 lam = GaussRat.from_quad(rec["lambda"])

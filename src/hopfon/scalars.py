@@ -149,21 +149,11 @@ class GaussRat:
         if not isinstance(k, int):
             raise TypeError("only integer powers of GaussRat")
         if k < 0:
-            return (GaussRat(1) / self) ** (-k)
-        out = GaussRat(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return _power(GR_ONE / self, -k, GR_ONE)
+        return _power(self, k, GR_ONE)
 
     def conjugate(self):
         return GaussRat._raw(self.x, -self.y, self.z)
-
-    def norm2(self) -> Fraction:
-        return Fraction(self.x * self.x + self.y * self.y, self.z * self.z)
 
     # -- predicates ----------------------------------------------------
 
@@ -212,26 +202,46 @@ class GaussRat:
     def nth_root(self, k: int):
         """An exact k-th root in Q(i), or None when no such root exists.
 
-        The principal numeric root is reconstructed with bounded
-        denominators and verified exactly, then its unit rotations by
-        i are tried (any two Q(i)-valued roots differ by such a unit
-        only when the rotation itself lies in Q(i)).
+        With self = (x + i y)/z, every root is rho/z for a Gaussian
+        integer rho with rho^k = W = (x + i y) z^(k-1), so the norm of W
+        must be an exact k-th power.  Each complex k-th root of W, taken
+        from the principal one outwards in argument, seeds rho; exact
+        Newton steps in Z[i] refine it, and rho is accepted only when
+        rho^k == W.  The principal root is therefore returned when it
+        lies in Q(i), and otherwise a root nearest to it in argument.
+        Two roots in Q(i) differ by a k-th root of unity in Q(i): only 1
+        for odd k, +-1 for k = 2 mod 4, and +-1, +-i for k = 0 mod 4.
         """
         if k <= 0:
             raise ValueError("root order must be positive")
         if k == 1 or self.is_zero():
             return self
-        w = self.to_complex() ** (1.0 / k)
-        units = (1, 1j, -1, -1j)
-        for bound in (10**6, 10**12):
-            for u in units:
-                cand_c = w * u
-                cand = GaussRat(
-                    Fraction(cand_c.real).limit_denominator(bound),
-                    Fraction(cand_c.imag).limit_denominator(bound),
-                )
-                if cand**k == self:
-                    return cand
+        zk = self.z ** (k - 1)
+        w = GaussRat._raw(self.x * zk, self.y * zk, 1)
+        w_norm = w.x * w.x + w.y * w.y
+        norm = _iroot(w_norm, k)
+        if norm**k != w_norm:
+            return None
+        modulus = Fraction(math.isqrt(norm << 128), 1 << 64)  # |rho|, to 2^-64
+        # arg W = arg(x + i y), from floats of x and y scaled into range
+        shift = max(0, max(abs(self.x), abs(self.y)).bit_length() - 1000)
+        theta = math.atan2(self.y >> shift, self.x >> shift)
+        for j in sorted(range(k), key=lambda j: (min(j, k - j), j > k - j)):
+            phi = (theta + 2 * math.pi * j) / k
+            rho = _nearest_gauss_int(
+                GaussRat(modulus * Fraction(math.cos(phi)), modulus * Fraction(math.sin(phi)))
+            )
+            # Newton doubles the correct bits of a seed good to about 50 bits
+            for _ in range(norm.bit_length().bit_length() + 3):
+                if rho.is_zero():
+                    break
+                head = rho ** (k - 1)
+                if head * rho == w:
+                    return GaussRat._raw(rho.x, rho.y, self.z)
+                step = _nearest_gauss_int((head * rho * (k - 1) + w) / (head * k))
+                if step == rho:
+                    break
+                rho = step
         return None
 
     def __repr__(self):
@@ -243,6 +253,42 @@ class GaussRat:
 # Slot setters for the internal constructors, which bypass the
 # immutability guard in __setattr__ (and are faster than object.__setattr__).
 _set_x, _set_y, _set_z = GaussRat.x.__set__, GaussRat.y.__set__, GaussRat.z.__set__
+
+
+def _power(x, k: int, one):
+    """x**k for an integer k >= 0 by square-and-multiply.
+
+    The product starts from x itself and squares only between bits, so
+    x**3 costs two products.
+    """
+    if k < 0:
+        raise ValueError("negative exponent %d" % k)
+    if k == 0:
+        return one
+    out = x
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer part of n^(1/k), for integers n >= 0 and k >= 1."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # above the root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _nearest_gauss_int(q: GaussRat) -> GaussRat:
+    """The Gaussian integer nearest to q, rounding halves up."""
+    d = 2 * q.z
+    return GaussRat._raw((2 * q.x + q.z) // d, (2 * q.y + q.z) // d, 1)
 
 
 def as_gauss(x) -> GaussRat:
@@ -348,20 +394,6 @@ class RelationLattice:
         t = v1 // a
         return (v2 - t * b) % c == 0
 
-    def solve(self, v):
-        """Integer coordinates of v in the basis, or None."""
-        if not self.contains(v):
-            return None
-        v1, v2 = int(v[0]), int(v[1])
-        if self.rank == 0:
-            return ()
-        if self.rank == 1:
-            a, b = self.rows[0]
-            return ((v1 // a) if a else (v2 // b),)
-        (a, b), (_, c) = self.rows
-        t = v1 // a
-        return (t, (v2 - t * b) // c)
-
     def reduce_exponents(self, e):
         """Canonical representative of e (rational pair) modulo the lattice."""
         e1, e2 = e
@@ -403,20 +435,10 @@ class RelationLattice:
             return None
         if self.rank == 1:
             a, b = self.rows[0]
-            if a > 0 and b < 0:
-                return (a, -b)
-            if a == 0 or b >= 0:
-                return None
-            return None
+            return (a, -b) if a > 0 and b < 0 else None
         (a, b), (_, c) = self.rows
-        # m1 must be a positive multiple of a; the m2 residue is fixed mod c.
-        for t in range(1, abs(a) * abs(c) + 2):
-            m1 = t * a
-            r = (-t * b) % c
-            m2 = r if r > 0 else c
-            if m2 > 0:
-                return (m1, m2)
-        return None
+        # a > 0 is the least positive m1; the m2 residue is then fixed mod c > 0.
+        return (a, (-b) % c or c)
 
     def __eq__(self, other):
         return isinstance(other, RelationLattice) and self.rows == other.rows
@@ -433,36 +455,44 @@ class RelationLattice:
 
 _WITNESS_TOL = 1e-12
 
+# The one bound on the exponents that the relation and power-product
+# searches try.
+_RELATION_BOUND = 64
 
-def find_relations(v1: GaussRat, v2: GaussRat, bound: int = 64) -> RelationLattice:
+
+def _power_search(v1, v2, value, bound=_RELATION_BOUND, logs=None):
+    """Yield every (a, b) with |a|, |b| <= bound and v1^a v2^b == value.
+
+    The scan runs a outer and b inner, each from -bound to bound.  A
+    float prescreen on logs = (log|v1|, log|v2|, log|value|), taken from
+    the complex values when not given, skips the pairs whose modulus
+    cannot match; every pair yielded is confirmed by exact comparison.
+    """
+    la, lb, lv = logs or [math.log(abs(complex(v))) for v in (v1, v2, value)]
+    p1, p2 = {}, {}
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if abs(a * la + b * lb - lv) > 1e-9 * (1 + abs(a) + abs(b)):
+                continue
+            x = p1.get(a)
+            if x is None:
+                x = p1[a] = v1**a
+            y = p2.get(b)
+            if y is None:
+                y = p2[b] = v2**b
+            if x * y == value:
+                yield (a, b)
+
+
+def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
     """Relation lattice of two nonzero Gaussian rationals by bounded search.
 
-    All pairs (a, b) with |a|, |b| <= bound and v1^a v2^b = 1 are
-    located with a floating prescreen and confirmed by exact power
-    comparison.
+    All pairs (a, b) with |a|, |b| <= 64 and v1^a v2^b = 1 are located
+    with a floating prescreen and confirmed by exact power comparison.
     """
     if v1.is_zero() or v2.is_zero():
         raise ValueError("eigenvalues must be nonzero")
-    la = math.log(abs(complex(v1))) if complex(v1) != 0 else 0.0
-    lb = math.log(abs(complex(v2)))
-    gens = []
-    p1 = {0: GR_ONE}
-    p2 = {0: GR_ONE}
-
-    def pw(cache, base, k):
-        if k not in cache:
-            cache[k] = base**k
-        return cache[k]
-
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a == 0 and b == 0:
-                continue
-            if abs(a * la + b * lb) > 1e-9 * (1 + abs(a) + abs(b)):
-                continue
-            if (pw(p1, v1, a) * pw(p2, v2, b)).is_one():
-                gens.append((a, b))
-    return RelationLattice(gens)
+    return RelationLattice(h for h in _power_search(v1, v2, GR_ONE) if h != _E00)
 
 
 class EigenBasis:
@@ -491,14 +521,14 @@ class EigenBasis:
         raise AttributeError("EigenBasis is immutable")
 
     @classmethod
-    def from_gauss_values(cls, v1, v2, bound: int = 64, names=("l1", "l2")):
+    def from_gauss_values(cls, v1, v2, names=("l1", "l2")):
         """Basis for concrete Gaussian-rational eigenvalues.
 
-        The relation lattice is computed by bounded search with exact
-        power comparison.
+        The relation lattice comes from `find_relations`: a search over
+        exponents up to 64 in absolute value, with exact power comparison.
         """
         v1, v2 = as_gauss(v1), as_gauss(v2)
-        lat = find_relations(v1, v2, bound)
+        lat = find_relations(v1, v2)
         return cls(names, lat, (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
 
     @property
@@ -721,15 +751,8 @@ class Scalar:
                 return self.nth_root(k.denominator) ** k.numerator
             k = int(k)
         if k < 0:
-            return self.inverse() ** (-k)
-        out = self.basis.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return _power(self.inverse(), -k, self.basis.one())
+        return _power(self, k, self.basis.one())
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -780,6 +803,13 @@ class Scalar:
 
     def sort_key(self):
         return tuple((e, c.re, c.im) for c, e in self.terms)
+
+    def to_record(self):
+        """[[coefficient quadruple, [e1_num, e1_den, e2_num, e2_den]], ...] for JSON."""
+        return [
+            [c.as_quad(), [e[0].numerator, e[0].denominator, e[1].numerator, e[1].denominator]]
+            for c, e in self.terms
+        ]
 
     def numeric(self) -> complex:
         w1, w2 = self.basis.witness

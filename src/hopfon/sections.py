@@ -14,7 +14,9 @@ closed-form family:
   * exceptional F, unipotent g = [[a,1],[0,a]]: (z2/a)(l/z1)^m + c, and infinity
 
 The solver reduces "a is a power product of the eigenvalues" to exact
-lattice or bounded-search questions, and picks the exponent
+lattice membership or, for twists given as plain Gaussian rationals,
+to the exponent search of `scalars` (exponents up to 64 in absolute
+value, confirmed exactly), and picks the exponent
 representative whose monomial has no zero or pole along the invariant
 curve u = 0 side (representatives differ by hyperresonance shifts).
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfSurface
-from .scalars import EigenBasis, GaussRat, Scalar, as_gauss
+from .scalars import EigenBasis, Scalar, _power_search, as_gauss
 
 
 class SectionError(ValueError):
@@ -85,13 +87,13 @@ class SectionFamily:
         return rec
 
 
-def solve_power_product(basis: EigenBasis, a: Scalar, bound: int = 64):
+def solve_power_product(basis: EigenBasis, a: Scalar):
     """Integers (k1, k2) with a = l1^k1 l2^k2, or None.
 
     Formal route: the coefficient must be 1 and the exponent pair an
     integer vector modulo the lattice.  For bases with exact
-    Gaussian-rational eigenvalues a bounded exact search also accepts
-    twists given as plain numbers.
+    Gaussian-rational eigenvalues an exact search over |k1|, |k2| <= 64
+    also accepts twists given as plain numbers, returning its first hit.
     """
     if a.is_zero():
         return None
@@ -102,26 +104,7 @@ def solve_power_product(basis: EigenBasis, a: Scalar, bound: int = 64):
         if basis.exact is not None and e1.denominator == 1 and e2.denominator == 1:
             v1, v2 = basis.exact
             value = c * v1 ** int(e1) * v2 ** int(e2)
-            hit = _bounded_power_search(v1, v2, value, bound)
-            if hit is not None:
-                return hit
-    return None
-
-
-def _bounded_power_search(v1: GaussRat, v2: GaussRat, value: GaussRat, bound: int):
-    import math
-
-    if value.is_zero():
-        return None
-    la = math.log(abs(v1.to_complex()))
-    lb = math.log(abs(v2.to_complex()))
-    lv = math.log(abs(value.to_complex()))
-    for k1 in range(-bound, bound + 1):
-        for k2 in range(-bound, bound + 1):
-            if abs(k1 * la + k2 * lb - lv) > 1e-9 * (1 + abs(k1) + abs(k2)):
-                continue
-            if v1**k1 * v2**k2 == value:
-                return (k1, k2)
+            return next(_power_search(v1, v2, value), None)
     return None
 
 
@@ -134,20 +117,19 @@ def _normalize_representative(k1: int, k2: int, hyper):
     return (k1 - t * m1, k2 + t * m2)
 
 
-def line_bundle_sections(s: HopfSurface, a: Scalar, bound: int = None) -> SectionFamily:
+def line_bundle_sections(s: HopfSurface, a: Scalar) -> SectionFamily:
     """The meromorphic-section family of the line bundle twisted by a != 0."""
     if a.is_zero():
         raise SectionError("the twist must be nonzero")
-    bound = bound or s.search_bound
     hyper = s.hyperresonance()
     if s.kind == "exceptional":
-        k = _solve_exceptional_power(s, a, bound)
+        k = _solve_exceptional_power(s, a)
         if k is None:
             return SectionFamily("zero", surface=s)
         return SectionFamily(
             "monomial", exponents=(k, 0), free_constant=True, surface=s
         )
-    hit = solve_power_product(s.basis, a, bound)
+    hit = solve_power_product(s.basis, a)
     if hit is None:
         return SectionFamily("zero", surface=s)
     k1, k2 = _normalize_representative(*hit, hyper)
@@ -158,22 +140,21 @@ def line_bundle_sections(s: HopfSurface, a: Scalar, bound: int = None) -> Sectio
     )
 
 
-def _solve_exceptional_power(s: HopfSurface, a: Scalar, bound: int):
+def _solve_exceptional_power(s: HopfSurface, a: Scalar):
     """Integer k with a = lam^k on an exceptional surface, or None."""
-    hit = solve_power_product(s.basis, a, bound)
+    hit = solve_power_product(s.basis, a)
     if hit is None:
         return None
     # both generators name lam, so the power is the total exponent
     return hit[0] + hit[1]
 
 
-def proj_bundle_sections(s: HopfSurface, g, bound: int = None) -> SectionFamily:
+def proj_bundle_sections(s: HopfSurface, g) -> SectionFamily:
     """Section family of the flat P^1-bundle twisted by a projective class g.
 
     The matrix must be supplied diagonal or as the Jordan block
     [[a, 1], [0, a]].
     """
-    bound = bound or s.search_bound
     rows = _as_scalar_rows(s.basis, g)
     (a11, a12), (a21, a22) = rows
     if not a21.is_zero():
@@ -181,7 +162,7 @@ def proj_bundle_sections(s: HopfSurface, g, bound: int = None) -> SectionFamily:
     if a12.is_zero():
         # diagonal class: everything is driven by the eigenvalue ratio
         ratio = a11 * a22.inverse()
-        base = line_bundle_sections(s, ratio, bound)
+        base = line_bundle_sections(s, ratio)
         if base.variant == "zero":
             return SectionFamily("zero_and_infinity", includes_infinity=True, surface=s)
         return SectionFamily(

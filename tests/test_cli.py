@@ -228,3 +228,17 @@ def test_verify_detects_failure_with_tight_tolerance(tmp_path, capsys):
     )
     assert code == 1
     assert not out["passed"]
+
+
+@pytest.mark.parametrize(
+    "l1, l2, n",
+    [([1, 4, 0, 1], [1, 2, 0, 1], 2), ([1, 2, 0, 1], [1, 2, 0, 1], 1)],
+    ids=["readme-hyperresonant", "homothety"],
+)
+def test_verify_deg_bound_without_params(tmp_path, capsys, l1, l2, n):
+    # without params the enumeration takes the oracle's root-pool prefixes
+    spec = write(tmp_path, "s.json", {"type": "diagonal", "lambda1": l1, "lambda2": l2})
+    code, out = run(capsys, ["verify", "--spec", spec, "--n", str(n), "--deg-bound", "2"])
+    assert code == 0 and out["passed"]
+    (bc,) = [r for r in out["reports"] if r["check"] == "bounded_completeness"]
+    assert bc["passed"] and bc["detail"]["enumerated"] == bc["detail"]["brute_force"]

@@ -293,3 +293,24 @@ def test_is_generic_examples():
     # non-diagonalizable with p = 0 is not generic
     jordan = Mat2(b, ((b.one(), b.one()), (b.zero(), b.one())))
     assert not is_generic(GroupElt.of_matrix(jordan, 2))
+
+
+def test_normal_form_takes_real_cube_root():
+    # mu1 = -2 normalizes -8 Z1^3; its principal cube root is not in Q(i)
+    b = free_basis()
+    x = diag_elt(b, 3, b.gauss(1), b.gauss(2), [0, 0, 0, -8])
+    nf = normal_form(x).element
+    assert [c.is_one() for c in nf.p.coeffs] == [False, False, False, True]
+    assert all(c.is_zero() for c in nf.p.coeffs[:3])
+
+
+def test_normal_form_two_resonant_degrees_torsion_n9():
+    # l1^9 = l2^9 = 1 with no relation inside |a|, |b| <= 8: two resonant
+    # degrees already prove a rank-2 lattice
+    w = cmath.exp(2j * cmath.pi / 9)
+    b = EigenBasis(("l1", "l2"), [(9, 0), (0, 9)], (w, w * w))
+    x = diag_elt(b, 9, b.gen(0), b.gen(1), [512] + [0] * 8 + [19683])
+    nf = normal_form(x).element
+    assert normal_form(nf).element == nf
+    assert [c.is_one() for c in nf.p.coeffs] == [True] + [False] * 8 + [True]
+    assert all(c.is_zero() for c in nf.p.coeffs[1:9])

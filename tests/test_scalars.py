@@ -322,3 +322,36 @@ def test_nth_root_recovers_perfect_powers():
     s = mu**3
     r = s.nth_root(3)
     assert r**3 == s
+
+
+def test_power_matches_repeated_products():
+    from hopfon.devmaps import UniPoly
+
+    b = EigenBasis(("l1", "l2"), [(2, -1)], (0.5, 0.25))
+    cases = [
+        (GaussRat(Fraction(3, 2), Fraction(-1, 5)), GaussRat(1)),
+        (Scalar.monomial(b, 2, (1, 0)) + Scalar.monomial(b, Fraction(1, 3), (Fraction(1, 2), 1)), b.one()),
+        (UniPoly([1, GaussRat(0, 2), Fraction(-1, 3)]), UniPoly([1])),
+    ]
+    for x, one in cases:
+        expected = one
+        for k in range(10):
+            assert x**k == expected
+            expected = expected * x
+
+
+def test_nth_root_exact_where_floats_fail():
+    assert GaussRat(-8).nth_root(3) == GaussRat(-2)
+    assert GaussRat(-4).nth_root(2) == GaussRat(0, 2)  # the principal root
+    big = GaussRat(Fraction(10**12 + 39, 7))
+    assert (big**2).nth_root(2) == big
+    # beyond float precision (Newton steps) and beyond float range
+    huge = GaussRat(Fraction(10**40 + 39, 7), 3)
+    assert (huge**2).nth_root(2) == huge
+    assert GaussRat(3**700).nth_root(2) == GaussRat(3**350)
+    c = GaussRat(Fraction(123457, 1000003), Fraction(7, 11))
+    assert (c**3).nth_root(3) == c
+    # 16 has no principal 8th root in Q(i); the roots (1 +- i)(+-1) tie in
+    # argument, and the counterclockwise one is returned
+    assert GaussRat(16).nth_root(8) == GaussRat(1, 1)
+    assert GaussRat(2).nth_root(2) is None
