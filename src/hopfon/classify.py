@@ -31,8 +31,10 @@ from fractions import Fraction
 from .devmaps import (
     DevMap,
     UniPoly,
+    _shape_verdict,
+    _slot_verdict,
+    _unbranched_verdict,
     exponent_list,
-    is_admissible,
 )
 from .group import GroupElt, HomogPoly, Mat2
 from .hopf import HopfSurface
@@ -371,20 +373,25 @@ def brute_force_admissible(
             for b in range(deg_bound + 1)
             for c in range(deg_bound + 1)
         ]
+    # the polynomials and their shape verdict depend on the degree pattern only
+    roots = list(root_pool)
+    shaped = []
+    for (d1, dq, d3) in degree_patterns:
+        if d1 + dq + d3 > len(roots):
+            continue
+        P1 = UniPoly.from_roots(roots[:d1])
+        Q1 = UniPoly.from_roots(roots[d1 : d1 + dq])
+        P2 = UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3])
+        if _shape_verdict(P1, Q1, P2):
+            shaped.append((d1, dq, d3, P1, Q1, P2))
     found = {}
     for (k1, l1) in slots:
         for (kt2, lt2) in slots:
-            for (d1, dq, d3) in degree_patterns:
-                if d1 + dq + d3 > len(root_pool):
-                    continue
-                roots = list(root_pool)
-                P1 = UniPoly.from_roots(roots[:d1])
-                Q1 = UniPoly.from_roots(roots[d1 : d1 + dq])
-                P2 = UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3])
+            for (d1, dq, d3, P1, Q1, P2) in shaped:
                 k2 = kt2 + (m2 * (d1 - dq) if hyper else 0)
                 l2 = lt2 + (m2 * (d3 - n * dq) if hyper else 0)
                 d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
-                if not is_admissible(d):
+                if not (_slot_verdict(d) and _unbranched_verdict(d)):
                     continue
                 key = canonical_key(d, n)
                 found.setdefault(key, d)

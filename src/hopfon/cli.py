@@ -68,11 +68,18 @@ def _quad(value, where: str) -> GaussRat:
         raise InputError("%s: expected [re_num, re_den, im_num, im_den]" % where) from exc
 
 
+def _positive(value, flag: str):
+    """A command-line count or tolerance, rejected unless positive when given."""
+    if value is not None and value <= 0:
+        raise InputError("%s must be positive, got %s" % (flag, value))
+    return value
+
+
 def _verify_config(spec: dict, args) -> VerifyConfig:
     over = dict(spec.get("verify", {}))
-    if getattr(args, "samples", None):
+    if _positive(getattr(args, "samples", None), "--samples") is not None:
         over["samples"] = args.samples
-    if getattr(args, "tol", None):
+    if _positive(getattr(args, "tol", None), "--tol") is not None:
         over["tol_equiv"] = args.tol
     if getattr(args, "seed", None) is not None:
         over["seed"] = args.seed
@@ -141,6 +148,8 @@ def cmd_structures(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _positive(args.trials, "--trials")
+    _positive(args.deg_bound, "--deg-bound")
     spec = _load_json(args.spec)
     s = _surface_from_spec(spec)
     n = args.n or spec.get("n")
@@ -148,7 +157,7 @@ def cmd_verify(args) -> int:
         raise InputError("the bundle degree is required (--n or spec key 'n')")
     cfg = _verify_config(spec, args)
     params = _params_from(spec, args)
-    if params is None and args.deg_bound:
+    if params is None and args.deg_bound is not None:
         # the oracle draws the roots of a degree-N factor from the pool's prefix
         # of length N, so instantiate the hyperresonant rows with those prefixes
         top = min(args.deg_bound, len(DEFAULT_ROOT_POOL))
@@ -166,7 +175,7 @@ def cmd_verify(args) -> int:
             entry["structure"] = rec.provenance
             reports.append(entry)
             ok = ok and rep.passed
-    if args.deg_bound:
+    if args.deg_bound is not None:
         from .classify import canonical_key
 
         bf = brute_force_admissible(s, int(n), deg_bound=args.deg_bound)

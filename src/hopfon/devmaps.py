@@ -481,21 +481,22 @@ class Verdict:
         return self.ok
 
 
-def is_semiadmissible(d: DevMap) -> Verdict:
-    """The shape constraints: exponent lists, squarefree, coprime, no root at 0."""
-    for p, name in ((d.P1, "P1"), (d.Q1, "Q1"), (d.P2, "P2")):
+def _shape_verdict(P1: UniPoly, Q1: UniPoly, P2: UniPoly) -> Verdict:
+    """The polynomial part of semiadmissibility: no root at 0, squarefree, coprime."""
+    for p, name in ((P1, "P1"), (Q1, "Q1"), (P2, "P2")):
         if p.has_root_at_zero():
             return Verdict(False, "%s has a root at u = 0" % name)
-    for p, name in ((d.P1, "P1"), (d.Q1, "Q1"), (d.P2, "P2")):
+    for p, name in ((P1, "P1"), (Q1, "Q1"), (P2, "P2")):
         if not p.squarefree():
             return Verdict(False, "%s has a double root" % name)
-    for (p, q, names) in (
-        (d.P1, d.Q1, "P1,Q1"),
-        (d.P1, d.P2, "P1,P2"),
-        (d.Q1, d.P2, "Q1,P2"),
-    ):
+    for (p, q, names) in ((P1, Q1, "P1,Q1"), (P1, P2, "P1,P2"), (Q1, P2, "Q1,P2")):
         if not p.coprime_with(q):
             return Verdict(False, "%s share a root" % names)
+    return Verdict(True)
+
+
+def _slot_verdict(d: DevMap) -> Verdict:
+    """The exponent part of semiadmissibility: (k1, l1) and (k2~, l2~) in the allowed list."""
     allowed = exponent_list(d.n)
     if (d.k1, d.l1) not in allowed:
         return Verdict(False, "(k1, l1) = (%d, %d) not in the allowed list" % (d.k1, d.l1))
@@ -505,17 +506,14 @@ def is_semiadmissible(d: DevMap) -> Verdict:
     return Verdict(True)
 
 
-def is_admissible(d: DevMap) -> Verdict:
-    """Unbranchedness certificate on top of semiadmissibility.
+def is_semiadmissible(d: DevMap) -> Verdict:
+    """The shape constraints: exponent lists, squarefree, coprime, no root at 0."""
+    shape = _shape_verdict(d.P1, d.Q1, d.P2)
+    return _slot_verdict(d) if shape else shape
 
-    Requires A = 0 or P1 constant, B = 0 or P2 constant, C = 0 or Q1
-    constant, the exact rational function R(u) constant and nonzero,
-    (k1, l1) != (0, 0), and nonvanishing D in the tilde and hat
-    rewritings.
-    """
-    semi = is_semiadmissible(d)
-    if not semi:
-        return Verdict(False, "not semiadmissible: " + semi.reason)
+
+def _unbranched_verdict(d: DevMap) -> Verdict:
+    """The clauses of `is_admissible` beyond semiadmissibility."""
     rep = abcd(d)
     if rep.A != 0 and not d.P1.is_constant():
         return Verdict(False, "A = %d nonzero with nonconstant P1" % rep.A)
@@ -535,6 +533,20 @@ def is_admissible(d: DevMap) -> Verdict:
     if rep.hat[3] == 0:
         return Verdict(False, "D^ vanishes (branch in the swapped chart)")
     return Verdict(True)
+
+
+def is_admissible(d: DevMap) -> Verdict:
+    """Unbranchedness certificate on top of semiadmissibility.
+
+    Requires A = 0 or P1 constant, B = 0 or P2 constant, C = 0 or Q1
+    constant, the exact rational function R(u) constant and nonzero,
+    (k1, l1) != (0, 0), and nonvanishing D in the tilde and hat
+    rewritings.
+    """
+    semi = is_semiadmissible(d)
+    if not semi:
+        return Verdict(False, "not semiadmissible: " + semi.reason)
+    return _unbranched_verdict(d)
 
 
 # ---------------------------------------------------------------------------

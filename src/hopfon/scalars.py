@@ -8,6 +8,11 @@ monomials agree exactly when their coefficients match and their
 exponent difference is an integer vector of the lattice.  Every
 resonance question reduces to such a lattice membership test.
 
+A scalar keeps its terms flat, as integer tuples (key, x, y, z) for
+((x + i y)/z) l1^key[0] l2^key[1] in the canonical form of GaussRat, so
+that sums and products of scalars run on integers and build no
+GaussRat; one is built only where a caller asks for a coefficient.
+
 Each generator also carries a numeric witness (a complex double) used
 only for floating-point evaluation; witnesses never influence exact
 decisions.  Rational powers of a witness are taken on the principal
@@ -48,6 +53,8 @@ def _exp(x):
 
 
 _E00 = (0, 0)
+# the terms of the scalar 1: coefficient (1 + 0i)/1 on the key (0, 0)
+_ONE_TERMS = ((_E00, 1, 0, 1),)
 
 
 class GaussRat:
@@ -397,19 +404,20 @@ class RelationLattice:
     def reduce_exponents(self, e):
         """Canonical representative of e (rational pair) modulo the lattice."""
         e1, e2 = e
-        if self.rank >= 1:
-            a, b = self.rows[0]
+        rows = self.rows
+        if rows:
+            a, b = rows[0]
             if a != 0:
                 t = e1 // a if isinstance(e1, int) else math.floor(e1 / a)
                 e1, e2 = e1 - t * a, e2 - t * b
             else:
                 t = e2 // b if isinstance(e2, int) else math.floor(e2 / b)
                 e2 = e2 - t * b
-        if self.rank == 2:
-            _, c = self.rows[1]
-            t = e2 // c if isinstance(e2, int) else math.floor(e2 / c)
-            e2 = e2 - t * c
-        return (_exp(e1), _exp(e2))
+            if len(rows) == 2:
+                c = rows[1][1]
+                t = e2 // c if isinstance(e2, int) else math.floor(e2 / c)
+                e2 = e2 - t * c
+        return (e1 if type(e1) is int else _exp(e1), e2 if type(e2) is int else _exp(e2))
 
     def coset_order(self, v):
         """Least t >= 1 with t*v in the lattice (v a rational pair); None if infinite."""
@@ -548,7 +556,7 @@ class EigenBasis:
     def one(self):
         out = self._cache.get("one")
         if out is None:
-            out = self._cache["one"] = Scalar._raw(self, ((GR_ONE, _E00),))
+            out = self._cache["one"] = Scalar._raw(self, _ONE_TERMS)
         return out
 
     def gauss(self, c):
@@ -590,35 +598,53 @@ class EigenBasis:
 # Scalars
 
 
-def _merge_terms(basis, raw_terms):
+def _accumulate(items):
+    """Canonical terms from (key, x, y, z) items with reduced keys and z > 0.
+
+    Items on one key are added; each sum is brought to lowest terms,
+    zero sums are dropped and the result is sorted by key.
+    """
     acc = {}
-    for coeff, exps in raw_terms:
-        if coeff.is_zero():
-            continue
-        key = basis.lattice.reduce_exponents(exps)
-        if key in acc:
-            acc[key] = acc[key] + coeff
+    for key, x, y, z in items:
+        t = acc.get(key)
+        if t is None:
+            acc[key] = (x, y, z)
         else:
-            acc[key] = coeff
-    items = [(c, e) for e, c in acc.items() if not c.is_zero()]
-    items.sort(key=lambda t: t[1])
-    return tuple(items)
+            a, b, c = t
+            acc[key] = (a * z + x * c, b * z + y * c, c * z)
+    out = []
+    for key in sorted(acc):
+        x, y, z = acc[key]
+        if x or y:
+            g = math.gcd(x, y, z)
+            if g > 1:
+                x, y, z = x // g, y // g, z // g
+            out.append((key, x, y, z))
+    return tuple(out)
 
 
 class Scalar:
     """A finite sum of eigenvalue monomials over a fixed basis.
 
-    The canonical form stores lattice-reduced exponents, merged and
-    sorted, with zero represented by the empty sum.  Single-term
-    values are the units of the ring; only those admit inverses and
-    roots.
+    The canonical form is a tuple of terms (key, x, y, z), one per
+    lattice-reduced exponent pair key, standing for ((x + i y)/z) l^key
+    with z > 0 and gcd(x, y, z) = 1: the GaussRat triple, held flat so
+    that ring operations work on the integers.  Terms are sorted by key
+    and never zero, so zero is the empty sum.  Single-term values are
+    the units of the ring; only those admit inverses and roots.
     """
 
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: EigenBasis, terms):
+        """The canonical sum of (GaussRat coefficient, exponent pair) terms."""
+        reduce = basis.lattice.reduce_exponents
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", _merge_terms(basis, terms))
+        object.__setattr__(
+            self,
+            "terms",
+            _accumulate([(reduce(e), c.x, c.y, c.z) for c, e in terms if not c.is_zero()]),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -640,7 +666,7 @@ class Scalar:
             key = _E00
         else:
             key = basis.lattice.reduce_exponents((_exp(exps[0]), _exp(exps[1])))
-        return cls._raw(basis, ((coeff, key),))
+        return cls._raw(basis, ((key, coeff.x, coeff.y, coeff.z),))
 
     # -- structure -------------------------------------------------------
 
@@ -651,11 +677,7 @@ class Scalar:
         return len(self.terms) == 1
 
     def is_one(self) -> bool:
-        return (
-            len(self.terms) == 1
-            and self.terms[0][0].is_one()
-            and self.terms[0][1] == (0, 0)
-        )
+        return self.terms == _ONE_TERMS
 
     @property
     def coeff(self) -> GaussRat:
@@ -664,7 +686,8 @@ class Scalar:
             return GR_ZERO
         if not self.is_unit():
             raise ScalarDomainError("scalar is a sum of monomials, not a monomial")
-        return self.terms[0][0]
+        _, x, y, z = self.terms[0]
+        return GaussRat._raw(x, y, z)
 
     @property
     def exps(self):
@@ -673,7 +696,7 @@ class Scalar:
             return (_frac(0), _frac(0))
         if not self.is_unit():
             raise ScalarDomainError("scalar is a sum of monomials, not a monomial")
-        return self.terms[0][1]
+        return self.terms[0][0]
 
     def _check(self, other) -> "Scalar":
         if isinstance(other, Scalar):
@@ -690,27 +713,28 @@ class Scalar:
         if type(other) is not Scalar or other.basis is not self.basis:
             other = self._check(other)
         ts, to = self.terms, other.terms
+        if not to:
+            return self
+        if not ts:
+            return other
         if len(ts) == 1 and len(to) == 1:
-            (c1, e1), (c2, e2) = ts[0], to[0]
+            (e1, x1, y1, z1), (e2, x2, y2, z2) = ts[0], to[0]
             if e1 == e2:
                 # two monomials on one (canonical) exponent key: add coefficients
-                c = c1 + c2
-                return Scalar._raw(self.basis, ((c, e1),) if c else ())
+                x, y, z = x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2
+                if not (x or y):
+                    return Scalar._raw(self.basis, ())
+                g = math.gcd(x, y, z)
+                if g > 1:
+                    x, y, z = x // g, y // g, z // g
+                return Scalar._raw(self.basis, ((e1, x, y, z),))
         # both term lists are canonical: merge without re-reducing exponents
-        acc = {e: c for c, e in ts}
-        for c, e in to:
-            if e in acc:
-                acc[e] = acc[e] + c
-            else:
-                acc[e] = c
-        items = [(c, e) for e, c in acc.items() if not c.is_zero()]
-        items.sort(key=lambda t: t[1])
-        return Scalar._raw(self.basis, tuple(items))
+        return Scalar._raw(self.basis, _accumulate(ts + to))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._raw(self.basis, tuple([(-c, e) for c, e in self.terms]))
+        return Scalar._raw(self.basis, tuple([(e, -x, -y, z) for e, x, y, z in self.terms]))
 
     def __sub__(self, other):
         if type(other) is not Scalar or other.basis is not self.basis:
@@ -724,10 +748,17 @@ class Scalar:
         if type(other) is not Scalar or other.basis is not self.basis:
             other = self._check(other)
         ts, to = self.terms, other.terms
+        if not ts:
+            return self
+        if not to:
+            return other
         if len(ts) == 1 and len(to) == 1:
-            (c1, e1), (c2, e2) = ts[0], to[0]
+            (e1, x1, y1, z1), (e2, x2, y2, z2) = ts[0], to[0]
             # Q(i) is a field, so the product of nonzero coefficients is nonzero
-            c = c1 * c2
+            x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
+            g = math.gcd(x, y, z)
+            if g > 1:
+                x, y, z = x // g, y // g, z // g
             # a constant factor keeps the other (canonical) key as it is
             if e1 == _E00:
                 e = e2
@@ -735,12 +766,14 @@ class Scalar:
                 e = e1
             else:
                 e = self.basis.lattice.reduce_exponents((e1[0] + e2[0], e1[1] + e2[1]))
-            return Scalar._raw(self.basis, ((c, e),))
-        prod = []
-        for c1, e1 in ts:
-            for c2, e2 in to:
-                prod.append((c1 * c2, (e1[0] + e2[0], e1[1] + e2[1])))
-        return Scalar(self.basis, prod)
+            return Scalar._raw(self.basis, ((e, x, y, z),))
+        reduce = self.basis.lattice.reduce_exponents
+        prod = [
+            (reduce((e1[0] + e2[0], e1[1] + e2[1])), x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2)
+            for e1, x1, y1, z1 in ts
+            for e2, x2, y2, z2 in to
+        ]
+        return Scalar._raw(self.basis, _accumulate(prod))
 
     __rmul__ = __mul__
 
@@ -759,8 +792,10 @@ class Scalar:
             raise ZeroDivisionError("zero scalar has no inverse")
         if not self.is_unit():
             raise ScalarDomainError("only monomial scalars are invertible")
-        c, e = self.terms[0]
-        return Scalar.monomial(self.basis, GR_ONE / c, (-e[0], -e[1]))
+        e, x, y, z = self.terms[0]
+        # z / (x + i y) = z (x - i y) / (x^2 + y^2)
+        c = GaussRat._raw(z * x, -z * y, x * x + y * y)
+        return Scalar.monomial(self.basis, c, (-e[0], -e[1]))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -779,7 +814,8 @@ class Scalar:
         """
         if not self.is_unit():
             raise ScalarDomainError("roots are only taken of monomial scalars")
-        c, e = self.terms[0]
+        e, x, y, z = self.terms[0]
+        c = GaussRat._raw(x, y, z)
         root = c.nth_root(k)
         if root is None:
             raise ScalarDomainError("no exact %d-th root of %r in Q(i)" % (k, c))
@@ -801,21 +837,25 @@ class Scalar:
     def __bool__(self):
         return not self.is_zero()
 
+    def _pairs(self):
+        """(GaussRat coefficient, exponent key) for each term."""
+        return [(GaussRat._raw(x, y, z), e) for e, x, y, z in self.terms]
+
     def sort_key(self):
-        return tuple((e, c.re, c.im) for c, e in self.terms)
+        return tuple((e, c.re, c.im) for c, e in self._pairs())
 
     def to_record(self):
         """[[coefficient quadruple, [e1_num, e1_den, e2_num, e2_den]], ...] for JSON."""
         return [
             [c.as_quad(), [e[0].numerator, e[0].denominator, e[1].numerator, e[1].denominator]]
-            for c, e in self.terms
+            for c, e in self._pairs()
         ]
 
     def numeric(self) -> complex:
         w1, w2 = self.basis.witness
         total = 0j
-        for c, (e1, e2) in self.terms:
-            val = c.to_complex()
+        for (e1, e2), x, y, z in self.terms:
+            val = complex(x / z, y / z)
             if e1:
                 val *= cmath.exp(float(e1) * cmath.log(w1))
             if e2:
@@ -827,7 +867,7 @@ class Scalar:
         if self.is_zero():
             return "Scalar<0>"
         bits = []
-        for c, (e1, e2) in self.terms:
+        for c, (e1, e2) in self._pairs():
             s = repr(c)
             if e1:
                 s += "*%s^%s" % (self.basis.names[0], e1)
@@ -862,7 +902,7 @@ def is_root_of_unity(a: Scalar, n: int) -> bool:
         raise ValueError("n must be >= 1")
     if a.is_zero() or not a.is_unit():
         return False
-    c, (e1, e2) = a.terms[0]
+    c, (e1, e2) = a.coeff, a.exps
     if not (c**n).is_one():
         return False
     return a.basis.lattice.contains((n * e1, n * e2))
@@ -944,14 +984,14 @@ def exact_divide(a: Scalar, d: Scalar) -> Scalar:
     basis = a.basis
     if a.is_zero():
         return basis.zero()
-    (c1, e1), (c2, e2) = d.terms
+    (c1, e1), (c2, e2) = d._pairs()
     # d = u * (1 - w * l^v) with u the first monomial.
     u = Scalar.monomial(basis, c1, e1)
     w = -(c2 / c1)
     v = (e2[0] - e1[0], e2[1] - e1[1])
     rhs = a * u.inverse()
     order = basis.lattice.coset_order(v)
-    coeffs = {e: c for c, e in rhs.terms}
+    coeffs = {e: c for c, e in rhs._pairs()}
     chains = _chain_split(basis, list(coeffs), v)
     x_terms = []
     if order is None:

@@ -98,7 +98,7 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
     if a.is_zero():
         return None
     if a.is_unit():
-        c, (e1, e2) = a.terms[0]
+        c, (e1, e2) = a.coeff, a.exps
         if c.is_one() and e1.denominator == 1 and e2.denominator == 1:
             return (int(e1), int(e2))
         if basis.exact is not None and e1.denominator == 1 and e2.denominator == 1:

@@ -243,7 +243,8 @@ def check_group_axioms(n: int, trials: int = 1000, seed: int = 0, basis: EigenBa
             return VerifyReport("group_axioms", False, checks={"failed": "associativity", "trial": i})
         if compose(x, e) != x or compose(e, x) != x:
             return VerifyReport("group_axioms", False, checks={"failed": "identity", "trial": i})
-        if compose(x, inverse(x)) != e or compose(inverse(x), x) != e:
+        xi = inverse(x)
+        if compose(x, xi) != e or compose(xi, x) != e:
             return VerifyReport("group_axioms", False, checks={"failed": "inverse", "trial": i})
     action_trials = min(trials, 200)
     for _ in range(action_trials):

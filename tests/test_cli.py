@@ -242,3 +242,22 @@ def test_verify_deg_bound_without_params(tmp_path, capsys, l1, l2, n):
     assert code == 0 and out["passed"]
     (bc,) = [r for r in out["reports"] if r["check"] == "bounded_completeness"]
     assert bc["passed"] and bc["detail"]["enumerated"] == bc["detail"]["brute_force"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--trials", "0"), ("--trials", "-5"), ("--samples", "0"), ("--deg-bound", "0"),
+     ("--tol", "0")],
+)
+def test_verify_rejects_non_positive_counts(tmp_path, capsys, flag, value):
+    # such a value used to pass zero trials, fall back to a default or skip the oracle
+    spec = write(
+        tmp_path,
+        "gen4.json",
+        {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1]},
+    )
+    code = main(["verify", "--spec", spec, "--n", "1", "--trials", "5", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert flag in captured.err and "must be positive" in captured.err

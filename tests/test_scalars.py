@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field axioms, lattice equality, numeric evaluation."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -243,6 +244,55 @@ def test_single_term_fast_paths_match_canonical_form():
         assert got == want and hash(got) == hash(want)
     assert (x - x).terms == ()
     assert (xe + (-xe)).terms == ()
+
+
+# the rank-2 lattice basis of the test above
+LATTICE_BASIS = EigenBasis(("l1", "l2"), [(2, 0), (1, 3)], (-1, -1))
+small_exp = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+term_lists = st.lists(st.tuples(gauss, st.tuples(small_exp, small_exp)), max_size=4)
+
+
+def reference_terms(basis, pairs):
+    """Canonical (key, x, y, z) terms of sum(c l^e), accumulated in GaussRat."""
+    acc = {}
+    for c, e in pairs:
+        key = basis.lattice.reduce_exponents(e)
+        acc[key] = acc.get(key, GaussRat(0)) + c
+    return tuple((k, c.x, c.y, c.z) for k, c in sorted(acc.items()) if not c.is_zero())
+
+
+def assert_canonical(s):
+    keys = [t[0] for t in s.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))  # strictly sorted
+    for key, x, y, z in s.terms:
+        assert z > 0 and math.gcd(x, y, z) == 1
+        assert x or y
+        assert s.basis.lattice.reduce_exponents(key) == key
+
+
+@pytest.mark.parametrize("basis", [basis_free(), LATTICE_BASIS], ids=["free", "lattice"])
+@settings(max_examples=60, deadline=None)
+@given(p=term_lists, q=term_lists)
+def test_flat_terms_match_gauss_arithmetic(basis, p, q):
+    # every operation on the flat (key, x, y, z) terms agrees with the
+    # canonical form of the same sum built from GaussRat arithmetic
+    a, b = Scalar(basis, p), Scalar(basis, q)
+    neg_q = [(-c, e) for c, e in q]
+    product = [(c * d, (e[0] + f[0], e[1] + f[1])) for c, e in p for d, f in q]
+    cases = [
+        (a, p),
+        (a + b, p + q),
+        (a - b, p + neg_q),
+        (-b, neg_q),
+        (a * b, product),
+        ((a + b) - b, p),
+        (a - a, []),
+        (a + (-a), []),
+    ]
+    for got, pairs in cases:
+        assert got.terms == reference_terms(basis, pairs)
+        assert got == Scalar(basis, pairs)
+        assert_canonical(got)
 
 
 def test_inverse_only_for_monomials():
