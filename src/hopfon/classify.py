@@ -18,9 +18,10 @@ degree pattern with roots drawn from a fixed generic pool, filters by
 the exact admissibility certificate, and collapses the survivors
 modulo the declared isomorphisms (chart swap, axis rescalings,
 diagonal conjugation); `enumerate_structures` must reproduce it row
-for row.  `reproduce_case_table` re-derives the feasible degree
-patterns for every exponent-slot combination directly from the
-A, B, C, D relations.
+for row.  `reproduce_case_table` derives the feasible degree pattern
+for every exponent-slot combination in closed form from the A, B, C,
+D relations: one free polynomial per feasible row, whose only
+excluded degree is the positive-integer root of D.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .devmaps import (
     DevMap,
     UniPoly,
     _shape_verdict,
-    _slot_verdict,
     _unbranched_verdict,
     exponent_list,
 )
@@ -391,7 +391,9 @@ def brute_force_admissible(
                 k2 = kt2 + (m2 * (d1 - dq) if hyper else 0)
                 l2 = lt2 + (m2 * (d3 - n * dq) if hyper else 0)
                 d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
-                if not (_slot_verdict(d) and _unbranched_verdict(d)):
+                # the slots are allowed by construction, so only the
+                # unbranchedness clauses remain
+                if not _unbranched_verdict(d):
                     continue
                 key = canonical_key(d, n)
                 found.setdefault(key, d)
@@ -400,10 +402,14 @@ def brute_force_admissible(
 
 # ---------------------------------------------------------------------------
 # the case table
-
-
-_SLOT_SYMBOL = {-1: (-1, 0), 0: (0, 0), 1: (1, 0), "minus_n": (0, -1)}
-_MONOMIALS = ("1", "n", "m1", "n*m1", "m2", "n*m2", "m1*m2", "n*m1*m2")
+#
+# Two identities put the table in closed form.  Only one of P1, Q1, P2
+# can be nonconstant: if two of A, B, C vanish so does the third
+# (C = n B - A), and A = B = 0 gives D = k1 l2 - l1 k2 = 0.  With one
+# nonconstant polynomial of degree t, its clause expression (A for P1,
+# C for Q1, B for P2) has no term in t, so the clause is one constant
+# that must vanish; and D~ = D + A d1 - B d3 + C dq = D, which is affine
+# in t, so the only excluded degree is the positive-integer root of D(t).
 
 
 class _Sym(dict):
@@ -420,9 +426,6 @@ class _Sym(dict):
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        return _Sym({k: c * v for k, v in self.items() if c * v})
 
     def value(self, n, m1, m2):
         vals = {
@@ -472,52 +475,15 @@ def _slot_sym(v, base: str) -> _Sym:
     return _Sym({base: v}) if v else _Sym()
 
 
-@dataclass
-class _Affine:
-    """const + sum(coeff_v * degree_v) with symbolic coefficients."""
+def _clause_constants(k1, l1, kt2, lt2):
+    """The clause constant of each polynomial at degree 0, symbolic in n, m1, m2.
 
-    const: _Sym
-    coeffs: dict  # var -> _Sym
-
-    def value(self, n, m1, m2, degs):
-        total = Fraction(self.const.value(n, m1, m2))
-        for var, sym in self.coeffs.items():
-            total += Fraction(sym.value(n, m1, m2)) * degs.get(var, 0)
-        return total
-
-
-def _combo_exprs(k1, l1, kt2, lt2):
-    """A, B, C, D as affine expressions in the degrees, symbolic in n, m1, m2."""
-    m1m2 = _Sym({"m1*m2": 1})
-    n_m1m2 = _Sym({"n*m1*m2": 1})
-    # l2 = lt2 + m2 (d3 - n d2); k2 = kt2 + m2 (d1 - d2)
-    A = _Affine(
-        _slot_sym(lt2, "m1") + _slot_sym(l1, "m2"),
-        {"d3": m1m2, "d2": -n_m1m2},
-    )
-    B = _Affine(
-        _slot_sym(kt2, "m1") + _slot_sym(k1, "m2"),
-        {"d1": m1m2, "d2": -m1m2},
-    )
-    C = _Affine(
-        _sym_times_n(B.const) - A.const,
-        {
-            "d1": _sym_times_n(B.coeffs["d1"]),
-            "d2": _sym_times_n(B.coeffs["d2"]) - A.coeffs["d2"],
-            "d3": -A.coeffs["d3"],
-        },
-    )
-    # D = k1 (lt2 + m2 (d3 - n d2)) - l1 (kt2 + m2 (d1 - d2))
-    d_const = _slot_sym(lt2, "1").scale(k1) + _slot_sym(kt2, "1").scale(-l1)
-    d_coeffs = {}
-    if k1:
-        d_coeffs["d3"] = _Sym({"m2": k1})
-        d_coeffs["d2"] = _Sym({"n*m2": -k1})
-    if l1:
-        d_coeffs["d1"] = d_coeffs.get("d1", _Sym()) + _Sym({"m2": -l1})
-        d_coeffs["d2"] = d_coeffs.get("d2", _Sym()) + _Sym({"m2": l1})
-    D = _Affine(d_const, d_coeffs)
-    return A, B, C, D
+    A = m1 l2 + l1 m2 for P1, B = m1 k2 + k1 m2 for P2 and C = n B - A
+    for Q1, with k2 = k2~ and l2 = l2~ when every degree is 0.
+    """
+    A = _slot_sym(lt2, "m1") + _slot_sym(l1, "m2")
+    B = _slot_sym(kt2, "m1") + _slot_sym(k1, "m2")
+    return {"P1": A, "Q1": _sym_times_n(B) - A, "P2": B}
 
 
 @dataclass
@@ -554,222 +520,71 @@ _COMBOS = (
     (1, 0, 1, 0),
 )
 
-_COEFF_OF = {"d1": "A", "d2": "C", "d3": "B"}
-_POLY_OF = {"d1": "P1", "d2": "Q1", "d3": "P2"}
+# the free polynomials in table order
+_POLYS = ("P1", "Q1", "P2")
 
 
 def reproduce_case_table(n: int, m1: int, m2: int):
-    """Derive the feasible degree patterns for each exponent-slot combination.
+    """Derive the feasible degree pattern for each exponent-slot combination.
 
-    For every subset of {P1, Q1, P2} declared nonconstant, the
-    admissibility clauses force the matching constants among A, B, C
-    to vanish; the resulting linear system in the degrees is solved
-    exactly, positivity and integrality are checked, and the
-    unbranchedness conditions D != 0, D~ != 0 cut out excluded degree
-    values.  Combinations where every subset collapses are marked
-    impossible.
+    Each feasible row has one nonconstant polynomial, the first of P1,
+    Q1, P2 whose clause constant vanishes and whose D(t) is not
+    identically 0; its degree t >= 1 excludes only the positive-integer
+    root of D(t).  A clause constant with sign-definite symbolic content
+    is a structural failure, one that merely fails at (n, m1, m2) a
+    relation failure; combinations with no feasible polynomial and no
+    relation failure are marked impossible.
     """
     if n < 1 or m1 < 1 or m2 < 1:
         raise ClassifyError("n, m1, m2 must be positive")
+    # (k2, l2) gained per unit degree: k2 = k2~ + m2 (d1 - dq), l2 = l2~ + m2 (d3 - n dq)
+    step = {"P1": (m2, 0), "Q1": (-m2, -n * m2), "P2": (0, m2)}
     rows = []
     for combo in _COMBOS:
-        k1, l1, kt2, lt2 = combo
-        A, B, C, D = _combo_exprs(k1, l1, kt2, lt2)
-        exprs = {"A": A, "B": B, "C": C}
-        outcomes = []
+        k1, l1, kt2, lt2 = (-n if v == "minus_n" else v for v in combo)
+        clauses = _clause_constants(*combo)
+        row = None
         relational_failure = False
-        for subset in _nonempty_subsets(("d1", "d2", "d3")):
-            res = _analyze_subset(exprs, D, subset, n, m1, m2, combo)
-            if res.get("feasible"):
-                outcomes.append(res)
-            elif res.get("relational"):
-                relational_failure = True
-        if outcomes:
-            best = outcomes[0]
-            rows.append(
-                CaseRow(
-                    combo=combo,
-                    feasible=True,
-                    impossible=False,
-                    degrees=best["degrees"],
-                    relation=best.get("relation"),
-                    conditions=tuple(best.get("conditions", ())),
-                )
-            )
-        else:
-            rows.append(
-                CaseRow(
-                    combo=combo,
-                    feasible=False,
-                    impossible=not relational_failure,
-                    reason=(
-                        "no degree pattern satisfies the A,B,C,D constraints"
-                        if not relational_failure
-                        else "requires a hyperresonance relation that fails here"
-                    ),
-                )
-            )
-    return rows
-
-
-def _nonempty_subsets(vars_):
-    out = []
-    for mask in range(1, 8):
-        out.append(tuple(v for i, v in enumerate(vars_) if mask >> i & 1))
-    return out
-
-
-_WINDOW = 12
-
-
-def _analyze_subset(exprs, D, subset, n, m1, m2, combo):
-    """Solve the vanishing constraints for one nonconstant-polynomial subset.
-
-    Constant equations with sign-definite symbolic content are
-    structural failures; constant equations that merely fail at the
-    given (n, m1, m2) are relation failures.  Degree families are
-    validated over the window 1..12 (the unbranchedness constants are
-    affine in the degrees, so a single excluded value per free degree
-    is the generic outcome).
-    """
-    equations = []
-    relation = None
-    for var in subset:
-        expr = exprs[_COEFF_OF[var]]
-        coeffs = {}
-        for v in subset:
-            c = expr.coeffs.get(v)
-            if c is not None:
-                cv = Fraction(c.value(n, m1, m2))
-                if cv:
-                    coeffs[v] = cv
-        const = Fraction(expr.const.value(n, m1, m2))
-        if not coeffs:
-            sym = expr.const
+        for poly in _POLYS:
+            sym = clauses[poly]
             if sym.always_positive() or sym.always_negative():
-                return {"feasible": False, "relational": False}
-            if const != 0:
-                return {"feasible": False, "relational": True}
-            relation = sym.render() if sym else None
-            continue
-        equations.append((coeffs, const))
-    basis_rows = _row_reduce(equations, subset)
-    if basis_rows is None:
-        return {"feasible": False, "relational": False}
-    pivots, rows, free = basis_rows
-
-    def degrees_for(assign):
-        degs = {v: Fraction(assign.get(v, 0)) for v in ("d1", "d2", "d3")}
-        for v, row in pivots.items():
-            val = -row[-1]
-            for f in free:
-                val -= row[_VAR_INDEX[f]] * degs[f]
-            val /= row[_VAR_INDEX[v]]
-            degs[v] = val
-        return degs
-
-    def admissible_point(degs):
-        for v in subset:
-            if degs[v].denominator != 1 or degs[v] < 1:
-                return False
-        dt = _tilde_D_value(exprs, D, n, m1, m2, degs)
-        return D.value(n, m1, m2, degs) != 0 and dt != 0
-
-    if not free:
-        degs = degrees_for({})
-        if not admissible_point(degs):
-            return {"feasible": False, "relational": False}
-        degrees_out = {
-            _POLY_OF[v]: int(degs[v]) if v in subset else 0 for v in ("d1", "d2", "d3")
-        }
-        out = {"feasible": True, "degrees": degrees_out, "conditions": []}
-        if relation:
-            out["relation"] = relation
-        return out
-
-    if len(free) > 1:
-        grids = [
-            {free[0]: a, free[1]: b} for a in range(1, 7) for b in range(1, 7)
-        ]
-    else:
-        grids = [{free[0]: t} for t in range(1, _WINDOW + 1)]
-    good, bad = [], []
-    for assign in grids:
-        degs = degrees_for(assign)
-        integral = all(
-            degs[v].denominator == 1 and degs[v] >= 1 for v in subset
-        )
-        if not integral:
-            bad.append(None)
-            continue
-        if admissible_point(degs):
-            good.append(assign)
-        else:
-            bad.append(assign)
-    if not good:
-        return {"feasible": False, "relational": False}
-    conditions = []
-    degrees_out = {}
-    excluded = {}
-    for f in free:
-        vals = sorted({a[f] for a in good})
-        missing = [t for t in range(1, max(vals) + 1) if t not in vals]
-        excluded[f] = missing
-    sample = degrees_for(good[0])
-    for v in ("d1", "d2", "d3"):
-        poly = _POLY_OF[v]
-        if v in free:
-            degrees_out[poly] = {"min": 1, "excluded": excluded[v]}
-            for b in excluded[v]:
-                conditions.append("deg %s != %d" % (poly, b))
-        elif v in subset:
-            if v in pivots and any(pivots[v][_VAR_INDEX[f]] for f in free):
-                degrees_out[poly] = {"determined_by": [ _POLY_OF[f] for f in free]}
-            else:
-                degrees_out[poly] = int(sample[v])
-        else:
-            degrees_out[poly] = 0
-    out = {"feasible": True, "degrees": degrees_out, "conditions": conditions}
-    if relation:
-        out["relation"] = relation
-    return out
-
-
-_VAR_INDEX = {"d1": 0, "d2": 1, "d3": 2}
-
-
-def _row_reduce(equations, subset):
-    """Gaussian elimination; returns (pivot rows by variable, rows, free vars)."""
-    rows = []
-    for coeffs, const in equations:
-        rows.append(
-            [coeffs.get("d1", Fraction(0)), coeffs.get("d2", Fraction(0)),
-             coeffs.get("d3", Fraction(0)), const]
-        )
-    pivots = {}
-    r = 0
-    order = [v for v in ("d1", "d2", "d3") if v in subset]
-    for v in order:
-        ci = _VAR_INDEX[v]
-        piv = next((ri for ri in range(r, len(rows)) if rows[ri][ci] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for ri in range(len(rows)):
-            if ri != r and rows[ri][ci] != 0:
-                f = rows[ri][ci] / rows[r][ci]
-                rows[ri] = [a - f * b for a, b in zip(rows[ri], rows[r])]
-        pivots[v] = rows[r]
-        r += 1
-    for ri in range(r, len(rows)):
-        if all(c == 0 for c in rows[ri][:3]) and rows[ri][3] != 0:
-            return None
-    free = [v for v in order if v not in pivots]
-    return pivots, rows, free
-
-
-def _tilde_D_value(exprs, D, n, m1, m2, degs):
-    a = exprs["A"].value(n, m1, m2, degs)
-    b = exprs["B"].value(n, m1, m2, degs)
-    d = D.value(n, m1, m2, degs)
-    return d + a * (degs["d1"] - degs["d2"]) - b * (degs["d3"] - n * degs["d2"])
+                continue
+            if sym.value(n, m1, m2):
+                relational_failure = True
+                continue
+            # D(t) = k1 l2 - l1 k2 = d0 + slope * t
+            dk, dl = step[poly]
+            d0 = k1 * lt2 - l1 * kt2
+            slope = k1 * dl - l1 * dk
+            if not (d0 or slope):
+                continue
+            excluded = []
+            if slope:
+                root, rem = divmod(-d0, slope)
+                if not rem and root >= 1:
+                    excluded = [root]
+            row = CaseRow(
+                combo=combo,
+                feasible=True,
+                impossible=False,
+                degrees={
+                    p: {"min": 1, "excluded": excluded} if p == poly else 0
+                    for p in _POLYS
+                },
+                relation=sym.render() if sym else None,
+                conditions=tuple("deg %s != %d" % (poly, b) for b in excluded),
+            )
+            break
+        if row is None:
+            row = CaseRow(
+                combo=combo,
+                feasible=False,
+                impossible=not relational_failure,
+                reason=(
+                    "no degree pattern satisfies the A,B,C,D constraints"
+                    if not relational_failure
+                    else "requires a hyperresonance relation that fails here"
+                ),
+            )
+        rows.append(row)
+    return rows

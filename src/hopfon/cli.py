@@ -75,6 +75,18 @@ def _positive(value, flag: str):
     return value
 
 
+def _bundle_degree(spec: dict, args) -> int:
+    """The bundle degree: --n when given (and positive), else the spec's 'n'."""
+    if args.n is not None:
+        return _positive(args.n, "--n")
+    n = spec.get("n")
+    if n is None:
+        raise InputError("the bundle degree is required (--n or spec key 'n')")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError("spec key 'n' must be an integer, got %r" % (n,))
+    return n
+
+
 def _verify_config(spec: dict, args) -> VerifyConfig:
     over = dict(spec.get("verify", {}))
     if _positive(getattr(args, "samples", None), "--samples") is not None:
@@ -124,16 +136,14 @@ def _params_from(spec, args):
 def cmd_structures(args) -> int:
     spec = _load_json(args.spec)
     s = _surface_from_spec(spec)
-    n = args.n or spec.get("n")
-    if n is None:
-        raise InputError("the bundle degree is required (--n or spec key 'n')")
+    n = _bundle_degree(spec, args)
     params = _params_from(spec, args)
     try:
-        records = enumerate_structures(s, int(n), hyper_params=params)
+        records = enumerate_structures(s, n, hyper_params=params)
     except ClassifyError as exc:
         raise InputError(str(exc)) from exc
-    payload = {"n": int(n), "count": len(records), "structures": []}
-    if s.kind == "exceptional" and int(n) < s.m:
+    payload = {"n": n, "count": len(records), "structures": []}
+    if s.kind == "exceptional" and n < s.m:
         payload["warning"] = "n < m: an exceptional surface of degree m admits structures only for n >= m"
     failed = False
     for rec in records:
@@ -152,9 +162,7 @@ def cmd_verify(args) -> int:
     _positive(args.deg_bound, "--deg-bound")
     spec = _load_json(args.spec)
     s = _surface_from_spec(spec)
-    n = args.n or spec.get("n")
-    if n is None:
-        raise InputError("the bundle degree is required (--n or spec key 'n')")
+    n = _bundle_degree(spec, args)
     cfg = _verify_config(spec, args)
     params = _params_from(spec, args)
     if params is None and args.deg_bound is not None:
@@ -163,10 +171,10 @@ def cmd_verify(args) -> int:
         top = min(args.deg_bound, len(DEFAULT_ROOT_POOL))
         params = [DEFAULT_ROOT_POOL[:N] for N in range(1, top + 1)]
     try:
-        records = enumerate_structures(s, int(n), hyper_params=params)
+        records = enumerate_structures(s, n, hyper_params=params)
     except ClassifyError as exc:
         raise InputError(str(exc)) from exc
-    axioms = check_group_axioms(int(n), trials=args.trials, seed=cfg.seed)
+    axioms = check_group_axioms(n, trials=args.trials, seed=cfg.seed)
     reports = [axioms.to_record()]
     ok = axioms.passed
     for rec in records:
@@ -178,9 +186,9 @@ def cmd_verify(args) -> int:
     if args.deg_bound is not None:
         from .classify import canonical_key
 
-        bf = brute_force_admissible(s, int(n), deg_bound=args.deg_bound)
-        keys_bf = sorted({repr(canonical_key(d, int(n))) for d in bf})
-        keys_enum = sorted({repr(canonical_key(r.dev, int(n))) for r in records})
+        bf = brute_force_admissible(s, n, deg_bound=args.deg_bound)
+        keys_bf = sorted({repr(canonical_key(d, n)) for d in bf})
+        keys_enum = sorted({repr(canonical_key(r.dev, n)) for r in records})
         match = keys_bf == keys_enum
         reports.append(
             {

@@ -495,8 +495,11 @@ def _shape_verdict(P1: UniPoly, Q1: UniPoly, P2: UniPoly) -> Verdict:
     return Verdict(True)
 
 
-def _slot_verdict(d: DevMap) -> Verdict:
-    """The exponent part of semiadmissibility: (k1, l1) and (k2~, l2~) in the allowed list."""
+def is_semiadmissible(d: DevMap) -> Verdict:
+    """The shape constraints: exponent lists, squarefree, coprime, no root at 0."""
+    shape = _shape_verdict(d.P1, d.Q1, d.P2)
+    if not shape:
+        return shape
     allowed = exponent_list(d.n)
     if (d.k1, d.l1) not in allowed:
         return Verdict(False, "(k1, l1) = (%d, %d) not in the allowed list" % (d.k1, d.l1))
@@ -504,12 +507,6 @@ def _slot_verdict(d: DevMap) -> Verdict:
     if (kt2, lt2) not in allowed:
         return Verdict(False, "(k2~, l2~) = (%d, %d) not in the allowed list" % (kt2, lt2))
     return Verdict(True)
-
-
-def is_semiadmissible(d: DevMap) -> Verdict:
-    """The shape constraints: exponent lists, squarefree, coprime, no root at 0."""
-    shape = _shape_verdict(d.P1, d.Q1, d.P2)
-    return _slot_verdict(d) if shape else shape
 
 
 def _unbranched_verdict(d: DevMap) -> Verdict:
@@ -521,17 +518,8 @@ def _unbranched_verdict(d: DevMap) -> Verdict:
         return Verdict(False, "B = %d nonzero with nonconstant P2" % rep.B)
     if rep.C != 0 and not d.Q1.is_constant():
         return Verdict(False, "C = %d nonzero with nonconstant Q1" % rep.C)
-    R = det_jacobian(d).R
-    if not R.is_constant():
-        return Verdict(False, "R(u) is not constant")
-    if R.constant_value().is_zero():
+    if rep.D == 0:
         return Verdict(False, "R(u) = D vanishes")
-    if d.k1 == 0 and d.l1 == 0:
-        return Verdict(False, "(k1, l1) = (0, 0)")
-    if rep.tilde[3] == 0:
-        return Verdict(False, "D~ vanishes (branch in the reciprocal-u chart)")
-    if rep.hat[3] == 0:
-        return Verdict(False, "D^ vanishes (branch in the swapped chart)")
     return Verdict(True)
 
 
@@ -539,8 +527,11 @@ def is_admissible(d: DevMap) -> Verdict:
     """Unbranchedness certificate on top of semiadmissibility.
 
     Requires A = 0 or P1 constant, B = 0 or P2 constant, C = 0 or Q1
-    constant, the exact rational function R(u) constant and nonzero,
-    (k1, l1) != (0, 0), and nonvanishing D in the tilde and hat
+    constant, and D != 0.  Once the A, B, C clauses hold, every term
+    R(u) adds to D has a vanishing factor, so R(u) is the constant D;
+    D~ = D + A d1 - B d3 + C dq = D and D^ = -D; and (k1, l1) = (0, 0)
+    would force D = 0.  So D != 0 also makes R(u) constant and nonzero,
+    (k1, l1) != (0, 0), and D nonvanishing in the tilde and hat
     rewritings.
     """
     semi = is_semiadmissible(d)

@@ -263,7 +263,15 @@ def normal_form(x: GroupElt) -> NormalFormResult:
 
     if not off.is_zero():
         # distinct eigenvalues: shear to a diagonal matrix
-        xshear = exact_divide(off, e1 - e2)
+        try:
+            xshear = exact_divide(off, e1 - e2)
+        except ScalarDomainError as exc:
+            raise ScalarDomainError(
+                "cannot shear to a diagonal matrix (%s): the eigenvalue "
+                "difference e1 - e2 is not a monomial in the formal generators "
+                "l1, l2, and the scalar ring keeps them formal, so it cannot "
+                "invert it even when the basis holds exact values" % exc
+            ) from exc
         h = GroupElt.of_matrix(
             Mat2(basis, ((basis.one(), xshear), (basis.zero(), basis.one()))), n
         )

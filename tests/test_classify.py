@@ -256,6 +256,15 @@ def test_case_table_degree_patterns():
     rows = {r.combo: r for r in reproduce_case_table(2, 2, 2)}
     assert rows[(1, 0, -1, "minus_n")].degrees["P2"] == {"min": 1, "excluded": [1]}
 
+    # ... for every degree n / m1, not only within a window of small degrees
+    for n in range(1, 41):
+        for m in range(1, 4):
+            rows = {r.combo: r for r in reproduce_case_table(n, m, m)}
+            row = rows[(1, 0, -1, "minus_n")]
+            excluded = [n // m] if n % m == 0 else []
+            assert row.degrees["P2"] == {"min": 1, "excluded": excluded}, (n, m)
+            assert row.conditions == tuple("deg P2 != %d" % b for b in excluded)
+
 
 def test_case_table_worked_identities():
     # in the worked slot the constants satisfy B = -m1 D and C = m2 D^

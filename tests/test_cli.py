@@ -126,6 +126,15 @@ def test_cases_output(capsys):
     assert out["feasible"] == 4
 
 
+def test_cases_excludes_large_fiber_degree(capsys):
+    # m1 = m2 = 1 excludes deg P2 = n, also when n lies beyond small degrees
+    code, out = run(capsys, ["cases", "--n", "12", "--m1", "1", "--m2", "1"])
+    assert code == 0
+    (row,) = [r for r in out["rows"] if (r["k1"], r["l1"], r["kt2"]) == (1, 0, -1)]
+    assert row["degrees"]["P2"] == {"min": 1, "excluded": [12]}
+    assert row["conditions"] == ["deg P2 != 12"]
+
+
 def test_verify_command(tmp_path, capsys):
     spec = write(
         tmp_path,
@@ -177,6 +186,28 @@ def test_normal_form_jordan(tmp_path, capsys):
     # unipotent shape: p = Z1^n
     assert out["p"][0] == [] and out["p"][1] == []
     assert out["p"][2] == [[[1, 1, 0, 1], [0, 1, 0, 1]]]
+
+
+def test_normal_form_exact_basis_shear_names_its_cause(tmp_path, capsys):
+    # l1 - l2 = 1/4 here, but the ring keeps l1, l2 formal and cannot invert it
+    def mono(exps):
+        return {"coeff": [1, 1, 0, 1], "exps": exps}
+
+    element = write(
+        tmp_path,
+        "shear.json",
+        {
+            "n": 1,
+            "basis": {"values": [[1, 2, 0, 1], [1, 4, 0, 1]]},
+            "g": [[mono([1, 1, 0, 1]), [1, 1, 0, 1]], [[0, 1, 0, 1], mono([0, 1, 1, 1])]],
+        },
+    )
+    code = main(["normal-form", "--element", element])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot shear to a diagonal matrix")
+    assert "e1 - e2 is not a monomial in the formal generators l1, l2" in captured.err
+    assert "even when the basis holds exact values" in captured.err
 
 
 def test_sections_commands(tmp_path, capsys):
@@ -247,7 +278,7 @@ def test_verify_deg_bound_without_params(tmp_path, capsys, l1, l2, n):
 @pytest.mark.parametrize(
     "flag, value",
     [("--trials", "0"), ("--trials", "-5"), ("--samples", "0"), ("--deg-bound", "0"),
-     ("--tol", "0")],
+     ("--tol", "0"), ("--n", "0")],
 )
 def test_verify_rejects_non_positive_counts(tmp_path, capsys, flag, value):
     # such a value used to pass zero trials, fall back to a default or skip the oracle
@@ -261,3 +292,32 @@ def test_verify_rejects_non_positive_counts(tmp_path, capsys, flag, value):
     assert code == 2
     assert captured.out == ""
     assert flag in captured.err and "must be positive" in captured.err
+
+
+def test_structures_rejects_zero_degree_over_spec(tmp_path, capsys):
+    # --n 0 used to fall back to the spec's n
+    spec = write(
+        tmp_path,
+        "gen5.json",
+        {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1], "n": 2},
+    )
+    code = main(["structures", "--spec", spec, "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n must be positive")
+
+
+@pytest.mark.parametrize("value", ["x", 1.5])
+def test_structures_rejects_non_integer_spec_degree(tmp_path, capsys, value):
+    # "x" used to raise a traceback and 1.5 to be truncated to n = 1
+    spec = write(
+        tmp_path,
+        "gen6.json",
+        {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1], "n": value},
+    )
+    code = main(["structures", "--spec", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: spec key 'n' must be an integer")

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfon.devmaps import (
     DevMap,
@@ -13,6 +15,7 @@ from hopfon.devmaps import (
     abcd,
     det_jacobian,
     eval_devmap,
+    exponent_list,
     is_admissible,
     is_semiadmissible,
 )
@@ -355,3 +358,77 @@ def test_tilde_invariance_of_admissibility():
         )
         assert bool(is_semiadmissible(tilde)) == bool(is_semiadmissible(d))
         assert bool(is_admissible(tilde)) == bool(is_admissible(d))
+
+
+def full_certificate(d):
+    """The unbranchedness certificate with every clause spelled out."""
+    semi = is_semiadmissible(d)
+    if not semi:
+        return (False, "not semiadmissible: " + semi.reason)
+    rep = abcd(d)
+    if rep.A != 0 and not d.P1.is_constant():
+        return (False, "A = %d nonzero with nonconstant P1" % rep.A)
+    if rep.B != 0 and not d.P2.is_constant():
+        return (False, "B = %d nonzero with nonconstant P2" % rep.B)
+    if rep.C != 0 and not d.Q1.is_constant():
+        return (False, "C = %d nonzero with nonconstant Q1" % rep.C)
+    R = det_jacobian(d).R
+    if not R.is_constant():
+        return (False, "R(u) is not constant")
+    if R.constant_value().is_zero():
+        return (False, "R(u) = D vanishes")
+    if d.k1 == 0 and d.l1 == 0:
+        return (False, "(k1, l1) = (0, 0)")
+    if rep.tilde[3] == 0:
+        return (False, "D~ vanishes (branch in the reciprocal-u chart)")
+    if rep.hat[3] == 0:
+        return (False, "D^ vanishes (branch in the swapped chart)")
+    return (True, "")
+
+
+@st.composite
+def candidate_maps(draw):
+    n = draw(st.integers(1, 3))
+    hyper = draw(st.none() | st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    degs = (0, 0, 0) if hyper is None else tuple(draw(st.integers(0, 2)) for _ in range(3))
+    roots = draw(st.permutations([1, 2, 3, 5, -1, Fraction(1, 2)]))
+    d1, dq, d3 = degs
+    # mostly allowed slots, so that most maps reach the unbranchedness clauses
+    pair = st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(exponent_list(n))
+        if i
+        else st.tuples(st.integers(-n - 1, 2), st.integers(-n - 1, 2))
+    )
+    (k1, l1), (kt2, lt2) = draw(pair), draw(pair)
+    m2 = hyper[1] if hyper else 0
+    return DevMap(
+        k1,
+        kt2 + m2 * (d1 - dq),
+        l1,
+        lt2 + m2 * (d3 - n * dq),
+        UniPoly.from_roots(roots[:d1]),
+        UniPoly.from_roots(roots[d1 : d1 + dq]),
+        UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3]),
+        hyper,
+        n,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_maps())
+def test_abc_clauses_imply_the_other_certificate_clauses(d):
+    # once A, B, C pass, R(u) is the constant D, D~ = D, D^ = -D, and
+    # (k1, l1) = (0, 0) forces D = 0, so "D != 0" is the last clause needed
+    rep = abcd(d)
+    abc_hold = (
+        (rep.A == 0 or d.P1.is_constant())
+        and (rep.B == 0 or d.P2.is_constant())
+        and (rep.C == 0 or d.Q1.is_constant())
+    )
+    if abc_hold:
+        R = det_jacobian(d).R
+        assert R.is_constant() and R.constant_value() == rep.D
+        assert rep.tilde[3] == rep.D and rep.hat[3] == -rep.D
+        assert (d.k1, d.l1) != (0, 0) or rep.D == 0
+    v = is_admissible(d)
+    assert (v.ok, v.reason) == full_certificate(d)
