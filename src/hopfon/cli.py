@@ -125,7 +125,10 @@ def _params_from(spec, args):
     if args.params:
         groups = []
         for chunk in args.params.split(";"):
-            groups.append([Fraction(tok) for tok in chunk.split(",") if tok.strip()])
+            try:
+                groups.append([Fraction(tok) for tok in chunk.split(",") if tok.strip()])
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError("--params: %r is not a list of rationals: %s" % (chunk, exc)) from exc
         return groups
     raw = spec.get("params")
     if raw is None:
@@ -222,7 +225,10 @@ def _element_from_record(rec: dict):
         if "values" in braw:
             v1 = _quad(braw["values"][0], "basis.values[0]")
             v2 = _quad(braw["values"][1], "basis.values[1]")
-            basis = EigenBasis.from_gauss_values(v1, v2)
+            try:
+                basis = EigenBasis.from_gauss_values(v1, v2)
+            except ValueError as exc:
+                raise InputError("basis.values: %s" % exc) from exc
         else:
             try:
                 witness = [complex(w[0], w[1]) for w in braw["witness"]]
@@ -237,6 +243,10 @@ def _element_from_record(rec: dict):
         p_raw = rec.get("p")
     except KeyError as exc:
         raise InputError("element record needs keys n and g") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError("element key 'n': %s" % exc) from exc
+    if n < 1:
+        raise InputError("element key 'n' must be positive, got %d" % n)
 
     def scal(v, where):
         if isinstance(v, list) and len(v) == 4 and all(isinstance(t, int) for t in v):
@@ -249,13 +259,16 @@ def _element_from_record(rec: dict):
             )
         raise InputError("%s: expected a quadruple or {coeff, exps}" % where)
 
-    g = Mat2(
-        basis,
-        tuple(
-            tuple(scal(v, "g[%d][%d]" % (i, j)) for j, v in enumerate(row))
-            for i, row in enumerate(g_rows)
-        ),
-    )
+    try:
+        g = Mat2(
+            basis,
+            tuple(
+                tuple(scal(v, "g[%d][%d]" % (i, j)) for j, v in enumerate(row))
+                for i, row in enumerate(g_rows)
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputError("g: %s" % exc) from exc
     if p_raw is None:
         p = HomogPoly.zero(basis, n)
     else:
@@ -392,10 +405,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (SurfaceError, ClassifyError, SectionError, DevMapError, BasisMismatchError) as exc:
+    except (InputError, SurfaceError, ClassifyError, SectionError, DevMapError, BasisMismatchError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -10,13 +10,18 @@ p = Z1^n otherwise.  The normal form is unique up to swapping the two
 coordinates except in the scalar-matrix stratum, which is returned
 unreduced with a non-uniqueness flag.
 
-Every reduction is performed as an honest group conjugation, so the
-output is exactly conjugate to the input.
+Every reduction but one is performed as an honest group conjugation.
+The exception is the killing of nonresonant coefficients, which sets
+them to zero directly: the conjugator that kills them exists over the
+complex numbers but usually not in the monomial-sum scalar ring (see
+`_diagonal_kill_nonresonant`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 
 from .group import GroupElt, HomogPoly, Mat2
 from .scalars import (
@@ -76,11 +81,7 @@ def _triangular_form(x: GroupElt):
     if g.is_upper_triangular():
         return x, False
     if g.is_lower_triangular():
-        swap = GroupElt.of_matrix(
-            Mat2(x.basis, ((x.basis.zero(), x.basis.one()), (x.basis.one(), x.basis.zero()))),
-            x.degree,
-        )
-        return x.conjugate_by(swap), True
+        return _swap_conjugate(x), True
     raise NormalFormError(
         "matrix part is not triangular over the scalar field; diagonalize first"
     )
@@ -147,7 +148,12 @@ def _diagonal_kill_nonresonant(x: GroupElt, degrees) -> GroupElt:
     nonresonant a_k is therefore killed by the unique complex b_k
     solving that linear equation; the surviving element has the
     nonresonant slots exactly zero and all other slots untouched, so
-    it is constructed directly.
+    it is constructed directly.  This is the one reduction that is not
+    an honest conjugation in the scalar ring: b_k = a_k / (1 - e1^-k
+    e2^-(n-k)) is a quotient by a binomial, and when the exponent of
+    e1^-k e2^-(n-k) has infinite order modulo the relation lattice (as
+    over free generators), a constant a_k has no such quotient in the
+    monomial-sum ring.
     """
     n = x.degree
     basis = x.basis
@@ -169,13 +175,15 @@ def _bezout(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _unit_candidates(basis: EigenBasis, n: int):
-    units = [Scalar.monomial(basis, u) for u in gauss_roots_of_unity(4 * n)]
-    return units
-
-
 def _solve_rescaling(basis, n, k_lead, k_trail, a_lead, a_trail):
-    """(mu1, mu2) with mu1^k mu2^(n-k) matching the two target coefficients."""
+    """(mu1, mu2) with mu1^k mu2^(n-k) matching the two target coefficients.
+
+    With tau = mu1/mu2 the equations read tau^k mu2^n = a_k.  For two
+    degrees they become tau^(k_trail - k_lead) = a_trail/a_lead and
+    mu2^n = a_lead tau^-k_lead, both solved by exact roots.  Exponents
+    divide freely, so whether the second root exists depends only on
+    the Q(i) branch of tau, and each root of unity in Q(i) is tried.
+    """
     if k_lead == k_trail:
         k = k_lead
         if k == 0:
@@ -185,22 +193,14 @@ def _solve_rescaling(basis, n, k_lead, k_trail, a_lead, a_trail):
         g, x1, x2 = _bezout(k, n - k)
         root = a_lead.nth_root(g) if g > 1 else a_lead
         return root**x1, root**x2
-    det = n * (k_lead - k_trail)
-    v1 = a_lead ** (n - k_trail) * a_trail ** (-(n - k_lead))
-    v2 = a_trail**k_lead * a_lead ** (-k_trail)
-    if det < 0:
-        v1, v2, det = v1.inverse(), v2.inverse(), -det
-    mu1 = v1.nth_root(det)
-    mu2 = v2.nth_root(det)
-    # root branches may be off by roots of unity; repair over Q(i) units
-    for u1 in _unit_candidates(basis, n):
-        for u2 in _unit_candidates(basis, n):
-            c1, c2 = mu1 * u1, mu2 * u2
-            if (
-                c1**k_lead * c2 ** (n - k_lead) == a_lead
-                and c1**k_trail * c2 ** (n - k_trail) == a_trail
-            ):
-                return c1, c2
+    step = k_trail - k_lead
+    tau0 = (a_trail * a_lead.inverse()).nth_root(step)
+    for zeta in gauss_roots_of_unity(step):
+        tau = tau0 * basis.gauss(zeta)
+        rest = a_lead * tau**-k_lead
+        if rest.coeff.nth_root(n) is not None:
+            mu2 = rest.nth_root(n)
+            return tau * mu2, mu2
     raise ScalarDomainError("no representable rescaling normalizes the resonant terms")
 
 
@@ -211,6 +211,7 @@ def _canonical_key(elt: GroupElt):
 
 
 def _swap_conjugate(elt: GroupElt) -> GroupElt:
+    """Conjugate by the coordinate swap Z1 <-> Z2."""
     basis = elt.basis
     w = GroupElt.of_matrix(
         Mat2(basis, ((basis.zero(), basis.one()), (basis.one(), basis.zero()))),
@@ -288,14 +289,6 @@ def normal_form(x: GroupElt) -> NormalFormResult:
     degrees = set(report.resonant_degrees)
     work = _diagonal_kill_nonresonant(work, degrees)
     present = [k for k in sorted(degrees) if not work.p.coeffs[k].is_zero()]
-    if len(present) >= 2:
-        # two independent resonance relations force a rank-2 eigenvalue lattice
-        e1, e2 = work.g.entries[0][0], work.g.entries[1][1]
-        k1, k2 = present[0], present[-1]
-        assert (e1**k1 * e2 ** (n - k1)).is_one()
-        assert (e1**k2 * e2 ** (n - k2)).is_one()
-        assert n * (k1 - k2) != 0
-
     if present:
         k_lead, k_trail = present[0], present[-1]
         a_lead = work.p.coeffs[k_lead]
@@ -316,23 +309,33 @@ def equal_up_to_swap(a: GroupElt, b: GroupElt) -> bool:
 
 
 def _canonicalize_kernel_units(work: GroupElt, present) -> GroupElt:
-    """Fix the residual unit ambiguity of interior resonant coefficients."""
+    """Fix the residual ambiguity of interior resonant coefficients.
+
+    The rescalings diag(mu1, mu2) that keep the leading and trailing
+    coefficients at 1 scale degree k by tau^(k - k_lead), tau = mu1/mu2,
+    where tau^step = 1 for step = k_trail - k_lead and tau^-k_lead is an
+    n-th power.  These tau are zeta l^w with zeta a step-th root of unity
+    in Q(i) and w in (1/step) L / L, L the relation lattice; the n-th
+    power condition falls on zeta alone, since exponents divide freely.
+    Of the conjugates by this finite group (at most 4 step^rank), the one
+    with the least canonical key is returned.
+    """
     if len(present) <= 2:
         return work
     n = work.degree
     basis = work.basis
-    k_lead, k_trail = present[0], present[-1]
+    k_lead, step = present[0], present[-1] - present[0]
+    rows = basis.lattice.rows
     best = work
     best_key = _canonical_key(work)
-    for u1 in _unit_candidates(basis, n):
-        for u2 in _unit_candidates(basis, n):
-            if not (u1**k_lead * u2 ** (n - k_lead)).is_one():
-                continue
-            if not (u1**k_trail * u2 ** (n - k_trail)).is_one():
-                continue
-            cand = work.conjugate_by(
-                GroupElt.of_matrix(Mat2.diag(u1, u2), n)
-            )
+    for zeta in gauss_roots_of_unity(step):
+        if (zeta**-k_lead).nth_root(n) is None:
+            continue
+        for js in product(range(step), repeat=len(rows)):
+            w = tuple(Fraction(sum(j * r[c] for j, r in zip(js, rows)), step) for c in (0, 1))
+            tau = Scalar.monomial(basis, zeta, w)
+            mu2 = (tau**-k_lead).nth_root(n)
+            cand = work.conjugate_by(GroupElt.of_matrix(Mat2.diag(tau * mu2, mu2), n))
             key = _canonical_key(cand)
             if key < best_key:
                 best, best_key = cand, key

@@ -917,63 +917,21 @@ def numeric_eval(a: Scalar) -> complex:
 # Exact division by a binomial (needed by conjugacy normal forms)
 
 
-def _chain_split(basis, support, v):
-    """Partition exponent keys into chains gamma, gamma+v, ... modulo the lattice."""
-    lattice = basis.lattice
-    chains = []
-    for key in support:
-        placed = False
-        for chain in chains:
-            anchor = chain[0][1]
-            diff = (key[0] - anchor[0], key[1] - anchor[1])
-            j = _solve_step(lattice, diff, v)
-            if j is not None:
-                chain.append((j, key))
-                placed = True
-                break
-        if not placed:
-            chains.append([(0, key)])
-    return chains
-
-
-def _solve_step(lattice, diff, v):
-    """Integer j with diff - j*v in the lattice, or None."""
-    v1, v2 = _frac(v[0]), _frac(v[1])
-    d1, d2 = _frac(diff[0]), _frac(diff[1])
-    order = lattice.coset_order(v)
-    if order is not None:
-        for j in range(order):
-            if lattice.contains((d1 - j * v1, d2 - j * v2)):
-                return j
-        return None
-    # v has infinite order modulo the lattice: at most one valid j.
-    if lattice.rank == 0:
-        if v1 != 0:
-            j = d1 / v1
-        else:
-            j = d2 / v2
-        if j.denominator == 1 and d1 == j * v1 and d2 == j * v2:
-            return int(j)
-        return None
-    # rank 1, v independent of the generator
-    a, b = lattice.rows[0]
-    det = v1 * b - v2 * a
-    j = (d1 * b - d2 * a) / det
-    x = (v1 * d2 - v2 * d1) / det
-    if j.denominator == 1 and x.denominator == 1:
-        return int(j)
-    return None
-
-
 def exact_divide(a: Scalar, d: Scalar) -> Scalar:
     """Solve x * d = a exactly, for d a monomial or a binomial.
 
-    Division by a binomial c1*m1 + c2*m2 factors out the leading
-    monomial and solves the telescoping system x - w*l^v*x = a/u term
-    by term along translation chains of the exponent group; when v has
-    finite order modulo the lattice the cyclic system is solved in
-    closed form.  Raises ScalarDomainError when no exact quotient
-    exists in the monomial-sum ring.
+    A binomial is written d = u (1 - t) with u its first monomial and
+    t = w l^v.  When v has finite order o modulo the lattice, t^o = w^o
+    is a constant and (1 - t) (t^0 + ... + t^(o-1)) = 1 - w^o, so the
+    quotient is (a/u) (t^0 + ... + t^(o-1)) / (1 - w^o).  When w^o = 1, d
+    is a zero divisor, and the quotient returned is
+    -(a/u) (0 t^0 + 1 t^1 + ... + (o-1) t^(o-1)) / o: the unique one that
+    t^0 + ... + t^(o-1) annihilates.  When v has infinite order, a/u is
+    divided by 1 - t level by level, lowest first, along a linear form
+    that vanishes on the lattice and is positive on v; a remainder whose
+    lowest level lies above the highest level of a/u cannot vanish.
+    Raises ScalarDomainError when no exact quotient exists in the
+    monomial-sum ring.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero scalar")
@@ -985,72 +943,40 @@ def exact_divide(a: Scalar, d: Scalar) -> Scalar:
     if a.is_zero():
         return basis.zero()
     (c1, e1), (c2, e2) = d._pairs()
-    # d = u * (1 - w * l^v) with u the first monomial.
-    u = Scalar.monomial(basis, c1, e1)
+    # d = u * (1 - t) with u the first monomial and t = w * l^v.
     w = -(c2 / c1)
     v = (e2[0] - e1[0], e2[1] - e1[1])
-    rhs = a * u.inverse()
+    rhs = a * Scalar.monomial(basis, c1, e1).inverse()
     order = basis.lattice.coset_order(v)
-    coeffs = {e: c for c, e in rhs._pairs()}
-    chains = _chain_split(basis, list(coeffs), v)
-    x_terms = []
-    if order is None:
-        for chain in chains:
-            chain.sort()
-            jmin = chain[0][0]
-            jmax = chain[-1][0]
-            by_j = {j: coeffs[key] for j, key in chain}
-            anchor_j, anchor_key = chain[0]
-            run = GR_ZERO
-            for j in range(jmin, jmax + 1):
-                run = by_j.get(j, GR_ZERO) + w * run
-                if not run.is_zero() and j < jmax:
-                    x_terms.append(
-                        (
-                            run,
-                            (
-                                anchor_key[0] + (j - anchor_j) * v[0],
-                                anchor_key[1] + (j - anchor_j) * v[1],
-                            ),
-                        )
-                    )
-            if not run.is_zero():
-                raise ScalarDomainError("scalar not divisible by binomial")
+    if order is not None:
+        wo = w**order
+        if wo.is_one():
+            weights = [GaussRat(Fraction(-i, order)) for i in range(order)]
+        else:
+            weights = [GR_ONE / (GR_ONE - wo)] * order
+        series = Scalar(basis, [(c * w**i, (i * v[0], i * v[1])) for i, c in enumerate(weights)])
+        x = rhs * series
     else:
-        wt = w**order
-        for chain in chains:
-            by_j = {}
-            anchor_j, anchor_key = chain[0]
-            for j, key in chain:
-                by_j[(j - anchor_j) % order] = by_j.get((j - anchor_j) % order, GR_ZERO) + coeffs[key]
-            if not wt.is_one():
-                denom = GR_ONE - wt
-                for j in range(order):
-                    s = GR_ZERO
-                    for i in range(order):
-                        s = s + (w**i) * by_j.get((j - i) % order, GR_ZERO)
-                    val = s / denom
-                    if not val.is_zero():
-                        x_terms.append(
-                            (val, (anchor_key[0] + j * v[0], anchor_key[1] + j * v[1]))
-                        )
-            else:
-                # Singular cyclic system: solvable only for compatible data,
-                # and then x is determined up to an additive multiple of the
-                # kernel; anchor it by x_0 = 0.
-                total = GR_ZERO
-                for j in range(order):
-                    total = total + by_j.get(j, GR_ZERO) / (w**j)
-                if not total.is_zero():
-                    raise ScalarDomainError("scalar not divisible by binomial (torsion)")
-                run = GR_ZERO
-                for j in range(1, order):
-                    run = by_j.get(j, GR_ZERO) + w * run
-                    if not run.is_zero():
-                        x_terms.append(
-                            (run, (anchor_key[0] + j * v[0], anchor_key[1] + j * v[1]))
-                        )
-    x = Scalar(basis, x_terms)
+        t = Scalar.monomial(basis, w, v)
+        # phi(e) = nv . e vanishes on the lattice, of rank 0 or 1 since v
+        # has infinite order, and is positive on v
+        rows = basis.lattice.rows
+        nv = (-rows[0][1], rows[0][0]) if rows else v
+        if nv[0] * v[0] + nv[1] * v[1] < 0:
+            nv = (-nv[0], -nv[1])
+
+        def phi(e):
+            return nv[0] * e[0] + nv[1] * e[1]
+
+        top = max(phi(term[0]) for term in rhs.terms)
+        x, rest = basis.zero(), rhs
+        while rest:
+            low = min(phi(term[0]) for term in rest.terms)
+            if low > top:
+                raise ScalarDomainError("scalar not divisible by binomial")
+            m = Scalar._raw(basis, tuple(term for term in rest.terms if phi(term[0]) == low))
+            x = x + m
+            rest = rest - m + m * t
     if x * d != a:
         raise ScalarDomainError("scalar not divisible by binomial")
     return x

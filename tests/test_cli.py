@@ -210,6 +210,36 @@ def test_normal_form_exact_basis_shear_names_its_cause(tmp_path, capsys):
     assert "even when the basis holds exact values" in captured.err
 
 
+_ONE, _ZERO = [1, 1, 0, 1], [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "command, element, flags",
+    [
+        ("normal-form", {"n": 0, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": "x", "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "g": 5}, []),
+        ("normal-form", {"n": 1, "g": [[_ONE, _ONE], [_ONE, _ONE]]}, []),
+        ("normal-form", {"n": 1, "g": [[_ONE, _ZERO]]}, []),
+        ("normal-form", {"n": 1, "basis": {"values": [_ZERO, _ONE]}, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("structures", None, ["--n", "1", "--params", "x"]),
+        ("verify", None, ["--n", "1", "--params", "1/0"]),
+    ],
+    ids=["n-zero", "n-not-integer", "g-not-rows", "singular-g", "g-not-2x2", "zero-basis-value",
+         "structures-params-x", "verify-params-1/0"],
+)
+def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):
+    # each of these used to end in a traceback with exit code 1
+    if element is None:
+        argv = [command, "--spec", hyper_spec(tmp_path)] + flags
+    else:
+        argv = [command, "--element", write(tmp_path, "elt.json", element)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_sections_commands(tmp_path, capsys):
     exc = write(
         tmp_path, "exc3.json", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 2}

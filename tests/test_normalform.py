@@ -194,13 +194,13 @@ def test_normal_form_idempotent():
         assert not nf2.swap_applied or nf1.element.g.is_diagonal()
 
 
-def random_diagonal_conjugator(basis, n, rng):
-    """(diag(mu1, mu2), p0) with monomial mu and small rational p0."""
+def random_diagonal_conjugator(basis, n, rng, den=1):
+    """(diag(mu1, mu2), p0) with monomial mu, exponents in (1/den)Z, and small rational p0."""
     def mono():
         return Scalar.monomial(
             basis,
             GaussRat(Fraction(rng.choice([1, 2, 3, -1, -2]), rng.randint(1, 3))),
-            (rng.randint(-1, 1), rng.randint(-1, 1)),
+            (Fraction(rng.randint(-den, den), den), Fraction(rng.randint(-den, den), den)),
         )
 
     g = Mat2.diag(mono(), mono())
@@ -223,15 +223,44 @@ def test_normal_form_conjugation_invariance():
     base2 = diag_elt(b11, 2, b11.gen(0), b11.gen(1), [0, 1, 0])
     # base 3: generic kill-only case
     base3 = diag_elt(free_basis(), 2, free_basis().gen(0), free_basis().gen(1), [2, 5, 1])
+    # base 4: the formal-torsion probe over l1^4 = l2^3
+    base4 = torsion_probe()
+    # base 5: l1^2 = 1, n = 4, three present resonant degrees {0, 2, 4}; the
+    # interior coefficient's orbit includes l1 times it
+    b2 = EigenBasis(("l1", "l2"), [(2, 0)], (-1, 0.5))
+    base5 = diag_elt(b2, 4, b2.gen(0), b2.one(), [1, 2, b2.gauss(3) + b2.gen(0) * 2, -1, 16])
+    # base 6: three present resonant degrees over free generators
+    base6 = diag_elt(fb, 4, fb.gauss(-1), fb.one(), [1, 2, 3, 5, 16])
+    assert resonant_degrees(base5.g, 4).resonant_degrees == (0, 2, 4)
+    assert resonant_degrees(base6.g, 4).resonant_degrees == (0, 2, 4)
 
-    for base in (base1, base2, base3):
+    for base, den in ((base1, 1), (base2, 1), (base3, 1), (base4, 4), (base5, 4), (base6, 4)):
         expected = normal_form(base).element
         assert is_normal_form(expected)
         for _ in range(100):
-            h = random_diagonal_conjugator(base.basis, base.degree, rng)
+            h = random_diagonal_conjugator(base.basis, base.degree, rng, den)
             y = h.compose(base).compose(h.inverse())
             got = normal_form(y)
             assert got.element == expected
+
+
+def torsion_probe():
+    """x = (diag(-1, 1), 4/9 Z2^2 + (-3/2 + 3i) Z1 Z2 + Z1^2) over l1 = 1/8, l2 = 1/16."""
+    b = EigenBasis.from_gauss_values(Fraction(1, 8), Fraction(1, 16))
+    assert b.lattice.rows == ((4, -3),)
+    return diag_elt(b, 2, b.gauss(-1), b.one(), [Fraction(4, 9), GaussRat(Fraction(-3, 2), 3), 1])
+
+
+def test_normal_form_formal_torsion_probe():
+    # The conjugate's degree-0 coefficient is 4/81 l^(2,-3).  Roots of it
+    # taken after lattice reduction differ from the needed one by
+    # l^((4,-3)/2), a formal square root of 1 that no Q(i) unit repairs.
+    x = torsion_probe()
+    b = x.basis
+    h = GroupElt.of_matrix(
+        Mat2.diag(Scalar.monomial(b, Fraction(1, 3), (-2, 2)), Scalar.monomial(b, 3, (1, 0))), 2
+    )
+    assert normal_form(x.conjugate_by(h)).element == normal_form(x).element
 
 
 def test_normal_form_swap_orientation():

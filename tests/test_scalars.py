@@ -330,8 +330,19 @@ def test_exact_divide_torsion():
     assert q * d == a
 
 
+def binomial_step(d):
+    """(t, o) with d = u (1 - t) for u the first monomial of d, o the order of t's key."""
+    key, x, y, z = d.terms[0]
+    u = Scalar.monomial(d.basis, GaussRat(Fraction(x, z), Fraction(y, z)), key)
+    t = d.basis.one() - d * u.inverse()
+    return t, d.basis.lattice.coset_order(t.exps)
+
+
 def test_exact_divide_roundtrip_randomized():
-    # (x * d) / d == x across lattice ranks for random binomial divisors
+    # (x * d) / d == x across lattice ranks for random binomial divisors,
+    # unless d is a zero divisor: then the quotient is the one that
+    # t^0 + ... + t^(o-1) annihilates.  1 is divisible by d exactly when
+    # 1 - t is a unit, i.e. t has finite order o and t^o != 1.
     rng = random.Random(21)
     bases = [
         EigenBasis(("l1", "l2"), (), (0.5, 0.3)),
@@ -356,7 +367,19 @@ def test_exact_divide_roundtrip_randomized():
             if d.is_zero() or d.is_unit():
                 continue
             a = x * d
-            assert exact_divide(a, d) * d == a
+            q = exact_divide(a, d)
+            assert q * d == a
+            t, o = binomial_step(d)
+            zero_divisor = o is not None and (t**o).is_one()
+            if zero_divisor:
+                assert (sum((t**i for i in range(o)), b.zero()) * q).is_zero()
+            else:
+                assert q == x
+            if o is None or zero_divisor:
+                with pytest.raises(ScalarDomainError):
+                    exact_divide(b.one(), d)
+            else:
+                assert exact_divide(b.one(), d) * d == b.one()
 
 
 def test_scalar_pow_rational():
