@@ -82,9 +82,14 @@ def _bundle_degree(spec: dict, args) -> int:
     n = spec.get("n")
     if n is None:
         raise InputError("the bundle degree is required (--n or spec key 'n')")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError("spec key 'n' must be an integer, got %r" % (n,))
-    return n
+    return _integer(n, "spec key 'n'")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer, rejecting bools, floats and strings."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError("%s must be an integer, got %r" % (where, value))
+    return value
 
 
 def _verify_config(spec: dict, args) -> VerifyConfig:
@@ -238,13 +243,11 @@ def _element_from_record(rec: dict):
     else:
         basis = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
     try:
-        n = int(rec["n"])
+        n = _integer(rec["n"], "element key 'n'")
         g_rows = rec["g"]
         p_raw = rec.get("p")
     except KeyError as exc:
         raise InputError("element record needs keys n and g") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError("element key 'n': %s" % exc) from exc
     if n < 1:
         raise InputError("element key 'n' must be positive, got %d" % n)
 
@@ -254,9 +257,11 @@ def _element_from_record(rec: dict):
         if isinstance(v, dict):
             c = _quad(v.get("coeff", [1, 1, 0, 1]), where + ".coeff")
             e = v.get("exps", [0, 1, 0, 1])
-            return Scalar.monomial(
-                basis, c, (Fraction(e[0], e[1]), Fraction(e[2], e[3]))
-            )
+            try:
+                exps = (Fraction(e[0], e[1]), Fraction(e[2], e[3]))
+            except (IndexError, KeyError, TypeError, ZeroDivisionError) as exc:
+                raise InputError("%s.exps: expected [e1_num, e1_den, e2_num, e2_den]" % where) from exc
+            return Scalar.monomial(basis, c, exps)
         raise InputError("%s: expected a quadruple or {coeff, exps}" % where)
 
     try:
@@ -272,7 +277,7 @@ def _element_from_record(rec: dict):
     if p_raw is None:
         p = HomogPoly.zero(basis, n)
     else:
-        if len(p_raw) != n + 1:
+        if not isinstance(p_raw, list) or len(p_raw) != n + 1:
             raise InputError("p must list n+1 coefficients")
         p = HomogPoly(basis, n, [scal(v, "p[%d]" % i) for i, v in enumerate(p_raw)])
     return GroupElt(g, p)

@@ -29,6 +29,7 @@ from .scalars import (
     RelationLattice,
     Scalar,
     ScalarDomainError,
+    _bezout,
     _power_search,
     exact_divide,
     gauss_roots_of_unity,
@@ -163,18 +164,6 @@ def _diagonal_kill_nonresonant(x: GroupElt, degrees) -> GroupElt:
     return GroupElt(x.g, HomogPoly(basis, n, cs))
 
 
-def _bezout(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _solve_rescaling(basis, n, k_lead, k_trail, a_lead, a_trail):
     """(mu1, mu2) with mu1^k mu2^(n-k) matching the two target coefficients.
 
@@ -185,22 +174,19 @@ def _solve_rescaling(basis, n, k_lead, k_trail, a_lead, a_trail):
     the Q(i) branch of tau, and each root of unity in Q(i) is tried.
     """
     if k_lead == k_trail:
-        k = k_lead
-        if k == 0:
-            return basis.one(), a_lead.nth_root(n)
-        if k == n:
-            return a_lead.nth_root(n), basis.one()
-        g, x1, x2 = _bezout(k, n - k)
-        root = a_lead.nth_root(g) if g > 1 else a_lead
+        # x1 k + x2 (n - k) = g, so root^g = a_lead gives mu1 = root^x1, mu2 = root^x2
+        g, x1, x2 = _bezout(k_lead, n - k_lead)
+        root = a_lead.nth_root(g)
         return root**x1, root**x2
     step = k_trail - k_lead
     tau0 = (a_trail * a_lead.inverse()).nth_root(step)
     for zeta in gauss_roots_of_unity(step):
         tau = tau0 * basis.gauss(zeta)
-        rest = a_lead * tau**-k_lead
-        if rest.coeff.nth_root(n) is not None:
-            mu2 = rest.nth_root(n)
-            return tau * mu2, mu2
+        try:
+            mu2 = (a_lead * tau**-k_lead).nth_root(n)
+        except ScalarDomainError:
+            continue
+        return tau * mu2, mu2
     raise ScalarDomainError("no representable rescaling normalizes the resonant terms")
 
 
@@ -328,17 +314,17 @@ def _canonicalize_kernel_units(work: GroupElt, present) -> GroupElt:
     rows = basis.lattice.rows
     best = work
     best_key = _canonical_key(work)
-    for zeta in gauss_roots_of_unity(step):
-        if (zeta**-k_lead).nth_root(n) is None:
-            continue
-        for js in product(range(step), repeat=len(rows)):
-            w = tuple(Fraction(sum(j * r[c] for j, r in zip(js, rows)), step) for c in (0, 1))
-            tau = Scalar.monomial(basis, zeta, w)
+    for zeta, js in product(gauss_roots_of_unity(step), product(range(step), repeat=len(rows))):
+        w = tuple(Fraction(sum(j * r[c] for j, r in zip(js, rows)), step) for c in (0, 1))
+        tau = Scalar.monomial(basis, zeta, w)
+        try:
             mu2 = (tau**-k_lead).nth_root(n)
-            cand = work.conjugate_by(GroupElt.of_matrix(Mat2.diag(tau * mu2, mu2), n))
-            key = _canonical_key(cand)
-            if key < best_key:
-                best, best_key = cand, key
+        except ScalarDomainError:
+            continue
+        cand = work.conjugate_by(GroupElt.of_matrix(Mat2.diag(tau * mu2, mu2), n))
+        key = _canonical_key(cand)
+        if key < best_key:
+            best, best_key = cand, key
     return best
 
 

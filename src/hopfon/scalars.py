@@ -325,43 +325,37 @@ def gauss_roots_of_unity(n: int):
 # Integer relation lattices in Z^2
 
 
+def _bezout(a: int, b: int):
+    """(g, s, t) with s a + t b = g, g = +-gcd(a, b)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
 def _hnf(rows):
-    """Row Hermite normal form of an integer 2-column matrix, rank <= 2."""
-    rows = [tuple(int(c) for c in r) for r in rows]
-    rows = [r for r in rows if r != (0, 0)]
-    if not rows:
-        return ()
-    # Clear the first column with the gcd pivot.
-    while sum(1 for r in rows if r[0] != 0) > 1:
-        rows.sort(key=lambda r: (r[0] == 0, abs(r[0])))
-        a = rows[0]
-        rest = []
-        for r in rows[1:]:
-            if r[0] != 0:
-                q = r[0] // a[0]
-                r = (r[0] - q * a[0], r[1] - q * a[1])
-            if r != (0, 0):
-                rest.append(r)
-        rows = [a] + rest
-    pivot = [r for r in rows if r[0] != 0]
-    others = [r for r in rows if r[0] == 0]
-    if others:
-        g = 0
-        for r in others:
-            g = math.gcd(g, r[1])
-        others = [(0, g)] if g else []
-    basis = pivot + others
-    # Normalize signs and reduce the off-diagonal entry.
-    out = []
-    for a, b in basis:
-        if a < 0 or (a == 0 and b < 0):
-            a, b = -a, -b
-        out.append((a, b))
-    if len(out) == 2:
-        (a, b), (z, c) = out
-        b = b % c
-        out = [(a, b), (0, c)]
-    return tuple(out)
+    """Row Hermite normal form of an integer 2-column matrix, rank <= 2.
+
+    Rows are folded one at a time into a pivot row (a, b) and a second
+    row (0, c): the unimodular step that puts g = gcd(a, r0) into the
+    pivot leaves (0, (r0 b - a r1)/g) behind, whose entry joins c.
+    """
+    a = b = c = 0
+    for r0, r1 in ((int(r[0]), int(r[1])) for r in rows):
+        g, s, t = _bezout(a, r0)
+        if g == 0:
+            c = math.gcd(c, r1)
+            continue
+        a, b, c = g, s * b + t * r1, math.gcd(c, (r0 * b - a * r1) // g)
+    if a < 0:
+        a, b = -a, -b
+    pivot = [(a, b % c if c else b)] if a else []
+    return tuple(pivot + ([(0, c)] if c else []))
 
 
 class RelationLattice:
@@ -924,9 +918,13 @@ def exact_divide(a: Scalar, d: Scalar) -> Scalar:
     t = w l^v.  When v has finite order o modulo the lattice, t^o = w^o
     is a constant and (1 - t) (t^0 + ... + t^(o-1)) = 1 - w^o, so the
     quotient is (a/u) (t^0 + ... + t^(o-1)) / (1 - w^o).  When w^o = 1, d
-    is a zero divisor, and the quotient returned is
-    -(a/u) (0 t^0 + 1 t^1 + ... + (o-1) t^(o-1)) / o: the unique one that
-    t^0 + ... + t^(o-1) annihilates.  When v has infinite order, a/u is
+    is a zero divisor and the quotient is fixed only up to multiples of
+    t^0 + ... + t^(o-1).  The exponents of a/u then fall into chains
+    gamma, gamma + v, ..., gamma + (o-1) v modulo the lattice, each
+    anchored at its least key gamma; a term m of a/u at gamma + p v, p > 0,
+    contributes m (t^0 + ... + t^(o-p-1)), so the quotient has no term at
+    an anchor and a monomial spreads only up to the end of its chain.
+    When v has infinite order, a/u is
     divided by 1 - t level by level, lowest first, along a linear form
     that vanishes on the lattice and is positive on v; a remainder whose
     lowest level lies above the highest level of a/u cannot vanish.
@@ -947,17 +945,28 @@ def exact_divide(a: Scalar, d: Scalar) -> Scalar:
     w = -(c2 / c1)
     v = (e2[0] - e1[0], e2[1] - e1[1])
     rhs = a * Scalar.monomial(basis, c1, e1).inverse()
+    t = Scalar.monomial(basis, w, v)
     order = basis.lattice.coset_order(v)
     if order is not None:
+        # partial[k] = t^0 + ... + t^(k-1)
+        partial = [basis.zero()]
+        for i in range(order):
+            partial.append(partial[-1] + t**i)
         wo = w**order
-        if wo.is_one():
-            weights = [GaussRat(Fraction(-i, order)) for i in range(order)]
+        if not wo.is_one():
+            x = rhs * partial[order] * basis.gauss(GR_ONE / (GR_ONE - wo))
         else:
-            weights = [GR_ONE / (GR_ONE - wo)] * order
-        series = Scalar(basis, [(c * w**i, (i * v[0], i * v[1])) for i, c in enumerate(weights)])
-        x = rhs * series
+            # position of each key along its chain, counted from the first
+            # key of the chain met in rhs
+            position, x = {}, basis.zero()
+            for term in rhs.terms:
+                key = term[0]
+                if key not in position:
+                    for j in range(order):
+                        shifted = (key[0] + j * v[0], key[1] + j * v[1])
+                        position[basis.lattice.reduce_exponents(shifted)] = j
+                x = x + Scalar._raw(basis, (term,)) * partial[-position[key] % order]
     else:
-        t = Scalar.monomial(basis, w, v)
         # phi(e) = nv . e vanishes on the lattice, of rank 0 or 1 since v
         # has infinite order, and is positive on v
         rows = basis.lattice.rows

@@ -218,6 +218,12 @@ _ONE, _ZERO = [1, 1, 0, 1], [0, 1, 0, 1]
     [
         ("normal-form", {"n": 0, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
         ("normal-form", {"n": "x", "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1.5, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": True, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": "3", "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "g": [[{"exps": [1, 0, 0, 1]}, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "g": [[_ONE, _ZERO], [_ZERO, _ONE]], "p": [_ONE, {"exps": [1]}]}, []),
+        ("normal-form", {"n": 1, "g": [[_ONE, _ZERO], [_ZERO, _ONE]], "p": 7}, []),
         ("normal-form", {"n": 1, "g": 5}, []),
         ("normal-form", {"n": 1, "g": [[_ONE, _ONE], [_ONE, _ONE]]}, []),
         ("normal-form", {"n": 1, "g": [[_ONE, _ZERO]]}, []),
@@ -225,7 +231,8 @@ _ONE, _ZERO = [1, 1, 0, 1], [0, 1, 0, 1]
         ("structures", None, ["--n", "1", "--params", "x"]),
         ("verify", None, ["--n", "1", "--params", "1/0"]),
     ],
-    ids=["n-zero", "n-not-integer", "g-not-rows", "singular-g", "g-not-2x2", "zero-basis-value",
+    ids=["n-zero", "n-not-integer", "n-fraction", "n-bool", "n-string", "exps-zero-denominator",
+         "exps-too-short", "p-not-list", "g-not-rows", "singular-g", "g-not-2x2", "zero-basis-value",
          "structures-params-x", "verify-params-1/0"],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):

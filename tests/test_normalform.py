@@ -263,6 +263,18 @@ def test_normal_form_formal_torsion_probe():
     assert normal_form(x.conjugate_by(h)).element == normal_form(x).element
 
 
+def test_normal_form_shear_by_zero_divisor():
+    # over l1^2 = 1 the eigenvalue difference l1 - 1 is a zero divisor; the
+    # shear must stay a monomial, or the degree-0 coefficient becomes a
+    # binomial that has no root to rescale by
+    b = EigenBasis(("l1", "l2"), [(2, 0)], (-1, 0.5))
+    l1 = b.gen(0)
+    x = GroupElt(Mat2(b, ((l1, l1 - b.one()), (b.zero(), b.one()))), HomogPoly.monomial(b, 1, 1, b.one()))
+    nf = normal_form(x)
+    assert nf.element == diag_elt(b, 1, l1, b.one(), [1, 0])
+    assert is_normal_form(nf.element)
+
+
 def test_normal_form_swap_orientation():
     b = free_basis()
     x = diag_elt(b, 2, b.gen(0), b.gen(1))

@@ -330,19 +330,42 @@ def test_exact_divide_torsion():
     assert q * d == a
 
 
+def test_exact_divide_zero_divisor_keeps_monomials():
+    # l1 - 1 is a zero divisor over l1^2 = 1; the quotient of l1 - 1 by
+    # itself is anchored at the key (0, 0) and so is the monomial -l1,
+    # not the two-term 1/2 - l1/2 that (1 + l1) annihilates
+    b = EigenBasis(("l1", "l2"), [(2, 0)], (-1, 0.5))
+    d = b.gen(0) - b.one()
+    assert exact_divide(d, d) == -b.gen(0)
+
+
 def binomial_step(d):
-    """(t, o) with d = u (1 - t) for u the first monomial of d, o the order of t's key."""
+    """(u, t, o) with d = u (1 - t) for u the first monomial of d, o the order of t's key."""
     key, x, y, z = d.terms[0]
     u = Scalar.monomial(d.basis, GaussRat(Fraction(x, z), Fraction(y, z)), key)
     t = d.basis.one() - d * u.inverse()
-    return t, d.basis.lattice.coset_order(t.exps)
+    return u, t, d.basis.lattice.coset_order(t.exps)
+
+
+def chain_anchors(s, v, o):
+    """Least key of s on each chain gamma, gamma + v, ..., gamma + (o-1) v."""
+    lattice = s.basis.lattice
+    anchors = []
+    for k in (term[0] for term in s.terms):
+        if not any(
+            lattice.contains((k[0] - g[0] - j * v[0], k[1] - g[1] - j * v[1]))
+            for g in anchors
+            for j in range(o)
+        ):
+            anchors.append(k)
+    return anchors
 
 
 def test_exact_divide_roundtrip_randomized():
     # (x * d) / d == x across lattice ranks for random binomial divisors,
-    # unless d is a zero divisor: then the quotient is the one that
-    # t^0 + ... + t^(o-1) annihilates.  1 is divisible by d exactly when
-    # 1 - t is a unit, i.e. t has finite order o and t^o != 1.
+    # unless d is a zero divisor: then the quotient is the one with no
+    # term on the least key of each chain of a/u.  1 is divisible by d
+    # exactly when 1 - t is a unit, i.e. t has finite order o and t^o != 1.
     rng = random.Random(21)
     bases = [
         EigenBasis(("l1", "l2"), (), (0.5, 0.3)),
@@ -358,6 +381,7 @@ def test_exact_divide_roundtrip_randomized():
             (rng.randint(-3, 3), rng.randint(-3, 3)),
         )
 
+    zero_divisors = 0
     for b in bases:
         for _ in range(120):
             x = rand_mono(b)
@@ -369,10 +393,12 @@ def test_exact_divide_roundtrip_randomized():
             a = x * d
             q = exact_divide(a, d)
             assert q * d == a
-            t, o = binomial_step(d)
+            u, t, o = binomial_step(d)
             zero_divisor = o is not None and (t**o).is_one()
             if zero_divisor:
-                assert (sum((t**i for i in range(o)), b.zero()) * q).is_zero()
+                zero_divisors += 1
+                keys = {term[0] for term in q.terms}
+                assert not keys.intersection(chain_anchors(a * u.inverse(), t.exps, o))
             else:
                 assert q == x
             if o is None or zero_divisor:
@@ -380,6 +406,7 @@ def test_exact_divide_roundtrip_randomized():
                     exact_divide(b.one(), d)
             else:
                 assert exact_divide(b.one(), d) * d == b.one()
+    assert zero_divisors > 0
 
 
 def test_scalar_pow_rational():
