@@ -4,14 +4,17 @@ The named families are
 
   * radial (linear surfaces):       (z1/z2, 1/z2^n),      holonomy (F, 0)
   * eigenstructures (two per diagonal surface):  (z1, z2) and (z2, z1)
-    with diagonal holonomy built from an n-th root of the complementary
-    eigenvalue
   * exceptional eigenstructure (n >= m):  identity map with the Jordan-type
     holonomy whose polynomial part is Z1^m Z2^(n-m)/lam^m
   * hyperresonant families, present exactly when the minimal pair
     (m1, m2) satisfies m2 = n m1 (root factors in the first slot),
     m1 = m2 (factors in the fiber slot, excluded when m1 N = n), or
     m1 = n m2 (factors in the common denominator).
+
+On a diagonal surface every holonomy is read off the developing map:
+F multiplies t1 and t2 by the eigenvalue monomials of their exponents
+(`diagonal_holonomy`).  The exceptional surface's F is not diagonal,
+so its two structures carry their holonomies explicitly.
 
 `brute_force_admissible` enumerates every semiadmissible exponent and
 degree pattern with roots drawn from a fixed generic pool, filters by
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .devmaps import (
     DevMap,
@@ -35,6 +39,7 @@ from .devmaps import (
     _shape_verdict,
     _unbranched_verdict,
     exponent_list,
+    z2_exponents,
 )
 from .group import GroupElt, HomogPoly, Mat2
 from .hopf import HopfSurface
@@ -61,7 +66,6 @@ class StructureRecord:
     swap_partner_case: int = None
 
     def to_record(self):
-        g = self.hol.g
         rec = {
             "kind": self.kind,
             "provenance": self.provenance,
@@ -102,41 +106,36 @@ def _holonomy_invariants(hol: GroupElt):
 # the named structures
 
 
+def diagonal_holonomy(s: HopfSurface, dev: DevMap) -> GroupElt:
+    """The holonomy generator of dev on the diagonal surface s.
+
+    F scales z1^a z2^b by l1^a l2^b and fixes u = z1^m1/z2^m2, so
+    t1(F z) = c1 t1(z) and t2(F z) = c2 t2(z) with c1 = l1^k1 l2^k2 and
+    c2 = l1^l1 l2^l2.  A diagonal holonomy diag(a, d) acts by
+    (t1, t2) -> (a t1/d, t2/d^n), so a/d = c1 and d^-n = c2: the
+    generator is diag(c1 d, d) with d = c2^(-1/n).
+    """
+    n = dev.n
+    c1 = s.l1**dev.k1 * s.l2**dev.k2
+    c2 = s.l1**dev.l1 * s.l2**dev.l2
+    d = c2 ** Fraction(-1, n)
+    return GroupElt.of_matrix(Mat2.diag(c1 * d, d), n)
+
+
 def _radial_record(s: HopfSurface, n: int) -> StructureRecord:
-    basis = s.basis
+    dev = DevMap.radial(n, hyper=s.hyperresonance())
     if s.kind == "diagonal":
-        g = Mat2.diag(s.l1, s.l2)
+        hol = diagonal_holonomy(s, dev)
     else:
-        lam = s.lam
-        g = Mat2(basis, ((lam, basis.zero()), (basis.one(), lam)))
+        basis, lam = s.basis, s.lam
+        hol = GroupElt.of_matrix(Mat2(basis, ((lam, basis.zero()), (basis.one(), lam))), n)
     return StructureRecord(
         kind="radial",
-        dev=DevMap.radial(n, hyper=s.hyperresonance()),
-        hol=GroupElt.of_matrix(g, n),
+        dev=dev,
+        hol=hol,
         complete=False,
         essential=False,
         provenance="radial structure on a linear surface",
-    )
-
-
-def _eigen_record(s: HopfSurface, n: int, axis: int) -> StructureRecord:
-    basis = s.basis
-    if axis == 1:
-        e_main, e_other = s.l1, s.l2
-        dev = DevMap.identity(n, hyper=s.hyperresonance())
-    else:
-        e_main, e_other = s.l2, s.l1
-        dev = DevMap.swapped_identity(n, hyper=s.hyperresonance())
-    root = e_other ** Fraction(1, n)
-    g = Mat2.diag(e_main * root.inverse(), root.inverse())
-    return StructureRecord(
-        kind="eigen",
-        dev=dev,
-        hol=GroupElt.of_matrix(g, n),
-        complete=False,
-        essential=True,
-        provenance="eigenstructure along axis %d" % axis,
-        axis=axis,
     )
 
 
@@ -157,96 +156,53 @@ def _exceptional_eigen_record(s: HopfSurface, n: int) -> StructureRecord:
     )
 
 
-def _hyper_case12(s, n, params) -> StructureRecord:
-    m1, m2 = s.hyperresonance()
-    N = len(params)
-    dev = DevMap(
-        0,
-        N * m2 - 1,
-        1,
-        -n,
-        UniPoly.from_roots(params),
-        UniPoly([1]),
-        UniPoly([1]),
-        (m1, m2),
-        n,
-    )
-    root = s.l1 ** Fraction(1, n)
-    g = Mat2.diag(s.l1 ** (m1 * N) * root.inverse(), s.l2 * root.inverse())
-    case = 1 if N == 1 else 2
-    return StructureRecord(
-        kind="hyperresonant",
-        dev=dev,
-        hol=GroupElt.of_matrix(g, n),
-        complete=False,
-        essential=False,
-        provenance="hyperresonant family, m2 = n m1, %d root factor(s)" % N,
-        case=case,
-        params=tuple(params),
-        swap_partner_case=4 if N == 1 else 5,
-    )
+# The hyperresonant families, one row each: the relation that admits
+# the family, the polynomial (0 = P1, 1 = Q1, 2 = P2) that carries the
+# root factors, the exponent slots (k1, l1, k2~, l2~) as a function of
+# n, the case for one and for several root factors, and the swap
+# partner's cases.  Every other polynomial is 1.
+_HYPER_FAMILIES = (
+    ("m2 = n m1", 0, lambda n: (0, 1, -1, -n), (1, 2), (4, 5)),
+    ("m1 = m2", 2, lambda n: (1, 0, -1, -n), (3, 3), None),
+    ("m1 = n m2", 1, lambda n: (1, 0, 0, 1), (4, 5), (1, 2)),
+)
 
 
-def _hyper_case3(s, n, params) -> StructureRecord:
-    m1, m2 = s.hyperresonance()
-    N = len(params)
-    dev = DevMap(
-        1,
-        -1,
-        0,
-        N * m2 - n,
-        UniPoly([1]),
-        UniPoly([1]),
-        UniPoly.from_roots(params),
-        (m1, m2),
-        n,
-    )
-    shift = s.l2 ** Fraction(m2 * N, n)
-    g = Mat2.diag(s.l1 * shift.inverse(), s.l2 * shift.inverse())
-    return StructureRecord(
-        kind="hyperresonant",
-        dev=dev,
-        hol=GroupElt.of_matrix(g, n),
-        complete=False,
-        essential=False,
-        provenance="hyperresonant family, m1 = m2, %d root factor(s)" % N,
-        case=3,
-        params=tuple(params),
-    )
+def _hyper_records(s: HopfSurface, n: int, vals):
+    """The hyperresonant records with the root factors vals, in table order.
 
-
-def _hyper_case45(s, n, params) -> StructureRecord:
-    m1, m2 = s.hyperresonance()
-    N = len(params)
-    dev = DevMap(
-        1,
-        -N * m2,
-        0,
-        1 - n * N * m2,
-        UniPoly([1]),
-        UniPoly.from_roots(params),
-        UniPoly([1]),
-        (m1, m2),
-        n,
-    )
-    root = s.l2 ** Fraction(1, n)
-    g = Mat2.diag(s.l1 * root.inverse(), s.l1 ** (m1 * N) * root.inverse())
-    case = 4 if N == 1 else 5
-    return StructureRecord(
-        kind="hyperresonant",
-        dev=dev,
-        hol=GroupElt.of_matrix(g, n),
-        complete=False,
-        essential=False,
-        provenance="hyperresonant family, m1 = n m2, %d root factor(s)" % N,
-        case=case,
-        params=tuple(params),
-        swap_partner_case=1 if N == 1 else 2,
-    )
+    A family is present when its map passes the unbranchedness clauses
+    of the certificate: the clause of the polynomial that carries the
+    roots vanishes exactly under the family's relation, and D != 0 is
+    the family's side condition.
+    """
+    hyper = s.hyperresonance()
+    N = len(vals)
+    for relation, root_slot, slots, cases, partners in _HYPER_FAMILIES:
+        polys = [UniPoly([1])] * 3
+        polys[root_slot] = UniPoly.from_roots(vals)
+        k1, l1, kt2, lt2 = slots(n)
+        k2, l2 = z2_exponents(kt2, lt2, [p.degree for p in polys], hyper, n)
+        dev = DevMap(k1, k2, l1, l2, *polys, hyper, n)
+        if not _unbranched_verdict(dev):
+            continue
+        yield StructureRecord(
+            kind="hyperresonant",
+            dev=dev,
+            hol=diagonal_holonomy(s, dev),
+            complete=False,
+            essential=False,
+            provenance="hyperresonant family, %s, %d root factor(s)" % (relation, N),
+            case=cases[N > 1],
+            params=tuple(vals),
+            swap_partner_case=partners and partners[N > 1],
+        )
 
 
 def _check_params(params):
     vals = [as_gauss(p) for p in params]
+    if not vals:
+        raise ClassifyError("each hyperresonant parameter list needs a root")
     if any(v.is_zero() for v in vals):
         raise ClassifyError("hyperresonant parameters must be nonzero")
     if len({(v.re, v.im) for v in vals}) != len(vals):
@@ -273,21 +229,23 @@ def enumerate_structures(s: HopfSurface, n: int, hyper_params=None):
         records.append(_exceptional_eigen_record(s, n))
         return records
     records.append(_radial_record(s, n))
-    records.append(_eigen_record(s, n, 1))
-    records.append(_eigen_record(s, n, 2))
-    pair = s.hyperresonance()
-    if pair is None or not hyper_params:
+    hyper = s.hyperresonance()
+    for axis, dev in ((1, DevMap.identity(n, hyper)), (2, DevMap.swapped_identity(n, hyper))):
+        records.append(
+            StructureRecord(
+                kind="eigen",
+                dev=dev,
+                hol=diagonal_holonomy(s, dev),
+                complete=False,
+                essential=True,
+                provenance="eigenstructure along axis %d" % axis,
+                axis=axis,
+            )
+        )
+    if hyper is None or not hyper_params:
         return records
-    m1, m2 = pair
     for params in hyper_params:
-        vals = _check_params(params)
-        N = len(vals)
-        if m2 == n * m1 and (N >= 2 or m1 >= 2 or n >= 2):
-            records.append(_hyper_case12(s, n, vals))
-        if m1 == m2 and m1 * N != n:
-            records.append(_hyper_case3(s, n, vals))
-        if m1 == n * m2 and (N >= 2 or m2 >= 2 or n >= 2):
-            records.append(_hyper_case45(s, n, vals))
+        records.extend(_hyper_records(s, n, _check_params(params)))
     return records
 
 
@@ -362,17 +320,9 @@ def brute_force_admissible(
         raise ClassifyError("the brute-force oracle runs on diagonal surfaces")
     hyper = s.hyperresonance()
     slots = exponent_list(n)
-    if hyper is None:
-        degree_patterns = [(0, 0, 0)]
-        m2 = 0
-    else:
-        m2 = hyper[1]
-        degree_patterns = [
-            (a, b, c)
-            for a in range(deg_bound + 1)
-            for b in range(deg_bound + 1)
-            for c in range(deg_bound + 1)
-        ]
+    degree_patterns = [(0, 0, 0)]
+    if hyper is not None:
+        degree_patterns = product(range(deg_bound + 1), repeat=3)
     # the polynomials and their shape verdict depend on the degree pattern only
     roots = list(root_pool)
     shaped = []
@@ -383,13 +333,12 @@ def brute_force_admissible(
         Q1 = UniPoly.from_roots(roots[d1 : d1 + dq])
         P2 = UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3])
         if _shape_verdict(P1, Q1, P2):
-            shaped.append((d1, dq, d3, P1, Q1, P2))
+            shaped.append(((d1, dq, d3), P1, Q1, P2))
     found = {}
     for (k1, l1) in slots:
         for (kt2, lt2) in slots:
-            for (d1, dq, d3, P1, Q1, P2) in shaped:
-                k2 = kt2 + (m2 * (d1 - dq) if hyper else 0)
-                l2 = lt2 + (m2 * (d3 - n * dq) if hyper else 0)
+            for (degrees, P1, Q1, P2) in shaped:
+                k2, l2 = z2_exponents(kt2, lt2, degrees, hyper, n)
                 d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
                 # the slots are allowed by construction, so only the
                 # unbranchedness clauses remain

@@ -92,8 +92,18 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str):
+    """A JSON number, rejecting bools and strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError("%s must be a number, got %r" % (where, value))
+    return value
+
+
 def _verify_config(spec: dict, args) -> VerifyConfig:
-    over = dict(spec.get("verify", {}))
+    over = spec.get("verify", {})
+    if not isinstance(over, dict):
+        raise InputError("spec key 'verify' must be an object, got %r" % (over,))
+    over = dict(over)
     if _positive(getattr(args, "samples", None), "--samples") is not None:
         over["samples"] = args.samples
     if _positive(getattr(args, "tol", None), "--tol") is not None:
@@ -104,9 +114,23 @@ def _verify_config(spec: dict, args) -> VerifyConfig:
     bad = set(over) - allowed
     if bad:
         raise InputError("verify config: unknown keys %s" % sorted(bad))
+    for key, check in (("samples", _integer), ("tol_equiv", _number), ("tol_jac", _number)):
+        if key in over:
+            where = "verify key %r" % key
+            _positive(check(over[key], where), where)
+    if "seed" in over:
+        _integer(over["seed"], "verify key 'seed'")
     if "annulus" in over:
-        over["annulus"] = tuple(over["annulus"])
-    return VerifyConfig(**over)
+        ann = over["annulus"]
+        if not isinstance(ann, list) or len(ann) != 2:
+            raise InputError("verify key 'annulus' must be [r_min, r_max], got %r" % (ann,))
+        over["annulus"] = tuple(_number(r, "verify key 'annulus'") for r in ann)
+    cfg = VerifyConfig(**over)
+    try:
+        cfg.resolve_annulus()
+    except ValueError as exc:
+        raise InputError("verify key 'annulus': %s" % exc) from exc
+    return cfg
 
 
 def _emit(payload, args) -> None:
@@ -138,6 +162,8 @@ def _params_from(spec, args):
     raw = spec.get("params")
     if raw is None:
         return None
+    if not isinstance(raw, list) or not all(isinstance(group, list) for group in raw):
+        raise InputError("spec key 'params' must be a list of lists of quadruples, got %r" % (raw,))
     return [[_quad(q, "params") for q in group] for group in raw]
 
 
@@ -146,6 +172,7 @@ def cmd_structures(args) -> int:
     s = _surface_from_spec(spec)
     n = _bundle_degree(spec, args)
     params = _params_from(spec, args)
+    cfg = _verify_config(spec, args) if args.verify else None
     try:
         records = enumerate_structures(s, n, hyper_params=params)
     except ClassifyError as exc:
@@ -157,7 +184,7 @@ def cmd_structures(args) -> int:
     for rec in records:
         entry = rec.to_record()
         if args.verify:
-            reports = verify_structure(rec, s, _verify_config(spec, args))
+            reports = verify_structure(rec, s, cfg)
             entry["verification"] = [r.to_record() for r in reports]
             failed = failed or not all(r.passed for r in reports)
         payload["structures"].append(entry)

@@ -51,10 +51,6 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
-    def const(cls, c=1):
-        return cls([c])
-
-    @classmethod
     def from_roots(cls, roots, lead=1):
         p = cls([lead])
         for r in roots:
@@ -302,12 +298,13 @@ class DevMap:
         return self.hyper if self.hyper is not None else (1, 1)
 
     def tilde_exponents(self):
-        """(k2~, l2~): the z2-side exponent pair after rewriting in 1/u."""
-        if self.hyper is None:
-            return (self.k2, self.l2)
-        m1, m2 = self.hyper
-        d1, d2, d3 = self.degrees
-        return (self.k2 - m2 * (d1 - d2), self.l2 - m2 * (d3 - self.n * d2))
+        """(k2~, l2~): the z2-side exponent pair after rewriting in 1/u.
+
+        `z2_exponents` is the inverse.
+        """
+        d1, dq, d3 = self.degrees
+        m2 = self._m()[1]
+        return (self.k2 - m2 * (d1 - dq), self.l2 - m2 * (d3 - self.n * dq))
 
     def hat(self) -> "DevMap":
         """The same map written in the swapped chart (s1, s2)."""
@@ -374,6 +371,20 @@ class DevMap:
         )
 
 
+def z2_exponents(kt2, lt2, degrees, hyper, n):
+    """(k2, l2) of the map with slot pair (k2~, l2~) and degrees (d1, dq, d3).
+
+    The inverse of `DevMap.tilde_exponents`: k2 = k2~ + m2 (d1 - dq)
+    and l2 = l2~ + m2 (d3 - n dq).  Without a hyperresonance every
+    degree is 0 and the pairs agree.
+    """
+    if hyper is None:
+        return (kt2, lt2)
+    d1, dq, d3 = degrees
+    m2 = hyper[1]
+    return (kt2 + m2 * (d1 - dq), lt2 + m2 * (d3 - n * dq))
+
+
 @dataclass(frozen=True)
 class AbcdReport:
     A: int
@@ -383,17 +394,6 @@ class AbcdReport:
     tilde: tuple
     hat: tuple
     tilde_exponents: tuple
-
-    def to_record(self):
-        return {
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "D": self.D,
-            "tilde": list(self.tilde),
-            "hat": list(self.hat),
-            "tilde_exponents": list(self.tilde_exponents),
-        }
 
 
 def abcd(d: DevMap) -> AbcdReport:
@@ -435,18 +435,6 @@ class DetJacobian:
         val *= self.P1.eval_numeric(u) * self.P2.eval_numeric(u)
         val /= self.Q1.eval_numeric(u) ** (self.n + 1)
         return val * self.R.eval_numeric(u)
-
-    def to_record(self):
-        return {
-            "z1_exp": self.z1_exp,
-            "z2_exp": self.z2_exp,
-            "P1": [c.as_quad() for c in self.P1.coeffs],
-            "P2": [c.as_quad() for c in self.P2.coeffs],
-            "Q1_pow": self.n + 1,
-            "Q1": [c.as_quad() for c in self.Q1.coeffs],
-            "R_num": [c.as_quad() for c in self.R.num.coeffs],
-            "R_den": [c.as_quad() for c in self.R.den.coeffs],
-        }
 
 
 def det_jacobian(d: DevMap) -> DetJacobian:
@@ -606,12 +594,10 @@ def eval_devmap(d: DevMap, z):
     if z1 == 0 and z2 == 0:
         raise EvalError("the developing map lives on C^2 minus the origin")
     m1, m2 = d._m()
-    d1, dq, d3 = d.degrees
     h1 = _poly_at(d.P1, z1, z2, m1, m2)
     hq = _poly_at(d.Q1, z1, z2, m1, m2)
     h2 = _poly_at(d.P2, z1, z2, m1, m2)
-    kt2 = d.k2 - m2 * (d1 - dq)
-    lt2 = d.l2 - m2 * (d3 - d.n * dq)
+    kt2, lt2 = d.tilde_exponents()
     t1 = _chart_value(z1, d.k1, z2, kt2, h1, hq, 1)
     t2 = _chart_value(z1, d.l1, z2, lt2, h2, hq, d.n)
     if t1 is not None and t2 is not None:

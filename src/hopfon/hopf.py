@@ -24,7 +24,17 @@ class SurfaceError(ValueError):
     """Invalid contraction data."""
 
 
+# the modulus tolerance for formal bases, known only through witnesses
 _MODULUS_TOL = 1e-12
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _pairs(value) -> bool:
+    """Whether value is a JSON list of two-entry lists."""
+    return isinstance(value, list) and all(isinstance(v, list) and len(v) == 2 for v in value)
 
 
 class HopfSurface:
@@ -36,13 +46,18 @@ class HopfSurface:
         if kind not in ("diagonal", "exceptional"):
             raise SurfaceError("kind must be 'diagonal' or 'exceptional'")
         if kind == "exceptional":
-            if m is None or m < 1:
-                raise SurfaceError("exceptional surfaces need a degree m >= 1")
+            if not _is_int(m) or m < 1:
+                raise SurfaceError("exceptional surfaces need an integer degree m >= 1")
         elif m is not None:
             raise SurfaceError("diagonal surfaces carry no degree")
-        for w in basis.witness[: (1 if kind == "exceptional" else 2)]:
-            if not (_MODULUS_TOL < abs(w) < 1 - _MODULUS_TOL):
-                raise SurfaceError("eigenvalue moduli must lie strictly in (0, 1)")
+        count = 1 if kind == "exceptional" else 2
+        if basis.exact is not None:
+            # |(x + i y)/z| < 1 decided on the integers
+            inside = all(0 < c.x**2 + c.y**2 < c.z**2 for c in basis.exact[:count])
+        else:
+            inside = all(_MODULUS_TOL < abs(w) < 1 - _MODULUS_TOL for w in basis.witness[:count])
+        if not inside:
+            raise SurfaceError("eigenvalue moduli must lie strictly in (0, 1)")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "m", m)
@@ -151,8 +166,15 @@ class HopfSurface:
         if kind == "diagonal":
             if "formal" in rec:
                 f = rec["formal"]
-                wit = [complex(w[0], w[1]) for w in f["witness"]]
-                return cls.diagonal_formal(f.get("relations", ()), wit)
+                if not isinstance(f, dict):
+                    raise SurfaceError("formal must be an object")
+                wit = f.get("witness")
+                if not _pairs(wit) or len(wit) != 2:
+                    raise SurfaceError("formal witness must list two [re, im] pairs")
+                rels = f.get("relations", [])
+                if not _pairs(rels) or not all(_is_int(v) for r in rels for v in r):
+                    raise SurfaceError("formal relations must be integer pairs, got %r" % (rels,))
+                return cls.diagonal_formal(rels, [complex(w[0], w[1]) for w in wit])
             try:
                 l1 = GaussRat.from_quad(rec["lambda1"])
                 l2 = GaussRat.from_quad(rec["lambda2"])
@@ -162,7 +184,7 @@ class HopfSurface:
         if kind == "exceptional":
             try:
                 lam = GaussRat.from_quad(rec["lambda"])
-                m = int(rec["m"])
+                m = rec["m"]
             except KeyError as exc:
                 raise SurfaceError("exceptional record needs lambda and m") from exc
             return cls.exceptional(lam, m)

@@ -159,9 +159,6 @@ class GaussRat:
             return _power(GR_ONE / self, -k, GR_ONE)
         return _power(self, k, GR_ONE)
 
-    def conjugate(self):
-        return GaussRat._raw(self.x, -self.y, self.z)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -204,6 +201,8 @@ class GaussRat:
     def from_quad(cls, quad):
         if len(quad) != 4:
             raise ValueError("Gaussian rational quadruple must have 4 entries")
+        if quad[1] == 0 or quad[3] == 0:
+            raise ValueError("Gaussian rational quadruple %r has a zero denominator" % (quad,))
         return cls(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
 
     def nth_root(self, k: int):

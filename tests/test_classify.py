@@ -1,5 +1,6 @@
 """Structure enumeration, the brute-force oracle, and the case table."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from hopfon.classify import (
     reproduce_case_table,
 )
 from hopfon.devmaps import DevMap, is_admissible
+from hopfon.group import GroupElt, Mat2
 from hopfon.hopf import HopfSurface
+from hopfon.scalars import GaussRat
 
 
 def generic():
@@ -145,6 +148,70 @@ def test_record_json_roundtrip():
         rec = r.to_record()
         assert DevMap.from_record(rec["dev"]) == r.dev
         assert rec["holonomy"]["n"] == 2
+
+
+# The hand-written holonomy of each named structure, an independent
+# reference for the holonomies `enumerate_structures` reads off the maps.
+
+
+def reference_holonomy(s, rec, n):
+    l1, l2 = s.l1, s.l2
+    if rec.kind == "radial":
+        return GroupElt.of_matrix(Mat2.diag(l1, l2), n)
+    if rec.kind == "eigen":
+        main, other = (l1, l2) if rec.axis == 1 else (l2, l1)
+        root = other ** Fraction(1, n)
+        return GroupElt.of_matrix(Mat2.diag(main * root.inverse(), root.inverse()), n)
+    m1, m2 = s.hyperresonance()
+    N = len(rec.params)
+    if rec.case in (1, 2):
+        root = l1 ** Fraction(1, n)
+        g = Mat2.diag(l1 ** (m1 * N) * root.inverse(), l2 * root.inverse())
+    elif rec.case == 3:
+        shift = l2 ** Fraction(m2 * N, n)
+        g = Mat2.diag(l1 * shift.inverse(), l2 * shift.inverse())
+    else:
+        root = l2 ** Fraction(1, n)
+        g = Mat2.diag(l1 * root.inverse(), l1 ** (m1 * N) * root.inverse())
+    return GroupElt.of_matrix(g, n)
+
+
+def reference_cases(n, m1, m2, N):
+    """The hyperresonant cases present with N root factors, in record order."""
+    out = []
+    if m2 == n * m1 and (N >= 2 or m1 >= 2 or n >= 2):
+        out.append(1 if N == 1 else 2)
+    if m1 == m2 and m1 * N != n:
+        out.append(3)
+    if m1 == n * m2 and (N >= 2 or m2 >= 2 or n >= 2):
+        out.append(4 if N == 1 else 5)
+    return out
+
+
+def test_holonomies_match_hand_written_formulas():
+    rng = random.Random(8)
+    bases = [GaussRat(Fraction(1, 2)), GaussRat(Fraction(2, 5)),
+             GaussRat(Fraction(1, 3), Fraction(1, 3)), GaussRat(Fraction(1, 4), Fraction(1, 2))]
+    units = [GaussRat(1), GaussRat(-1), GaussRat(0, 1)]
+    seen = set()
+    for n in range(1, 6):
+        for _ in range(3):
+            mu, zeta = rng.choice(bases), rng.choice(units)
+            other = rng.choice([b for b in bases if b != mu])
+            for l1, l2 in ((zeta * mu**n, mu), (zeta * mu, mu), (mu, zeta * mu**n), (mu, other)):
+                s = HopfSurface.diagonal(l1, l2)
+                params = [rng.sample(range(1, 10), N) for N in (1, 2, 3)]
+                recs = enumerate_structures(s, n, hyper_params=params)
+                pair = s.hyperresonance()
+                expected = [] if pair is None else [
+                    c for p in params for c in reference_cases(n, *pair, len(p))
+                ]
+                assert [r.case for r in recs[3:]] == expected, (l1, l2, n)
+                assert [r.kind for r in recs[:3]] == ["radial", "eigen", "eigen"]
+                for r in recs:
+                    assert r.hol == reference_holonomy(s, r, n), (l1, l2, n, r.provenance)
+                    seen.add(r.case)
+    assert seen == {None, 1, 2, 3, 4, 5}
 
 
 # ---------------------------------------------------------------------------

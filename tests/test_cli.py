@@ -247,6 +247,40 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):
     assert captured.err.startswith("error: ")
 
 
+_DIAG = {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        (["classify"], {"type": "diagonal", "lambda1": [1, 0, 0, 1], "lambda2": [1, 2, 0, 1]}),
+        (["classify"], {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1.5}),
+        (["classify"], {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": True}),
+        (["classify"], {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": "2"}),
+        (["classify"], {"type": "diagonal", "formal": {"relations": [[1.5, -2]], "witness": [[0.25, 0], [0.5, 0]]}}),
+        (["classify"], {"type": "diagonal", "formal": {"relations": [[2, -1]], "witness": [[0.25, 0]]}}),
+        (["structures"], {"surface": _DIAG, "n": 2, "params": 5}),
+        (["structures"], {"surface": _DIAG, "n": 2, "params": [5]}),
+        (["structures"], {"surface": _DIAG, "n": 2, "params": [[]]}),
+        (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": 5}),
+        (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"annulus": 5}}),
+        (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"annulus": [1, 0.5]}}),
+        (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"samples": "x"}}),
+        (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"samples": 0}}),
+    ],
+    ids=["lambda-zero-denominator", "m-fraction", "m-bool", "m-string", "relation-fraction",
+         "witness-one-pair", "params-int", "params-flat", "params-empty-group", "verify-int",
+         "annulus-int", "annulus-reversed", "samples-string", "samples-zero"],
+)
+def test_invalid_spec_exits_2(tmp_path, capsys, command, spec):
+    # each of these used to end in a traceback, run with a silently changed
+    # value, or report a verification failure (exit 1)
+    code = main(command + ["--spec", write(tmp_path, "spec.json", spec)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_sections_commands(tmp_path, capsys):
     exc = write(
         tmp_path, "exc3.json", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 2}

@@ -133,6 +133,14 @@ def test_moduli_validated():
         HopfSurface.exceptional(Fraction(5, 4), 1)
 
 
+def test_moduli_decided_exactly():
+    # |1 - 10^-13| < 1, but the float witness lies within 1e-12 of 1
+    HopfSurface.diagonal(1 - Fraction(1, 10**13), Fraction(1, 2))
+    HopfSurface.exceptional(1 - Fraction(1, 10**13), 2)
+    with pytest.raises(SurfaceError):
+        HopfSurface.diagonal(1, Fraction(1, 2))
+
+
 def test_record_roundtrip():
     for s in (
         HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 4)),
