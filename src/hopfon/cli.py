@@ -22,7 +22,14 @@ from .classify import (
 )
 from .devmaps import DevMapError
 from .group import GroupElt, HomogPoly, Mat2
-from .hopf import HopfSurface, SurfaceError, bihol_group, classify_surface, function_field
+from .hopf import (
+    HopfSurface,
+    SurfaceError,
+    bihol_group,
+    classify_surface,
+    function_field,
+    relation_pairs,
+)
 from .normalform import NormalFormError, normal_form, resonant_degrees
 from .scalars import (
     BasisMismatchError,
@@ -264,7 +271,7 @@ def _element_from_record(rec: dict):
         else:
             try:
                 witness = [complex(w[0], w[1]) for w in braw["witness"]]
-                basis = EigenBasis(("l1", "l2"), braw.get("relations", ()), witness)
+                basis = EigenBasis(("l1", "l2"), relation_pairs(braw.get("relations", [])), witness)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError("basis record: %s" % exc) from exc
     else:

@@ -37,6 +37,13 @@ def _pairs(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, list) and len(v) == 2 for v in value)
 
 
+def relation_pairs(value):
+    """value, a JSON list of integer relation pairs; SurfaceError otherwise."""
+    if not _pairs(value) or not all(_is_int(v) for r in value for v in r):
+        raise SurfaceError("formal relations must be integer pairs, got %r" % (value,))
+    return value
+
+
 class HopfSurface:
     """Contraction data for a primary Hopf surface, diagonal or exceptional."""
 
@@ -71,8 +78,8 @@ class HopfSurface:
     def diagonal(cls, l1, l2) -> "HopfSurface":
         """Diagonal surface with Gaussian-rational eigenvalues.
 
-        The relation lattice is found by a search over |m1|, |m2| <= 64
-        with exact power comparison (`scalars.find_relations`).
+        The relation lattice is exact (`scalars.find_relations`), with a
+        minimal pair beyond |m1|, |m2| <= 64 reported as no relation.
         """
         basis = EigenBasis.from_gauss_values(as_gauss(l1), as_gauss(l2))
         return cls("diagonal", basis)
@@ -171,9 +178,7 @@ class HopfSurface:
                 wit = f.get("witness")
                 if not _pairs(wit) or len(wit) != 2:
                     raise SurfaceError("formal witness must list two [re, im] pairs")
-                rels = f.get("relations", [])
-                if not _pairs(rels) or not all(_is_int(v) for r in rels for v in r):
-                    raise SurfaceError("formal relations must be integer pairs, got %r" % (rels,))
+                rels = relation_pairs(f.get("relations", []))
                 return cls.diagonal_formal(rels, [complex(w[0], w[1]) for w in wit])
             try:
                 l1 = GaussRat.from_quad(rec["lambda1"])

@@ -19,6 +19,7 @@ complex numbers but usually not in the monomial-sum scalar ring (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -30,7 +31,8 @@ from .scalars import (
     Scalar,
     ScalarDomainError,
     _bezout,
-    _power_search,
+    _integer_solutions,
+    _valuations,
     exact_divide,
     gauss_roots_of_unity,
     is_root_of_unity,
@@ -69,11 +71,29 @@ def hyperresonance_rank(basis: EigenBasis) -> int:
     return basis.lattice.rank
 
 
-def eigenvalue_relation_lattice(e1: Scalar, e2: Scalar, bound: int = 24) -> RelationLattice:
-    """Relations e1^a e2^b = 1 with |a|, |b| <= bound, as a lattice."""
-    # formal scalars have no float modulus to prescreen with
-    hits = _power_search(e1, e2, e1.basis.one(), bound, logs=(0.0, 0.0, 0.0))
-    return RelationLattice(h for h in hits if h != (0, 0))
+def eigenvalue_relation_lattice(e1: Scalar, e2: Scalar) -> RelationLattice:
+    """The lattice of (a, b) with e1^a e2^b = 1, for monomials e1 = c1 l^v1
+    and e2 = c2 l^v2.
+
+    (a, b) must be a relation of the coefficients, c1^a c2^b = 1, with
+    a v1 + b v2 in the basis lattice L.  With d a common denominator of v1
+    and v2, the second condition reads a d v1 + b d v2 in d L; slack rows
+    d L carry it next to the coefficients' valuation rows.  A sum of
+    monomials raises ScalarDomainError.
+    """
+    if not (e1.is_unit() and e2.is_unit()):
+        raise ScalarDomainError("relation lattices need monomial scalars")
+    (k1, w1), (k2, w2) = _valuations((e1.coeff, e2.coeff))
+    v1, v2 = e1.exps, e2.exps
+    d = math.lcm(*(x.denominator for x in v1 + v2))
+    zeros = [0] * len(w1)
+    rows = [
+        w1 + [k1] + [int(d * x) for x in v1],
+        w2 + [k2] + [int(d * x) for x in v2],
+        zeros + [4, 0, 0],
+    ] + [zeros + [0, d * p, d * q] for p, q in e1.basis.lattice.rows]
+    _, kernel = _integer_solutions(rows, [0] * len(rows[0]))
+    return RelationLattice(x[:2] for x in kernel)
 
 
 def _triangular_form(x: GroupElt):

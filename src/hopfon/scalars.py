@@ -201,6 +201,8 @@ class GaussRat:
     def from_quad(cls, quad):
         if len(quad) != 4:
             raise ValueError("Gaussian rational quadruple must have 4 entries")
+        if any(isinstance(q, bool) for q in quad):
+            raise TypeError("Gaussian rational quadruple %r has a boolean entry" % (quad,))
         if quad[1] == 0 or quad[3] == 0:
             raise ValueError("Gaussian rational quadruple %r has a zero denominator" % (quad,))
         return cls(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]))
@@ -456,44 +458,204 @@ class RelationLattice:
 
 _WITNESS_TOL = 1e-12
 
-# The one bound on the exponents that the relation and power-product
-# searches try.
+# Relation lattices and power products are solved exactly, then clamped to
+# the box |a|, |b| <= _RELATION_BOUND: a relation whose generator leaves
+# the box is reported as absent, and a power product gives its first point
+# in the box.  The clamp stays until the benchmark's numeric section check
+# (bench/workloads.py), which overflows complex floats for exponents
+# beyond the box, can check such surfaces.
 _RELATION_BOUND = 64
 
 
-def _power_search(v1, v2, value, bound=_RELATION_BOUND, logs=None):
-    """Yield every (a, b) with |a|, |b| <= bound and v1^a v2^b == value.
+# ---------------------------------------------------------------------------
+# Exact relations and power products of Gaussian rationals
+#
+# Gaussian integers are held here as integer pairs (re, im).
 
-    The scan runs a outer and b inner, each from -bound to bound.  A
-    float prescreen on logs = (log|v1|, log|v2|, log|value|), taken from
-    the complex values when not given, skips the pairs whose modulus
-    cannot match; every pair yielded is confirmed by exact comparison.
+_UNIT_LOG = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # u -> k with u = i^k
+
+
+def _gauss_quotient(a, b):
+    """a / b for Gaussian integers when b divides a, else None."""
+    n = b[0] * b[0] + b[1] * b[1]
+    x, y = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+    if x % n or y % n:
+        return None
+    return (x // n, y // n)
+
+
+def _gauss_gcd(a, b):
+    """A greatest common divisor of two Gaussian integers, by Euclid's algorithm."""
+    while b != (0, 0):
+        n = b[0] * b[0] + b[1] * b[1]
+        x, y = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        # q, the Gaussian integer nearest to a / b, leaves a remainder of norm <= n / 2
+        q0, q1 = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a, b = b, (a[0] - q0 * b[0] + q1 * b[1], a[1] - q0 * b[1] - q1 * b[0])
+    return a
+
+
+def _strip(a, b):
+    """(a / b^e, e) for the largest e with b^e dividing a; b is not a unit."""
+    e = 0
+    while True:
+        q = _gauss_quotient(a, b)
+        if q is None:
+            return a, e
+        a, e = q, e + 1
+
+
+def _is_unit(a) -> bool:
+    return a[0] * a[0] + a[1] * a[1] == 1
+
+
+def _coprime_base(elements):
+    """Pairwise coprime non-units of Z[i] whose powers give each nonzero
+    element up to a unit.
+
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993)
+    with Euclid's gcd and no factoring: an element that shares a non-unit
+    gcd g with a base entry b replaces b by g and by what is left of b and
+    of itself once every power of g is divided out, and those are refined
+    in turn.  The product of the norms still to place falls by N(g) > 1
+    at each split, so the refinement ends.
     """
-    la, lb, lv = logs or [math.log(abs(complex(v))) for v in (v1, v2, value)]
-    p1, p2 = {}, {}
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if abs(a * la + b * lb - lv) > 1e-9 * (1 + abs(a) + abs(b)):
-                continue
-            x = p1.get(a)
-            if x is None:
-                x = p1[a] = v1**a
-            y = p2.get(b)
-            if y is None:
-                y = p2[b] = v2**b
-            if x * y == value:
-                yield (a, b)
+    base, todo = [], list(elements)
+    while todo:
+        x = todo.pop()
+        if _is_unit(x):
+            continue
+        for j, b in enumerate(base):
+            g = _gauss_gcd(x, b)
+            if not _is_unit(g):
+                del base[j]
+                todo += [g, _strip(b, g)[0], _strip(x, g)[0]]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _valuations(values):
+    """[(k, w), ...]: each nonzero Gaussian rational as i^k prod_j b_j^w_j
+    over one coprime base (b_j) of their numerators and denominators.
+
+    Distinct base entries share no prime, so v1^a v2^b = 1 exactly when
+    a w1 + b w2 = 0 and a k1 + b k2 = 0 (mod 4).
+    """
+    parts = [((v.x, v.y), (v.z, 0)) for v in values]
+    base = _coprime_base([t for part in parts for t in part])
+    out = []
+    for num, den in parts:
+        w = []
+        for b in base:
+            num, e = _strip(num, b)
+            den, f = _strip(den, b)
+            w.append(e - f)
+        # num and den are units now
+        out.append(((_UNIT_LOG[num] - _UNIT_LOG[den]) % 4, w))
+    return out
+
+
+def _integer_solutions(rows, target):
+    """The integer vectors x with sum_i x_i rows[i] == target, as (h, kernel)
+    for the solutions h + span(kernel), or None when there are none.
+
+    [rows | I] is brought to echelon form column by column by unimodular
+    Bezout steps on the rows; the rows whose left part ends up zero carry
+    a basis of the kernel in their right part, and the pivot rows solve
+    for target one column at a time.
+    """
+    m, count = len(target), len(rows)
+    active = [list(r) + [int(i == j) for j in range(count)] for i, r in enumerate(rows)]
+    pivots = []
+    for col in range(m):
+        pivot, rest = None, []
+        for r in active:
+            if r[col] == 0:
+                rest.append(r)
+            elif pivot is None:
+                pivot = r
+            else:
+                g, s, t = _bezout(pivot[col], r[col])
+                p, q = pivot[col] // g, r[col] // g
+                rest.append([p * y - q * x for x, y in zip(pivot, r)])
+                pivot = [s * x + t * y for x, y in zip(pivot, r)]
+        if pivot is not None:
+            pivots.append((col, pivot))
+        active = rest
+    residue, h = list(target), [0] * count
+    for col, pivot in pivots:
+        q, r = divmod(residue[col], pivot[col])
+        if r:
+            return None
+        residue = [x - q * y for x, y in zip(residue, pivot)]
+        h = [x + q * y for x, y in zip(h, pivot[m:])]
+    if any(residue):
+        return None
+    return h, [r[m:] for r in active]
+
+
+def _power_coset(v1: GaussRat, v2: GaussRat, value: GaussRat):
+    """Every (a, b) with v1^a v2^b == value, exactly, as (h, lattice) for the
+    coset h + lattice, or None.
+
+    With each value written i^k b^w by `_valuations`, (a, b) solves
+    a w1 + b w2 = w and a k1 + b k2 = k (mod 4); the modulus is a slack
+    row.  For value = 1 the lattice is the relation lattice of (v1, v2).
+    """
+    (k1, w1), (k2, w2), (k, w) = _valuations((v1, v2, value))
+    found = _integer_solutions([w1 + [k1], w2 + [k2], [0] * len(w) + [4]], w + [k])
+    if found is None:
+        return None
+    h, kernel = found
+    return (h[0], h[1]), RelationLattice(x[:2] for x in kernel)
+
+
+def _least_in_box(h, lattice: RelationLattice, bound: int = _RELATION_BOUND):
+    """The point of the coset h + lattice with |a|, |b| <= bound that is least
+    by a and then by b, or None: the first hit of a scan over that box with
+    a outer and b inner.
+
+    The HNF rows are an optional (p, q) with p > 0 and an optional (0, c)
+    with c > 0, so a runs over h[0] + p Z (or stays h[0]) and, for each a,
+    b over one class modulo c (or one value).
+    """
+    a, b = h
+    p = q = c = 0
+    for row in lattice.rows:
+        if row[0]:
+            p, q = row
+        else:
+            c = row[1]
+    if p:
+        s = -((a + bound) // p)  # the least s with a + s p >= -bound
+        a, b = a + s * p, b + s * q
+    while a <= bound:
+        if c:
+            b -= (b + bound) // c * c  # the least b >= -bound in its class
+        if -bound <= a and -bound <= b <= bound:
+            return (a, b)
+        if not p:
+            return None
+        a, b = a + p, b + q
+    return None
 
 
 def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
-    """Relation lattice of two nonzero Gaussian rationals by bounded search.
+    """Relation lattice {(a, b) : v1^a v2^b = 1} of two nonzero Gaussian rationals.
 
-    All pairs (a, b) with |a|, |b| <= 64 and v1^a v2^b = 1 are located
-    with a floating prescreen and confirmed by exact power comparison.
+    The lattice is exact (`_power_coset`), then clamped to the box
+    |a|, |b| <= 64: a rank-1 lattice whose generator leaves the box is
+    reported as rank 0.  A rank-2 lattice needs no clamp, since it arises
+    only for two roots of unity and then contains 4 Z^2.
     """
     if v1.is_zero() or v2.is_zero():
         raise ValueError("eigenvalues must be nonzero")
-    return RelationLattice(h for h in _power_search(v1, v2, GR_ONE) if h != _E00)
+    lattice = _power_coset(v1, v2, GR_ONE)[1]
+    if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:
+        return RelationLattice()
+    return lattice
 
 
 class EigenBasis:
@@ -525,8 +687,8 @@ class EigenBasis:
     def from_gauss_values(cls, v1, v2, names=("l1", "l2")):
         """Basis for concrete Gaussian-rational eigenvalues.
 
-        The relation lattice comes from `find_relations`: a search over
-        exponents up to 64 in absolute value, with exact power comparison.
+        The relation lattice comes from `find_relations`: exact, with a
+        generator beyond |a|, |b| <= 64 reported as no relation.
         """
         v1, v2 = as_gauss(v1), as_gauss(v2)
         lat = find_relations(v1, v2)

@@ -14,9 +14,9 @@ closed-form family:
   * exceptional F, unipotent g = [[a,1],[0,a]]: (z2/a)(l/z1)^m + c, and infinity
 
 The solver reduces "a is a power product of the eigenvalues" to exact
-lattice membership or, for twists given as plain Gaussian rationals,
-to the exponent search of `scalars` (exponents up to 64 in absolute
-value, confirmed exactly), and picks the exponent
+lattice membership or, for twists given as plain Gaussian rationals, to
+the exact exponent coset of `scalars` (clamped to its first point with
+exponents up to 64 in absolute value), and picks the exponent
 representative whose monomial has no zero or pole along the invariant
 curve u = 0 side (representatives differ by hyperresonance shifts).
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfSurface
-from .scalars import EigenBasis, Scalar, _power_search, as_gauss
+from .scalars import EigenBasis, Scalar, _least_in_box, _power_coset, as_gauss
 
 
 class SectionError(ValueError):
@@ -92,8 +92,10 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
 
     Formal route: the coefficient must be 1 and the exponent pair an
     integer vector modulo the lattice.  For bases with exact
-    Gaussian-rational eigenvalues an exact search over |k1|, |k2| <= 64
-    also accepts twists given as plain numbers, returning its first hit.
+    Gaussian-rational eigenvalues the twist c l1^e1 l2^e2 may also carry
+    a plain number c: every (k1, k2) with v1^k1 v2^k2 = c v1^e1 v2^e2 is
+    found exactly, and the least (k1, then k2) of them with
+    |k1|, |k2| <= 64 is returned.
     """
     if a.is_zero():
         return None
@@ -102,9 +104,11 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
         if c.is_one() and e1.denominator == 1 and e2.denominator == 1:
             return (int(e1), int(e2))
         if basis.exact is not None and e1.denominator == 1 and e2.denominator == 1:
-            v1, v2 = basis.exact
-            value = c * v1 ** int(e1) * v2 ** int(e2)
-            return next(_power_search(v1, v2, value), None)
+            coset = _power_coset(*basis.exact, c)
+            if coset is None:
+                return None
+            (h1, h2), lattice = coset
+            return _least_in_box((h1 + int(e1), h2 + int(e2)), lattice)
     return None
 
 

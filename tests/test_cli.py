@@ -228,12 +228,16 @@ _ONE, _ZERO = [1, 1, 0, 1], [0, 1, 0, 1]
         ("normal-form", {"n": 1, "g": [[_ONE, _ONE], [_ONE, _ONE]]}, []),
         ("normal-form", {"n": 1, "g": [[_ONE, _ZERO]]}, []),
         ("normal-form", {"n": 1, "basis": {"values": [_ZERO, _ONE]}, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        # the witness satisfies (1, -1), the relation that truncating 1.5 would give
+        ("normal-form", {"n": 1, "basis": {"witness": [[0.5, 0], [0.5, 0]], "relations": [[1.5, -1]]},
+                         "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "g": [[[True, 1, 0, 1], _ZERO], [_ZERO, _ONE]]}, []),
         ("structures", None, ["--n", "1", "--params", "x"]),
         ("verify", None, ["--n", "1", "--params", "1/0"]),
     ],
     ids=["n-zero", "n-not-integer", "n-fraction", "n-bool", "n-string", "exps-zero-denominator",
          "exps-too-short", "p-not-list", "g-not-rows", "singular-g", "g-not-2x2", "zero-basis-value",
-         "structures-params-x", "verify-params-1/0"],
+         "basis-relation-fraction", "entry-bool", "structures-params-x", "verify-params-1/0"],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):
     # each of these used to end in a traceback with exit code 1
@@ -254,6 +258,7 @@ _DIAG = {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}
     "command, spec",
     [
         (["classify"], {"type": "diagonal", "lambda1": [1, 0, 0, 1], "lambda2": [1, 2, 0, 1]}),
+        (["classify"], {"type": "diagonal", "lambda1": [True, 4, 0, 1], "lambda2": [1, 2, 0, 1]}),
         (["classify"], {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1.5}),
         (["classify"], {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": True}),
         (["classify"], {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": "2"}),
@@ -268,7 +273,7 @@ _DIAG = {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}
         (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"samples": "x"}}),
         (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"samples": 0}}),
     ],
-    ids=["lambda-zero-denominator", "m-fraction", "m-bool", "m-string", "relation-fraction",
+    ids=["lambda-zero-denominator", "lambda-bool", "m-fraction", "m-bool", "m-string", "relation-fraction",
          "witness-one-pair", "params-int", "params-flat", "params-empty-group", "verify-int",
          "annulus-int", "annulus-reversed", "samples-string", "samples-zero"],
 )

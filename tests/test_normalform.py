@@ -17,7 +17,7 @@ from hopfon.normalform import (
     normal_form,
     resonant_degrees,
 )
-from hopfon.scalars import EigenBasis, GaussRat, Scalar
+from hopfon.scalars import EigenBasis, GaussRat, Scalar, ScalarDomainError
 
 
 def free_basis():
@@ -94,7 +94,34 @@ def test_hyperresonance_rank():
     b1 = EigenBasis(("l1", "l2"), [(1, -1)], (0.5, 0.5))
     assert hyperresonance_rank(b1) == 1
     assert hyperresonance_rank(free_basis()) == 0
-    assert eigenvalue_relation_lattice(b2.gen(0), b2.gen(1), 8).rank == 2
+    assert eigenvalue_relation_lattice(b2.gen(0), b2.gen(1)).rank == 2
+
+
+def test_eigenvalue_relation_lattice_of_monomials():
+    # l1^2 = l2^3, with witnesses t^3 and t^2
+    basis = EigenBasis(("l1", "l2"), [(2, -3)], (0.8**3, 0.8**2))
+    coeffs = [GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(Fraction(1, 2)), GaussRat(2),
+              GaussRat(Fraction(1, 3), Fraction(1, 3))]
+    exps = [(0, 0), (1, 0), (0, 1), (1, Fraction(-3, 2)), (Fraction(-1, 2), 0), (Fraction(2, 3), -1),
+            (Fraction(1, 2), Fraction(1, 3))]
+    rng = random.Random(3)
+    ranks = set()
+    for _ in range(30):
+        e1, e2 = (Scalar.monomial(basis, rng.choice(coeffs), rng.choice(exps)) for _ in range(2))
+        lat = eigenvalue_relation_lattice(e1, e2)
+        ranks.add(lat.rank)
+        p1, p2 = ({k: e**k for k in range(-12, 13)} for e in (e1, e2))
+        assert {(a, b) for a in p1 for b in p2 if lat.contains((a, b))} == {
+            (a, b) for a in p1 for b in p2 if (p1[a] * p2[b]).is_one()
+        }
+        for a, b in lat.rows:
+            # a generator relates the coefficients and puts a v1 + b v2 in the basis lattice
+            assert (e1.coeff**a * e2.coeff**b).is_one()
+            v = (a * e1.exps[0] + b * e2.exps[0], a * e1.exps[1] + b * e2.exps[1])
+            assert basis.lattice.reduce_exponents(v) == (0, 0) and basis.lattice.coset_order(v) == 1
+    assert ranks == {0, 1, 2}
+    with pytest.raises(ScalarDomainError):
+        eigenvalue_relation_lattice(basis.gen(0) + basis.one(), basis.gen(1))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfon.scalars import (
+    GR_I,
+    GR_ONE,
     BasisMismatchError,
     EigenBasis,
     GaussRat,
@@ -23,6 +25,8 @@ from hopfon.scalars import (
     numeric_eval,
     scalar_mul,
 )
+from hopfon.scalars import _least_in_box, _power_coset
+from hopfon.sections import solve_power_product
 
 small_fracs = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 gauss = st.builds(GaussRat, small_fracs, small_fracs)
@@ -111,6 +115,80 @@ def test_find_relations_bounded_search():
     assert lat.rank == 0
     lat = find_relations(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2)))
     assert lat.minimal_positive_pair() == (1, 1)
+
+
+def test_relation_beyond_box_is_exact_then_clamped():
+    mu = GaussRat(Fraction(9, 10))
+    for (a, b), generator in (((65, 64), (64, -65)), ((64, 65), (65, -64))):
+        h, lat = _power_coset(mu**a, mu**b, GR_ONE)
+        assert h == (0, 0) and lat.rows == (generator,)
+        # the clamp reports a generator outside |a|, |b| <= 64 as no relation
+        assert find_relations(mu**a, mu**b).rank == 0
+
+
+def exact_scan(v1, v2, value, bound):
+    """Every (a, b) with |a|, |b| <= bound and v1^a v2^b == value, a outer and
+    b inner: the brute-force reference, exact and without a float prescreen."""
+    p1 = {a: v1**a for a in range(-bound, bound + 1)}
+    p2 = {b: v2**b for b in range(-bound, bound + 1)}
+    return [(a, b) for a in p1 for b in p2 if p1[a] * p2[b] == value]
+
+
+_UNITS = [GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1)]
+
+
+def _small_gauss(rng):
+    while True:
+        g = GaussRat(*(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(2)))
+        if not g.is_zero():
+            return g
+
+
+def _seeded_pair(kind, rng):
+    if kind == "mu4":
+        return rng.choice(_UNITS), rng.choice(_UNITS)
+    if kind == "torsion":
+        return GR_I, GaussRat(-1)
+    if kind == "hyperresonant":
+        mu = rng.choice(_UNITS) * rng.choice([GaussRat(Fraction(1, 3), Fraction(1, 3)), _small_gauss(rng)])
+        return tuple(rng.choice(_UNITS) * mu ** rng.randint(-4, 4) for _ in range(2))
+    return _small_gauss(rng), _small_gauss(rng)
+
+
+@pytest.mark.parametrize("kind", ["mu4", "torsion", "hyperresonant", "generic"])
+def test_relations_and_power_products_match_exact_scan(kind):
+    rng = random.Random(kind)
+    bound = 6
+    box = [(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)]
+    for _ in range(12):
+        v1, v2 = _seeded_pair(kind, rng)
+        if v1.is_zero() or v2.is_zero():
+            continue
+        lat = find_relations(v1, v2)
+        assert [h for h in box if lat.contains(h)] == exact_scan(v1, v2, GR_ONE, bound)
+        for _ in range(3):
+            value = v1 ** rng.randint(-8, 8) * v2 ** rng.randint(-8, 8)
+            value *= rng.choice([GR_ONE, rng.choice(_UNITS), _small_gauss(rng)])
+            hits = exact_scan(v1, v2, value, bound)
+            coset = _power_coset(v1, v2, value)
+            if coset is None:
+                assert hits == []
+                continue
+            h, lat = coset
+            assert [p for p in box if lat.contains((p[0] - h[0], p[1] - h[1]))] == hits
+            # the lexicographically least point is the scan's first hit
+            assert _least_in_box(h, lat, bound) == (hits[0] if hits else None)
+
+
+def test_power_product_is_first_hit_of_full_box_scan():
+    rng = random.Random(5)
+    mu = GaussRat(Fraction(1, 3), Fraction(1, 3))
+    half = GaussRat(Fraction(1, 2))
+    for v1, v2 in ((mu**3, mu**2), (mu, mu), (GR_I, half), (half, GaussRat(Fraction(1, 3)))):
+        basis = EigenBasis.from_gauss_values(v1, v2)
+        for _ in range(2):
+            value = v1 ** rng.randint(-3, 3) * v2 ** rng.randint(-3, 3)
+            assert solve_power_product(basis, basis.gauss(value)) == exact_scan(v1, v2, value, 64)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,23 @@ def test_solve_power_product_by_value():
     assert solve_power_product(s.basis, a) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "twist, exponents",
+    [
+        # a subnormal float: the old log prescreen dropped this in-box hit
+        (Fraction(1, 100000) ** 64, (64, 0)),
+        (Fraction(1, 100000) ** 64 / 3, (64, 1)),
+        # complex(100000^64) overflowed in the old prescreen
+        (Fraction(100000) ** 64, (-64, 0)),
+    ],
+    ids=["subnormal", "subnormal-over-3", "overflow"],
+)
+def test_line_bundle_twist_beyond_float_range(twist, exponents):
+    s = HopfSurface.diagonal(Fraction(1, 100000), Fraction(1, 3))
+    fam = line_bundle_sections(s, s.basis.gauss(twist))
+    assert fam.variant == "monomial" and fam.exponents == exponents
+
+
 def test_line_bundle_exceptional_rows():
     s = exceptional_surface(2)
     fam = line_bundle_sections(s, s.lam**3)
