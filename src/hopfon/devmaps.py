@@ -37,9 +37,14 @@ def exponent_list(n: int):
 
 
 class UniPoly:
-    """Polynomial in one variable with Gaussian-rational coefficients."""
+    """Polynomial in one variable with Gaussian-rational coefficients.
 
-    __slots__ = ("coeffs",)
+    `eval_numeric` converts the coefficients to complex numbers on its
+    first call and keeps them in `_cx`, an unset slot until then, so
+    polynomials that are never evaluated pay nothing for it.
+    """
+
+    __slots__ = ("coeffs", "_cx")
 
     def __init__(self, coeffs):
         cs = [as_gauss(c) for c in coeffs]
@@ -160,9 +165,13 @@ class UniPoly:
         return total
 
     def eval_numeric(self, x: complex) -> complex:
+        cx = getattr(self, "_cx", None)
+        if cx is None:
+            cx = tuple([c.to_complex() for c in reversed(self.coeffs)])
+            object.__setattr__(self, "_cx", cx)
         total = 0j
-        for c in reversed(self.coeffs):
-            total = total * x + c.to_complex()
+        for c in cx:
+            total = total * x + c
         return total
 
     def __eq__(self, other):
@@ -236,10 +245,17 @@ class DevMapError(ValueError):
     pass
 
 
-class DevMap:
-    """A candidate developing map in monomial-times-rational form."""
+_FIELDS = ("k1", "k2", "l1", "l2", "P1", "Q1", "P2", "hyper", "n")
 
-    __slots__ = ("k1", "k2", "l1", "l2", "P1", "Q1", "P2", "hyper", "n")
+
+class DevMap:
+    """A candidate developing map in monomial-times-rational form.
+
+    `eval_devmap` keeps the map's numeric plan in `_plan`, an unset
+    slot until the first evaluation.
+    """
+
+    __slots__ = _FIELDS + ("_plan",)
 
     def __init__(self, k1, k2, l1, l2, P1, Q1, P2, hyper, n):
         if n < 1:
@@ -351,7 +367,7 @@ class DevMap:
 
     def __eq__(self, other):
         return isinstance(other, DevMap) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__
+            getattr(self, f) == getattr(other, f) for f in _FIELDS
         )
 
     def __hash__(self):
@@ -562,17 +578,38 @@ def _ratio(a, b):
     return a / b
 
 
-def _poly_at(p: UniPoly, z1, z2, m1, m2):
-    """z2^(m2 deg p) * p(u) evaluated safely via homogenization."""
-    # sum p_i z1^(m1 i) z2^(m2 (deg - i))
-    total = 0j
+def _homogenized(p: UniPoly, m1, m2):
+    """(p_i, m1 i, m2 (deg - i)) for each nonzero coefficient p_i of p."""
     deg = p.degree
-    for i, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        term = c.to_complex()
-        f1 = _mono(z1, m1 * i)
-        f2 = _mono(z2, m2 * (deg - i))
+    return tuple(
+        [(c.to_complex(), m1 * i, m2 * (deg - i)) for i, c in enumerate(p.coeffs) if not c.is_zero()]
+    )
+
+
+def _numeric_plan(d: DevMap):
+    """The homogenized P1, Q1, P2 and (k2~, l2~) of d, computed on first use."""
+    plan = getattr(d, "_plan", None)
+    if plan is None:
+        m1, m2 = d._m()
+        plan = (
+            _homogenized(d.P1, m1, m2),
+            _homogenized(d.Q1, m1, m2),
+            _homogenized(d.P2, m1, m2),
+        ) + d.tilde_exponents()
+        object.__setattr__(d, "_plan", plan)
+    return plan
+
+
+def _poly_at(terms, z1, z2):
+    """z2^(m2 deg p) * p(u) evaluated safely via homogenization.
+
+    terms are `_homogenized(p, m1, m2)`: the value is
+    sum p_i z1^(m1 i) z2^(m2 (deg - i)).
+    """
+    total = 0j
+    for term, a, b in terms:
+        f1 = _mono(z1, a)
+        f2 = _mono(z2, b)
         if f1 is None or f2 is None:
             raise EvalError("negative power of zero in homogenized polynomial")
         total += term * f1 * f2
@@ -593,11 +630,10 @@ def eval_devmap(d: DevMap, z):
     z1, z2 = complex(z[0]), complex(z[1])
     if z1 == 0 and z2 == 0:
         raise EvalError("the developing map lives on C^2 minus the origin")
-    m1, m2 = d._m()
-    h1 = _poly_at(d.P1, z1, z2, m1, m2)
-    hq = _poly_at(d.Q1, z1, z2, m1, m2)
-    h2 = _poly_at(d.P2, z1, z2, m1, m2)
-    kt2, lt2 = d.tilde_exponents()
+    p1, q1, p2, kt2, lt2 = _numeric_plan(d)
+    h1 = _poly_at(p1, z1, z2)
+    hq = _poly_at(q1, z1, z2)
+    h2 = _poly_at(p2, z1, z2)
     t1 = _chart_value(z1, d.k1, z2, kt2, h1, hq, 1)
     t2 = _chart_value(z1, d.l1, z2, lt2, h2, hq, d.n)
     if t1 is not None and t2 is not None:

@@ -22,10 +22,12 @@ A general element acts as (I, p) after (g, 0), since (g, p) =
 
 from __future__ import annotations
 
+import math
+
 from .scalars import (
+    _E00,
     BasisMismatchError,
     EigenBasis,
-    GaussRat,
     Scalar,
     ScalarDomainError,
 )
@@ -70,7 +72,10 @@ class HomogPoly:
         return cls(basis, degree, cs)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        for c in self.coeffs:
+            if c.terms:
+                return False
+        return True
 
     def __add__(self, other):
         self._compat(other)
@@ -90,7 +95,7 @@ class HomogPoly:
     def _compat(self, other):
         if not isinstance(other, HomogPoly) or other.degree != self.degree:
             raise ValueError("degree mismatch between homogeneous polynomials")
-        if other.basis != self.basis:
+        if other.basis is not self.basis and other.basis != self.basis:
             raise BasisMismatchError("polynomials over different bases")
 
     def precompose(self, m: "Mat2") -> "HomogPoly":
@@ -105,9 +110,9 @@ class HomogPoly:
         if self.is_zero():
             return self
         (m11, m12), (m21, m22) = m.entries
-        if m12.is_zero() and m21.is_zero():
+        if not (m12.terms or m21.terms):
             # diagonal substitution scales each coefficient independently
-            cs = [a if a.is_zero() else a * m11**k * m22 ** (n - k) for k, a in enumerate(cs)]
+            cs = [a * m11**k * m22 ** (n - k) if a.terms else a for k, a in enumerate(cs)]
             return HomogPoly._raw(self.basis, n, cs)
         # Coefficient vectors are indexed by the power of Z1.
         r = [cs[n]]
@@ -115,33 +120,11 @@ class HomogPoly:
         for k in range(n - 1, -1, -1):
             r = _times_linear(r, m12, m11)
             a = cs[k]
-            if not a.is_zero():
+            if a.terms:
                 r = [c + a * e for c, e in zip(r, l2pow)]
             if k:
                 l2pow = _times_linear(l2pow, m22, m21)
         return HomogPoly._raw(self.basis, n, r)
-
-    def eval_t(self, t1: complex) -> complex:
-        """Numeric p(t1, 1)."""
-        total = 0j
-        power = 1.0 + 0j
-        for k in range(self.degree + 1):
-            c = self.coeffs[k]
-            if not c.is_zero():
-                total += c.numeric() * power
-            power *= t1
-        return total
-
-    def eval_s(self, s1: complex) -> complex:
-        """Numeric p(1, s1)."""
-        total = 0j
-        power = 1.0 + 0j
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c.is_zero():
-                total += c.numeric() * power
-            power *= s1
-        return total
 
     def __eq__(self, other):
         return (
@@ -229,7 +212,7 @@ class Mat2:
         return self._det
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        if other.basis != self.basis:
+        if other.basis is not self.basis and other.basis != self.basis:
             raise BasisMismatchError("matrices over different bases")
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
@@ -279,12 +262,16 @@ class Mat2:
 
 
 class GroupElt:
-    """An element (g, p): matrix modulo n-th roots of unity plus degree-n polynomial."""
+    """An element (g, p): matrix modulo n-th roots of unity plus degree-n polynomial.
 
-    __slots__ = ("g", "p")
+    `act_affine` keeps the element's numeric action in `_act`, an unset
+    slot until the element first acts on a point.
+    """
+
+    __slots__ = ("g", "p", "_act")
 
     def __init__(self, g: Mat2, p: HomogPoly):
-        if g.basis != p.basis:
+        if g.basis is not p.basis and g.basis != p.basis:
             raise BasisMismatchError("matrix and polynomial over different bases")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "p", p)
@@ -310,9 +297,9 @@ class GroupElt:
 
     def compose(self, other: "GroupElt") -> "GroupElt":
         """(g0, p0)(g1, p1) = (g0 g1, p0 + p1 . g0^{-1})."""
-        if other.degree != self.degree:
+        if other.p.degree != self.p.degree:
             raise ValueError("degree mismatch between group elements")
-        if other.basis != self.basis:
+        if other.g.basis is not self.g.basis and other.g.basis != self.g.basis:
             raise BasisMismatchError("group elements over different bases")
         if other.p.is_zero():
             return GroupElt(self.g * other.g, self.p)
@@ -419,42 +406,61 @@ def act_affine(x: GroupElt, pt: AffinePoint, n: int = None) -> AffinePoint:
         n = x.degree
     elif n != x.degree:
         raise ValueError("point and element live on different O(n)")
-    (ea, eb), (ec, ed) = x.g.entries
-    if x.g.is_diagonal():
-        ratio = (ea / ed).numeric()
-        dn = (ed**n).numeric()
+    mat, poly = _numeric_action(x, n)
+    if len(mat) == 2:
+        ratio, dn = mat
         if pt.chart == "T":
-            out = AffinePoint("T", ratio * pt.c1, pt.c2 / dn)
+            chart, c1, c2 = "T", ratio * pt.c1, pt.c2 / dn
         else:
-            an = ratio**n * dn
-            out = AffinePoint("S", pt.c1 / ratio, pt.c2 / an)
-        return _apply_poly(x.p, out, n)
-
-    a, b = ea.numeric(), eb.numeric()
-    c, d = ec.numeric(), ed.numeric()
-    if pt.chart == "T":
-        num = a * pt.c1 + b
-        den = c * pt.c1 + d
+            chart, c1, c2 = "S", pt.c1 / ratio, pt.c2 / (ratio**n * dn)
     else:
-        num = a + b * pt.c1
-        den = c + d * pt.c1
-    scale = max(abs(num), abs(den))
-    if scale == 0:
-        raise ArithmeticError("degenerate image point; matrix is singular numerically")
-    use_t = abs(den) >= _DEN_MIN * scale and abs(num) <= _T1_MAX * abs(den)
-    if use_t:
-        out = AffinePoint("T", num / den, pt.c2 / den**n)
-    else:
-        out = AffinePoint("S", den / num, pt.c2 / num**n)
-    return _apply_poly(x.p, out, n)
+        a, b, c, d = mat
+        if pt.chart == "T":
+            num = a * pt.c1 + b
+            den = c * pt.c1 + d
+        else:
+            num = a + b * pt.c1
+            den = c + d * pt.c1
+        scale = max(abs(num), abs(den))
+        if scale == 0:
+            raise ArithmeticError("degenerate image point; matrix is singular numerically")
+        use_t = abs(den) >= _DEN_MIN * scale and abs(num) <= _T1_MAX * abs(den)
+        if use_t:
+            chart, c1, c2 = "T", num / den, pt.c2 / den**n
+        else:
+            chart, c1, c2 = "S", den / num, pt.c2 / num**n
+    if poly is not None:
+        # (I, p) adds p(t1, 1) in chart T and p(1, s1) in chart S
+        total = 0j
+        power = 1.0 + 0j
+        for coeff in poly if chart == "T" else reversed(poly):
+            if coeff is not None:
+                total += coeff * power
+            power *= c1
+        c2 = c2 + total
+    return AffinePoint(chart, c1, c2)
 
 
-def _apply_poly(p: HomogPoly, pt: AffinePoint, n: int) -> AffinePoint:
-    if p.is_zero():
-        return pt
-    if pt.chart == "T":
-        return AffinePoint("T", pt.c1, pt.c2 + p.eval_t(pt.c1))
-    return AffinePoint("S", pt.c1, pt.c2 + p.eval_s(pt.c1))
+def _numeric_action(x: GroupElt, n: int):
+    """(matrix part, polynomial part) of x's action as floats, computed on first use.
+
+    The matrix part is (a/d, d^n) for a diagonal matrix and (a, b, c, d)
+    otherwise; the polynomial part lists p's coefficients by power of
+    Z1, None for a zero one, and is None when p = 0.
+    """
+    act = getattr(x, "_act", None)
+    if act is None:
+        (ea, eb), (ec, ed) = x.g.entries
+        if x.g.is_diagonal():
+            mat = ((ea / ed).numeric(), (ed**n).numeric())
+        else:
+            mat = (ea.numeric(), eb.numeric(), ec.numeric(), ed.numeric())
+        poly = None
+        if not x.p.is_zero():
+            poly = tuple([c.numeric() if c.terms else None for c in x.p.coeffs])
+        act = (mat, poly)
+        object.__setattr__(x, "_act", act)
+    return act
 
 
 def compose(x: GroupElt, y: GroupElt) -> GroupElt:
@@ -466,19 +472,33 @@ def inverse(x: GroupElt) -> GroupElt:
 
 
 def random_group_elt(basis, n, rng, scale=3) -> GroupElt:
-    """A random element with small Gaussian-rational entries (for property tests)."""
+    """A random element with small Gaussian-rational entries (for property tests).
+
+    Entries and coefficients are constant scalars built in canonical
+    form, and the matrix takes the determinant its invertibility test
+    computed, so no constructor checks them again.
+    """
+    zero = basis.zero()
+    span = 2 * scale + 1
 
     def small():
-        # (a/b) + i (c/d), drawn in the order a, b, c, d
-        a, b = rng.randint(-scale, scale), rng.randint(1, scale)
-        c, d = rng.randint(-scale, scale), rng.randint(1, scale)
-        return GaussRat._raw(a * d, c * b, b * d)
+        # (a/b) + i (c/d), drawn in the order a, b, c, d; randrange(k) + lo
+        # draws what randint(lo, lo + k - 1) draws, one call shallower
+        a, b = rng.randrange(span) - scale, rng.randrange(scale) + 1
+        c, d = rng.randrange(span) - scale, rng.randrange(scale) + 1
+        x, y, z = a * d, c * b, b * d
+        if not (x or y):
+            return zero
+        g = math.gcd(x, y, z)
+        if g > 1:
+            x, y, z = x // g, y // g, z // g
+        return Scalar._raw(basis, ((_E00, x, y, z),))
 
     while True:
-        rows = ((small(), small()), (small(), small()))
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        if not det.is_zero():
+        (a, b), (c, d) = rows = ((small(), small()), (small(), small()))
+        det = a * d - b * c
+        if det.terms:
             break
-    g = Mat2.from_gauss(basis, rows)
-    p = HomogPoly(basis, n, [basis.gauss(small()) for _ in range(n + 1)])
+    g = Mat2._raw(basis, rows, det)
+    p = HomogPoly._raw(basis, n, [small() for _ in range(n + 1)])
     return GroupElt(g, p)

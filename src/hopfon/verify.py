@@ -121,7 +121,7 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
         try:
             lhs = eval_devmap(rec.dev, s.apply_F(z))
             rhs = act_affine(rec.hol, eval_devmap(rec.dev, z), n)
-        except (EvalError, ZeroDivisionError, ArithmeticError):
+        except (EvalError, ArithmeticError):
             continue
         res = point_residual(lhs, rhs, n)
         worst = max(worst, res)

@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, exit codes, round-trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +321,33 @@ def test_deterministic_output_under_fixed_seed(tmp_path, capsys):
     first = run(capsys, argv)
     second = run(capsys, argv)
     assert first == second
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "spec, flags, golden",
+    [
+        (
+            {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]},
+            ["--n", "2", "--deg-bound", "2"],
+            "verify_hyperresonant_n2_deg2_seed7.json",
+        ),
+        (
+            {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1},
+            ["--n", "3"],
+            "verify_exceptional_m1_n3_seed7.json",
+        ),
+    ],
+    ids=["hyperresonant", "exceptional"],
+)
+def test_verify_stdout_matches_golden(tmp_path, capsys, spec, flags, golden):
+    # Pins the random stream and the order of every float operation: a
+    # changed draw or a reordered sum moves some residual in the last digits.
+    argv = ["verify", "--spec", write(tmp_path, "spec.json", spec), "--compact", "--seed", "7"]
+    assert main(argv + flags) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
 def test_verify_detects_failure_with_tight_tolerance(tmp_path, capsys):

@@ -1,13 +1,29 @@
 """Verification harness: equivariance, immersion, negative controls."""
 
+import cmath
+import functools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfon.classify import enumerate_structures, StructureRecord
-from hopfon.devmaps import DevMap, UniPoly
-from hopfon.group import GroupElt, Mat2
+from hopfon.devmaps import (
+    DevMap,
+    EvalError,
+    UniPoly,
+    _chart_value,
+    _mono,
+    det_jacobian,
+    eval_devmap,
+    is_semiadmissible,
+)
+from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
 from hopfon.hopf import HopfSurface
+from hopfon.scalars import EigenBasis
 from hopfon.verify import (
     VerifyConfig,
     check_equivariance,
@@ -62,16 +78,17 @@ def test_branched_exceptional_map_fails_immersion():
     assert rep.min_jacobian_magnitude <= 1e-12
 
 
-def test_double_root_map_fails_immersion():
-    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+def test_double_root_map_is_not_semiadmissible_and_its_jacobian_vanishes():
     bad = DevMap(
         0, 3, 1, -2, UniPoly.from_roots([2, 2]), UniPoly([1]), UniPoly([1]), (1, 2), 2
     )
-    # the double root makes R's pole cancel: the exact Jacobian vanishes at u=2
-    rep = check_immersion(bad, VerifyConfig(samples=50, seed=5), s)
-    from hopfon.devmaps import is_semiadmissible
-
     assert not is_semiadmissible(bad)
+    # the double root of P1 is a zero of the exact Jacobian: it vanishes where
+    # u = z1/z2^2 = 2, points the annulus samples of check_immersion miss
+    det = det_jacobian(bad)
+    for z2 in (1, 0.5, 1j, 1 + 1j, 2):
+        z2 = complex(z2)
+        assert abs(det.eval_numeric((2 * z2**2, z2))) < 1e-12
 
 
 def test_eigen_immersion_det_is_one():
@@ -96,6 +113,33 @@ def test_group_axioms_pass():
         assert rep.passed, rep.checks
 
 
+def test_group_axioms_catch_a_dropped_horner_term(monkeypatch):
+    precompose = HomogPoly.precompose
+
+    def dropped(p, m):
+        # the Horner step that adds a_0 L2^n is skipped
+        zero = p.basis.zero()
+        return precompose(HomogPoly._raw(p.basis, p.degree, (zero,) + p.coeffs[1:]), m)
+
+    monkeypatch.setattr(HomogPoly, "precompose", dropped)
+    rep = check_group_axioms(2, trials=20, seed=8)
+    assert not rep.passed
+    assert rep.checks["failed"] == "associativity"
+
+
+def test_group_axioms_catch_a_wrong_matrix_inverse(monkeypatch):
+    def adjugate(g):
+        # the inverse without the division by det: still anti-multiplicative,
+        # so composition stays associative and only x x^-1 = e fails
+        (a, b), (c, d) = g.entries
+        return Mat2._raw(g.basis, ((d, -b), (-c, a)), g.det())
+
+    monkeypatch.setattr(Mat2, "inverse", adjugate)
+    rep = check_group_axioms(2, trials=20, seed=8)
+    assert not rep.passed
+    assert rep.checks["failed"] == "inverse"
+
+
 def test_verify_structure_bundle():
     s = HopfSurface.exceptional(Fraction(1, 2), 2)
     rec = enumerate_structures(s, 2)[0]
@@ -108,3 +152,181 @@ def test_verify_structure_bundle():
 def test_annulus_validation():
     with pytest.raises(ValueError):
         VerifyConfig(annulus=(1.0, 0.5)).resolve_annulus()
+
+
+# ---------------------------------------------------------------------------
+# Bit parity of the cached numeric evaluation with a per-call reference.
+# The reference converts every exact coefficient to a float on each call,
+# as evaluation did before the floats were kept on the objects; the cached
+# paths must repeat its float operations in the same order.
+
+
+def _ref_poly_at(p, z1, z2, m1, m2):
+    total = 0j
+    deg = p.degree
+    for i, c in enumerate(p.coeffs):
+        if c.is_zero():
+            continue
+        f1 = _mono(z1, m1 * i)
+        f2 = _mono(z2, m2 * (deg - i))
+        if f1 is None or f2 is None:
+            raise EvalError("negative power of zero in homogenized polynomial")
+        total += c.to_complex() * f1 * f2
+    return total
+
+
+def ref_eval_devmap(d, z):
+    z1, z2 = complex(z[0]), complex(z[1])
+    if z1 == 0 and z2 == 0:
+        raise EvalError("the developing map lives on C^2 minus the origin")
+    m1, m2 = d._m()
+    h1 = _ref_poly_at(d.P1, z1, z2, m1, m2)
+    hq = _ref_poly_at(d.Q1, z1, z2, m1, m2)
+    h2 = _ref_poly_at(d.P2, z1, z2, m1, m2)
+    kt2, lt2 = d.tilde_exponents()
+    t1 = _chart_value(z1, d.k1, z2, kt2, h1, hq, 1)
+    t2 = _chart_value(z1, d.l1, z2, lt2, h2, hq, d.n)
+    if t1 is not None and t2 is not None:
+        return AffinePoint("T", t1, t2)
+    s1 = _chart_value(z1, -d.k1, z2, -kt2, hq, h1, 1)
+    s2 = _chart_value(z1, d.l1 - d.n * d.k1, z2, lt2 - d.n * kt2, h2, h1, d.n)
+    if s1 is not None and s2 is not None:
+        return AffinePoint("S", s1, s2)
+    raise EvalError("point lies on a zero locus of both charts; resample")
+
+
+def _ref_unipoly(p, x):
+    total = 0j
+    for c in reversed(p.coeffs):
+        total = total * x + c.to_complex()
+    return total
+
+
+def ref_det(det, z):
+    z1, z2 = complex(z[0]), complex(z[1])
+    if det.hyper is not None:
+        m1, m2 = det.hyper
+        u = z1**m1 / z2**m2
+    else:
+        u = 1.0
+    val = z1**det.z1_exp * z2**det.z2_exp
+    val *= _ref_unipoly(det.P1, u) * _ref_unipoly(det.P2, u)
+    val /= _ref_unipoly(det.Q1, u) ** (det.n + 1)
+    return val * (_ref_unipoly(det.R.num, u) / _ref_unipoly(det.R.den, u))
+
+
+def _ref_poly_value(p, w, chart):
+    total = 0j
+    power = 1.0 + 0j
+    ks = range(p.degree + 1) if chart == "T" else range(p.degree, -1, -1)
+    for k in ks:
+        c = p.coeffs[k]
+        if not c.is_zero():
+            total += c.numeric() * power
+        power *= w
+    return total
+
+
+def ref_act_affine(x, pt, n):
+    (ea, eb), (ec, ed) = x.g.entries
+    if x.g.is_diagonal():
+        ratio = (ea / ed).numeric()
+        dn = (ed**n).numeric()
+        if pt.chart == "T":
+            out = AffinePoint("T", ratio * pt.c1, pt.c2 / dn)
+        else:
+            out = AffinePoint("S", pt.c1 / ratio, pt.c2 / (ratio**n * dn))
+    else:
+        a, b, c, d = ea.numeric(), eb.numeric(), ec.numeric(), ed.numeric()
+        if pt.chart == "T":
+            num, den = a * pt.c1 + b, c * pt.c1 + d
+        else:
+            num, den = a + b * pt.c1, c + d * pt.c1
+        scale = max(abs(num), abs(den))
+        if scale == 0:
+            raise ArithmeticError("degenerate image point; matrix is singular numerically")
+        if abs(den) >= 1e-9 * scale and abs(num) <= 1e6 * abs(den):
+            out = AffinePoint("T", num / den, pt.c2 / den**n)
+        else:
+            out = AffinePoint("S", den / num, pt.c2 / num**n)
+    if x.p.is_zero():
+        return out
+    return AffinePoint(out.chart, out.c1, out.c2 + _ref_poly_value(x.p, out.c1, out.chart))
+
+
+def _outcome(f, *args):
+    """f(*args) as a comparable value: the result, or the exception type."""
+    try:
+        out = f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    if isinstance(out, AffinePoint):
+        return (out.chart, out.c1, out.c2)
+    return out
+
+
+def _same(a, b):
+    # == on the complexes, except that two NaNs in one place agree
+    return a == b or repr(a) == repr(b)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_records():
+    params = [[2], [2, 3]]
+    cases = [(HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3)), (1, 2, 3))]
+    cases.append((HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2)), (1, 2, 3)))
+    cases.append((HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 2)), (1, 2)))
+    cases.append((HopfSurface.exceptional(Fraction(1, 2), 1), (1, 2, 3)))
+    cases.append((HopfSurface.exceptional(Fraction(1, 2), 2), (2, 3)))
+    recs = [r for s, ns in cases for n in ns for r in enumerate_structures(s, n, hyper_params=params)]
+    assert {r.kind for r in recs} >= {"radial", "eigen", "hyperresonant"}
+    assert any(r.dev.hyper and not r.dev.P1.is_constant() for r in recs)
+    return tuple(recs)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_elements():
+    """Record holonomies and random elements, diagonal or not, with p zero or not."""
+    elts = [r.hol for r in _parity_records()]
+    rng = random.Random(12)
+    b = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
+    for n in (1, 2, 3):
+        for _ in range(4):
+            x = random_group_elt(b, n, rng)
+            elts += [x, GroupElt(x.g, HomogPoly.zero(b, n))]
+            (a, _), (_, d) = x.g.entries
+            if not (a.is_zero() or d.is_zero()):
+                elts += [GroupElt(Mat2.diag(a, d), x.p), GroupElt.of_matrix(Mat2.diag(a, d), n)]
+    return tuple(elts)
+
+
+_coord = st.one_of(
+    st.just(0j),
+    st.builds(
+        lambda r, t: cmath.rect(r, t),
+        st.floats(0.05, 3.0),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6), _coord, _coord)
+def test_cached_devmap_and_jacobian_match_per_call_reference(i, z1, z2):
+    recs = _parity_records()
+    dev = recs[i % len(recs)].dev
+    z = (z1, z2)
+    for d in (dev, dev.hat()):
+        assert _same(_outcome(eval_devmap, d, z), _outcome(ref_eval_devmap, d, z))
+        det = det_jacobian(d)
+        assert _same(_outcome(det.eval_numeric, z), _outcome(ref_det, det, z))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from("TS"), _coord, _coord)
+def test_cached_action_matches_per_call_reference(i, chart, c1, c2):
+    elts = _parity_elements()
+    x = elts[i % len(elts)]
+    pt = AffinePoint(chart, c1, c2)
+    n = x.degree
+    assert _same(_outcome(act_affine, x, pt, n), _outcome(ref_act_affine, x, pt, n))
