@@ -259,11 +259,18 @@ def cmd_cases(args) -> int:
 
 
 def _element_from_record(rec: dict):
+    if not isinstance(rec, dict):
+        raise InputError("an element record must be a JSON object, got %r" % (rec,))
     if "basis" in rec:
         braw = rec["basis"]
+        if not isinstance(braw, dict):
+            raise InputError("element key 'basis' must be an object, got %r" % (braw,))
         if "values" in braw:
-            v1 = _quad(braw["values"][0], "basis.values[0]")
-            v2 = _quad(braw["values"][1], "basis.values[1]")
+            values = braw["values"]
+            if not isinstance(values, list) or len(values) != 2:
+                raise InputError("basis.values must list two quadruples, got %r" % (values,))
+            v1 = _quad(values[0], "basis.values[0]")
+            v2 = _quad(values[1], "basis.values[1]")
             try:
                 basis = EigenBasis.from_gauss_values(v1, v2)
             except ValueError as exc:
@@ -355,6 +362,8 @@ def cmd_sections(args) -> int:
             fam = line_bundle_sections(s, s.l1**k1 * s.l2**k2)
         elif args.bundle:
             rows = json.loads(args.bundle)
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise InputError("--bundle: expected [[quad, quad], [quad, quad]], got %r" % (rows,))
             g = tuple(
                 tuple(s.basis.gauss(_quad(v, "--bundle")) for v in row) for row in rows
             )

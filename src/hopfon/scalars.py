@@ -376,28 +376,15 @@ class RelationLattice:
 
     def contains(self, v) -> bool:
         """Membership of an integer (or integral rational) pair."""
-        v1, v2 = _frac(v[0]), _frac(v[1])
-        if v1.denominator != 1 or v2.denominator != 1:
-            return False
-        v1, v2 = int(v1), int(v2)
-        if self.rank == 0:
-            return v1 == 0 and v2 == 0
-        if self.rank == 1:
-            a, b = self.rows[0]
-            if a != 0:
-                if v1 % a:
-                    return False
-                t = v1 // a
-                return v2 == t * b
-            return v1 == 0 and v2 % b == 0
-        (a, b), (_, c) = self.rows
-        if v1 % a:
-            return False
-        t = v1 // a
-        return (v2 - t * b) % c == 0
+        return self.reduce_exponents(v) == _E00
 
     def reduce_exponents(self, e):
-        """Canonical representative of e (rational pair) modulo the lattice."""
+        """Canonical representative of e (rational pair) modulo the lattice.
+
+        With HNF rows (a, b), a > 0, and (0, c), c > 0, it is the point of
+        e + lattice with 0 <= e1 < a and, at rank 2, 0 <= e2 < c; a lone
+        row (0, c) puts e2 alone in [0, c).  At rank 0 it is e itself.
+        """
         e1, e2 = e
         rows = self.rows
         if rows:
@@ -458,10 +445,10 @@ class RelationLattice:
 
 _WITNESS_TOL = 1e-12
 
-# Relation lattices and power products are solved exactly, then clamped to
-# the box |a|, |b| <= _RELATION_BOUND: a relation whose generator leaves
-# the box is reported as absent, and a power product gives its first point
-# in the box.  The clamp stays until the benchmark's numeric section check
+# Relation lattices are solved exactly, then clamped for classification:
+# `find_relations` reports a rank-1 lattice whose generator leaves the box
+# |a|, |b| <= _RELATION_BOUND as no relation.  Power products are not
+# clamped.  The clamp stays until the benchmark's numeric section check
 # (bench/workloads.py), which overflows complex floats for exponents
 # beyond the box, can check such surfaces.
 _RELATION_BOUND = 64
@@ -610,36 +597,6 @@ def _power_coset(v1: GaussRat, v2: GaussRat, value: GaussRat):
         return None
     h, kernel = found
     return (h[0], h[1]), RelationLattice(x[:2] for x in kernel)
-
-
-def _least_in_box(h, lattice: RelationLattice, bound: int = _RELATION_BOUND):
-    """The point of the coset h + lattice with |a|, |b| <= bound that is least
-    by a and then by b, or None: the first hit of a scan over that box with
-    a outer and b inner.
-
-    The HNF rows are an optional (p, q) with p > 0 and an optional (0, c)
-    with c > 0, so a runs over h[0] + p Z (or stays h[0]) and, for each a,
-    b over one class modulo c (or one value).
-    """
-    a, b = h
-    p = q = c = 0
-    for row in lattice.rows:
-        if row[0]:
-            p, q = row
-        else:
-            c = row[1]
-    if p:
-        s = -((a + bound) // p)  # the least s with a + s p >= -bound
-        a, b = a + s * p, b + s * q
-    while a <= bound:
-        if c:
-            b -= (b + bound) // c * c  # the least b >= -bound in its class
-        if -bound <= a and -bound <= b <= bound:
-            return (a, b)
-        if not p:
-            return None
-        a, b = a + p, b + q
-    return None
 
 
 def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:

@@ -15,10 +15,10 @@ closed-form family:
 
 The solver reduces "a is a power product of the eigenvalues" to exact
 lattice membership or, for twists given as plain Gaussian rationals, to
-the exact exponent coset of `scalars` (clamped to its first point with
-exponents up to 64 in absolute value), and picks the exponent
-representative whose monomial has no zero or pole along the invariant
-curve u = 0 side (representatives differ by hyperresonance shifts).
+the exact exponent coset of `scalars`.  Either way the exponents are the
+coset's canonical point (`RelationLattice.reduce_exponents`): the unique
+point without a relation, 0 <= k1 < m1 on a hyperresonant surface (points
+differ by hyperresonance shifts), and (0, k) on an exceptional one.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfSurface
-from .scalars import EigenBasis, Scalar, _least_in_box, _power_coset, as_gauss
+from .scalars import EigenBasis, Scalar, _power_coset, as_gauss
 
 
 class SectionError(ValueError):
@@ -91,11 +91,11 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
     """Integers (k1, k2) with a = l1^k1 l2^k2, or None.
 
     Formal route: the coefficient must be 1 and the exponent pair an
-    integer vector modulo the lattice.  For bases with exact
-    Gaussian-rational eigenvalues the twist c l1^e1 l2^e2 may also carry
-    a plain number c: every (k1, k2) with v1^k1 v2^k2 = c v1^e1 v2^e2 is
-    found exactly, and the least (k1, then k2) of them with
-    |k1|, |k2| <= 64 is returned.
+    integer vector modulo the lattice; the scalar's key is already the
+    canonical point.  For bases with exact Gaussian-rational eigenvalues
+    the twist c l1^e1 l2^e2 may also carry a plain number c: the whole
+    coset of (k1, k2) with v1^k1 v2^k2 = c v1^e1 v2^e2 is found exactly,
+    and its canonical point modulo the exact relation lattice is returned.
     """
     if a.is_zero():
         return None
@@ -108,17 +108,8 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
             if coset is None:
                 return None
             (h1, h2), lattice = coset
-            return _least_in_box((h1 + int(e1), h2 + int(e2)), lattice)
+            return lattice.reduce_exponents((h1 + int(e1), h2 + int(e2)))
     return None
-
-
-def _normalize_representative(k1: int, k2: int, hyper):
-    """Shift (k1, k2) by hyperresonance multiples into 0 <= k1 < m1."""
-    if hyper is None:
-        return (k1, k2)
-    m1, m2 = hyper
-    t = k1 // m1
-    return (k1 - t * m1, k2 + t * m2)
 
 
 def line_bundle_sections(s: HopfSurface, a: Scalar) -> SectionFamily:
@@ -136,12 +127,9 @@ def line_bundle_sections(s: HopfSurface, a: Scalar) -> SectionFamily:
     hit = solve_power_product(s.basis, a)
     if hit is None:
         return SectionFamily("zero", surface=s)
-    k1, k2 = _normalize_representative(*hit, hyper)
     if hyper is None:
-        return SectionFamily("monomial", exponents=(k1, k2), free_constant=True, surface=s)
-    return SectionFamily(
-        "monomial_times_rational", exponents=(k1, k2), hyper=hyper, surface=s
-    )
+        return SectionFamily("monomial", exponents=hit, free_constant=True, surface=s)
+    return SectionFamily("monomial_times_rational", exponents=hit, hyper=hyper, surface=s)
 
 
 def _solve_exceptional_power(s: HopfSurface, a: Scalar):
@@ -156,13 +144,15 @@ def _solve_exceptional_power(s: HopfSurface, a: Scalar):
 def proj_bundle_sections(s: HopfSurface, g) -> SectionFamily:
     """Section family of the flat P^1-bundle twisted by a projective class g.
 
-    The matrix must be supplied diagonal or as the Jordan block
-    [[a, 1], [0, a]].
+    The matrix must be invertible and supplied diagonal or as the
+    Jordan block [[a, 1], [0, a]].
     """
     rows = _as_scalar_rows(s.basis, g)
     (a11, a12), (a21, a22) = rows
     if not a21.is_zero():
         raise SectionError("supply g as a diagonal or upper-triangular Jordan block")
+    if (a11 * a22).is_zero():
+        raise SectionError("g is singular: a projective class needs det g != 0")
     if a12.is_zero():
         # diagonal class: everything is driven by the eigenvalue ratio
         ratio = a11 * a22.inverse()

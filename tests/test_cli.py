@@ -233,15 +233,25 @@ _ONE, _ZERO = [1, 1, 0, 1], [0, 1, 0, 1]
         ("normal-form", {"n": 1, "basis": {"witness": [[0.5, 0], [0.5, 0]], "relations": [[1.5, -1]]},
                          "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
         ("normal-form", {"n": 1, "g": [[[True, 1, 0, 1], _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "basis": {"values": 5}, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "basis": {"values": [_ONE]}, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", {"n": 1, "basis": 5, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}, []),
+        ("normal-form", [1, 2], []),
         ("structures", None, ["--n", "1", "--params", "x"]),
         ("verify", None, ["--n", "1", "--params", "1/0"]),
+        ("sections", None, ["--bundle", "5"]),
+        ("sections", None, ["--bundle", json.dumps([[_ONE, _ZERO], [_ZERO, _ZERO]])]),
+        # a singular class on a diagonal surface used to give "infinity_only"
+        ("sections", None, ["--jordan", json.dumps(_ZERO)]),
     ],
     ids=["n-zero", "n-not-integer", "n-fraction", "n-bool", "n-string", "exps-zero-denominator",
          "exps-too-short", "p-not-list", "g-not-rows", "singular-g", "g-not-2x2", "zero-basis-value",
-         "basis-relation-fraction", "entry-bool", "structures-params-x", "verify-params-1/0"],
+         "basis-relation-fraction", "entry-bool", "basis-values-int", "basis-values-one-entry",
+         "basis-int", "element-not-object", "structures-params-x", "verify-params-1/0",
+         "bundle-int", "bundle-zero-diagonal", "jordan-zero-diagonal"],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):
-    # each of these used to end in a traceback with exit code 1
+    # each of these used to end in a traceback with exit code 1, or in a wrong answer
     if element is None:
         argv = [command, "--spec", hyper_spec(tmp_path)] + flags
     else:
@@ -253,6 +263,8 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):
 
 
 _DIAG = {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}
+_GENERIC = {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1]}
+_EXC = {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 2}
 
 
 @pytest.mark.parametrize(
@@ -273,10 +285,11 @@ _DIAG = {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}
         (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"annulus": [1, 0.5]}}),
         (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"samples": "x"}}),
         (["structures", "--verify"], {"surface": _DIAG, "n": 2, "verify": {"samples": 0}}),
+        (["sections", "--jordan", json.dumps(_ZERO)], _EXC),
     ],
     ids=["lambda-zero-denominator", "lambda-bool", "m-fraction", "m-bool", "m-string", "relation-fraction",
          "witness-one-pair", "params-int", "params-flat", "params-empty-group", "verify-int",
-         "annulus-int", "annulus-reversed", "samples-string", "samples-zero"],
+         "annulus-int", "annulus-reversed", "samples-string", "samples-zero", "exceptional-jordan-zero"],
 )
 def test_invalid_spec_exits_2(tmp_path, capsys, command, spec):
     # each of these used to end in a traceback, run with a silently changed
@@ -285,6 +298,29 @@ def test_invalid_spec_exits_2(tmp_path, capsys, command, spec):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec, by_value, formal, variant, exponents",
+    [
+        (_DIAG, ["--twist", json.dumps([1, 2**200, 0, 1])], ["--powers", "0,200"],
+         "monomial_times_rational", [0, 200]),
+        (_DIAG, ["--bundle", json.dumps([[[1, 2**200, 0, 1], _ZERO], [_ZERO, _ONE]])], ["--powers", "0,200"],
+         "monomial_times_rational", [0, 200]),
+        (_GENERIC, ["--twist", json.dumps([1, 2**70, 0, 1])], ["--powers", "70,0"], "monomial", [70, 0]),
+        (_EXC, ["--twist", json.dumps([1, 2**129, 0, 1])], ["--power", "129"], "monomial", [129, 0]),
+    ],
+    ids=["hyper-2^-200", "hyper-bundle-2^-200", "generic-2^-70", "exceptional-lam^129"],
+)
+def test_twist_by_value_matches_formal_route(tmp_path, capsys, spec, by_value, formal, variant, exponents):
+    # these twists' exponent cosets miss the box |k1|, |k2| <= 64, where the
+    # solver once looked, so the by-value route gave "zero" (or "zero_and_infinity")
+    path = write(tmp_path, "spec.json", spec)
+    code, fam = run(capsys, ["sections", "--spec", path] + by_value)
+    assert code == 0
+    code, ref = run(capsys, ["sections", "--spec", path] + formal)
+    assert code == 0
+    assert (fam["variant"], fam["exponents"]) == (ref["variant"], ref["exponents"]) == (variant, exponents)
 
 
 def test_sections_commands(tmp_path, capsys):

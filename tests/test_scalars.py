@@ -25,7 +25,7 @@ from hopfon.scalars import (
     numeric_eval,
     scalar_mul,
 )
-from hopfon.scalars import _least_in_box, _power_coset
+from hopfon.scalars import _power_coset
 from hopfon.sections import solve_power_product
 
 small_fracs = st.fractions(min_value=-40, max_value=40, max_denominator=8)
@@ -176,11 +176,13 @@ def test_relations_and_power_products_match_exact_scan(kind):
                 continue
             h, lat = coset
             assert [p for p in box if lat.contains((p[0] - h[0], p[1] - h[1]))] == hits
-            # the lexicographically least point is the scan's first hit
-            assert _least_in_box(h, lat, bound) == (hits[0] if hits else None)
+            # the canonical point gives the value, and every hit reduces to it
+            k = lat.reduce_exponents(h)
+            assert v1 ** k[0] * v2 ** k[1] == value
+            assert all(lat.reduce_exponents(p) == k for p in hits)
 
 
-def test_power_product_is_first_hit_of_full_box_scan():
+def test_power_product_is_canonical_point_of_exact_scan():
     rng = random.Random(5)
     mu = GaussRat(Fraction(1, 3), Fraction(1, 3))
     half = GaussRat(Fraction(1, 2))
@@ -188,7 +190,11 @@ def test_power_product_is_first_hit_of_full_box_scan():
         basis = EigenBasis.from_gauss_values(v1, v2)
         for _ in range(2):
             value = v1 ** rng.randint(-3, 3) * v2 ** rng.randint(-3, 3)
-            assert solve_power_product(basis, basis.gauss(value)) == exact_scan(v1, v2, value, 64)[0]
+            k = solve_power_product(basis, basis.gauss(value))
+            assert v1 ** k[0] * v2 ** k[1] == value
+            lat = _power_coset(v1, v2, value)[1]
+            hits = exact_scan(v1, v2, value, 64)
+            assert hits and all(lat.reduce_exponents(p) == k for p in hits)
 
 
 # ---------------------------------------------------------------------------
