@@ -216,7 +216,8 @@ def cmd_verify(args) -> int:
         records = enumerate_structures(s, n, hyper_params=params)
     except ClassifyError as exc:
         raise InputError(str(exc)) from exc
-    axioms = check_group_axioms(n, trials=args.trials, seed=cfg.seed)
+    trials = args.trials if args.trials is not None else 0
+    axioms = check_group_axioms(n, trials=trials, seed=cfg.seed)
     reports = [axioms.to_record()]
     ok = axioms.passed
     for rec in records:
@@ -418,7 +419,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--params", help="hyperresonant parameter lists (default with --deg-bound D: the root-pool prefixes of length 1..D)")
-    p.add_argument("--trials", type=int, default=300, help="group-axiom trials")
+    p.add_argument("--trials", type=int, help="random exact group-law triples run after the exact proof (default: none)")
     p.add_argument("--deg-bound", dest="deg_bound", type=int, help="run the brute-force completeness oracle")
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)

@@ -12,6 +12,7 @@ closed-form family:
   * unsolvable twist:                          only 0 (and infinity)
   * diagonal F, unipotent g:                   only the constant infinity
   * exceptional F, unipotent g = [[a,1],[0,a]]: (z2/a)(l/z1)^m + c, and infinity
+    (g = [[a,b],[0,a]] is the class of [[a/b,1],[0,a/b]]: shift b/a)
 
 The solver reduces "a is a power product of the eigenvalues" to exact
 lattice membership or, for twists given as plain Gaussian rationals, to
@@ -43,7 +44,7 @@ class SectionFamily:
     free_constant: bool = False
     includes_infinity: bool = False
     jordan_m: int = None
-    jordan_shift: Scalar = None  # the 1/a coefficient of the Jordan closed form
+    jordan_shift: Scalar = None  # the shift b/a of g = [[a, b], [0, a]]: f(F(z)) = f(z) + b/a
     hyper: tuple = None
     surface: HopfSurface = None
 
@@ -144,8 +145,10 @@ def _solve_exceptional_power(s: HopfSurface, a: Scalar):
 def proj_bundle_sections(s: HopfSurface, g) -> SectionFamily:
     """Section family of the flat P^1-bundle twisted by a projective class g.
 
-    The matrix must be invertible and supplied diagonal or as the
-    Jordan block [[a, 1], [0, a]].
+    The matrix must be invertible and supplied diagonal or as a
+    unipotent class [[a, b], [0, a]], b != 0.  That class is the Jordan
+    block [[a/b, 1], [0, a/b]], whose family (z2/a')(lam/z1)^m + c has
+    a' = a/b: the shift is b/a.
     """
     rows = _as_scalar_rows(s.basis, g)
     (a11, a12), (a21, a22) = rows
@@ -168,13 +171,13 @@ def proj_bundle_sections(s: HopfSurface, g) -> SectionFamily:
             surface=s,
         )
     if a11 != a22:
-        raise SectionError("non-diagonal g must be a single Jordan block [[a,1],[0,a]]")
+        raise SectionError("non-diagonal g must be a single Jordan block [[a,b],[0,a]]")
     if s.kind == "diagonal":
         return SectionFamily("infinity_only", includes_infinity=True, surface=s)
     return SectionFamily(
         "jordan_family",
         jordan_m=s.m,
-        jordan_shift=a11.inverse(),
+        jordan_shift=a12 * a11.inverse(),
         includes_infinity=True,
         hyper=None,
         surface=s,

@@ -1,4 +1,4 @@
-"""Numeric verification: equivariance, immersion, and group axioms.
+"""Verification: equivariance, immersion, and the group axioms.
 
 Structures are checked on a shell of C^2 minus the origin sized like a
 fundamental domain of the contraction, so residuals stay conditioned.
@@ -6,21 +6,41 @@ The equivariance residual compares dev(F(z)) with hol . dev(z) using
 the chordal metric on the base direction and a scaled absolute
 difference on the fiber after aligning charts.  Immersion checks
 evaluate the exact Jacobian factorization at the samples (including
-points on the coordinate axes, where branching along an axis is
-visible) and cross-check against central finite differences.
+points on the coordinate axes) and cross-check against central finite
+differences.
+
+The group axioms of G for degree n are checked in three parts.  First
+an exact proof: associativity, identity and inverse hold as polynomial
+identities in the entries, and Kronecker substitution (Kronecker,
+J. reine angew. Math. 92, 1882) decides each on generic elements with
+one exact evaluation, one triple per code path of compose, inverse
+and precomposition.  Then, on request, random exact triples check the
+same laws again.  Last, 200 random pairs check the numeric action
+axiom (xy).pt = x.(y.pt).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 
 from .devmaps import DevMap, EvalError, det_jacobian, eval_devmap
-from .group import AffinePoint, GroupElt, act_affine, chordal, compose, inverse, random_group_elt
+from .group import (
+    AffinePoint,
+    GroupElt,
+    HomogPoly,
+    Mat2,
+    act_affine,
+    chordal,
+    compose,
+    inverse,
+    random_group_elt,
+)
 from .hopf import HopfSurface
-from .scalars import EigenBasis
+from .scalars import EigenBasis, Scalar
 
 
 @dataclass(frozen=True)
@@ -146,8 +166,11 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
 def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> VerifyReport:
     """Nonvanishing exact Jacobian at samples, cross-checked by differences.
 
-    The sample set always contains points on both coordinate axes; a
-    map branched along an axis fails there.
+    The sample set always contains points on both coordinate axes.  A
+    map branched along an axis does not yet always fail there: on a
+    hyperresonant surface `DetJacobian.eval_numeric` forms u =
+    z1^m1/z2^m2, raises ZeroDivisionError on the z2 = 0 axis, and such
+    samples are skipped (ROADMAP item 1(a)).
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
@@ -233,25 +256,37 @@ def _fd_det(dev: DevMap, z, n, pt, rel=1e-6):
     return j11 * j22 - j12 * j21
 
 
-def check_group_axioms(n: int, trials: int = 1000, seed: int = 0, basis: EigenBasis = None) -> VerifyReport:
-    """Exact associativity/identity/inverse plus the numeric action axiom."""
+_ACTION_TRIALS = 200
+
+# The code paths the proof covers, in the order it runs them.
+PROOF_BRANCHES = ("big_cell", "diagonal", "p_zero", "scalar_multiple")
+
+
+def check_group_axioms(n: int, trials: int = 0, seed: int = 0, basis: EigenBasis = None) -> VerifyReport:
+    """The group law of G for degree n: proved, then sampled.
+
+    1. `_prove_group_law` proves associativity, identity and inverse
+       exactly, once per call, on generic elements over its own basis.
+    2. `trials` random exact triples on `basis` (default a free basis)
+       check the same laws again; none by default.
+    3. 200 random pairs check the numeric action axiom
+       (xy).pt = x.(y.pt) to a chordal residual below 1e-10.
+    """
+    failure = _prove_group_law(n)
+    if failure is not None:
+        return VerifyReport("group_axioms", False, checks=failure)
     basis = basis or EigenBasis(("l1", "l2"), (), (0.5, 0.3))
     rng = random.Random(seed)
     e = GroupElt.identity(basis, n)
-    worst_action = 0.0
     for i in range(trials):
         x = random_group_elt(basis, n, rng)
         y = random_group_elt(basis, n, rng)
         z = random_group_elt(basis, n, rng)
-        if compose(compose(x, y), z) != compose(x, compose(y, z)):
-            return VerifyReport("group_axioms", False, checks={"failed": "associativity", "trial": i})
-        if compose(x, e) != x or compose(e, x) != x:
-            return VerifyReport("group_axioms", False, checks={"failed": "identity", "trial": i})
-        xi = inverse(x)
-        if compose(x, xi) != e or compose(xi, x) != e:
-            return VerifyReport("group_axioms", False, checks={"failed": "inverse", "trial": i})
-    action_trials = min(trials, 200)
-    for _ in range(action_trials):
+        failed = _law_failure(x, y, z, e)
+        if failed is not None:
+            return VerifyReport("group_axioms", False, checks={"failed": failed, "trial": i})
+    worst_action = 0.0
+    for _ in range(_ACTION_TRIALS):
         x = random_group_elt(basis, n, rng)
         y = random_group_elt(basis, n, rng)
         pt = AffinePoint(
@@ -270,8 +305,126 @@ def check_group_axioms(n: int, trials: int = 1000, seed: int = 0, basis: EigenBa
         "group_axioms",
         passed,
         max_equivariance_residual=worst_action,
-        checks={"trials": trials, "action_trials": action_trials},
+        checks={"trials": trials, "action_trials": _ACTION_TRIALS, "proved": list(PROOF_BRANCHES)},
     )
+
+
+def _law_failure(x: GroupElt, y: GroupElt, z: GroupElt, e: GroupElt):
+    """The first of associativity, identity and inverse that fails on x, y, z, or None."""
+    if compose(compose(x, y), z) != compose(x, compose(y, z)):
+        return "associativity"
+    if compose(x, e) != x or compose(e, x) != x:
+        return "identity"
+    xi = inverse(x)
+    if compose(x, xi) != e or compose(xi, x) != e:
+        return "inverse"
+    return None
+
+
+def _kronecker_span(n: int) -> int:
+    """The widest exponent window an indeterminate of the proof reaches.
+
+    An indeterminate belongs to one element (g, p).  It enters p
+    linearly (window 1) and the entries of g with exponent 0 or 1.  The
+    entries of g^{-1} = adj(g)/(uv) have exponent -1 or 0 in u and v and
+    0 or 1 in b and c, so every entry of g or g^{-1} has window 1.  A
+    matrix product in the laws holds g and g^{-1} of one element at most
+    once each (g g^{-1} in the inverse law): window 2.  Precomposition
+    multiplies a coefficient of p by n entries, and (p.g).g^{-1} in the
+    inverse law nests two of them: window 2n.  `GroupElt.__eq__`
+    compares p coefficientwise (window 2n), matrix entries (2),
+    products of two entries (4) and n-th powers of entries (2n).
+    """
+    return max(2 * n, 4)
+
+
+def _indeterminates(basis: EigenBasis, base: int, axes=(0, 1)):
+    """Independent indeterminates by Kronecker substitution.
+
+    The j-th indeterminate on generator axis i is l_i^(N^j), N = base,
+    taken on the axes in turn.  An exponent vector d of the
+    indeterminates with every |d_j| < N has sum d_j N^j = 0 only when
+    d = 0, so two Laurent polynomials whose exponent windows are
+    narrower than N are equal exactly when their substitutions are.
+    """
+    for power in itertools.count():
+        w = base**power
+        for axis in axes:
+            key = (w, 0) if axis == 0 else (0, w)
+            yield Scalar._raw(basis, ((key, 1, 0, 1),))
+
+
+def _generic_elt(basis: EigenBasis, n: int, t, shape: str, with_p: bool = True) -> GroupElt:
+    """(g, p) with fresh indeterminates from t as entries and coefficients.
+
+    A big-cell matrix [[1, 0], [c, 1]] diag(u, v) [[1, b], [0, 1]] =
+    [[u, ub], [cu, cub + v]] has the unit determinant uv; the cell is
+    Zariski-dense in GL2, so a law on it holds on all of GL2.  A
+    diagonal matrix is diag(u, v).
+    """
+    u, v = next(t), next(t)
+    if shape == "diagonal":
+        zero = basis.zero()
+        rows = ((u, zero), (zero, v))
+    else:
+        b, c = next(t), next(t)
+        ub, cu = u * b, c * u
+        rows = ((u, ub), (cu, cu * b + v))
+    coeffs = [next(t) for _ in range(n + 1)] if with_p else [basis.zero()] * (n + 1)
+    return GroupElt(Mat2._raw(basis, rows, u * v), HomogPoly._raw(basis, n, coeffs))
+
+
+def _prove_group_law(n: int, base: int = None):
+    """Prove associativity, identity and inverse of G for degree n exactly.
+
+    Generic elements over a free basis of their own (never a caller's)
+    carry independent indeterminates, sent to monomials by Kronecker
+    substitution with a base N above `_kronecker_span(n)`, so one exact
+    evaluation per law decides it as a polynomial identity.  One triple
+    runs per code path:
+
+    * big_cell: three big-cell elements;
+    * diagonal: x and z diagonal, so precomposition by g_x^{-1} takes
+      its diagonal path.  The big-cell y is needed: on diagonal
+      matrices alone, a diagonal path that swaps the exponents of
+      u and v is still an action, and only a product with a
+      non-diagonal matrix exposes it;
+    * p_zero: big-cell matrices with p = 0, so compose and inverse take
+      their p = 0 shortcuts (compose's shortcut with p != 0 beside it
+      runs in the big_cell identity law, x e = x);
+    * scalar_multiple: for `GroupElt.__eq__`, x == zeta x for zeta a
+      primitive n-th root of unity and x != 2x.  Q(i) holds zeta only
+      for n | 4, so this pair lives over a basis whose second generator
+      is zeta (relation (0, n)), with the indeterminates on l1.
+
+    Returns None, or {"failed": law, "branch": path} for the first
+    failure.  A base at or below the span raises ValueError.
+    """
+    span = _kronecker_span(n)
+    if base is None:
+        base = span + 1
+    elif base <= span:
+        raise ValueError(
+            "Kronecker base %d must exceed the exponent span %d of degree %d" % (base, span, n)
+        )
+    basis = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
+    e = GroupElt.identity(basis, n)
+    big, diag, bare = ("big_cell", True), ("diagonal", True), ("big_cell", False)
+    for branch, shapes in (
+        ("big_cell", (big, big, big)),
+        ("diagonal", (diag, big, diag)),
+        ("p_zero", (bare, bare, bare)),
+    ):
+        t = _indeterminates(basis, base)
+        x, y, z = (_generic_elt(basis, n, t, shape, with_p) for shape, with_p in shapes)
+        failed = _law_failure(x, y, z, e)
+        if failed is not None:
+            return {"failed": failed, "branch": branch}
+    roots = EigenBasis(("l1", "zeta"), [(0, n)], (0.5, cmath.exp(2j * math.pi / n)))
+    x = _generic_elt(roots, n, _indeterminates(roots, base, axes=(0,)), "big_cell")
+    if x != GroupElt(x.g.scale(roots.gen(1)), x.p) or x == GroupElt(x.g.scale(roots.gauss(2)), x.p):
+        return {"failed": "equality", "branch": "scalar_multiple"}
+    return None
 
 
 def verify_structure(rec, s: HopfSurface, cfg: VerifyConfig = None):

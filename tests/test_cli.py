@@ -1,6 +1,7 @@
 """Command-line interface: output schemas, exit codes, round-trips."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,29 @@ def test_sections_commands(tmp_path, capsys):
     code, out = run(capsys, ["sections", "--spec", hyper, "--twist", "[1,5,0,1]"])
     assert code == 0
     assert out["variant"] == "zero"
+
+
+def test_sections_bundle_scaled_jordan_block(tmp_path, capsys, monkeypatch):
+    # [[5, 2], [0, 5]] is the Jordan class with a = 5/2, so its family shifts
+    # by b/a = 2/5; the record prints no shift, so the family itself is kept
+    from hopfon import cli
+    from hopfon.sections import proj_bundle_sections
+
+    families = []
+
+    def keep(s, g):
+        families.append(proj_bundle_sections(s, g))
+        return families[-1]
+
+    monkeypatch.setattr(cli, "proj_bundle_sections", keep)
+    spec = write(tmp_path, "exc.json", _EXC)
+    bundle = [[[5, 1, 0, 1], [2, 1, 0, 1]], [_ZERO, [5, 1, 0, 1]]]
+    code, out = run(capsys, ["sections", "--spec", spec, "--bundle", json.dumps(bundle)])
+    assert code == 0
+    assert out == {"variant": "jordan_family", "closed_form": "(z2/a) * (lam/z1)^2 + c, infinity",
+                   "includes_infinity": True, "m": 2}
+    (fam,) = families
+    assert fam.jordan_shift == fam.surface.basis.gauss(Fraction(2, 5))
 
 
 def test_deterministic_output_under_fixed_seed(tmp_path, capsys):

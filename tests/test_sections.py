@@ -211,6 +211,20 @@ def test_proj_bundle_functional_equation():
         assert worst < 1e-9
 
 
+def test_jordan_shift_of_a_scaled_block():
+    # [[5, 2], [0, 5]] is the class of [[5/2, 1], [0, 5/2]], so the family
+    # shifts by 2/5; the shift 1/5 of [[5, 1], [0, 5]] left a residual of 0.17
+    e = exceptional_surface(2)
+    eb = e.basis
+    fam = proj_bundle_sections(e, ((eb.gauss(5), eb.gauss(2)), (eb.zero(), eb.gauss(5))))
+    assert fam.variant == "jordan_family" and fam.jordan_m == 2
+    assert fam.jordan_shift == eb.gauss(Fraction(2, 5))
+    rng = random.Random(12)
+    for _ in range(10):
+        worst = check_functional_equation(e, fam, ((5, 2), (0, 5)), None, rng, samples=30)
+        assert worst < 1e-12
+
+
 def test_jordan_closed_form_is_exact_symbolically():
     # (z2/a)(lam/z1)^m + c with the exact shift 1/a
     e = exceptional_surface(2)

@@ -23,9 +23,12 @@ from hopfon.devmaps import (
 )
 from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
 from hopfon.hopf import HopfSurface
-from hopfon.scalars import EigenBasis
+from hopfon.scalars import EigenBasis, Scalar
 from hopfon.verify import (
+    PROOF_BRANCHES,
     VerifyConfig,
+    _kronecker_span,
+    _prove_group_law,
     check_equivariance,
     check_group_axioms,
     check_immersion,
@@ -113,6 +116,20 @@ def test_group_axioms_pass():
         assert rep.passed, rep.checks
 
 
+def test_group_axioms_default_is_the_proof_and_the_action_trials():
+    for n in (1, 2, 3):
+        rep = check_group_axioms(n)
+        assert rep.passed, rep.checks
+        assert rep.checks == {"trials": 0, "action_trials": 200, "proved": list(PROOF_BRANCHES)}
+
+
+def _fails(n=2):
+    """The failure reported by check_group_axioms(n, trials=0), the proof alone."""
+    rep = check_group_axioms(n, trials=0, seed=8)
+    assert not rep.passed
+    return rep.checks["failed"], rep.checks["branch"]
+
+
 def test_group_axioms_catch_a_dropped_horner_term(monkeypatch):
     precompose = HomogPoly.precompose
 
@@ -122,9 +139,7 @@ def test_group_axioms_catch_a_dropped_horner_term(monkeypatch):
         return precompose(HomogPoly._raw(p.basis, p.degree, (zero,) + p.coeffs[1:]), m)
 
     monkeypatch.setattr(HomogPoly, "precompose", dropped)
-    rep = check_group_axioms(2, trials=20, seed=8)
-    assert not rep.passed
-    assert rep.checks["failed"] == "associativity"
+    assert _fails() == ("associativity", "big_cell")
 
 
 def test_group_axioms_catch_a_wrong_matrix_inverse(monkeypatch):
@@ -135,9 +150,111 @@ def test_group_axioms_catch_a_wrong_matrix_inverse(monkeypatch):
         return Mat2._raw(g.basis, ((d, -b), (-c, a)), g.det())
 
     monkeypatch.setattr(Mat2, "inverse", adjugate)
-    rep = check_group_axioms(2, trials=20, seed=8)
-    assert not rep.passed
-    assert rep.checks["failed"] == "inverse"
+    assert _fails() == ("inverse", "big_cell")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_catch_swapped_diagonal_exponents(monkeypatch, n):
+    precompose = HomogPoly.precompose
+
+    def swapped(p, m):
+        (m11, m12), (m21, m22) = m.entries
+        if m12.terms or m21.terms or p.is_zero():
+            return precompose(p, m)
+        # a_k scaled by m11^(n-k) m22^k instead of m11^k m22^(n-k)
+        d = p.degree
+        cs = [a * m11 ** (d - k) * m22**k for k, a in enumerate(p.coeffs)]
+        return HomogPoly._raw(p.basis, d, cs)
+
+    monkeypatch.setattr(HomogPoly, "precompose", swapped)
+    # n = 1 too: there the swap trades the diagonal entries of g^{-1}
+    assert _fails(n) == ("associativity", "diagonal")
+
+
+def test_group_axioms_catch_a_compose_shortcut_that_drops_p(monkeypatch):
+    def shortcut(x, y):
+        if y.p.is_zero():
+            return GroupElt(x.g * y.g, y.p)
+        return GroupElt(x.g * y.g, x.p + y.p.precompose(x.g.inverse()))
+
+    monkeypatch.setattr(GroupElt, "compose", shortcut)
+    # x e takes the shortcut with x's p nonzero
+    assert _fails() == ("identity", "big_cell")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_catch_equality_up_to_any_scalar(monkeypatch, n):
+    def any_scalar(x, y):
+        # GroupElt.__eq__ without the test that the ratio is an n-th root of unity
+        if x.p != y.p:
+            return False
+        flat = [e for row in x.g.entries for e in row]
+        flat2 = [e for row in y.g.entries for e in row]
+        ref = next(i for i, e in enumerate(flat) if not e.is_zero())
+        r, r2 = flat[ref], flat2[ref]
+        return not r2.is_zero() and all(e2 * r == e * r2 for e, e2 in zip(flat, flat2))
+
+    monkeypatch.setattr(GroupElt, "__eq__", any_scalar)
+    assert _fails(n) == ("equality", "scalar_multiple")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kronecker_base_below_the_span_raises(n):
+    span = _kronecker_span(n)
+    assert _prove_group_law(n, base=span + 1) is None
+    with pytest.raises(ValueError, match="must exceed the exponent span"):
+        _prove_group_law(n, base=span)
+    with pytest.raises(ValueError, match="must exceed the exponent span"):
+        _prove_group_law(n, base=2)
+
+
+def test_kronecker_span_bounds_every_compared_window(monkeypatch):
+    # decode each scalar that the proof compares, computed with a base far
+    # above any window, into per-indeterminate exponents (balanced base-N
+    # digits), and check that their windows stay within the derived span
+    base = 10**6
+    widest = []
+    eq = Scalar.__eq__
+
+    def digits(e):
+        e, out = int(e), []
+        while e:
+            d = (e + base // 2) % base - base // 2
+            out.append(d)
+            e = (e - d) // base
+        return out
+
+    def recording(a, b):
+        if type(b) is Scalar:
+            axes = (0, 1) if a.basis.lattice.rank == 0 else (0,)
+            cols = [digits(key[ax]) for key, *_ in a.terms + b.terms for ax in axes]
+            for j in range(max(map(len, cols), default=0)):
+                col = [c[j] if j < len(c) else 0 for c in cols]
+                widest.append(max(col) - min(col))
+        return eq(a, b)
+
+    monkeypatch.setattr(Scalar, "__eq__", recording)
+    for n in (1, 2, 3):
+        widest.clear()
+        assert _prove_group_law(n, base=base) is None
+        assert 0 < max(widest) <= _kronecker_span(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_make_few_composes(monkeypatch, n):
+    # the proof composes 8 times per triple (4 associativity, 2 identity,
+    # 2 inverse) on 3 triples; each action trial composes once.  Sampling
+    # the laws instead would cost 8 composes per random triple.
+    calls = [0]
+    compose = GroupElt.compose
+
+    def counting(x, y):
+        calls[0] += 1
+        return compose(x, y)
+
+    monkeypatch.setattr(GroupElt, "compose", counting)
+    assert check_group_axioms(n, trials=0).passed
+    assert calls[0] <= 200 + 3 * 8
 
 
 def test_verify_structure_bundle():
