@@ -29,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .group import AffinePoint
 from .scalars import GR_ONE, GR_ZERO, GaussRat, _power, as_gauss
+
 
 def exponent_list(n: int):
     """Allowed (first, second) exponent pairs: (-1,-n), (0,0), (0,1), (1,0)."""
@@ -552,32 +554,6 @@ class EvalError(ArithmeticError):
     """The point hit a zero locus where neither chart is finite."""
 
 
-def _mono(z: complex, k: int):
-    """z^k with 0^positive = 0, 0^0 = 1, 0^negative = infinity (None)."""
-    if z == 0:
-        if k > 0:
-            return 0j
-        if k == 0:
-            return 1 + 0j
-        return None
-    return z**k
-
-
-def _ratio(a, b):
-    """a/b with None = infinity; returns None for infinity, raises on 0/0."""
-    if a is None and b is None:
-        raise EvalError("indeterminate infinity/infinity")
-    if a is None:
-        return None
-    if b is None:
-        return 0j
-    if b == 0:
-        if a == 0:
-            raise EvalError("indeterminate 0/0")
-        return None
-    return a / b
-
-
 def _homogenized(p: UniPoly, m1, m2):
     """(p_i, m1 i, m2 (deg - i)) for each nonzero coefficient p_i of p."""
     deg = p.degree
@@ -600,60 +576,52 @@ def _numeric_plan(d: DevMap):
     return plan
 
 
-def _poly_at(terms, z1, z2):
-    """z2^(m2 deg p) * p(u) evaluated safely via homogenization.
-
-    terms are `_homogenized(p, m1, m2)`: the value is
-    sum p_i z1^(m1 i) z2^(m2 (deg - i)).
-    """
-    total = 0j
-    for term, a, b in terms:
-        f1 = _mono(z1, a)
-        f2 = _mono(z2, b)
-        if f1 is None or f2 is None:
-            raise EvalError("negative power of zero in homogenized polynomial")
-        total += term * f1 * f2
-    return total
-
-
 def eval_devmap(d: DevMap, z):
     """Numeric value of the map at z, in whichever chart is finite.
 
     Both charts are assembled as z1^a z2^b H(z)/K(z)^p with H, K the
     homogenized polynomials (nonzero on the axes because the
     polynomials have no root at u = 0), so axis points evaluate
-    exactly.  Raises EvalError on the measure-zero loci where neither
-    chart gives a finite value.
+    exactly: a zero coordinate, of either sign, is taken as 0j, whose
+    k-th power is exactly 0 for k > 0 and 1 for k = 0, and whose
+    negative powers are infinite.
+    Raises EvalError on the measure-zero loci where neither chart gives
+    a finite value.
     """
-    from .group import AffinePoint
-
     z1, z2 = complex(z[0]), complex(z[1])
-    if z1 == 0 and z2 == 0:
-        raise EvalError("the developing map lives on C^2 minus the origin")
+    if not z1:
+        if not z2:
+            raise EvalError("the developing map lives on C^2 minus the origin")
+        z1 = 0j
+    elif not z2:
+        z2 = 0j
     p1, q1, p2, kt2, lt2 = _numeric_plan(d)
-    h1 = _poly_at(p1, z1, z2)
-    hq = _poly_at(q1, z1, z2)
-    h2 = _poly_at(p2, z1, z2)
-    t1 = _chart_value(z1, d.k1, z2, kt2, h1, hq, 1)
-    t2 = _chart_value(z1, d.l1, z2, lt2, h2, hq, d.n)
+    # z2^(m2 deg p) p(u) = sum p_i z1^(m1 i) z2^(m2 (deg - i)): no exponent is negative
+    h1 = hq = h2 = 0j
+    for c, a, b in p1:
+        h1 += c * z1**a * z2**b
+    for c, a, b in q1:
+        hq += c * z1**a * z2**b
+    for c, a, b in p2:
+        h2 += c * z1**a * z2**b
+    k1, l1, n = d.k1, d.l1, d.n
+    t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
+    t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
     if t1 is not None and t2 is not None:
-        return AffinePoint("T", t1, t2)
-    s1 = _chart_value(z1, -d.k1, z2, -kt2, hq, h1, 1)
-    s2 = _chart_value(
-        z1, d.l1 - d.n * d.k1, z2, lt2 - d.n * kt2, h2, h1, d.n
-    )
+        return AffinePoint._raw("T", t1, t2)
+    s1 = _chart_value(z1, -k1, z2, -kt2, hq, h1, 1)
+    s2 = _chart_value(z1, l1 - n * k1, z2, lt2 - n * kt2, h2, h1, n)
     if s1 is not None and s2 is not None:
-        return AffinePoint("S", s1, s2)
+        return AffinePoint._raw("S", s1, s2)
     raise EvalError("point lies on a zero locus of both charts; resample")
 
 
 def _chart_value(z1, a, z2, b, H, K, p):
-    """z1^a z2^b H / K^p with infinity tracking; None marks infinity."""
-    f1 = _mono(z1, a)
-    f2 = _mono(z2, b)
-    num = None if (f1 is None or f2 is None) else f1 * f2 * H
+    """z1^a z2^b H / K^p, or None where it is infinite: at a negative power
+    of a zero coordinate, or where K^p = 0."""
+    f1 = z1**a if z1 or a >= 0 else None
+    f2 = z2**b if z2 or b >= 0 else None
     den = K**p
-    try:
-        return _ratio(num, den)
-    except EvalError:
+    if f1 is None or f2 is None or not den:
         return None
+    return f1 * f2 * H / den

@@ -23,6 +23,7 @@ A general element acts as (I, p) after (g, 0), since (g, p) =
 from __future__ import annotations
 
 import math
+from math import hypot, inf, isinf, sqrt
 
 from .scalars import (
     _E00,
@@ -359,6 +360,15 @@ class AffinePoint:
         object.__setattr__(self, "c1", complex(c1))
         object.__setattr__(self, "c2", complex(c2))
 
+    @classmethod
+    def _raw(cls, chart, c1, c2):
+        """Internal constructor for a chart name "T" or "S" and two complexes."""
+        out = object.__new__(cls)
+        _set_chart(out, chart)
+        _set_c1(out, c1)
+        _set_c2(out, c2)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("AffinePoint is immutable")
 
@@ -368,25 +378,58 @@ class AffinePoint:
             return self
         if self.c1 == 0:
             raise ZeroDivisionError("point is not visible in the other chart")
-        return AffinePoint(chart, 1 / self.c1, self.c2 / self.c1**n)
+        return AffinePoint._raw(chart, 1 / self.c1, self.c2 / self.c1**n)
 
     def __repr__(self):
         return "AffinePoint(%s, %r, %r)" % (self.chart, self.c1, self.c2)
 
 
-def chordal(a: complex, b: complex) -> float:
-    """Chordal distance between two points of P^1 given as affine values (inf allowed)."""
-    from math import inf, isinf, sqrt
+# The slots' own setters, for `AffinePoint._raw`: the numeric checks build
+# points by the thousand, and these are cheaper than object.__setattr__.
+_set_chart, _set_c1, _set_c2 = (AffinePoint.__dict__[name].__set__ for name in AffinePoint.__slots__)
 
+
+def chordal(a: complex, b: complex) -> float:
+    """Chordal distance between two points of P^1 given as affine values (inf allowed).
+
+    Where |a|^2, |b|^2 or the product of 1 + |a|^2 and 1 + |b|^2 leaves
+    the float range, the distance comes from `_chordal_scaled` instead,
+    so that finite values always get a finite distance.
+    """
     a_inf = isinf(a.real) or isinf(a.imag) if isinstance(a, complex) else a == inf
     b_inf = isinf(b.real) or isinf(b.imag) if isinstance(b, complex) else b == inf
     if a_inf and b_inf:
         return 0.0
-    if a_inf:
-        return 1 / sqrt(1 + abs(b) ** 2)
-    if b_inf:
-        return 1 / sqrt(1 + abs(a) ** 2)
-    return abs(a - b) / sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+    try:
+        if a_inf:
+            return 1 / sqrt(1 + abs(b) ** 2)
+        if b_inf:
+            return 1 / sqrt(1 + abs(a) ** 2)
+        den = (1 + abs(a) ** 2) * (1 + abs(b) ** 2)
+        if den != inf:
+            return abs(a - b) / sqrt(den)
+    except OverflowError:
+        pass
+    return _chordal_scaled(a, b, a_inf, b_inf)
+
+
+def _chordal_scaled(a, b, a_inf, b_inf):
+    """The chordal distance |p1 q2 - p2 q1| / (|(p1, q1)| |(p2, q2)|) of a
+    = p1/q1 and b = p2/q2, with each pair (w, 1) or (1, 1/w) so that no
+    coordinate exceeds sqrt(2) and nothing overflows."""
+    (p1, q1), (p2, q2) = _unit_pair(a, a_inf), _unit_pair(b, b_inf)
+    norm1 = hypot(p1.real, p1.imag, q1.real, q1.imag)
+    norm2 = hypot(p2.real, p2.imag, q2.real, q2.imag)
+    return abs(p1 * q2 - p2 * q1) / (norm1 * norm2)
+
+
+def _unit_pair(w, w_inf):
+    """Homogeneous coordinates (p, q) of w = p/q with |p|, |q| <= sqrt(2)."""
+    if w_inf:
+        return (1.0, 0.0)
+    if abs(w.real) <= 1 and abs(w.imag) <= 1:
+        return (w, 1.0)
+    return (1.0, 1 / w)
 
 
 _T1_MAX = 1e6
@@ -421,11 +464,11 @@ def act_affine(x: GroupElt, pt: AffinePoint, n: int = None) -> AffinePoint:
         else:
             num = a + b * pt.c1
             den = c + d * pt.c1
-        scale = max(abs(num), abs(den))
+        abs_num, abs_den = abs(num), abs(den)
+        scale = abs_den if abs_den > abs_num else abs_num  # max(abs_num, abs_den), NaNs alike
         if scale == 0:
             raise ArithmeticError("degenerate image point; matrix is singular numerically")
-        use_t = abs(den) >= _DEN_MIN * scale and abs(num) <= _T1_MAX * abs(den)
-        if use_t:
+        if abs_den >= _DEN_MIN * scale and abs_num <= _T1_MAX * abs_den:
             chart, c1, c2 = "T", num / den, pt.c2 / den**n
         else:
             chart, c1, c2 = "S", den / num, pt.c2 / num**n
@@ -438,7 +481,7 @@ def act_affine(x: GroupElt, pt: AffinePoint, n: int = None) -> AffinePoint:
                 total += coeff * power
             power *= c1
         c2 = c2 + total
-    return AffinePoint(chart, c1, c2)
+    return AffinePoint._raw(chart, c1, c2)
 
 
 def _numeric_action(x: GroupElt, n: int):
@@ -478,14 +521,32 @@ def random_group_elt(basis, n, rng, scale=3) -> GroupElt:
     form, and the matrix takes the determinant its invertibility test
     computed, so no constructor checks them again.
     """
+    if scale < 1:
+        raise ValueError("scale must be at least 1")
     zero = basis.zero()
     span = 2 * scale + 1
+    span_bits, scale_bits = span.bit_length(), scale.bit_length()
+    getrandbits = rng.getrandbits
 
     def small():
-        # (a/b) + i (c/d), drawn in the order a, b, c, d; randrange(k) + lo
-        # draws what randint(lo, lo + k - 1) draws, one call shallower
-        a, b = rng.randrange(span) - scale, rng.randrange(scale) + 1
-        c, d = rng.randrange(span) - scale, rng.randrange(scale) + 1
+        # (a/b) + i (c/d), drawn in the order a, b, c, d with a in [-scale,
+        # scale] and b in [1, scale].  Each draw is rng.randrange(k) inlined:
+        # getrandbits(k.bit_length()), redrawn until below k, as
+        # Random._randbelow_with_getrandbits does, so the integers drawn and
+        # the generator's final state are randrange's.
+        a = getrandbits(span_bits)
+        while a >= span:
+            a = getrandbits(span_bits)
+        b = getrandbits(scale_bits)
+        while b >= scale:
+            b = getrandbits(scale_bits)
+        c = getrandbits(span_bits)
+        while c >= span:
+            c = getrandbits(span_bits)
+        d = getrandbits(scale_bits)
+        while d >= scale:
+            d = getrandbits(scale_bits)
+        a, b, c, d = a - scale, b + 1, c - scale, d + 1
         x, y, z = a * d, c * b, b * d
         if not (x or y):
             return zero

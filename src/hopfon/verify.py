@@ -7,7 +7,9 @@ the chordal metric on the base direction and a scaled absolute
 difference on the fiber after aligning charts.  Immersion checks
 evaluate the exact Jacobian factorization at the samples (including
 points on the coordinate axes) and cross-check against central finite
-differences.
+differences.  A NaN or infinite residual, determinant or difference
+fails its check: NaN compares false both ways, so max() or a bare
+threshold test would let it pass.
 
 The group axioms of G for degree n are checked in three parts.  First
 an exact proof: associativity, identity and inverse hold as polynomial
@@ -76,12 +78,11 @@ class VerifyReport:
 
     def to_record(self):
         rec = {"check": self.name, "passed": self.passed, "detail": dict(self.checks)}
-        if self.max_equivariance_residual is not None:
-            rec["max_equivariance_residual"] = self.max_equivariance_residual
-        if self.min_jacobian_magnitude is not None:
-            rec["min_jacobian_magnitude"] = self.min_jacobian_magnitude
-        if self.max_fd_mismatch is not None:
-            rec["max_fd_mismatch"] = self.max_fd_mismatch
+        for key in ("max_equivariance_residual", "min_jacobian_magnitude", "max_fd_mismatch"):
+            value = getattr(self, key)
+            if value is not None:
+                # JSON has no NaN or infinity: a non-finite value is written as null
+                rec[key] = value if math.isfinite(value) else None
         if self.failing_samples:
             rec["failing_samples"] = [
                 [[z[0].real, z[0].imag], [z[1].real, z[1].imag]]
@@ -90,12 +91,18 @@ class VerifyReport:
         return rec
 
 
-def _sample_annulus(rng, r0, r1):
-    def coord():
-        r = math.exp(rng.uniform(math.log(r0), math.log(r1)))
-        return r * cmath.exp(2j * math.pi * rng.random())
+_TWO_PI_J = 2j * math.pi
+_INF = complex("inf")
 
-    return (coord(), coord())
+
+def _sample_annulus(rng, lo, hi):
+    """A point whose coordinates have log-modulus uniform in [lo, hi) and a
+    uniform argument: per coordinate, rng.uniform(lo, hi) (inlined) and
+    then rng.random()."""
+    rand = rng.random
+    span = hi - lo
+    w1 = math.exp(lo + span * rand()) * cmath.exp(_TWO_PI_J * rand())
+    return (w1, math.exp(lo + span * rand()) * cmath.exp(_TWO_PI_J * rand()))
 
 
 def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -> float:
@@ -105,31 +112,31 @@ def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -
     absolute difference (equivariance checks) or chordally (the group
     action axiom, where random denominators make values unbounded).
     """
-    t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else complex("inf"))
-    t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else complex("inf"))
+    t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else _INF)
+    t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else _INF)
     res = chordal(t1p, t1q)
-
-    def fiber_diff(a, b):
-        return chordal(a, b) if fiber == "chordal" else abs(a - b)
-
     try:
-        q_al = q.in_chart(p.chart, n)
-        res += fiber_diff(p.c2, q_al.c2)
+        a, b = p.c2, q.in_chart(p.chart, n).c2
     except ZeroDivisionError:
         try:
-            p_al = p.in_chart(q.chart, n)
-            res += fiber_diff(p_al.c2, q.c2)
+            a, b = p.in_chart(q.chart, n).c2, q.c2
         except ZeroDivisionError:
-            res += 1.0
-    return res
+            return res + 1.0
+    return res + (chordal(a, b) if fiber == "chordal" else abs(a - b))
 
 
 def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyReport:
-    """dev(F(z)) = hol . dev(z) at annulus samples, with resampling on zero loci."""
+    """dev(F(z)) = hol . dev(z) at annulus samples, with resampling on zero loci.
+
+    A sample whose residual is not below the tolerance, NaN included,
+    fails and is listed.
+    """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed)
-    r0, r1 = cfg.resolve_annulus(s)
-    n = rec.dev.n
+    lo, hi = map(math.log, cfg.resolve_annulus(s))
+    dev, hol, apply_F = rec.dev, rec.hol, s.apply_F
+    n = dev.n
+    tol = cfg.tol_equiv
     worst = 0.0
     failing = []
     done = 0
@@ -137,15 +144,16 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
     max_attempts = max(20, cfg.samples * 10)
     while done < cfg.samples and attempts < max_attempts:
         attempts += 1
-        z = _sample_annulus(rng, r0, r1)
+        z = _sample_annulus(rng, lo, hi)
         try:
-            lhs = eval_devmap(rec.dev, s.apply_F(z))
-            rhs = act_affine(rec.hol, eval_devmap(rec.dev, z), n)
+            lhs = eval_devmap(dev, apply_F(z))
+            rhs = act_affine(hol, eval_devmap(dev, z), n)
         except (EvalError, ArithmeticError):
             continue
         res = point_residual(lhs, rhs, n)
-        worst = max(worst, res)
-        if res >= cfg.tol_equiv:
+        if res > worst or res != res:  # max(), except that a NaN is kept
+            worst = res
+        if not res < tol:
             failing.append(z)
         done += 1
     if done < cfg.samples:
@@ -174,18 +182,18 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
-    r0, r1 = cfg.resolve_annulus(s)
+    lo, hi = map(math.log, cfg.resolve_annulus(s))
     dev = rec.dev if hasattr(rec, "dev") else rec
     n = dev.n
     det = det_jacobian(dev)
     det_hat = det_jacobian(dev.hat())
-    samples = [(_sample_annulus(rng, r0, r1)) for _ in range(cfg.samples)]
+    samples = [_sample_annulus(rng, lo, hi) for _ in range(cfg.samples)]
     axis = []
     for _ in range(4):
-        w = _sample_annulus(rng, r0, r1)
+        w = _sample_annulus(rng, lo, hi)
         axis.append((w[0], 0j))
         axis.append((0j, w[1]))
-    min_mag = float("inf")
+    min_mag = math.inf
     worst_fd = 0.0
     failing = []
     count = 0
@@ -198,11 +206,14 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             val = (det if pt.chart == "T" else det_hat).eval_numeric(z)
         except ZeroDivisionError:
             val = None
+        listed = False
         if val is not None:
             mag = abs(val)
-            min_mag = min(min_mag, mag)
-            if mag <= 1e-12:
+            if mag < min_mag or mag != mag:  # min(), except that a NaN is kept
+                min_mag = mag
+            if not 1e-12 < mag < math.inf:  # vanishing or non-finite
                 failing.append(z)
+                listed = True
         if i >= len(samples):
             continue
         # the finite-difference cross-check, annulus samples only
@@ -216,9 +227,13 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         if sym is None:  # chart T, where det raised above
             continue
         scale = max(1.0, abs(sym))
-        worst_fd = max(worst_fd, abs(sym - fd) / scale)
+        mismatch = abs(sym - fd) / scale
+        if mismatch > worst_fd or mismatch != mismatch:  # max(), except that a NaN is kept
+            worst_fd = mismatch
+        if not listed and not math.isfinite(mismatch):
+            failing.append(z)
         count += 1
-    passed = min_mag > 1e-12 and worst_fd < cfg.tol_jac and count > 0
+    passed = min_mag > 1e-12 and worst_fd < cfg.tol_jac and count > 0 and not failing
     return VerifyReport(
         "immersion",
         passed,
@@ -233,17 +248,13 @@ def _fd_det(dev: DevMap, z, n, pt, rel=1e-6):
     """Central-difference det of the chart-T map at z, where the map's value
     is pt; None where a stencil point fails or the value is large."""
     z1, z2 = z
-
-    def chart_t(w1, w2):
-        return eval_devmap(dev, (w1, w2)).in_chart("T", n)
-
     try:
         h1 = rel * max(abs(z1), 1.0)
         h2 = rel * max(abs(z2), 1.0)
-        pp = chart_t(z1 + h1, z2)
-        pm = chart_t(z1 - h1, z2)
-        qp = chart_t(z1, z2 + h2)
-        qm = chart_t(z1, z2 - h2)
+        pp = eval_devmap(dev, (z1 + h1, z2)).in_chart("T", n)
+        pm = eval_devmap(dev, (z1 - h1, z2)).in_chart("T", n)
+        qp = eval_devmap(dev, (z1, z2 + h2)).in_chart("T", n)
+        qm = eval_devmap(dev, (z1, z2 - h2)).in_chart("T", n)
         base = pt.in_chart("T", n)
     except (EvalError, ZeroDivisionError, OverflowError):
         return None
@@ -286,20 +297,20 @@ def check_group_axioms(n: int, trials: int = 0, seed: int = 0, basis: EigenBasis
         if failed is not None:
             return VerifyReport("group_axioms", False, checks={"failed": failed, "trial": i})
     worst_action = 0.0
+    uniform = rng.uniform
     for _ in range(_ACTION_TRIALS):
         x = random_group_elt(basis, n, rng)
         y = random_group_elt(basis, n, rng)
-        pt = AffinePoint(
-            "T",
-            rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2),
-            rng.uniform(-2, 2) + 1j * rng.uniform(-2, 2),
-        )
+        c1 = uniform(-2, 2) + 1j * uniform(-2, 2)
+        pt = AffinePoint._raw("T", c1, uniform(-2, 2) + 1j * uniform(-2, 2))
         try:
             lhs = act_affine(compose(x, y), pt, n)
             rhs = act_affine(x, act_affine(y, pt, n), n)
         except ArithmeticError:
             continue
-        worst_action = max(worst_action, point_residual(lhs, rhs, n, fiber="chordal"))
+        res = point_residual(lhs, rhs, n, fiber="chordal")
+        if res > worst_action or res != res:  # max(), except that a NaN is kept
+            worst_action = res
     passed = worst_action < 1e-10
     return VerifyReport(
         "group_axioms",

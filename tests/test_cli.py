@@ -425,6 +425,47 @@ def test_verify_detects_failure_with_tight_tolerance(tmp_path, capsys):
     assert not out["passed"]
 
 
+def _no_nan(name):
+    pytest.fail("the output holds %s, which is not JSON" % name)
+
+
+def far_out_spec(tmp_path, r_min):
+    return write(
+        tmp_path,
+        "far.json",
+        {
+            "type": "diagonal",
+            "lambda1": [1, 2, 0, 1],
+            "lambda2": [1, 3, 0, 1],
+            "verify": {"annulus": [r_min, 10 * r_min]},
+        },
+    )
+
+
+def test_verify_non_finite_values_fail_and_print_null(tmp_path, capsys):
+    # at |z| ~ 1e120 the radial map's t2 = 1/z2^3 and its det J are nan+nanj
+    code = main(["verify", "--spec", far_out_spec(tmp_path, 1e120), "--n", "3", "--compact"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
+    assert code == 1 and payload["passed"] is False
+    radial = [r for r in payload["reports"] if r.get("structure") == "radial structure on a linear surface"]
+    equivariance, immersion = radial
+    assert equivariance["passed"] is False
+    assert equivariance["max_equivariance_residual"] is None
+    assert equivariance["failing_samples"]
+    assert immersion["passed"] is False
+    assert immersion["min_jacobian_magnitude"] is None and immersion["max_fd_mismatch"] is None
+    assert immersion["failing_samples"]
+
+
+def test_verify_huge_annulus_reports_instead_of_overflowing(tmp_path, capsys):
+    # |z|^2 ~ 1e320 leaves the float range inside the chordal distance
+    code = main(["verify", "--spec", far_out_spec(tmp_path, 1e160), "--n", "3", "--compact"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
+    assert code in (0, 1)
+    assert payload["passed"] is (code == 0)
+    assert [r["check"] for r in payload["reports"]][:3] == ["group_axioms", "equivariance", "immersion"]
+
+
 @pytest.mark.parametrize(
     "l1, l2, n",
     [([1, 4, 0, 1], [1, 2, 0, 1], 2), ([1, 2, 0, 1], [1, 2, 0, 1], 1)],

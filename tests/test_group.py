@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from hopfon.group import (
     AffinePoint,
+    _chordal_scaled,
     GroupElt,
     HomogPoly,
     Mat2,
@@ -293,3 +295,53 @@ def test_precompose_matches_reference_expansion():
             ma, mb = matrix(), matrix()
             assert p.precompose(ma) == _expand_precompose(p, ma)
             assert p.precompose(ma * mb) == p.precompose(ma).precompose(mb)
+
+
+def _plain_chordal(a, b):
+    inf = float("inf")
+    a_inf = math.isinf(a.real) or math.isinf(a.imag)
+    b_inf = math.isinf(b.real) or math.isinf(b.imag)
+    if a_inf and b_inf:
+        return 0.0
+    if a_inf:
+        return 1 / math.sqrt(1 + abs(b) ** 2)
+    if b_inf:
+        return 1 / math.sqrt(1 + abs(a) ** 2)
+    return abs(a - b) / math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+
+def test_chordal_keeps_its_bits_where_nothing_overflows():
+    rng = random.Random(11)
+
+    def value():
+        pick = rng.random()
+        if pick < 0.05:
+            return complex("inf")
+        if pick < 0.1:
+            return 0j
+        return cmath.rect(10 ** rng.uniform(-8, 70), rng.uniform(0, 2 * math.pi))
+
+    for _ in range(2000):
+        a, b = value(), value()
+        d = chordal(a, b)
+        assert repr(d) == repr(_plain_chordal(a, b))
+        # the fallback's homogeneous form agrees with the plain one
+        a_inf, b_inf = math.isinf(a.real), math.isinf(b.real)
+        assert _chordal_scaled(a, b, a_inf, b_inf) == pytest.approx(d, rel=1e-13, abs=1e-300)
+
+
+def test_chordal_is_finite_where_squares_overflow():
+    inf = complex("inf")
+    big = complex(1e308, 1e308)  # |big| is beyond the float range
+    cases = [
+        (1e160 + 0j, 2e160 + 0j, 1e160 / 1e160 / 2e160),  # |a|^2 overflows
+        (1e200j, 0.5 + 0j, 1 / math.hypot(1, 0.5)),
+        (inf, 1e200 + 0j, 1e-200),
+        (1e200 + 0j, inf, 1e-200),
+        (1e100 + 0j, 2e100 + 0j, 5e-101),  # only the product of the squares overflows
+        (big, -big, 1 / abs(big / 2)),  # 2 / |big|
+        (big, 1 + 0j, 1 / math.sqrt(2)),
+    ]
+    for a, b, want in cases:
+        assert chordal(a, b) == pytest.approx(want, rel=1e-12), (a, b)
+        assert chordal(b, a) == pytest.approx(want, rel=1e-12), (b, a)

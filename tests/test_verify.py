@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,23 +16,25 @@ from hopfon.devmaps import (
     DevMap,
     EvalError,
     UniPoly,
-    _chart_value,
-    _mono,
     det_jacobian,
     eval_devmap,
     is_semiadmissible,
 )
 from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
 from hopfon.hopf import HopfSurface
+from hopfon import verify
 from hopfon.scalars import EigenBasis, Scalar
 from hopfon.verify import (
     PROOF_BRANCHES,
     VerifyConfig,
+    _fd_det,
     _kronecker_span,
     _prove_group_law,
+    _sample_annulus,
     check_equivariance,
     check_group_axioms,
     check_immersion,
+    point_residual,
     verify_structure,
 )
 
@@ -266,16 +269,127 @@ def test_verify_structure_bundle():
     assert {r["check"] for r in recd} == {"equivariance", "immersion"}
 
 
+def _radial_n3_far_out():
+    # at |z| ~ 1e120, z2^3 overflows, so t2 = 1/z2^3 and det J are nan+nanj
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    rec = enumerate_structures(s, 3)[0]
+    assert rec.kind == "radial"
+    return rec, s, VerifyConfig(annulus=(1e120, 1e121), samples=50)
+
+
+def test_nan_residuals_fail_equivariance():
+    rec, s, cfg = _radial_n3_far_out()
+    rep = check_equivariance(rec, s, cfg)
+    assert not rep.passed
+    assert math.isnan(rep.max_equivariance_residual)
+    assert len(rep.failing_samples) == 50
+    out = rep.to_record()
+    assert out["max_equivariance_residual"] is None
+    json.dumps(out, allow_nan=False)
+
+
+def test_nan_determinants_and_differences_fail_immersion():
+    rec, s, cfg = _radial_n3_far_out()
+    rep = check_immersion(rec, cfg, s)
+    assert not rep.passed
+    assert math.isnan(rep.min_jacobian_magnitude) and math.isnan(rep.max_fd_mismatch)
+    assert rep.checks == {"fd_samples": 50}
+    # every annulus sample is listed once, though both its determinant
+    # and its finite difference are NaN
+    assert len(rep.failing_samples) == len({id(z) for z in rep.failing_samples}) >= 50
+    out = rep.to_record()
+    assert out["min_jacobian_magnitude"] is None and out["max_fd_mismatch"] is None
+    json.dumps(out, allow_nan=False)
+
+
+def test_infinite_determinant_fails_immersion(monkeypatch):
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    rec = next(r for r in enumerate_structures(s, 2) if r.kind == "eigen")
+
+    class InfiniteAtThirdSample:
+        def __init__(self, det):
+            self.det, self.calls = det, 0
+
+        def eval_numeric(self, z):
+            self.calls += 1
+            return complex("inf") if self.calls == 3 else self.det.eval_numeric(z)
+
+    monkeypatch.setattr(verify, "det_jacobian", lambda d: InfiniteAtThirdSample(det_jacobian(d)))
+    rep = check_immersion(rec, VerifyConfig(samples=20, seed=6), s)
+    assert not rep.passed
+    # the minimum over the samples is still |det J| = 1; the infinite one is listed
+    assert rep.min_jacobian_magnitude == pytest.approx(1.0)
+    assert len(rep.failing_samples) == 1
+
+
+def test_a_nan_action_residual_fails_the_group_axioms(monkeypatch):
+    calls = []
+
+    def one_nan(p, q, n, fiber="abs"):
+        # one NaN among finite residuals, which max() would drop
+        calls.append(fiber)
+        return math.nan if len(calls) == 7 else point_residual(p, q, n, fiber)
+
+    monkeypatch.setattr(verify, "point_residual", one_nan)
+    rep = check_group_axioms(2)
+    assert len(calls) == 200
+    assert not rep.passed
+    assert math.isnan(rep.max_equivariance_residual)
+    assert rep.to_record()["max_equivariance_residual"] is None
+
+
 def test_annulus_validation():
     with pytest.raises(ValueError):
         VerifyConfig(annulus=(1.0, 0.5)).resolve_annulus()
 
 
 # ---------------------------------------------------------------------------
-# Bit parity of the cached numeric evaluation with a per-call reference.
+# Bit parity of the numeric evaluation with a per-call reference.
 # The reference converts every exact coefficient to a float on each call,
-# as evaluation did before the floats were kept on the objects; the cached
-# paths must repeat its float operations in the same order.
+# as evaluation did before the floats were kept on the objects, and goes
+# through the helper calls and closures that the evaluators have since
+# inlined; `eval_devmap`, `act_affine`, `AffinePoint.in_chart`,
+# `point_residual`, `chordal`, `_sample_annulus` and `_fd_det` must repeat
+# its float operations in the same order.  The reference shares no code
+# with them: its helpers are copies kept here.
+
+
+def _mono(z: complex, k: int):
+    """z^k with 0^positive = 0, 0^0 = 1, 0^negative = infinity (None)."""
+    if z == 0:
+        if k > 0:
+            return 0j
+        if k == 0:
+            return 1 + 0j
+        return None
+    return z**k
+
+
+def _ratio(a, b):
+    """a/b with None = infinity; returns None for infinity, raises on 0/0."""
+    if a is None and b is None:
+        raise EvalError("indeterminate infinity/infinity")
+    if a is None:
+        return None
+    if b is None:
+        return 0j
+    if b == 0:
+        if a == 0:
+            raise EvalError("indeterminate 0/0")
+        return None
+    return a / b
+
+
+def _chart_value(z1, a, z2, b, H, K, p):
+    """z1^a z2^b H / K^p with infinity tracking; None marks infinity."""
+    f1 = _mono(z1, a)
+    f2 = _mono(z2, b)
+    num = None if (f1 is None or f2 is None) else f1 * f2 * H
+    den = K**p
+    try:
+        return _ratio(num, den)
+    except EvalError:
+        return None
 
 
 def _ref_poly_at(p, z1, z2, m1, m2):
@@ -383,8 +497,8 @@ def _outcome(f, *args):
 
 
 def _same(a, b):
-    # == on the complexes, except that two NaNs in one place agree
-    return a == b or repr(a) == repr(b)
+    # the same floats, signs of zeros included; two NaNs in one place agree
+    return repr(a) == repr(b)
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,6 +533,7 @@ def _parity_elements():
 
 _coord = st.one_of(
     st.just(0j),
+    st.just(complex(-0.0, -0.0)),
     st.builds(
         lambda r, t: cmath.rect(r, t),
         st.floats(0.05, 3.0),
@@ -447,3 +562,163 @@ def test_cached_action_matches_per_call_reference(i, chart, c1, c2):
     pt = AffinePoint(chart, c1, c2)
     n = x.degree
     assert _same(_outcome(act_affine, x, pt, n), _outcome(ref_act_affine, x, pt, n))
+
+
+def ref_in_chart(pt, chart, n):
+    if chart == pt.chart:
+        return pt
+    if pt.c1 == 0:
+        raise ZeroDivisionError("point is not visible in the other chart")
+    return AffinePoint(chart, 1 / pt.c1, pt.c2 / pt.c1**n)
+
+
+def ref_chordal(a, b):
+    from math import inf, isinf, sqrt
+
+    a_inf = isinf(a.real) or isinf(a.imag) if isinstance(a, complex) else a == inf
+    b_inf = isinf(b.real) or isinf(b.imag) if isinstance(b, complex) else b == inf
+    if a_inf and b_inf:
+        return 0.0
+    if a_inf:
+        return 1 / sqrt(1 + abs(b) ** 2)
+    if b_inf:
+        return 1 / sqrt(1 + abs(a) ** 2)
+    return abs(a - b) / sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+
+def ref_point_residual(p, q, n, fiber="abs"):
+    t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else complex("inf"))
+    t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else complex("inf"))
+    res = ref_chordal(t1p, t1q)
+
+    def fiber_diff(a, b):
+        return ref_chordal(a, b) if fiber == "chordal" else abs(a - b)
+
+    try:
+        q_al = ref_in_chart(q, p.chart, n)
+        res += fiber_diff(p.c2, q_al.c2)
+    except ZeroDivisionError:
+        try:
+            p_al = ref_in_chart(p, q.chart, n)
+            res += fiber_diff(p_al.c2, q.c2)
+        except ZeroDivisionError:
+            res += 1.0
+    return res
+
+
+def ref_sample_annulus(rng, r0, r1):
+    def coord():
+        r = math.exp(rng.uniform(math.log(r0), math.log(r1)))
+        return r * cmath.exp(2j * math.pi * rng.random())
+
+    return (coord(), coord())
+
+
+def ref_fd_det(dev, z, n, pt, rel=1e-6):
+    z1, z2 = z
+
+    def chart_t(w1, w2):
+        return ref_in_chart(ref_eval_devmap(dev, (w1, w2)), "T", n)
+
+    try:
+        h1 = rel * max(abs(z1), 1.0)
+        h2 = rel * max(abs(z2), 1.0)
+        pp = chart_t(z1 + h1, z2)
+        pm = chart_t(z1 - h1, z2)
+        qp = chart_t(z1, z2 + h2)
+        qm = chart_t(z1, z2 - h2)
+        base = ref_in_chart(pt, "T", n)
+    except (EvalError, ZeroDivisionError, OverflowError):
+        return None
+    if max(abs(base.c1), abs(base.c2)) > 1e4:
+        return None
+    j11 = (pp.c1 - pm.c1) / (2 * h1)
+    j21 = (pp.c2 - pm.c2) / (2 * h1)
+    j12 = (qp.c1 - qm.c1) / (2 * h2)
+    j22 = (qp.c2 - qm.c2) / (2 * h2)
+    return j11 * j22 - j12 * j21
+
+
+# coordinates of affine points, from 0 up to 1e6 in modulus
+_wide = st.one_of(
+    _coord,
+    st.builds(
+        lambda r, t: cmath.rect(r, t),
+        st.floats(1e-6, 1e6),
+        st.floats(0.0, 2 * math.pi, exclude_max=True),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from("TS"), st.sampled_from("TS"), _wide, _wide, st.integers(1, 3))
+def test_in_chart_matches_reference(chart, target, c1, c2, n):
+    pt = AffinePoint(chart, c1, c2)
+    assert _same(_outcome(pt.in_chart, target, n), _outcome(ref_in_chart, pt, target, n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from("TS"), _wide, _wide, st.sampled_from("TS"), _wide, _wide,
+    st.integers(1, 3), st.sampled_from(["abs", "chordal"]),
+)
+def test_point_residual_matches_reference(chart_p, p1, p2, chart_q, q1, q2, n, fiber):
+    p, q = AffinePoint(chart_p, p1, p2), AffinePoint(chart_q, q1, q2)
+    assert _same(
+        _outcome(point_residual, p, q, n, fiber), _outcome(ref_point_residual, p, q, n, fiber)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.floats(1e-3, 1e3), st.floats(1.001, 1e3))
+def test_sample_annulus_matches_reference(seed, r0, ratio):
+    r1 = r0 * ratio
+    rng, ref = random.Random(seed), random.Random(seed)
+    lo, hi = math.log(r0), math.log(r1)
+    for _ in range(5):
+        assert _same(_sample_annulus(rng, lo, hi), ref_sample_annulus(ref, r0, r1))
+    assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6), _coord, _coord)
+def test_fd_det_matches_reference(i, z1, z2):
+    recs = _parity_records()
+    dev = recs[i % len(recs)].dev
+    z = (z1, z2)
+    try:
+        pt, ref_pt = eval_devmap(dev, z), ref_eval_devmap(dev, z)
+    except EvalError:
+        return
+    assert _same(_fd_det(dev, z, dev.n, pt), ref_fd_det(dev, z, dev.n, ref_pt))
+
+
+def ref_random_entries(n, rng, scale=3):
+    """The Gaussian rationals `random_group_elt` draws, by randrange: the
+    matrix entries row by row, redrawn while singular, then p's
+    coefficients."""
+
+    def small():
+        a, b = rng.randrange(2 * scale + 1) - scale, rng.randrange(scale) + 1
+        c, d = rng.randrange(2 * scale + 1) - scale, rng.randrange(scale) + 1
+        return (Fraction(a, b), Fraction(c, d))
+
+    while True:
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = m = [small() for _ in range(4)]
+        if (ar * dr - ai * di - br * cr + bi * ci, ar * di + ai * dr - br * ci - bi * cr) != (0, 0):
+            break
+    return m + [small() for _ in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_group_elt_draws_randranges_stream(n):
+    b = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            x = random_group_elt(b, n, rng)
+            entries = [e for row in x.g.entries for e in row] + list(x.p.coeffs)
+            assert [(e.coeff.re, e.coeff.im) for e in entries] == ref_random_entries(n, ref)
+        assert rng.getstate() == ref.getstate()
+    with pytest.raises(ValueError):
+        random_group_elt(b, n, random.Random(0), scale=0)
