@@ -31,7 +31,7 @@ from .scalars import (
     Scalar,
     ScalarDomainError,
     _bezout,
-    _integer_solutions,
+    _echelon,
     _valuations,
     exact_divide,
     gauss_roots_of_unity,
@@ -83,7 +83,7 @@ def eigenvalue_relation_lattice(e1: Scalar, e2: Scalar) -> RelationLattice:
     """
     if not (e1.is_unit() and e2.is_unit()):
         raise ScalarDomainError("relation lattices need monomial scalars")
-    (k1, w1), (k2, w2) = _valuations((e1.coeff, e2.coeff))
+    _, ((k1, w1), (k2, w2)) = _valuations((e1.coeff, e2.coeff))
     v1, v2 = e1.exps, e2.exps
     d = math.lcm(*(x.denominator for x in v1 + v2))
     zeros = [0] * len(w1)
@@ -92,7 +92,7 @@ def eigenvalue_relation_lattice(e1: Scalar, e2: Scalar) -> RelationLattice:
         w2 + [k2] + [int(d * x) for x in v2],
         zeros + [4, 0, 0],
     ] + [zeros + [0, d * p, d * q] for p, q in e1.basis.lattice.rows]
-    _, kernel = _integer_solutions(rows, [0] * len(rows[0]))
+    kernel = _echelon(rows)[1]
     return RelationLattice(x[:2] for x in kernel)
 
 

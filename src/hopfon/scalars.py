@@ -446,8 +446,9 @@ class RelationLattice:
 _WITNESS_TOL = 1e-12
 
 # Relation lattices are solved exactly, then clamped for classification:
-# `find_relations` reports a rank-1 lattice whose generator leaves the box
-# |a|, |b| <= _RELATION_BOUND as no relation.  Power products are not
+# `_clamp` (in `find_relations` and `EigenBasis.from_gauss_values`) reports
+# a rank-1 lattice whose generator leaves the box |a|, |b| <= _RELATION_BOUND
+# as no relation.  Power products are not
 # clamped.  The clamp stays until the benchmark's numeric section check
 # (bench/workloads.py), which overflows complex floats for exponents
 # beyond the box, can check such surfaces.
@@ -523,37 +524,47 @@ def _coprime_base(elements):
     return base
 
 
+def _valuation(base, v):
+    """(k, w) with v = i^k prod_j base_j^w_j for a nonzero Gaussian rational
+    v, or None when v is no such product.
+
+    Each entry of the pairwise coprime base is divided out of v's numerator
+    and denominator as often as it goes.  Z[i] is a UFD, so v is a unit
+    times a power product over the base exactly when the two remainders
+    differ by a unit: no refinement of the base by v is needed.
+    """
+    num, den = (v.x, v.y), (v.z, 0)
+    w = []
+    for b in base:
+        num, e = _strip(num, b)
+        den, f = _strip(den, b)
+        w.append(e - f)
+    u = _gauss_quotient(num, den)
+    if u is None or not _is_unit(u):
+        return None
+    return _UNIT_LOG[u], w
+
+
 def _valuations(values):
-    """[(k, w), ...]: each nonzero Gaussian rational as i^k prod_j b_j^w_j
+    """(base, [(k, w), ...]): each nonzero Gaussian rational as i^k prod_j b_j^w_j
     over one coprime base (b_j) of their numerators and denominators.
 
     Distinct base entries share no prime, so v1^a v2^b = 1 exactly when
     a w1 + b w2 = 0 and a k1 + b k2 = 0 (mod 4).
     """
-    parts = [((v.x, v.y), (v.z, 0)) for v in values]
-    base = _coprime_base([t for part in parts for t in part])
-    out = []
-    for num, den in parts:
-        w = []
-        for b in base:
-            num, e = _strip(num, b)
-            den, f = _strip(den, b)
-            w.append(e - f)
-        # num and den are units now
-        out.append(((_UNIT_LOG[num] - _UNIT_LOG[den]) % 4, w))
-    return out
+    base = _coprime_base([t for v in values for t in ((v.x, v.y), (v.z, 0))])
+    return base, [_valuation(base, v) for v in values]
 
 
-def _integer_solutions(rows, target):
-    """The integer vectors x with sum_i x_i rows[i] == target, as (h, kernel)
-    for the solutions h + span(kernel), or None when there are none.
+def _echelon(rows):
+    """Echelon form of the integer matrix [rows | I], as (pivots, kernel).
 
-    [rows | I] is brought to echelon form column by column by unimodular
-    Bezout steps on the rows; the rows whose left part ends up zero carry
-    a basis of the kernel in their right part, and the pivot rows solve
-    for target one column at a time.
+    Column by column, unimodular Bezout steps on the rows leave one pivot
+    row (col, row) per column that is not yet zero; the rows whose left
+    part ends up zero carry a basis of the kernel {x : sum_i x_i rows[i]
+    = 0} in their right part.
     """
-    m, count = len(target), len(rows)
+    m, count = len(rows[0]), len(rows)
     active = [list(r) + [int(i == j) for j in range(count)] for i, r in enumerate(rows)]
     pivots = []
     for col in range(m):
@@ -571,48 +582,86 @@ def _integer_solutions(rows, target):
         if pivot is not None:
             pivots.append((col, pivot))
         active = rest
+    return pivots, [r[m:] for r in active]
+
+
+def _back_substitute(pivots, target, count):
+    """An integer vector x with sum_i x_i rows[i] == target, from the pivots
+    of `_echelon(rows)` for count rows, or None when there is none."""
     residue, h = list(target), [0] * count
+    m = len(target)
     for col, pivot in pivots:
-        q, r = divmod(residue[col], pivot[col])
-        if r:
-            return None
+        # a remainder left in this column stays: later pivots are zero here
+        q = residue[col] // pivot[col]
         residue = [x - q * y for x, y in zip(residue, pivot)]
         h = [x + q * y for x, y in zip(h, pivot[m:])]
-    if any(residue):
-        return None
-    return h, [r[m:] for r in active]
+    return None if any(residue) else h
 
 
-def _power_coset(v1: GaussRat, v2: GaussRat, value: GaussRat):
-    """Every (a, b) with v1^a v2^b == value, exactly, as (h, lattice) for the
-    coset h + lattice, or None.
+class ValuationSystem:
+    """The equation v1^a v2^b = c for fixed nonzero Gaussian rationals v1
+    and v2, set up once and then solved for any c.
 
-    With each value written i^k b^w by `_valuations`, (a, b) solves
-    a w1 + b w2 = w and a k1 + b k2 = k (mod 4); the modulus is a slack
-    row.  For value = 1 the lattice is the relation lattice of (v1, v2).
+    It holds a pairwise coprime base B of the numerators and denominators
+    of v1 and v2 (`_coprime_base`), their valuation rows [w | k] with
+    v = i^k prod_j B_j^w_j, and the echelon form (`_echelon`) of the rows
+    [w1 | k1], [w2 | k2] and the slack row [0 | 4] that reads k modulo 4.
+    Its kernel is the exact relation lattice {(a, b) : v1^a v2^b = 1}.
+
+    A value c needs no refinement of B: c is stripped by B (`_valuation`)
+    and solved by back-substitution through the pivots.  When c's
+    remainders do not differ by a unit, no (a, b) solves the equation,
+    because every v1^a v2^b is a unit times a power product over B.
     """
-    (k1, w1), (k2, w2), (k, w) = _valuations((v1, v2, value))
-    found = _integer_solutions([w1 + [k1], w2 + [k2], [0] * len(w) + [4]], w + [k])
-    if found is None:
-        return None
-    h, kernel = found
-    return (h[0], h[1]), RelationLattice(x[:2] for x in kernel)
+
+    __slots__ = ("base", "pivots", "lattice")
+
+    def __init__(self, v1: GaussRat, v2: GaussRat):
+        if v1.is_zero() or v2.is_zero():
+            raise ValueError("eigenvalues must be nonzero")
+        base, ((k1, w1), (k2, w2)) = _valuations((v1, v2))
+        pivots, kernel = _echelon([w1 + [k1], w2 + [k2], [0] * len(w1) + [4]])
+        object.__setattr__(self, "base", tuple(base))
+        object.__setattr__(self, "pivots", tuple((col, tuple(row)) for col, row in pivots))
+        object.__setattr__(self, "lattice", RelationLattice(x[:2] for x in kernel))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ValuationSystem is immutable")
+
+    def solve(self, value: GaussRat):
+        """Every (a, b) with v1^a v2^b == value, exactly, as (h, lattice) for
+        the coset h + lattice, or None.  For value = 1 the lattice is the
+        relation lattice of (v1, v2)."""
+        found = None if value.is_zero() else _valuation(self.base, value)
+        if found is None:
+            return None
+        k, w = found
+        h = _back_substitute(self.pivots, w + [k], 3)
+        return None if h is None else ((h[0], h[1]), self.lattice)
+
+
+def _clamp(lattice: RelationLattice) -> RelationLattice:
+    """The lattice, or rank 0 when it is a rank-1 lattice whose generator
+    leaves the box |a|, |b| <= _RELATION_BOUND."""
+    if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:
+        return RelationLattice()
+    return lattice
 
 
 def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
     """Relation lattice {(a, b) : v1^a v2^b = 1} of two nonzero Gaussian rationals.
 
-    The lattice is exact (`_power_coset`), then clamped to the box
-    |a|, |b| <= 64: a rank-1 lattice whose generator leaves the box is
-    reported as rank 0.  A rank-2 lattice needs no clamp, since it arises
-    only for two roots of unity and then contains 4 Z^2.
+    The lattice is exact (the kernel of their `ValuationSystem`), then
+    clamped to the box |a|, |b| <= 64: a rank-1 lattice whose generator
+    leaves the box is reported as rank 0.  A rank-2 lattice needs no
+    clamp, since it arises only for two roots of unity and then contains
+    4 Z^2.  `EigenBasis.from_gauss_values` applies the same clamp to the
+    system it builds once and keeps, so building a basis does not call
+    this function, and the basis solves each twist c against that system
+    with no second refinement: Z[i] is a UFD and the base entries are
+    pairwise coprime, so stripping c by the base decides it.
     """
-    if v1.is_zero() or v2.is_zero():
-        raise ValueError("eigenvalues must be nonzero")
-    lattice = _power_coset(v1, v2, GR_ONE)[1]
-    if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:
-        return RelationLattice()
-    return lattice
+    return _clamp(ValuationSystem(v1, v2).lattice)
 
 
 class EigenBasis:
@@ -644,12 +693,32 @@ class EigenBasis:
     def from_gauss_values(cls, v1, v2, names=("l1", "l2")):
         """Basis for concrete Gaussian-rational eigenvalues.
 
-        The relation lattice comes from `find_relations`: exact, with a
-        generator beyond |a|, |b| <= 64 reported as no relation.
+        The `ValuationSystem` of (v1, v2) is built here, once, and kept on
+        the basis: its lattice, clamped as in `find_relations` (a generator
+        beyond |a|, |b| <= 64 is reported as no relation), is the basis
+        lattice, and every by-value twist over the basis is solved against
+        it (`valuation_system`) without refining its coprime base again.
+        A twist needs no refinement because Z[i] is a UFD and the base
+        entries are pairwise coprime: a twist that is not a unit times a
+        power product over the base is no power product of v1 and v2.
         """
         v1, v2 = as_gauss(v1), as_gauss(v2)
-        lat = find_relations(v1, v2)
-        return cls(names, lat, (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
+        system = ValuationSystem(v1, v2)
+        basis = cls(names, _clamp(system.lattice), (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
+        basis._cache["valuations"] = system
+        return basis
+
+    def valuation_system(self):
+        """The `ValuationSystem` of the exact eigenvalues, or None for a
+        formal basis.  It is built once per basis object: by
+        `from_gauss_values`, or on first use for a basis given `exact`
+        values directly (such as an exceptional surface's)."""
+        if self.exact is None:
+            return None
+        system = self._cache.get("valuations")
+        if system is None:
+            system = self._cache["valuations"] = ValuationSystem(*self.exact)
+        return system
 
     @property
     def rank(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import HopfSurface
-from .scalars import EigenBasis, Scalar, _power_coset, as_gauss
+from .scalars import EigenBasis, Scalar, as_gauss
 
 
 class SectionError(ValueError):
@@ -97,6 +97,10 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
     the twist c l1^e1 l2^e2 may also carry a plain number c: the whole
     coset of (k1, k2) with v1^k1 v2^k2 = c v1^e1 v2^e2 is found exactly,
     and its canonical point modulo the exact relation lattice is returned.
+    That solve runs against the basis's `ValuationSystem`, built once per
+    basis: c is only stripped by its coprime base and back-substituted
+    through its echelon pivots.  c needs no refinement of the base, since
+    Z[i] is a UFD and the base entries are pairwise coprime.
     """
     if a.is_zero():
         return None
@@ -105,7 +109,7 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
         if c.is_one() and e1.denominator == 1 and e2.denominator == 1:
             return (int(e1), int(e2))
         if basis.exact is not None and e1.denominator == 1 and e2.denominator == 1:
-            coset = _power_coset(*basis.exact, c)
+            coset = basis.valuation_system().solve(c)
             if coset is None:
                 return None
             (h1, h2), lattice = coset

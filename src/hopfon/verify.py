@@ -178,7 +178,9 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     map branched along an axis does not yet always fail there: on a
     hyperresonant surface `DetJacobian.eval_numeric` forms u =
     z1^m1/z2^m2, raises ZeroDivisionError on the z2 = 0 axis, and such
-    samples are skipped (ROADMAP item 1(a)).
+    samples are skipped (ROADMAP item 1(a)).  A sample where the map's
+    own float evaluation underflows to a division by 0 or overflows, as
+    at extreme radii, is listed as failing.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
@@ -201,6 +203,11 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         try:
             pt = eval_devmap(dev, z)
         except EvalError:
+            continue
+        except (ZeroDivisionError, OverflowError):
+            # a power of a coordinate underflowed to 0 or overflowed: the map
+            # has no value here, which fails the sample like a non-finite one
+            failing.append(z)
             continue
         try:
             val = (det if pt.chart == "T" else det_hat).eval_numeric(z)

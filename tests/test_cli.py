@@ -467,6 +467,27 @@ def test_verify_huge_annulus_reports_instead_of_overflowing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "l1, l2, flags",
+    [([1, 2, 0, 1], [1, 3, 0, 1], ["--n", "3"]), ([1, 4, 0, 1], [1, 2, 0, 1], ["--n", "2", "--params", "2;2,3"])],
+    ids=["power-underflows", "power-overflows"],
+)
+def test_verify_tiny_annulus_fails_samples_instead_of_raising(tmp_path, capsys, l1, l2, flags):
+    # at |z| ~ 1e-160 a negative power of a coordinate in eval_devmap leaves the
+    # float range: 0.0 ** -3 raises ZeroDivisionError, a complex power OverflowError
+    spec = write(
+        tmp_path,
+        "tiny.json",
+        {"type": "diagonal", "lambda1": l1, "lambda2": l2, "verify": {"annulus": [1e-160, 1e-159]}},
+    )
+    code = main(["verify", "--spec", spec, *flags, "--compact"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
+    assert code == 1 and payload["passed"] is False
+    immersion = [r for r in payload["reports"] if r["check"] == "immersion"]
+    failed = [r for r in immersion if not r["passed"]]
+    assert failed and all(r["failing_samples"] for r in failed)
+
+
+@pytest.mark.parametrize(
     "l1, l2, n",
     [([1, 4, 0, 1], [1, 2, 0, 1], 2), ([1, 2, 0, 1], [1, 2, 0, 1], 1)],
     ids=["readme-hyperresonant", "homothety"],

@@ -25,7 +25,7 @@ from hopfon.scalars import (
     numeric_eval,
     scalar_mul,
 )
-from hopfon.scalars import _power_coset
+from hopfon.scalars import ValuationSystem
 from hopfon.sections import solve_power_product
 
 small_fracs = st.fractions(min_value=-40, max_value=40, max_denominator=8)
@@ -120,7 +120,7 @@ def test_find_relations_bounded_search():
 def test_relation_beyond_box_is_exact_then_clamped():
     mu = GaussRat(Fraction(9, 10))
     for (a, b), generator in (((65, 64), (64, -65)), ((64, 65), (65, -64))):
-        h, lat = _power_coset(mu**a, mu**b, GR_ONE)
+        h, lat = ValuationSystem(mu**a, mu**b).solve(GR_ONE)
         assert h == (0, 0) and lat.rows == (generator,)
         # the clamp reports a generator outside |a|, |b| <= 64 as no relation
         assert find_relations(mu**a, mu**b).rank == 0
@@ -170,7 +170,7 @@ def test_relations_and_power_products_match_exact_scan(kind):
             value = v1 ** rng.randint(-8, 8) * v2 ** rng.randint(-8, 8)
             value *= rng.choice([GR_ONE, rng.choice(_UNITS), _small_gauss(rng)])
             hits = exact_scan(v1, v2, value, bound)
-            coset = _power_coset(v1, v2, value)
+            coset = ValuationSystem(v1, v2).solve(value)
             if coset is None:
                 assert hits == []
                 continue
@@ -192,9 +192,65 @@ def test_power_product_is_canonical_point_of_exact_scan():
             value = v1 ** rng.randint(-3, 3) * v2 ** rng.randint(-3, 3)
             k = solve_power_product(basis, basis.gauss(value))
             assert v1 ** k[0] * v2 ** k[1] == value
-            lat = _power_coset(v1, v2, value)[1]
+            lat = ValuationSystem(v1, v2).solve(value)[1]
             hits = exact_scan(v1, v2, value, 64)
             assert hits and all(lat.reduce_exponents(p) == k for p in hits)
+
+
+def assert_solve_matches_scan(v1, v2, value, bound=5):
+    """ValuationSystem(v1, v2).solve(value) against the exact box scan: the
+    coset meets the box in exactly the scan's hits, and its canonical point
+    solves the equation.  Returns the canonical point, or None."""
+    hits = exact_scan(v1, v2, value, bound)
+    coset = ValuationSystem(v1, v2).solve(value)
+    if coset is None:
+        assert hits == []
+        return None
+    h, lat = coset
+    box = [(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)]
+    assert [p for p in box if lat.contains((p[0] - h[0], p[1] - h[1]))] == hits
+    k = lat.reduce_exponents(h)
+    assert v1 ** k[0] * v2 ** k[1] == value
+    return k
+
+
+@pytest.mark.parametrize(
+    "v1, v2, value, point",
+    [
+        # (2 + i)/5 = 1/(2 - i): numerator and denominator share 2 + i, a prime outside the base
+        (GaussRat(2, -1), GaussRat(3), GaussRat(Fraction(2, 5), Fraction(1, 5)), (-1, 0)),
+        (GaussRat(2, -1), GaussRat(3), GaussRat(Fraction(2, 15), Fraction(1, 15)), (-1, -1)),
+        # (1 + i)/2 = 1/(1 - i): one base entry, 1 + i, up to units
+        (GaussRat(Fraction(1, 2), Fraction(1, 2)), GaussRat(3), GaussRat(0, Fraction(1, 2)), (2, 0)),
+        (GaussRat(Fraction(1, 2), Fraction(1, 2)), GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2), Fraction(-1, 2)), (7, -3)),
+        # units: i^a (-1)^b, and v1 = v2
+        (GR_I, GaussRat(-1), GaussRat(0, -1), (1, 1)),
+        (GR_I, GR_I, GaussRat(-1), (0, 2)),
+        (GaussRat(Fraction(1, 3)), GaussRat(Fraction(1, 3)), GaussRat(9), (0, -2)),
+        (GaussRat(Fraction(1, 3)), GaussRat(Fraction(1, 3)), GaussRat(Fraction(-1, 3)), None),
+        # a twist with a prime outside the base: 7, or 2 + i against the base {1 + i, 3}
+        (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3)), GaussRat(Fraction(1, 7)), None),
+        (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3)), GaussRat(Fraction(2, 3), Fraction(1, 3)), None),
+        (GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3)), GaussRat(Fraction(2, 5), Fraction(1, 5)), None),
+    ],
+    ids=["cancel-2-i", "cancel-2-i-over-3", "cancel-1+i", "cancel-1+i-shared", "units", "v1-eq-v2-units",
+         "v1-eq-v2", "v1-eq-v2-sign", "prime-7", "prime-2+i", "prime-2+i-cancel"],
+)
+def test_valuation_system_solves_hand_cases(v1, v2, value, point):
+    assert assert_solve_matches_scan(v1, v2, value) == point
+
+
+tiny_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+tiny_gauss = st.builds(GaussRat, tiny_fracs, tiny_fracs).filter(lambda g: not g.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tiny_gauss, tiny_gauss, tiny_gauss, st.integers(-3, 3), st.integers(-3, 3), st.sampled_from(_UNITS))
+def test_valuation_system_matches_exact_scan(v1, v2, c, a, b, unit):
+    # a solvable value, then the same value times a unit and times an arbitrary c
+    assert assert_solve_matches_scan(v1, v2, v1**a * v2**b, bound=4) is not None
+    assert_solve_matches_scan(v1, v2, v1**a * v2**b * unit, bound=4)
+    assert_solve_matches_scan(v1, v2, v1**a * v2**b * c, bound=4)
 
 
 # ---------------------------------------------------------------------------

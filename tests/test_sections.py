@@ -233,3 +233,36 @@ def test_jordan_closed_form_is_exact_symbolically():
     fam = proj_bundle_sections(e, ((a, eb.one()), (eb.zero(), a)))
     assert fam.jordan_shift == a.inverse()
     assert fam.jordan_m == e.m
+
+
+def _count_coprime_bases(monkeypatch):
+    from hopfon import scalars
+
+    calls = []
+    refine = scalars._coprime_base
+    monkeypatch.setattr(scalars, "_coprime_base", lambda xs: calls.append(1) or refine(xs))
+    return calls
+
+
+def test_valuation_system_is_built_once_per_basis(monkeypatch):
+    calls = _count_coprime_bases(monkeypatch)
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    first = line_bundle_sections(s, s.basis.gauss(Fraction(1, 8)))
+    second = line_bundle_sections(s, s.basis.gauss(Fraction(3, 8)))
+    proj = proj_bundle_sections(s, ((Fraction(1, 2), 0), (0, Fraction(16))))
+    assert (first.exponents, second.variant, proj.exponents) == ((0, 3), "zero", (0, 5))
+    assert len(calls) == 1
+    # the system lives on the basis object, not in a cache keyed by value
+    HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    assert len(calls) == 2
+
+
+def test_exceptional_valuation_system_is_built_on_first_solve_by_value(monkeypatch):
+    calls = _count_coprime_bases(monkeypatch)
+    s = exceptional_surface()
+    # lam^3 is solved on the formal route, which needs no system
+    assert line_bundle_sections(s, s.lam**3).exponents == (3, 0)
+    assert calls == []
+    assert line_bundle_sections(s, s.basis.gauss(Fraction(1, 32))).exponents == (5, 0)
+    assert line_bundle_sections(s, s.basis.gauss(Fraction(4))).exponents == (-2, 0)
+    assert len(calls) == 1
