@@ -78,15 +78,10 @@ class HopfSurface:
     def diagonal(cls, l1, l2) -> "HopfSurface":
         """Diagonal surface with Gaussian-rational eigenvalues.
 
-        The basis builds the `scalars.ValuationSystem` of (l1, l2) once
-        and keeps it: the relation lattice is its exact kernel, clamped as
-        in `scalars.find_relations` (a minimal pair beyond |m1|, |m2| <= 64
-        is reported as no relation), and every section solve on the
-        surface for a twist given by value strips the twist by the system's
-        coprime base instead of refining the eigenvalues again.  That is
-        exact because Z[i] is a UFD and the base entries are pairwise
-        coprime: a twist left with a prime outside the base is no power
-        product of l1 and l2.
+        The relation lattice is exact (`scalars.find_relations`), with a
+        minimal pair beyond |m1|, |m2| <= 64 reported as no relation.
+        Section solves for twists given by value share the basis's one
+        `scalars.ValuationSystem`.
         """
         basis = EigenBasis.from_gauss_values(as_gauss(l1), as_gauss(l2))
         return cls("diagonal", basis)

@@ -446,9 +446,8 @@ class RelationLattice:
 _WITNESS_TOL = 1e-12
 
 # Relation lattices are solved exactly, then clamped for classification:
-# `_clamp` (in `find_relations` and `EigenBasis.from_gauss_values`) reports
-# a rank-1 lattice whose generator leaves the box |a|, |b| <= _RELATION_BOUND
-# as no relation.  Power products are not
+# `find_relations` reports a rank-1 lattice whose generator leaves the box
+# |a|, |b| <= _RELATION_BOUND as no relation.  Power products are not
 # clamped.  The clamp stays until the benchmark's numeric section check
 # (bench/workloads.py), which overflows complex floats for exponents
 # beyond the box, can check such surfaces.
@@ -585,19 +584,6 @@ def _echelon(rows):
     return pivots, [r[m:] for r in active]
 
 
-def _back_substitute(pivots, target, count):
-    """An integer vector x with sum_i x_i rows[i] == target, from the pivots
-    of `_echelon(rows)` for count rows, or None when there is none."""
-    residue, h = list(target), [0] * count
-    m = len(target)
-    for col, pivot in pivots:
-        # a remainder left in this column stays: later pivots are zero here
-        q = residue[col] // pivot[col]
-        residue = [x - q * y for x, y in zip(residue, pivot)]
-        h = [x + q * y for x, y in zip(h, pivot[m:])]
-    return None if any(residue) else h
-
-
 class ValuationSystem:
     """The equation v1^a v2^b = c for fixed nonzero Gaussian rationals v1
     and v2, set up once and then solved for any c.
@@ -636,16 +622,14 @@ class ValuationSystem:
         if found is None:
             return None
         k, w = found
-        h = _back_substitute(self.pivots, w + [k], 3)
-        return None if h is None else ((h[0], h[1]), self.lattice)
-
-
-def _clamp(lattice: RelationLattice) -> RelationLattice:
-    """The lattice, or rank 0 when it is a rank-1 lattice whose generator
-    leaves the box |a|, |b| <= _RELATION_BOUND."""
-    if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:
-        return RelationLattice()
-    return lattice
+        residue, h = w + [k], [0, 0, 0]  # one coefficient per row
+        m = len(residue)
+        for col, pivot in self.pivots:
+            # a remainder left in this column stays: later pivots are zero here
+            q = residue[col] // pivot[col]
+            residue = [x - q * y for x, y in zip(residue, pivot)]
+            h = [x + q * y for x, y in zip(h, pivot[m:])]
+        return None if any(residue) else ((h[0], h[1]), self.lattice)
 
 
 def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
@@ -655,13 +639,12 @@ def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
     clamped to the box |a|, |b| <= 64: a rank-1 lattice whose generator
     leaves the box is reported as rank 0.  A rank-2 lattice needs no
     clamp, since it arises only for two roots of unity and then contains
-    4 Z^2.  `EigenBasis.from_gauss_values` applies the same clamp to the
-    system it builds once and keeps, so building a basis does not call
-    this function, and the basis solves each twist c against that system
-    with no second refinement: Z[i] is a UFD and the base entries are
-    pairwise coprime, so stripping c by the base decides it.
+    4 Z^2.
     """
-    return _clamp(ValuationSystem(v1, v2).lattice)
+    lattice = ValuationSystem(v1, v2).lattice
+    if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:
+        return RelationLattice()
+    return lattice
 
 
 class EigenBasis:
@@ -693,26 +676,18 @@ class EigenBasis:
     def from_gauss_values(cls, v1, v2, names=("l1", "l2")):
         """Basis for concrete Gaussian-rational eigenvalues.
 
-        The `ValuationSystem` of (v1, v2) is built here, once, and kept on
-        the basis: its lattice, clamped as in `find_relations` (a generator
-        beyond |a|, |b| <= 64 is reported as no relation), is the basis
-        lattice, and every by-value twist over the basis is solved against
-        it (`valuation_system`) without refining its coprime base again.
-        A twist needs no refinement because Z[i] is a UFD and the base
-        entries are pairwise coprime: a twist that is not a unit times a
-        power product over the base is no power product of v1 and v2.
+        The relation lattice comes from `find_relations`: exact, with a
+        generator beyond |a|, |b| <= 64 reported as no relation.  Twists
+        given by value are solved against `valuation_system`.
         """
         v1, v2 = as_gauss(v1), as_gauss(v2)
-        system = ValuationSystem(v1, v2)
-        basis = cls(names, _clamp(system.lattice), (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
-        basis._cache["valuations"] = system
-        return basis
+        lat = find_relations(v1, v2)
+        return cls(names, lat, (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
 
     def valuation_system(self):
         """The `ValuationSystem` of the exact eigenvalues, or None for a
-        formal basis.  It is built once per basis object: by
-        `from_gauss_values`, or on first use for a basis given `exact`
-        values directly (such as an exceptional surface's)."""
+        formal basis.  It is built on first use and kept on the basis
+        object, so every later twist is solved against it."""
         if self.exact is None:
             return None
         system = self._cache.get("valuations")

@@ -98,9 +98,7 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
     coset of (k1, k2) with v1^k1 v2^k2 = c v1^e1 v2^e2 is found exactly,
     and its canonical point modulo the exact relation lattice is returned.
     That solve runs against the basis's `ValuationSystem`, built once per
-    basis: c is only stripped by its coprime base and back-substituted
-    through its echelon pivots.  c needs no refinement of the base, since
-    Z[i] is a UFD and the base entries are pairwise coprime.
+    basis.
     """
     if a.is_zero():
         return None

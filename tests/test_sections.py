@@ -247,14 +247,17 @@ def _count_coprime_bases(monkeypatch):
 def test_valuation_system_is_built_once_per_basis(monkeypatch):
     calls = _count_coprime_bases(monkeypatch)
     s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    assert len(calls) == 1  # the relation lattice, in find_relations
     first = line_bundle_sections(s, s.basis.gauss(Fraction(1, 8)))
     second = line_bundle_sections(s, s.basis.gauss(Fraction(3, 8)))
     proj = proj_bundle_sections(s, ((Fraction(1, 2), 0), (0, Fraction(16))))
     assert (first.exponents, second.variant, proj.exponents) == ((0, 3), "zero", (0, 5))
-    assert len(calls) == 1
-    # the system lives on the basis object, not in a cache keyed by value
-    HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    # the three solves share the system built on the first
     assert len(calls) == 2
+    # the system lives on the basis object, not in a cache keyed by value
+    t = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    assert line_bundle_sections(t, t.basis.gauss(Fraction(1, 8))).exponents == (0, 3)
+    assert len(calls) == 4
 
 
 def test_exceptional_valuation_system_is_built_on_first_solve_by_value(monkeypatch):
