@@ -306,9 +306,7 @@ def canonical_key(dev: DevMap, n: int):
     raise ClassifyError("admissible map in unexpected slot %r" % (slot,))
 
 
-def brute_force_admissible(
-    s: HopfSurface, n: int, deg_bound: int = 2, root_pool=DEFAULT_ROOT_POOL
-):
+def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
     """All admissible maps with bounded degrees, modulo declared isomorphisms.
 
     Enumerates every pair of allowed exponent slots and every degree
@@ -324,7 +322,7 @@ def brute_force_admissible(
     if hyper is not None:
         degree_patterns = product(range(deg_bound + 1), repeat=3)
     # the polynomials and their shape verdict depend on the degree pattern only
-    roots = list(root_pool)
+    roots = DEFAULT_ROOT_POOL
     shaped = []
     for (d1, dq, d3) in degree_patterns:
         if d1 + dq + d3 > len(roots):
@@ -361,78 +359,46 @@ def brute_force_admissible(
 # in t, so the only excluded degree is the positive-integer root of D(t).
 
 
-class _Sym(dict):
-    """Integer combination of the monomials 1, n, m1, n m1, m2, ..."""
-
-    def __add__(self, other):
-        out = _Sym(self)
-        for k, v in other.items():
-            out[k] = out.get(k, 0) + v
-        return _Sym({k: v for k, v in out.items() if v})
-
-    def __neg__(self):
-        return _Sym({k: -v for k, v in self.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def value(self, n, m1, m2):
-        vals = {
-            "1": 1,
-            "n": n,
-            "m1": m1,
-            "n*m1": n * m1,
-            "m2": m2,
-            "n*m2": n * m2,
-            "m1*m2": m1 * m2,
-            "n*m1*m2": n * m1 * m2,
-        }
-        return sum(v * vals[k] for k, v in self.items())
-
-    def always_positive(self):
-        return self and all(v > 0 for v in self.values())
-
-    def always_negative(self):
-        return self and all(v < 0 for v in self.values())
-
-    def render(self):
-        pos = [(k, v) for k, v in sorted(self.items()) if v > 0]
-        neg = [(k, -v) for k, v in sorted(self.items()) if v < 0]
-
-        def side(terms):
-            if not terms:
-                return "0"
-            return " + ".join(("%d*%s" % (v, k)) if v != 1 else k for k, v in terms)
-
-        return "%s == %s" % (side(pos), side(neg))
-
-
-def _sym_times_n(s: _Sym) -> _Sym:
-    lift = {"1": "n", "m1": "n*m1", "m2": "n*m2", "m1*m2": "n*m1*m2"}
-    out = _Sym()
-    for k, v in s.items():
-        if k not in lift:
-            raise ClassifyError("cannot multiply %s by n symbolically" % k)
-        out[lift[k]] = v
-    return out
-
-
-def _slot_sym(v, base: str) -> _Sym:
-    """v in {-1, 0, 1, 'minus_n'} times the monomial base ('1', 'm1' or 'm2')."""
-    if v == "minus_n":
-        return _Sym({("n" if base == "1" else "n*%s" % base): -1})
-    return _Sym({base: v}) if v else _Sym()
+# Each clause constant is an integer coefficient tuple over the monomials
+# (m1, m2, n*m1, n*m2), in that order: the alphabetical order in which
+# `_relation` lists its terms.
+_MONOMIALS = ("m1", "m2", "n*m1", "n*m2")
 
 
 def _clause_constants(k1, l1, kt2, lt2):
     """The clause constant of each polynomial at degree 0, symbolic in n, m1, m2.
 
     A = m1 l2 + l1 m2 for P1, B = m1 k2 + k1 m2 for P2 and C = n B - A
-    for Q1, with k2 = k2~ and l2 = l2~ when every degree is 0.
+    for Q1, with k2 = k2~ and l2 = l2~ when every degree is 0.  Only
+    l2~ takes the value 'minus_n', so B has no term in n.
     """
-    A = _slot_sym(lt2, "m1") + _slot_sym(l1, "m2")
-    B = _slot_sym(kt2, "m1") + _slot_sym(k1, "m2")
-    return {"P1": A, "Q1": _sym_times_n(B) - A, "P2": B}
+    A = (0, l1, -1, 0) if lt2 == "minus_n" else (lt2, l1, 0, 0)
+    B = (kt2, k1, 0, 0)
+    C = tuple(b - a for a, b in zip(A, (0, 0, kt2, k1)))
+    return {"P1": A, "Q1": C, "P2": B}
+
+
+def _clause_value(c, n, m1, m2) -> int:
+    """The clause constant c at (n, m1, m2)."""
+    return c[0] * m1 + c[1] * m2 + n * (c[2] * m1 + c[3] * m2)
+
+
+def _sign_definite(c) -> bool:
+    """Whether c is nonzero with every coefficient of one sign, so that it
+    vanishes for no positive n, m1, m2."""
+    return len({v > 0 for v in c if v}) == 1
+
+
+def _relation(c):
+    """The relation c = 0 as "positive terms == negative terms", or None for c = 0."""
+    if not any(c):
+        return None
+
+    def side(sign):
+        terms = [(v * sign, name) for v, name in zip(c, _MONOMIALS) if v * sign > 0]
+        return " + ".join(name if v == 1 else "%d*%s" % (v, name) for v, name in terms) or "0"
+
+    return "%s == %s" % (side(1), side(-1))
 
 
 @dataclass
@@ -495,10 +461,10 @@ def reproduce_case_table(n: int, m1: int, m2: int):
         row = None
         relational_failure = False
         for poly in _POLYS:
-            sym = clauses[poly]
-            if sym.always_positive() or sym.always_negative():
+            clause = clauses[poly]
+            if _sign_definite(clause):
                 continue
-            if sym.value(n, m1, m2):
+            if _clause_value(clause, n, m1, m2):
                 relational_failure = True
                 continue
             # D(t) = k1 l2 - l1 k2 = d0 + slope * t
@@ -520,7 +486,7 @@ def reproduce_case_table(n: int, m1: int, m2: int):
                     p: {"min": 1, "excluded": excluded} if p == poly else 0
                     for p in _POLYS
                 },
-                relation=sym.render() if sym else None,
+                relation=_relation(clause),
                 conditions=tuple("deg %s != %d" % (poly, b) for b in excluded),
             )
             break

@@ -106,7 +106,8 @@ def _number(value, where: str):
     return value
 
 
-def _verify_config(spec: dict, args) -> VerifyConfig:
+def _verify_config(spec: dict, args, s: HopfSurface) -> VerifyConfig:
+    """The verify settings of the spec and flags, with the annulus checked on s."""
     over = spec.get("verify", {})
     if not isinstance(over, dict):
         raise InputError("spec key 'verify' must be an object, got %r" % (over,))
@@ -134,9 +135,13 @@ def _verify_config(spec: dict, args) -> VerifyConfig:
         over["annulus"] = tuple(_number(r, "verify key 'annulus'") for r in ann)
     cfg = VerifyConfig(**over)
     try:
-        cfg.resolve_annulus()
+        cfg.resolve_annulus(s)
     except ValueError as exc:
-        raise InputError("verify key 'annulus': %s" % exc) from exc
+        # without the key the annulus comes from the float witnesses, which can round to 0
+        where = "verify key 'annulus'" if cfg.annulus is not None else (
+            "default annulus from the float eigenvalue moduli %r" % ([abs(w) for w in s.basis.witness],)
+        )
+        raise InputError("%s: %s" % (where, exc)) from exc
     return cfg
 
 
@@ -179,7 +184,7 @@ def cmd_structures(args) -> int:
     s = _surface_from_spec(spec)
     n = _bundle_degree(spec, args)
     params = _params_from(spec, args)
-    cfg = _verify_config(spec, args) if args.verify else None
+    cfg = _verify_config(spec, args, s) if args.verify else None
     try:
         records = enumerate_structures(s, n, hyper_params=params)
     except ClassifyError as exc:
@@ -205,7 +210,7 @@ def cmd_verify(args) -> int:
     spec = _load_json(args.spec)
     s = _surface_from_spec(spec)
     n = _bundle_degree(spec, args)
-    cfg = _verify_config(spec, args)
+    cfg = _verify_config(spec, args, s)
     params = _params_from(spec, args)
     if params is None and args.deg_bound is not None:
         # the oracle draws the roots of a degree-N factor from the pool's prefix

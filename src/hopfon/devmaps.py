@@ -20,7 +20,8 @@ control the exact Jacobian factorization
     R(u) = A u P1'/P1 - B u P2'/P2 + C u Q1'/Q1 + D,
 
 and the rewriting dictionaries for the reciprocal-u form (tilde) and
-the swapped chart (hat).  Semiadmissibility constrains the exponent
+the swapped chart (hat).  R(u) is stored as a fraction in lowest terms
+with a monic denominator.  Semiadmissibility constrains the exponent
 pairs and root patterns; admissibility is the exact unbranchedness
 certificate on top.
 """
@@ -184,60 +185,6 @@ class UniPoly:
 
     def __repr__(self):
         return "UniPoly(%r)" % (list(self.coeffs),)
-
-
-class RationalFn:
-    """Quotient of two UniPoly, reduced; used for the exact R(u) test."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_constant() and not g.is_zero():
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        object.__setattr__(self, "num", num.scale(GR_ONE / lead))
-        object.__setattr__(self, "den", den.scale(GR_ONE / lead))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
-
-    @classmethod
-    def of(cls, p):
-        return cls(p if isinstance(p, UniPoly) else UniPoly([p]), UniPoly([1]))
-
-    def __add__(self, other):
-        return RationalFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RationalFn(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> GaussRat:
-        if not self.is_constant():
-            raise ValueError("rational function is not constant")
-        return self.num.coeffs[0] / self.den.coeffs[0]
-
-    def eval_numeric(self, x: complex) -> complex:
-        return self.num.eval_numeric(x) / self.den.eval_numeric(x)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFn)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __repr__(self):
-        return "RationalFn(%r / %r)" % (self.num, self.den)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +378,11 @@ def abcd(d: DevMap) -> AbcdReport:
 
 @dataclass(frozen=True)
 class DetJacobian:
-    """Exact factorization of det t' for a DevMap."""
+    """Exact factorization of det t' for a DevMap.
+
+    R(u) is kept as the fraction R_num/R_den in lowest terms, with R_den
+    monic, which makes the pair unique.
+    """
 
     z1_exp: int
     z2_exp: int
@@ -439,7 +390,8 @@ class DetJacobian:
     P2: UniPoly
     Q1: UniPoly
     n: int
-    R: RationalFn
+    R_num: UniPoly
+    R_den: UniPoly
     hyper: tuple
 
     def eval_numeric(self, z) -> complex:
@@ -452,28 +404,35 @@ class DetJacobian:
         val = z1**self.z1_exp * z2**self.z2_exp
         val *= self.P1.eval_numeric(u) * self.P2.eval_numeric(u)
         val /= self.Q1.eval_numeric(u) ** (self.n + 1)
-        return val * self.R.eval_numeric(u)
+        return val * (self.R_num.eval_numeric(u) / self.R_den.eval_numeric(u))
 
 
 def det_jacobian(d: DevMap) -> DetJacobian:
-    """det t' = z1^(k1+l1-1) z2^(k2+l2-1) (P1 P2/Q1^(n+1)) R(u), exactly."""
+    """det t' = z1^(k1+l1-1) z2^(k2+l2-1) (P1 P2/Q1^(n+1)) R(u), exactly.
+
+    R(u) is formed over the common denominator P1 P2 Q1 and reduced by
+    one gcd.
+    """
     rep = abcd(d)
-    u = UniPoly([0, 1])
-    R = RationalFn.of(UniPoly([rep.D]))
-    if not d.P1.is_constant():
-        R = R + RationalFn(u.scale(rep.A) * d.P1.derivative(), d.P1)
-    if not d.P2.is_constant():
-        R = R - RationalFn(u.scale(rep.B) * d.P2.derivative(), d.P2)
-    if not d.Q1.is_constant():
-        R = R + RationalFn(u.scale(rep.C) * d.Q1.derivative(), d.Q1)
+    P1, P2, Q1 = d.P1, d.P2, d.Q1
+    den = P1 * P2 * Q1
+    num = den.scale(rep.D) + UniPoly([0, 1]) * (
+        (P1.derivative() * P2 * Q1).scale(rep.A)
+        - (P2.derivative() * P1 * Q1).scale(rep.B)
+        + (Q1.derivative() * P1 * P2).scale(rep.C)
+    )
+    g = num.gcd(den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = GR_ONE / den.coeffs[-1]
     return DetJacobian(
         d.k1 + d.l1 - 1,
         d.k2 + d.l2 - 1,
-        d.P1,
-        d.P2,
-        d.Q1,
+        P1,
+        P2,
+        Q1,
         d.n,
-        R,
+        num.scale(lead),
+        den.scale(lead),
         d.hyper,
     )
 

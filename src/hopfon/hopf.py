@@ -87,12 +87,12 @@ class HopfSurface:
         return cls("diagonal", basis)
 
     @classmethod
-    def diagonal_formal(cls, relations, witness, names=("l1", "l2")) -> "HopfSurface":
+    def diagonal_formal(cls, relations, witness) -> "HopfSurface":
         """Diagonal surface with formal eigenvalues and a declared relation lattice."""
-        return cls("diagonal", EigenBasis(names, relations, witness))
+        return cls("diagonal", EigenBasis(("l1", "l2"), relations, witness))
 
     @classmethod
-    def exceptional(cls, lam, m: int, names=("lam", "lam2")) -> "HopfSurface":
+    def exceptional(cls, lam, m: int) -> "HopfSurface":
         """Exceptional surface (l z1, l^m z2 + z1^m) of degree m.
 
         Both basis generators name the single eigenvalue, tied by the
@@ -100,7 +100,7 @@ class HopfSurface:
         """
         lam = as_gauss(lam)
         w = lam.to_complex()
-        basis = EigenBasis(names, [(1, -1)], (w, w), exact=(lam, lam))
+        basis = EigenBasis(("lam", "lam2"), [(1, -1)], (w, w), exact=(lam, lam))
         return cls("exceptional", basis, m=m)
 
     # -- eigenvalues ---------------------------------------------------------

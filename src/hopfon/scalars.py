@@ -648,21 +648,28 @@ def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
 
 
 class EigenBasis:
-    """Two formal eigenvalue generators with a relation lattice and witnesses."""
+    """Two formal eigenvalue generators with a relation lattice and witnesses.
+
+    The witnesses of a formal basis are checked: nonzero, and satisfying
+    every declared relation.  A basis with `exact` values takes its
+    lattice from them, and its float witnesses are not checked, since
+    they may round (2^-1200 becomes 0.0).
+    """
 
     __slots__ = ("names", "lattice", "witness", "exact", "_cache")
 
     def __init__(self, names=("l1", "l2"), relations=(), witness=(0.5, 0.5), exact=None):
         lattice = relations if isinstance(relations, RelationLattice) else RelationLattice(relations)
         witness = (complex(witness[0]), complex(witness[1]))
-        if witness[0] == 0 or witness[1] == 0:
-            raise ValueError("numeric witnesses must be nonzero")
-        for a, b in lattice.rows:
-            val = witness[0] ** a * witness[1] ** b
-            if abs(val - 1.0) > _WITNESS_TOL * (1 + abs(val)):
-                raise ValueError(
-                    "witness %r violates declared relation (%d, %d)" % (witness, a, b)
-                )
+        if exact is None:
+            if witness[0] == 0 or witness[1] == 0:
+                raise ValueError("numeric witnesses must be nonzero")
+            for a, b in lattice.rows:
+                val = witness[0] ** a * witness[1] ** b
+                if abs(val - 1.0) > _WITNESS_TOL * (1 + abs(val)):
+                    raise ValueError(
+                        "witness %r violates declared relation (%d, %d)" % (witness, a, b)
+                    )
         object.__setattr__(self, "names", (str(names[0]), str(names[1])))
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "witness", witness)
@@ -673,7 +680,7 @@ class EigenBasis:
         raise AttributeError("EigenBasis is immutable")
 
     @classmethod
-    def from_gauss_values(cls, v1, v2, names=("l1", "l2")):
+    def from_gauss_values(cls, v1, v2):
         """Basis for concrete Gaussian-rational eigenvalues.
 
         The relation lattice comes from `find_relations`: exact, with a
@@ -682,7 +689,7 @@ class EigenBasis:
         """
         v1, v2 = as_gauss(v1), as_gauss(v2)
         lat = find_relations(v1, v2)
-        return cls(names, lat, (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
+        return cls(("l1", "l2"), lat, (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
 
     def valuation_system(self):
         """The `ValuationSystem` of the exact eigenvalues, or None for a

@@ -85,6 +85,8 @@ class SectionFamily:
             rec["hyper"] = list(self.hyper)
         if self.jordan_m is not None:
             rec["m"] = self.jordan_m
+        if self.jordan_shift is not None:
+            rec["shift"] = self.jordan_shift.to_record()
         return rec
 
 
@@ -207,7 +209,7 @@ def _as_scalar_rows(basis, g):
 # numeric instantiation, for the functional-equation checks
 
 
-def instantiate(family: SectionFamily, rng, max_deg: int = 2):
+def instantiate(family: SectionFamily, rng):
     """A concrete numeric section from the family, as a callable z -> value.
 
     Returns None for empty families; the value may be complex infinity
@@ -232,8 +234,8 @@ def instantiate(family: SectionFamily, rng, max_deg: int = 2):
     if family.variant == "monomial_times_rational":
         k1, k2 = family.exponents
         m1, m2 = family.hyper
-        dp = rng.randint(0, max_deg)
-        dq = rng.randint(0, max_deg)
+        dp = rng.randint(0, 2)
+        dq = rng.randint(0, 2)
         P = [rng.uniform(0.5, 1.5) + 1j * rng.uniform(-0.5, 0.5) for _ in range(dp + 1)]
         Q = [rng.uniform(0.5, 1.5) + 1j * rng.uniform(-0.5, 0.5) for _ in range(dq + 1)]
 

@@ -1,5 +1,6 @@
 """Structure enumeration, the brute-force oracle, and the case table."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -348,3 +349,30 @@ def test_case_table_worked_identities():
         assert rep.B == -m1 * rep.D
         assert rep.C == m2 * rep.hat[3]
         assert rep.A == 0
+
+
+# (relation, sign-definite) of the clause constant of P1, Q1, P2 in each combination
+_CLAUSE_TABLE = {
+    (0, 1, -1, "minus_n"): (("m2 == n*m1", False), ("0 == m2", True), ("0 == m1", True)),
+    (0, 1, 0, 1): (("m1 + m2 == 0", True), ("0 == m1 + m2", True), (None, False)),
+    (0, 1, 1, 0): (("m2 == 0", True), ("n*m1 == m2", False), ("m1 == 0", True)),
+    (1, 0, -1, "minus_n"): (("0 == n*m1", True), ("n*m2 == 0", True), ("m2 == m1", False)),
+    (1, 0, 0, 1): (("m1 == 0", True), ("n*m2 == m1", False), ("m2 == 0", True)),
+    (1, 0, 1, 0): ((None, False), ("n*m1 + n*m2 == 0", True), ("m1 + m2 == 0", True)),
+}
+
+
+@pytest.mark.parametrize("combo", sorted(_CLAUSE_TABLE, key=repr))
+def test_clause_constants_table(combo):
+    from hopfon.classify import _clause_constants, _clause_value, _relation, _sign_definite
+    from hopfon.devmaps import UniPoly, abcd
+
+    clauses = _clause_constants(*combo)
+    got = tuple((_relation(clauses[p]), _sign_definite(clauses[p])) for p in ("P1", "Q1", "P2"))
+    assert got == _CLAUSE_TABLE[combo]
+    # at degree 0 the constants are the A (P1), C (Q1) and B (P2) of the map
+    one = UniPoly([1])
+    for n, m1, m2 in itertools.product((1, 2, 3), (1, 2, 5), (1, 3, 4)):
+        k1, l1, kt2, lt2 = (-n if v == "minus_n" else v for v in combo)
+        rep = abcd(DevMap(k1, kt2, l1, lt2, one, one, one, (m1, m2), n))
+        assert [_clause_value(clauses[p], n, m1, m2) for p in ("P1", "Q1", "P2")] == [rep.A, rep.C, rep.B]

@@ -1,7 +1,6 @@
 """Command-line interface: output schemas, exit codes, round-trips."""
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -347,27 +346,18 @@ def test_sections_commands(tmp_path, capsys):
     assert out["variant"] == "zero"
 
 
-def test_sections_bundle_scaled_jordan_block(tmp_path, capsys, monkeypatch):
+def test_sections_bundle_scaled_jordan_block(tmp_path, capsys):
     # [[5, 2], [0, 5]] is the Jordan class with a = 5/2, so its family shifts
-    # by b/a = 2/5; the record prints no shift, so the family itself is kept
-    from hopfon import cli
-    from hopfon.sections import proj_bundle_sections
-
-    families = []
-
-    def keep(s, g):
-        families.append(proj_bundle_sections(s, g))
-        return families[-1]
-
-    monkeypatch.setattr(cli, "proj_bundle_sections", keep)
+    # by b/a = 2/5, which the closed form alone, read with a = 5, misstates
     spec = write(tmp_path, "exc.json", _EXC)
     bundle = [[[5, 1, 0, 1], [2, 1, 0, 1]], [_ZERO, [5, 1, 0, 1]]]
     code, out = run(capsys, ["sections", "--spec", spec, "--bundle", json.dumps(bundle)])
     assert code == 0
     assert out == {"variant": "jordan_family", "closed_form": "(z2/a) * (lam/z1)^2 + c, infinity",
-                   "includes_infinity": True, "m": 2}
-    (fam,) = families
-    assert fam.jordan_shift == fam.surface.basis.gauss(Fraction(2, 5))
+                   "includes_infinity": True, "m": 2, "shift": [[[2, 5, 0, 1], [0, 1, 0, 1]]]}
+    code, out = run(capsys, ["sections", "--spec", spec, "--jordan", "[5,1,0,1]"])
+    assert code == 0
+    assert out["shift"] == [[[1, 5, 0, 1], [0, 1, 0, 1]]]
 
 
 def test_deterministic_output_under_fixed_seed(tmp_path, capsys):
@@ -455,6 +445,21 @@ def test_verify_non_finite_values_fail_and_print_null(tmp_path, capsys):
     assert immersion["passed"] is False
     assert immersion["min_jacobian_magnitude"] is None and immersion["max_fd_mismatch"] is None
     assert immersion["failing_samples"]
+
+
+def test_exact_eigenvalue_whose_witness_underflows(tmp_path, capsys):
+    # 2^-1200 classifies exactly, but as a float modulus it is 0.0, which
+    # leaves no default annulus for the numeric checks
+    spec = write(tmp_path, "s.json", {"type": "diagonal", "lambda1": [1, 2**1200, 0, 1],
+                                      "lambda2": [1, 2**20, 0, 1]})
+    code, out = run(capsys, ["classify", "--spec", spec])
+    assert code == 0
+    assert out["classification"] == {"kind": "hyperresonant", "m1": 1, "m2": 60}
+    for argv in (["verify", "--n", "1"], ["structures", "--n", "1", "--verify"]):
+        code = main(argv + ["--spec", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: default annulus"), argv
 
 
 def test_verify_huge_annulus_reports_instead_of_overflowing(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Developing-map calculus: exponent constants, Jacobians, admissibility, evaluation."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from hopfon.devmaps import (
     DevMap,
     EvalError,
-    RationalFn,
     UniPoly,
     abcd,
     det_jacobian,
@@ -19,6 +19,7 @@ from hopfon.devmaps import (
     is_admissible,
     is_semiadmissible,
 )
+from hopfon.scalars import GaussRat
 
 
 def test_unipoly_basics():
@@ -32,15 +33,6 @@ def test_unipoly_basics():
     assert UniPoly.from_roots([0]).has_root_at_zero()
     q, r = (p * UniPoly.from_roots([7]) + UniPoly([1])).divmod(p)
     assert q == UniPoly.from_roots([7]) and r == UniPoly([1])
-
-
-def test_rationalfn_constant_detection():
-    u = UniPoly([0, 1])
-    p = UniPoly.from_roots([2])
-    f = RationalFn(u * p.derivative(), p)  # u/(u-2): not constant
-    assert not f.is_constant()
-    g = RationalFn(p.scale(5), p)
-    assert g.is_constant() and g.constant_value() == Fraction(5)
 
 
 def row1_map(m1, m2, n, roots):
@@ -142,7 +134,7 @@ def test_abcd_dictionaries_are_involutive():
 def test_det_jacobian_radial_n1():
     det = det_jacobian(DevMap.radial(1, hyper=(1, 1)))
     assert det.z1_exp == 0 and det.z2_exp == -3
-    assert det.R.is_constant() and det.R.constant_value() == Fraction(-1)
+    assert (det.R_num, det.R_den) == (UniPoly([-1]), UniPoly([1]))
     # matches direct differentiation of (z1/z2, 1/z2): det = -z2^-3
     z = (0.7 + 0.1j, 0.4 - 0.2j)
     assert abs(det.eval_numeric(z) - (-z[1] ** -3)) < 1e-12
@@ -151,7 +143,7 @@ def test_det_jacobian_radial_n1():
 def test_det_jacobian_identity():
     det = det_jacobian(DevMap.identity(2))
     assert det.z1_exp == 0 and det.z2_exp == 0
-    assert det.R.is_constant() and det.R.constant_value() == Fraction(1)
+    assert (det.R_num, det.R_den) == (UniPoly([1]), UniPoly([1]))
     assert abs(det.eval_numeric((1.1, 2.3)) - 1) < 1e-15
 
 
@@ -162,8 +154,36 @@ def test_R_has_simple_poles_at_P1_roots_when_A_nonzero():
     rep = abcd(d)
     assert rep.A != 0
     det = det_jacobian(d)
-    assert not det.R.is_constant()
-    assert det.R.den == UniPoly.from_roots([2])
+    assert det.R_den == UniPoly.from_roots([2])
+
+
+def test_R_is_the_reduced_fraction_over_P1_P2_Q1():
+    # double roots, roots shared between slots, a Gaussian root, constants
+    # other than 1 and slots outside the allowed list, so that the gcd has
+    # real factors to cancel
+    polys = [
+        UniPoly([1]),
+        UniPoly([5]),
+        UniPoly.from_roots([2]),
+        UniPoly.from_roots([2, 2]),
+        UniPoly.from_roots([2, 3], lead=Fraction(1, 2)),
+        UniPoly.from_roots([GaussRat(1, 1)]),
+    ]
+    slots = exponent_list(2) + ((2, -1),)
+    u = UniPoly([0, 1])
+    for i, (P1, Q1, P2) in enumerate(itertools.product(polys, repeat=3)):
+        (k1, l1), (k2, l2) = slots[i % 5], slots[(i // 5) % 5]
+        d = DevMap(k1, k2, l1, l2, P1, Q1, P2, ((1, 1), (1, 2), (2, 1))[i % 3], 1 + i % 2)
+        rep, det = abcd(d), det_jacobian(d)
+        num = (
+            (P1 * P2 * Q1).scale(rep.D)
+            + (u * P1.derivative() * P2 * Q1).scale(rep.A)
+            - (u * P2.derivative() * P1 * Q1).scale(rep.B)
+            + (u * Q1.derivative() * P1 * P2).scale(rep.C)
+        )
+        assert det.R_num * P1 * P2 * Q1 == det.R_den * num, d
+        assert det.R_num.gcd(det.R_den) == UniPoly([1]), d
+        assert det.R_den.coeffs[-1] == 1, d
 
 
 def test_semiadmissible_radial():
@@ -372,10 +392,10 @@ def full_certificate(d):
         return (False, "B = %d nonzero with nonconstant P2" % rep.B)
     if rep.C != 0 and not d.Q1.is_constant():
         return (False, "C = %d nonzero with nonconstant Q1" % rep.C)
-    R = det_jacobian(d).R
-    if not R.is_constant():
+    det = det_jacobian(d)
+    if det.R_den != UniPoly([1]) or not det.R_num.is_constant():
         return (False, "R(u) is not constant")
-    if R.constant_value().is_zero():
+    if det.R_num.is_zero():
         return (False, "R(u) = D vanishes")
     if d.k1 == 0 and d.l1 == 0:
         return (False, "(k1, l1) = (0, 0)")
@@ -426,8 +446,8 @@ def test_abc_clauses_imply_the_other_certificate_clauses(d):
         and (rep.C == 0 or d.Q1.is_constant())
     )
     if abc_hold:
-        R = det_jacobian(d).R
-        assert R.is_constant() and R.constant_value() == rep.D
+        det = det_jacobian(d)
+        assert (det.R_num, det.R_den) == (UniPoly([rep.D]), UniPoly([1]))
         assert rep.tilde[3] == rep.D and rep.hat[3] == -rep.D
         assert (d.k1, d.l1) != (0, 0) or rep.D == 0
     v = is_admissible(d)

@@ -141,6 +141,19 @@ def test_moduli_decided_exactly():
         HopfSurface.diagonal(1, Fraction(1, 2))
 
 
+def test_exact_eigenvalue_whose_witness_underflows():
+    # 2^-1200 is 0.0 as a float; the exact lattice, (1, -60), decides the class
+    s = HopfSurface.diagonal(Fraction(1, 2**1200), Fraction(1, 2**20))
+    assert s.basis.witness[0] == 0
+    c = classify_surface(s)
+    assert c.kind == "hyperresonant" and (c.m1, c.m2) == (1, 60)
+    # a formal basis has only its witnesses, so they are still checked
+    with pytest.raises(ValueError, match="nonzero"):
+        HopfSurface.diagonal_formal([], (0.0, 0.5))
+    with pytest.raises(ValueError, match="violates"):
+        HopfSurface.diagonal_formal([(1, -60)], (0.5, 0.5))
+
+
 def test_record_roundtrip():
     for s in (
         HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 4)),

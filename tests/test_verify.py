@@ -443,7 +443,7 @@ def ref_det(det, z):
     val = z1**det.z1_exp * z2**det.z2_exp
     val *= _ref_unipoly(det.P1, u) * _ref_unipoly(det.P2, u)
     val /= _ref_unipoly(det.Q1, u) ** (det.n + 1)
-    return val * (_ref_unipoly(det.R.num, u) / _ref_unipoly(det.R.den, u))
+    return val * (_ref_unipoly(det.R_num, u) / _ref_unipoly(det.R_den, u))
 
 
 def _ref_poly_value(p, w, chart):
