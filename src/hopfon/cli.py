@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -142,6 +143,12 @@ def _verify_config(spec: dict, args, s: HopfSurface) -> VerifyConfig:
             "default annulus from the float eigenvalue moduli %r" % ([abs(w) for w in s.basis.witness],)
         )
         raise InputError("%s: %s" % (where, exc)) from exc
+    # apply_F scales by the witnesses: at a zero one the equivariance check is vacuous
+    if not all(0 < abs(w) < math.inf for w in s.basis.witness):
+        raise InputError(
+            "float eigenvalue witness %r has a zero or non-finite entry; "
+            "the numeric checks cannot run on it" % (list(s.basis.witness),)
+        )
     return cfg
 
 

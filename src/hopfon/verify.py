@@ -12,13 +12,15 @@ fails its check: NaN compares false both ways, so max() or a bare
 threshold test would let it pass.
 
 The group axioms of G for degree n are checked in three parts.  First
-an exact proof: associativity, identity and inverse hold as polynomial
-identities in the entries, and Kronecker substitution (Kronecker,
-J. reine angew. Math. 92, 1882) decides each on generic elements with
-one exact evaluation, one triple per code path of compose, inverse
-and precomposition.  Then, on request, random exact triples check the
-same laws again.  Last, 200 random pairs check the numeric action
-axiom (xy).pt = x.(y.pt).
+an exact proof: associativity, identity and inverse, and the action
+law act(xy) = act(x) act(y) on homogeneous points of O(n), hold as
+polynomial identities in the entries, and Kronecker substitution
+(Kronecker, J. reine angew. Math. 92, 1882) decides each on generic
+elements with one exact evaluation, one triple or pair per code path
+of compose, inverse and precomposition.  Then, on request, random
+exact triples check the same laws again.  Last, the float action
+`act_affine` is compared with the exact action at fixed points that
+reach each of its code paths.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .group import (
     random_group_elt,
 )
 from .hopf import HopfSurface
-from .scalars import EigenBasis, Scalar
+from .scalars import EigenBasis, GaussRat, Scalar
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,9 @@ def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -
     """Chordal distance of base directions plus a fiber difference.
 
     The fiber components are compared after aligning charts, by plain
-    absolute difference (equivariance checks) or chordally (the group
-    action axiom, where random denominators make values unbounded).
+    absolute difference (the equivariance and action checks, whose
+    values stay moderate) or chordally, for values that random
+    denominators can make unbounded.
     """
     t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else _INF)
     t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else _INF)
@@ -274,21 +277,31 @@ def _fd_det(dev: DevMap, z, n, pt):
     return j11 * j22 - j12 * j21
 
 
-_ACTION_TRIALS = 200
-
 # The code paths the proof covers, in the order it runs them.
-PROOF_BRANCHES = ("big_cell", "diagonal", "p_zero", "scalar_multiple")
+PROOF_BRANCHES = (
+    "big_cell",
+    "diagonal",
+    "p_zero",
+    "scalar_multiple",
+    "action_big_cell",
+    "action_diagonal",
+    "action_p_zero",
+)
 
 
 def check_group_axioms(n: int, trials: int = 0, seed: int = 0) -> VerifyReport:
-    """The group law of G for degree n: proved, then sampled.
+    """The group law of G for degree n and its action on O(n): proved, then sampled.
 
-    1. `_prove_group_law` proves associativity, identity and inverse
-       exactly, once per call, on generic elements over its own basis.
-    2. `trials` random exact triples on a free basis check the same
-       laws again; none by default.
-    3. 200 random pairs check the numeric action axiom
-       (xy).pt = x.(y.pt) to a chordal residual below 1e-10.
+    1. `_prove_group_law` proves associativity, identity, inverse and
+       the action law exactly, once per call, on generic elements over
+       its own basis.
+    2. `trials` random exact triples on a free basis check the group
+       laws again; none by default.  Only they depend on the seed.
+    3. `_check_numeric_action` compares the float `act_affine` with the
+       exact action at the fixed points of `_action_cases`, which reach
+       each of its code paths.  A residual not below 1e-10, NaN
+       included, or an `ArithmeticError` at any point fails the record,
+       which then names the failing paths.
     """
     failure = _prove_group_law(n)
     if failure is not None:
@@ -303,28 +316,114 @@ def check_group_axioms(n: int, trials: int = 0, seed: int = 0) -> VerifyReport:
         failed = _law_failure(x, y, z, e)
         if failed is not None:
             return VerifyReport("group_axioms", False, checks={"failed": failed, "trial": i})
-    worst_action = 0.0
-    uniform = rng.uniform
-    for _ in range(_ACTION_TRIALS):
-        x = random_group_elt(basis, n, rng)
-        y = random_group_elt(basis, n, rng)
-        c1 = uniform(-2, 2) + 1j * uniform(-2, 2)
-        pt = AffinePoint._raw("T", c1, uniform(-2, 2) + 1j * uniform(-2, 2))
-        try:
-            lhs = act_affine(compose(x, y), pt, n)
-            rhs = act_affine(x, act_affine(y, pt, n), n)
-        except ArithmeticError:
-            continue
-        res = point_residual(lhs, rhs, n, fiber="chordal")
-        if res > worst_action or res != res:  # max(), except that a NaN is kept
-            worst_action = res
-    passed = worst_action < 1e-10
+    cases = _action_cases(n)
+    worst, failure = _check_numeric_action(cases, n)
+    checks = {"trials": trials, "action_trials": len(cases), "proved": list(PROOF_BRANCHES)}
+    checks.update(failure or {})
     return VerifyReport(
         "group_axioms",
-        passed,
-        max_equivariance_residual=worst_action,
-        checks={"trials": trials, "action_trials": _ACTION_TRIALS, "proved": list(PROOF_BRANCHES)},
+        failure is None,
+        max_equivariance_residual=worst,
+        checks=checks,
     )
+
+
+def _action_cases(n: int):
+    """The fixed cases (path, x, chart, (c1, c2)) of the float action check.
+
+    Exact constant elements over a free basis act on points given in
+    chart T as (t1, t2) or in chart S as (s1, s2).  Each of two diagonal
+    matrices acts on one point per chart; `act_affine` keeps the chart.
+    Each of two general matrices [[a, b], [c, d]] acts on four points:
+    t1 = 1/4 + i/2 (chart T to T), the pole t1 = -d/c (T to S),
+    s1 = 1/3 - i/4 (S to T) and the pole s1 = -c/d (S to S).  Every
+    case runs with p = 0 and with p != 0, so each of the 12 paths of
+    `act_affine` is reached twice.  The elements are built on every
+    call: `act_affine` keeps an element's float action on it.
+    """
+    basis = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
+
+    def q(re, im=0):
+        return basis.gauss(GaussRat(re, im))
+
+    zero = basis.zero()
+    diagonals = ((q(2, 1), q("1/2", -1)), (q("-3/4"), q(1, 2)))
+    generals = ((q(1), q(2), q(1), q("-1/2")), (q(2, -1), q("1/4"), q(0, 1), q("3/2")))
+    t1, s1, fiber = q("1/4", "1/2"), q("1/3", "-1/4"), q(1, "-1/3")
+    cases = []
+    for tag, coeffs in (
+        ("p_zero", [zero] * (n + 1)),
+        ("p", [q(k + 1, 1 - k) for k in range(n + 1)]),
+    ):
+        p = HomogPoly._raw(basis, n, coeffs)
+        for a, d in diagonals:
+            x = GroupElt(Mat2._raw(basis, ((a, zero), (zero, d)), a * d), p)
+            cases.append(("diagonal_T_to_T_" + tag, x, "T", (t1, fiber)))
+            cases.append(("diagonal_S_to_S_" + tag, x, "S", (s1, fiber)))
+        for a, b, c, d in generals:
+            x = GroupElt(Mat2._raw(basis, ((a, b), (c, d)), a * d - b * c), p)
+            cases.append(("general_T_to_T_" + tag, x, "T", (t1, fiber)))
+            cases.append(("general_T_to_S_" + tag, x, "T", (-d / c, fiber)))
+            cases.append(("general_S_to_T_" + tag, x, "S", (s1, fiber)))
+            cases.append(("general_S_to_S_" + tag, x, "S", (-c / d, fiber)))
+    return cases
+
+
+def _check_numeric_action(cases, n: int):
+    """(worst residual, None or the failure detail) of the float `act_affine`
+    against `_act_exact` on the cases, read in the chart `act_affine` chose."""
+    worst = 0.0
+    paths, error = [], None
+    for path, x, chart, (c1, c2) in cases:
+        one = x.basis.one()
+        try:
+            out = act_affine(x, AffinePoint._raw(chart, c1.numeric(), c2.numeric()), n)
+            w1, w2, tau = _act_exact(x, (c1, one, c2) if chart == "T" else (one, c1, c2))
+            # chart T reads (Z1/Z2, tau/Z2^n), chart S (Z2/Z1, tau/Z1^n)
+            top, bottom = (w1, w2) if out.chart == "T" else (w2, w1)
+            exact = AffinePoint._raw(
+                out.chart, (top / bottom).numeric(), (tau / bottom**n).numeric()
+            )
+        except ArithmeticError as exc:
+            paths.append(path)
+            error = error or "%s: %s" % (type(exc).__name__, exc)
+            continue
+        res = point_residual(out, exact, n)
+        if res > worst or res != res:  # max(), except that a NaN is kept
+            worst = res
+        if not res < 1e-10:
+            paths.append(path)
+    if not paths:
+        return worst, None
+    failure = {"failed": "action", "paths": list(dict.fromkeys(paths))}
+    if error is not None:
+        failure["error"] = error
+    return worst, failure
+
+
+def _act_exact(x: GroupElt, point):
+    """x = (g, p) on a homogeneous point (Z1, Z2, tau) of O(n): (gZ, tau + p(gZ)).
+
+    Points are taken up to (Z, tau) ~ (s Z, s^n tau), under which an n-th
+    root of unity times g acts as g.  `act_affine` reads this map in
+    chart T, (t1, t2) = (Z1/Z2, tau/Z2^n), or chart S, (s1, s2) =
+    (Z2/Z1, tau/Z1^n); so (x y).pt = x.(y.pt) is the identity
+    act(xy) = act(x) act(y), with p_xy(g_x g_y Z) = p_x(g_x g_y Z) +
+    p_y(g_y Z).
+    """
+    z1, z2, tau = point
+    (a, b), (c, d) = x.g.entries
+    w1, w2 = a * z1 + b * z2, c * z1 + d * z2
+    n = x.degree
+    one = w1.basis.one()
+    pow1, pow2 = [one, w1], [one, w2]  # w^k for k = 0..n, one product each
+    for _ in range(n - 1):
+        pow1.append(pow1[-1] * w1)
+        pow2.append(pow2[-1] * w2)
+    for k, coeff in enumerate(x.p.coeffs):
+        if coeff.terms:
+            tau = tau + coeff * (pow1[k] * pow2[n - k])
+    return (w1, w2, tau)
 
 
 def _law_failure(x: GroupElt, y: GroupElt, z: GroupElt, e: GroupElt):
@@ -352,6 +451,16 @@ def _kronecker_span(n: int) -> int:
     inverse law nests two of them: window 2n.  `GroupElt.__eq__`
     compares p coefficientwise (window 2n), matrix entries (2),
     products of two entries (4) and n-th powers of entries (2n).
+
+    The action law compares act(xy) and act(x) act(y) at (Z1, Z2, tau),
+    three more indeterminates (`_act_exact`).  tau enters linearly, and
+    p(gZ) multiplies a coefficient by n entries of gZ, so Z1, Z2 and the
+    entries of g have exponents 0..n there.  On the right every
+    indeterminate stays within 0..n.  On the left p_xy = p_x + p_y.g_x^{-1}
+    is evaluated at g_x g_y Z: a coefficient of p_y.g_x^{-1} holds n
+    entries of g_x^{-1} (exponents -n..0 in u and v, 0..n in b and c)
+    and its monomial n entries of g_x g_y Z (0..n), so x's matrix
+    indeterminates reach window 2n, inside the span above.
     """
     return max(2 * n, 4)
 
@@ -415,8 +524,23 @@ def _prove_group_law(n: int, base: int = None):
       for n | 4, so this pair lives over a basis whose second generator
       is zeta (relation (0, n)), with the indeterminates on l1.
 
+    Then the action law act(xy) = act(x) act(y) (`_act_exact`) at a
+    generic point (Z1, Z2, tau), one pair (x, y) per code path of
+    compose:
+
+    * action_big_cell: two big-cell elements;
+    * action_diagonal: x diagonal, so p_y.g_x^{-1} takes the diagonal
+      path of precomposition;
+    * action_p_zero: y with p = 0, so compose takes its shortcut, and x
+      with p != 0, which the shortcut must keep.
+
+    A compose that swaps the order of its operands, or that follows the
+    other convention (g0 g1, p1 + p0.g1), still satisfies the group
+    laws; only the action law tells it apart.
+
     Returns None, or {"failed": law, "branch": path} for the first
-    failure.  A base at or below the span raises ValueError.
+    failure, with law "action" for the action law.  A base at or below
+    the span raises ValueError.
     """
     span = _kronecker_span(n)
     if base is None:
@@ -442,6 +566,16 @@ def _prove_group_law(n: int, base: int = None):
     x = _generic_elt(roots, n, _indeterminates(roots, base, axes=(0,)), "big_cell")
     if x != GroupElt(x.g.scale(roots.gen(1)), x.p) or x == GroupElt(x.g.scale(roots.gauss(2)), x.p):
         return {"failed": "equality", "branch": "scalar_multiple"}
+    for branch, shapes in (
+        ("action_big_cell", (big, big)),
+        ("action_diagonal", (diag, big)),
+        ("action_p_zero", (big, bare)),
+    ):
+        t = _indeterminates(basis, base)
+        x, y = (_generic_elt(basis, n, t, shape, with_p) for shape, with_p in shapes)
+        point = (next(t), next(t), next(t))
+        if _act_exact(compose(x, y), point) != _act_exact(x, _act_exact(y, point)):
+            return {"failed": "action", "branch": branch}
     return None
 
 

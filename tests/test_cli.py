@@ -462,6 +462,34 @@ def test_exact_eigenvalue_whose_witness_underflows(tmp_path, capsys):
         assert captured.err.startswith("error: default annulus"), argv
 
 
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_exact_eigenvalue_whose_witness_underflows_with_an_explicit_annulus(tmp_path, capsys, n):
+    # apply_F scales by the witness 0.0, so every sample maps to (0, ...): the
+    # numeric checks would pass or fail vacuously, whatever the annulus
+    spec = write(tmp_path, "s.json", {"type": "diagonal", "lambda1": [1, 2**1200, 0, 1],
+                                      "lambda2": [1, 2**20, 0, 1],
+                                      "verify": {"annulus": [0.5, 1.0]}})
+    for argv in (["verify", "--n", n], ["structures", "--n", n, "--verify"]):
+        code = main(argv + ["--spec", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("error: float eigenvalue witness [0j, "), argv
+        assert "zero or non-finite" in captured.err, argv
+
+
+def test_verify_group_axioms_record_does_not_depend_on_the_seed(tmp_path, capsys):
+    spec = write(tmp_path, "s.json", {"type": "diagonal", "lambda1": [1, 2, 0, 1],
+                                      "lambda2": [1, 3, 0, 1]})
+    records = []
+    for seed in ("0", "1234567"):
+        code, out = run(capsys, ["verify", "--spec", spec, "--n", "2", "--seed", seed,
+                                 "--samples", "20"])
+        assert code == 0
+        records.append(out["reports"][0])
+    assert records[0]["check"] == "group_axioms" and records[0]["passed"]
+    assert records[0] == records[1]
+
+
 def test_verify_huge_annulus_reports_instead_of_overflowing(tmp_path, capsys):
     # |z|^2 ~ 1e320 leaves the float range inside the chordal distance
     code = main(["verify", "--spec", far_out_spec(tmp_path, 1e160), "--n", "3", "--compact"])

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import inspect
 import json
 import math
 import random
@@ -22,7 +23,7 @@ from hopfon.devmaps import (
 )
 from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
 from hopfon.hopf import HopfSurface
-from hopfon import verify
+from hopfon import group, verify
 from hopfon.scalars import EigenBasis, Scalar
 from hopfon.verify import (
     PROOF_BRANCHES,
@@ -123,7 +124,39 @@ def test_group_axioms_default_is_the_proof_and_the_action_trials():
     for n in (1, 2, 3):
         rep = check_group_axioms(n)
         assert rep.passed, rep.checks
-        assert rep.checks == {"trials": 0, "action_trials": 200, "proved": list(PROOF_BRANCHES)}
+        assert rep.checks == {"trials": 0, "action_trials": 24, "proved": list(PROOF_BRANCHES)}
+        assert rep.max_equivariance_residual < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_record_does_not_depend_on_the_seed(n):
+    # without --trials nothing is drawn: the proof and the fixed points
+    records = [check_group_axioms(n, seed=seed).to_record() for seed in (0, 7, 2**31 - 1)]
+    assert records[0]["passed"]
+    assert records[1] == records[0] and records[2] == records[0]
+
+
+_ACT_PATHS = {
+    "%s_%s_%s" % (kind, change, tag)
+    for kind, changes in (("diagonal", ("T_to_T", "S_to_S")), ("general", ("T_to_T", "T_to_S", "S_to_T", "S_to_S")))
+    for change in changes
+    for tag in ("p", "p_zero")
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_action_points_reach_every_path_of_act_affine(n):
+    # each case is named for the path act_affine takes on it: diagonal or
+    # general matrix, chart in and out, and p = 0 or not
+    seen = []
+    for path, x, chart, (c1, c2) in verify._action_cases(n):
+        out = act_affine(x, AffinePoint(chart, c1.numeric(), c2.numeric()), n)
+        kind = "diagonal" if x.g.is_diagonal() else "general"
+        tag = "p_zero" if x.p.is_zero() else "p"
+        assert path == "%s_%s_to_%s_%s" % (kind, chart, out.chart, tag)
+        seen.append(path)
+    assert len(_ACT_PATHS) == 12
+    assert sorted(seen) == sorted(2 * list(_ACT_PATHS))
 
 
 def _fails(n=2):
@@ -201,6 +234,94 @@ def test_group_axioms_catch_equality_up_to_any_scalar(monkeypatch, n):
     assert _fails(n) == ("equality", "scalar_multiple")
 
 
+def _swapped_compose(monkeypatch):
+    compose = GroupElt.compose
+    # the opposite group: associativity, identity and inverse still hold
+    monkeypatch.setattr(GroupElt, "compose", lambda x, y: compose(y, x))
+
+
+def _right_convention(monkeypatch, with_inverse):
+    def compose(x, y):
+        # (g0, p0)(g1, p1) = (g0 g1, p1 + p0.g1)
+        return GroupElt(x.g * y.g, y.p + x.p.precompose(y.g))
+
+    monkeypatch.setattr(GroupElt, "compose", compose)
+    if with_inverse:
+        # (g, p)^-1 = (g^-1, -p.g^-1) completes a group under that product
+        monkeypatch.setattr(GroupElt, "inverse", lambda x: GroupElt(x.g.inverse(), -x.p.precompose(x.g.inverse())))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_catch_a_compose_in_the_swapped_order(monkeypatch, n):
+    _swapped_compose(monkeypatch)
+    # every group-law branch runs first and passes; the action law fails
+    assert _fails(n) == ("action", "action_big_cell")
+
+
+def test_group_axioms_catch_a_compose_under_the_other_convention(monkeypatch):
+    _right_convention(monkeypatch, with_inverse=False)
+    assert not check_group_axioms(2).passed
+    monkeypatch.undo()
+    # with the matching inverse it is a group again, which acts on the right
+    _right_convention(monkeypatch, with_inverse=True)
+    assert _fails() == ("action", "action_big_cell")
+
+
+def _mutant(func, old, new):
+    """func compiled again from its source with old replaced by new, in a copy
+    of its module's namespace."""
+    src = inspect.getsource(func)
+    assert src.count(old) == 1, old
+    namespace = dict(func.__globals__)
+    exec(src.replace(old, new), namespace)
+    return namespace[func.__name__]
+
+
+def _action_failure(n=2):
+    rep = check_group_axioms(n)
+    assert not rep.passed
+    assert rep.checks["failed"] == "action"
+    return rep.checks
+
+
+def test_group_axioms_catch_a_dropped_diagonal_chart_s_branch(monkeypatch):
+    # a diagonal matrix acts on every point by the chart-T formula
+    old = 'if pt.chart == "T":\n            chart, c1, c2 = "T", ratio'
+    mutant = _mutant(group.act_affine, old, old.replace('pt.chart == "T"', "True"))
+    monkeypatch.setattr(verify, "act_affine", mutant)
+    assert _action_failure()["paths"] == ["diagonal_S_to_S_p_zero", "diagonal_S_to_S_p"]
+
+
+def test_group_axioms_catch_an_inverted_diagonal_ratio(monkeypatch):
+    # (d/a, d^n) in place of (a/d, d^n)
+    mutant = _mutant(group._numeric_action, "(ea / ed).numeric()", "(ed / ea).numeric()")
+    monkeypatch.setattr(group, "_numeric_action", mutant)
+    paths = _action_failure()["paths"]
+    assert paths and all(path.startswith("diagonal_") for path in paths)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_group_axioms_catch_the_wrong_power_in_the_chart_s_fiber(monkeypatch, n):
+    # den**n in place of num**n: at a pole den = 0, so the action raises
+    mutant = _mutant(group.act_affine, "pt.c2 / num**n", "pt.c2 / den**n")
+    monkeypatch.setattr(verify, "act_affine", mutant)
+    checks = _action_failure(n)
+    assert {"general_T_to_S_p", "general_S_to_S_p_zero"} <= set(checks["paths"])
+    assert checks["error"].startswith("ZeroDivisionError")
+
+
+def test_an_action_that_raises_fails_the_group_axioms(monkeypatch):
+    # an exception at a fixed point fails the record and names the path
+    def raising(x, pt, n=None):
+        raise ZeroDivisionError("complex division by zero")
+
+    monkeypatch.setattr(verify, "act_affine", raising)
+    checks = _action_failure()
+    assert sorted(checks["paths"]) == sorted(_ACT_PATHS)
+    assert checks["error"] == "ZeroDivisionError: complex division by zero"
+    assert checks["action_trials"] == 24
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kronecker_base_below_the_span_raises(n):
     span = _kronecker_span(n)
@@ -214,10 +335,18 @@ def test_kronecker_base_below_the_span_raises(n):
 def test_kronecker_span_bounds_every_compared_window(monkeypatch):
     # decode each scalar that the proof compares, computed with a base far
     # above any window, into per-indeterminate exponents (balanced base-N
-    # digits), and check that their windows stay within the derived span
+    # digits), and check that their windows stay within the derived span,
+    # for the group laws and for the action law, where the point's Z1, Z2
+    # and tau are indeterminates too
     base = 10**6
-    widest = []
+    widest = {"laws": [], "action": []}
+    phase = ["laws"]
     eq = Scalar.__eq__
+    act_exact = verify._act_exact
+
+    def acting(x, point):
+        phase[0] = "action"  # the action pairs run after every law
+        return act_exact(x, point)
 
     def digits(e):
         e, out = int(e), []
@@ -233,21 +362,37 @@ def test_kronecker_span_bounds_every_compared_window(monkeypatch):
             cols = [digits(key[ax]) for key, *_ in a.terms + b.terms for ax in axes]
             for j in range(max(map(len, cols), default=0)):
                 col = [c[j] if j < len(c) else 0 for c in cols]
-                widest.append(max(col) - min(col))
+                widest[phase[0]].append(max(col) - min(col))
         return eq(a, b)
 
+    def run(n):
+        phase[0] = "laws"
+        for windows in widest.values():
+            windows.clear()
+        return _prove_group_law(n, base=base)
+
     monkeypatch.setattr(Scalar, "__eq__", recording)
+    monkeypatch.setattr(verify, "_act_exact", acting)
     for n in (1, 2, 3):
-        widest.clear()
-        assert _prove_group_law(n, base=base) is None
-        assert 0 < max(widest) <= _kronecker_span(n)
+        assert run(n) is None
+        assert 0 < max(widest["laws"]) <= _kronecker_span(n)
+        assert 0 < max(widest["action"]) <= _kronecker_span(n)
+    # where the two sides of the action law differ, the left side is a
+    # polynomial of its own, and its window must fit the span as well.
+    # Under the right-acting convention the matrices agree, and tau' of
+    # the left side reaches the window 2n that the span's derivation gives
+    _right_convention(monkeypatch, with_inverse=True)
+    for n in (1, 2, 3):
+        assert run(n) == {"failed": "action", "branch": "action_big_cell"}
+        assert max(widest["action"]) == 2 * n <= _kronecker_span(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_axioms_make_few_composes(monkeypatch, n):
     # the proof composes 8 times per triple (4 associativity, 2 identity,
-    # 2 inverse) on 3 triples; each action trial composes once.  Sampling
-    # the laws instead would cost 8 composes per random triple.
+    # 2 inverse) on 3 triples and once per action pair on 3 pairs; the
+    # float action check composes nothing.  Sampling the laws instead
+    # would cost 8 composes per random triple.
     calls = [0]
     compose = GroupElt.compose
 
@@ -257,7 +402,7 @@ def test_group_axioms_make_few_composes(monkeypatch, n):
 
     monkeypatch.setattr(GroupElt, "compose", counting)
     assert check_group_axioms(n, trials=0).passed
-    assert calls[0] <= 200 + 3 * 8
+    assert calls[0] == 3 * 8 + 3
 
 
 def test_verify_structure_bundle():
@@ -332,8 +477,9 @@ def test_a_nan_action_residual_fails_the_group_axioms(monkeypatch):
 
     monkeypatch.setattr(verify, "point_residual", one_nan)
     rep = check_group_axioms(2)
-    assert len(calls) == 200
+    assert len(calls) == 24
     assert not rep.passed
+    assert rep.checks["paths"] == [verify._action_cases(2)[6][0]]
     assert math.isnan(rep.max_equivariance_residual)
     assert rep.to_record()["max_equivariance_residual"] is None
 
