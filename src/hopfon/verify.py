@@ -409,7 +409,10 @@ def _act_exact(x: GroupElt, point):
     chart T, (t1, t2) = (Z1/Z2, tau/Z2^n), or chart S, (s1, s2) =
     (Z2/Z1, tau/Z1^n); so (x y).pt = x.(y.pt) is the identity
     act(xy) = act(x) act(y), with p_xy(g_x g_y Z) = p_x(g_x g_y Z) +
-    p_y(g_y Z).
+    p_y(g_y Z).  p is evaluated at gZ directly, not through
+    `HomogPoly.precompose`, so the identity pins precomposition to
+    p(MZ): the group laws hold for any right action in its place, such
+    as p(M^{-T} Z).
     """
     z1, z2, tau = point
     (a, b), (c, d) = x.g.entries

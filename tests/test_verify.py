@@ -138,7 +138,10 @@ def test_group_axioms_record_does_not_depend_on_the_seed(n):
 
 _ACT_PATHS = {
     "%s_%s_%s" % (kind, change, tag)
-    for kind, changes in (("diagonal", ("T_to_T", "S_to_S")), ("general", ("T_to_T", "T_to_S", "S_to_T", "S_to_S")))
+    for kind, changes in (
+        ("diagonal", ("T_to_T", "S_to_S")),
+        ("general", ("T_to_T", "T_to_S", "S_to_T", "S_to_S")),
+    )
     for change in changes
     for tag in ("p", "p_zero")
 }
@@ -248,7 +251,10 @@ def _right_convention(monkeypatch, with_inverse):
     monkeypatch.setattr(GroupElt, "compose", compose)
     if with_inverse:
         # (g, p)^-1 = (g^-1, -p.g^-1) completes a group under that product
-        monkeypatch.setattr(GroupElt, "inverse", lambda x: GroupElt(x.g.inverse(), -x.p.precompose(x.g.inverse())))
+        def inverse(x):
+            return GroupElt(x.g.inverse(), -x.p.precompose(x.g.inverse()))
+
+        monkeypatch.setattr(GroupElt, "inverse", inverse)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -265,6 +271,19 @@ def test_group_axioms_catch_a_compose_under_the_other_convention(monkeypatch):
     # with the matching inverse it is a group again, which acts on the right
     _right_convention(monkeypatch, with_inverse=True)
     assert _fails() == ("action", "action_big_cell")
+
+
+def test_group_axioms_catch_precomposition_by_the_inverse_transpose(monkeypatch):
+    precompose = HomogPoly.precompose
+
+    def inverse_transpose(p, m):
+        # p(M^-T Z) is a right action too, so every group law still holds
+        (a, b), (c, d) = m.inverse().entries
+        return precompose(p, Mat2._raw(m.basis, ((a, c), (b, d)), m.inverse().det()))
+
+    monkeypatch.setattr(HomogPoly, "precompose", inverse_transpose)
+    for n in (1, 2, 3):
+        assert _fails(n) == ("action", "action_big_cell")
 
 
 def _mutant(func, old, new):
