@@ -77,9 +77,12 @@ def _quad(value, where: str) -> GaussRat:
 
 
 def _positive(value, flag: str):
-    """A command-line count or tolerance, rejected unless positive when given."""
-    if value is not None and value <= 0:
-        raise InputError("%s must be positive, got %s" % (flag, value))
+    """A count or tolerance, rejected unless positive and finite when given.
+
+    NaN fails the comparison, so it is rejected with infinity.
+    """
+    if value is not None and not 0 < value < math.inf:
+        raise InputError("%s must be positive and finite, got %s" % (flag, value))
     return value
 
 

@@ -28,7 +28,7 @@ certificate on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .group import AffinePoint
 from .scalars import GR_ONE, GR_ZERO, GaussRat, _power, as_gauss
@@ -200,8 +200,11 @@ _FIELDS = ("k1", "k2", "l1", "l2", "P1", "Q1", "P2", "hyper", "n")
 class DevMap:
     """A candidate developing map in monomial-times-rational form.
 
-    `eval_devmap` keeps the map's numeric plan in `_plan`, an unset
-    slot until the first evaluation.
+    `_plan` is an unset slot until the map's first float evaluation;
+    then it holds the tuple `_numeric_plan` builds, which `eval_devmap`
+    and `eval_stencil_t` read: P1, Q1 and P2 homogenized, each constant
+    one folded to its complex value, the exponents k1, k2~, l1, l2~ and
+    n, and, when Q1 is constant, the chart-T denominators K**1 and K**n.
     """
 
     __slots__ = _FIELDS + ("_plan",)
@@ -393,9 +396,38 @@ class DetJacobian:
     R_num: UniPoly
     R_den: UniPoly
     hyper: tuple
+    _factors: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Without a hyperresonance u = 1.0 at every point, so the factors
+        # of eval_numeric that depend on u alone are the same complex
+        # numbers everywhere: P1(u) P2(u), Q1(u)^(n+1) and R(u).  Where one
+        # of them raises, every call takes the general path and raises there.
+        factors = None
+        if self.hyper is None:
+            try:
+                factors = (
+                    self.P1.eval_numeric(1.0) * self.P2.eval_numeric(1.0),
+                    self.Q1.eval_numeric(1.0) ** (self.n + 1),
+                    self.R_num.eval_numeric(1.0) / self.R_den.eval_numeric(1.0),
+                )
+            except ArithmeticError:
+                pass
+        object.__setattr__(self, "_factors", factors)
 
     def eval_numeric(self, z) -> complex:
+        """det t' at z, in float arithmetic.
+
+        Without a hyperresonance the u-dependent factors are the
+        constants `__post_init__` computed, used by the same operations
+        in the same order, so the value is bit-identical to the general
+        path.
+        """
         z1, z2 = complex(z[0]), complex(z[1])
+        factors = self._factors
+        if factors is not None:
+            pp, qn, r = factors
+            return z1**self.z1_exp * z2**self.z2_exp * pp / qn * r
         if self.hyper is not None:
             m1, m2 = self.hyper
             u = z1**m1 / z2**m2
@@ -514,7 +546,17 @@ class EvalError(ArithmeticError):
 
 
 def _homogenized(p: UniPoly, m1, m2):
-    """(p_i, m1 i, m2 (deg - i)) for each nonzero coefficient p_i of p."""
+    """p homogenized for the term loop of `eval_devmap`, or its value if constant.
+
+    A nonconstant p gives the terms (p_i, m1 i, m2 (deg - i)), one per
+    nonzero coefficient p_i.  For a constant p = c the loop would add
+    c * z1**0 * z2**0 to 0j at every point; z**0 is exactly 1+0j for
+    every complex z, nan and infinity included, so that sum is the same
+    complex number everywhere and is returned instead.
+    """
+    if p.is_constant():
+        one = 0j**0
+        return 0j + p.coeffs[0].to_complex() * one * one
     deg = p.degree
     return tuple(
         [(c.to_complex(), m1 * i, m2 * (deg - i)) for i, c in enumerate(p.coeffs) if not c.is_zero()]
@@ -522,17 +564,66 @@ def _homogenized(p: UniPoly, m1, m2):
 
 
 def _numeric_plan(d: DevMap):
-    """The homogenized P1, Q1, P2 and (k2~, l2~) of d, computed on first use."""
+    """The float data `eval_devmap` needs for d, computed on first use.
+
+    The plan is (H1, K, H2, k1, k2~, l1, l2~, n, den1, denn).  H1, K and
+    H2 are P1, Q1 and P2 from `_homogenized`: a complex constant, or
+    the terms of a nonconstant polynomial.  den1 and denn are the
+    chart-T denominators K**1 and K**n when K is constant and both are
+    nonzero.  Otherwise, and where K**n overflows, both are None, and
+    `_chart_t` forms t1 and t2 with `_chart_value`, which forms K**p at
+    each point, so an overflowing K**n raises there.
+    """
     plan = getattr(d, "_plan", None)
     if plan is None:
         m1, m2 = d._m()
-        plan = (
-            _homogenized(d.P1, m1, m2),
-            _homogenized(d.Q1, m1, m2),
-            _homogenized(d.P2, m1, m2),
-        ) + d.tilde_exponents()
+        h1, hq, h2 = (_homogenized(p, m1, m2) for p in (d.P1, d.Q1, d.P2))
+        kt2, lt2 = d.tilde_exponents()
+        den1 = denn = None
+        if hq.__class__ is complex:
+            try:
+                den1, denn = hq**1, hq**d.n
+            except OverflowError:  # the general path raises it again at each point
+                pass
+            if not (den1 and denn):
+                den1 = denn = None
+        plan = (h1, hq, h2, d.k1, kt2, d.l1, lt2, d.n, den1, denn)
         object.__setattr__(d, "_plan", plan)
     return plan
+
+
+def _homog_sum(terms, z1, z2):
+    """sum p_i z1^(m1 i) z2^(m2 (deg - i)) over the terms of a nonconstant p."""
+    total = 0j
+    for c, a, b in terms:
+        total += c * z1**a * z2**b
+    return total
+
+
+def _chart_t(plan, z1, z2):
+    """(t1, t2) at a point with both coordinates nonzero, or None where
+    chart T is infinite there.
+
+    The operations and their order are those of the general path of
+    `eval_devmap`: the term sums of H1, K and H2, then t1 and t2 as
+    `_chart_value` forms them.  With den1 and denn in the plan, K is
+    constant and t1 and t2 are finite, so their quotients are formed
+    directly.
+    """
+    h1, hq, h2, k1, kt2, l1, lt2, n, den1, denn = plan
+    if h1.__class__ is tuple:
+        h1 = _homog_sum(h1, z1, z2)
+    if hq.__class__ is tuple:
+        hq = _homog_sum(hq, z1, z2)
+    if h2.__class__ is tuple:
+        h2 = _homog_sum(h2, z1, z2)
+    if den1 is not None:
+        return (z1**k1 * z2**kt2 * h1 / den1, z1**l1 * z2**lt2 * h2 / denn)
+    t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
+    t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
+    if t1 is None or t2 is None:
+        return None
+    return (t1, t2)
 
 
 def eval_devmap(d: DevMap, z):
@@ -546,24 +637,33 @@ def eval_devmap(d: DevMap, z):
     negative powers are infinite.
     Raises EvalError on the measure-zero loci where neither chart gives
     a finite value.
+
+    Where both coordinates are nonzero, chart T comes from `_chart_t`,
+    without the checks for zero coordinates, and when it is finite it
+    is returned; axis points and the rest take the general path, which
+    forms the same values again.  Constant H and K come folded from the
+    plan on both paths.
     """
     z1, z2 = complex(z[0]), complex(z[1])
+    plan = _numeric_plan(d)
+    if z1 and z2:
+        t = _chart_t(plan, z1, z2)
+        if t is not None:
+            return AffinePoint._raw("T", t[0], t[1])
     if not z1:
         if not z2:
             raise EvalError("the developing map lives on C^2 minus the origin")
         z1 = 0j
     elif not z2:
         z2 = 0j
-    p1, q1, p2, kt2, lt2 = _numeric_plan(d)
+    h1, hq, h2, k1, kt2, l1, lt2, n, _, _ = plan
     # z2^(m2 deg p) p(u) = sum p_i z1^(m1 i) z2^(m2 (deg - i)): no exponent is negative
-    h1 = hq = h2 = 0j
-    for c, a, b in p1:
-        h1 += c * z1**a * z2**b
-    for c, a, b in q1:
-        hq += c * z1**a * z2**b
-    for c, a, b in p2:
-        h2 += c * z1**a * z2**b
-    k1, l1, n = d.k1, d.l1, d.n
+    if h1.__class__ is tuple:
+        h1 = _homog_sum(h1, z1, z2)
+    if hq.__class__ is tuple:
+        hq = _homog_sum(hq, z1, z2)
+    if h2.__class__ is tuple:
+        h2 = _homog_sum(h2, z1, z2)
     t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
     t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
     if t1 is not None and t2 is not None:
@@ -573,6 +673,29 @@ def eval_devmap(d: DevMap, z):
     if s1 is not None and s2 is not None:
         return AffinePoint._raw("S", s1, s2)
     raise EvalError("point lies on a zero locus of both charts; resample")
+
+
+def eval_stencil_t(d: DevMap, z, h1, h2):
+    """Chart-T values (t1, t2) of the map at the four points
+    (z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2), in that order.
+
+    Each equals `eval_devmap(d, w).in_chart("T", d.n)` at its point w,
+    and raises what that expression raises: where both coordinates of w
+    are nonzero and chart T is finite, the value comes from `_chart_t`,
+    as in `eval_devmap`, without building a point; any other point
+    falls back to that expression.  The points are evaluated in order,
+    so the first failing one decides the exception.
+    """
+    z1, z2 = complex(z[0]), complex(z[1])
+    plan = _numeric_plan(d)
+    out = []
+    for w1, w2 in ((z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2)):
+        t = _chart_t(plan, w1, w2) if w1 and w2 else None
+        if t is None:
+            pt = eval_devmap(d, (w1, w2)).in_chart("T", d.n)
+            t = (pt.c1, pt.c2)
+        out.append(t)
+    return out
 
 
 def _chart_value(z1, a, z2, b, H, K, p):

@@ -7,9 +7,14 @@ the chordal metric on the base direction and a scaled absolute
 difference on the fiber after aligning charts.  Immersion checks
 evaluate the exact Jacobian factorization at the samples (including
 points on the coordinate axes) and cross-check against central finite
-differences.  A NaN or infinite residual, determinant or difference
-fails its check: NaN compares false both ways, so max() or a bare
-threshold test would let it pass.
+differences.  Each sample evaluates the map once with `eval_devmap`,
+and its four stencil points with one `eval_stencil_t` call; both read
+the map's numeric plan, in which constant polynomials and the chart-T
+denominators are folded, by the same float operations as a term-by-term
+evaluation, so every printed value is unchanged by the folding.  A NaN
+or infinite residual, determinant or difference fails its check: NaN
+compares false both ways, so max() or a bare threshold test would let
+it pass.
 
 The group axioms of G for degree n are checked in three parts.  First
 an exact proof: associativity, identity and inverse, and the action
@@ -31,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .devmaps import DevMap, EvalError, det_jacobian, eval_devmap
+from .devmaps import DevMap, EvalError, det_jacobian, eval_devmap, eval_stencil_t
 from .group import (
     AffinePoint,
     GroupElt,
@@ -63,8 +68,8 @@ class VerifyConfig:
             r1 = 1.0
         else:
             r0, r1 = 0.5, 1.0
-        if not (0 < r0 < r1):
-            raise ValueError("annulus must satisfy 0 < r_min < r_max")
+        if not (0 < r0 < r1 < math.inf):
+            raise ValueError("annulus must satisfy 0 < r_min < r_max < infinity")
         return (r0, r1)
 
 
@@ -261,19 +266,16 @@ def _fd_det(dev: DevMap, z, n, pt):
     try:
         h1 = 1e-6 * max(abs(z1), 1.0)
         h2 = 1e-6 * max(abs(z2), 1.0)
-        pp = eval_devmap(dev, (z1 + h1, z2)).in_chart("T", n)
-        pm = eval_devmap(dev, (z1 - h1, z2)).in_chart("T", n)
-        qp = eval_devmap(dev, (z1, z2 + h2)).in_chart("T", n)
-        qm = eval_devmap(dev, (z1, z2 - h2)).in_chart("T", n)
+        (pp1, pp2), (pm1, pm2), (qp1, qp2), (qm1, qm2) = eval_stencil_t(dev, z, h1, h2)
         base = pt.in_chart("T", n)
     except (EvalError, ZeroDivisionError, OverflowError):
         return None
     if max(abs(base.c1), abs(base.c2)) > 1e4:
         return None
-    j11 = (pp.c1 - pm.c1) / (2 * h1)
-    j21 = (pp.c2 - pm.c2) / (2 * h1)
-    j12 = (qp.c1 - qm.c1) / (2 * h2)
-    j22 = (qp.c2 - qm.c2) / (2 * h2)
+    j11 = (pp1 - pm1) / (2 * h1)
+    j21 = (pp2 - pm2) / (2 * h1)
+    j12 = (qp1 - qm1) / (2 * h2)
+    j22 = (qp2 - qm2) / (2 * h2)
     return j11 * j22 - j12 * j21
 
 

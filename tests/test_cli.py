@@ -553,6 +553,34 @@ def test_verify_rejects_non_positive_counts(tmp_path, capsys, flag, value):
     assert flag in captured.err and "must be positive" in captured.err
 
 
+_TINY = {"surface": _GENERIC, "verify": {"annulus": [1e-9, 1e-8]}}
+
+
+@pytest.mark.parametrize(
+    "spec_text, flags",
+    [
+        # the radial structure fails equivariance here, with residual ~3e3
+        (json.dumps(_TINY), ["--tol", "inf"]),
+        (json.dumps(_TINY), ["--tol", "nan"]),
+        ('{"surface": %s, "verify": {"tol_jac": NaN}}' % json.dumps(_GENERIC), []),
+        ('{"surface": %s, "verify": {"tol_equiv": Infinity}}' % json.dumps(_GENERIC), []),
+        ('{"surface": %s, "verify": {"annulus": [0.5, 1e400]}}' % json.dumps(_GENERIC), []),
+    ],
+    ids=["tol-inf", "tol-nan", "tol_jac-nan", "tol_equiv-infinity", "annulus-1e400"],
+)
+@pytest.mark.parametrize("command", [["verify"], ["structures", "--verify"]])
+def test_non_finite_verify_settings_exit_2(tmp_path, capsys, spec_text, flags, command):
+    # an infinite tolerance passed any residual, a NaN one failed every check,
+    # and a radius of 1e400 parsed as infinity and ran the checks there
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text)
+    code = main(command + ["--spec", str(spec), "--n", "2"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "finite" in captured.err or "infinity" in captured.err
+
+
 def test_structures_rejects_zero_degree_over_spec(tmp_path, capsys):
     # --n 0 used to fall back to the spec's n
     spec = write(

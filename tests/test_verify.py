@@ -19,12 +19,13 @@ from hopfon.devmaps import (
     UniPoly,
     det_jacobian,
     eval_devmap,
+    eval_stencil_t,
     is_semiadmissible,
 )
 from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
 from hopfon.hopf import HopfSurface
-from hopfon import group, verify
-from hopfon.scalars import EigenBasis, Scalar
+from hopfon import devmaps, group, verify
+from hopfon.scalars import EigenBasis, GaussRat, Scalar
 from hopfon.verify import (
     PROOF_BRANCHES,
     VerifyConfig,
@@ -856,6 +857,135 @@ def test_fd_det_matches_reference(i, z1, z2):
     except EvalError:
         return
     assert _same(_fd_det(dev, z, dev.n, pt), ref_fd_det(dev, z, dev.n, ref_pt))
+
+
+def ref_stencil(dev, z, h1, h2):
+    """The four chart-T stencil values of `_fd_det`, one `ref_eval_devmap` each."""
+    z1, z2 = z
+    out = []
+    for w in ((z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2)):
+        pt = ref_in_chart(ref_eval_devmap(dev, w), "T", dev.n)
+        out.append((pt.c1, pt.c2))
+    return out
+
+
+# Constants of the kernel maps: 2^-600 and 2^600 make K^n underflow to 0 or
+# overflow for n >= 2, so the chart-T denominators stay out of the plan.
+_KERNEL_CONSTS = (1, -1, 2, Fraction(1, 2), GaussRat(1, 1), GaussRat(0, -3), Fraction(1, 2**600), 2**600)
+# dyadic roots, so that K vanishes exactly at z1 = r z2^m2 (m1 = 1)
+_KERNEL_ROOTS = (2, -1, Fraction(1, 2), GaussRat(1, 1), GaussRat(0, Fraction(-1, 4)))
+_KERNEL_Z2 = (1, -1, 1j, -1j, 2, 0.5)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(map, point): a map whose polynomials are constants, or all but one
+    when it has a hyperresonance, at a point on an axis, at a root of Q1, or
+    at a radius from 1e-200 to 1e200 where powers underflow or overflow."""
+    n = draw(st.integers(1, 3))
+    k1, k2, l1, l2 = (draw(st.integers(-3, 3)) for _ in range(4))
+    kind = draw(st.sampled_from(["radius", "axis", "q1_root"]))
+    hyper = draw(st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    varying = None  # the index of the nonconstant polynomial among P1, Q1, P2
+    if kind == "q1_root":
+        hyper, varying = (1, hyper[1] if hyper else 1), 1
+    elif hyper is not None and draw(st.booleans()):
+        varying = draw(st.integers(0, 2))
+    consts = [draw(st.sampled_from(_KERNEL_CONSTS)) for _ in range(3)]
+    polys = [UniPoly([c]) for c in consts]
+    if varying is not None:
+        roots = draw(st.lists(st.sampled_from(_KERNEL_ROOTS), min_size=1, max_size=2, unique=True))
+        polys[varying] = UniPoly.from_roots(roots, lead=consts[varying])
+    d = DevMap(k1, k2, l1, l2, *polys, hyper, n)
+    if kind == "q1_root":
+        z2 = complex(draw(st.sampled_from(_KERNEL_Z2)))
+        return d, (complex(draw(st.sampled_from(roots))) * z2 ** hyper[1], z2)
+    w = cmath.rect(10.0 ** draw(st.floats(-200, 200)), draw(st.floats(0, 2 * math.pi)))
+    if kind == "axis":
+        zero = draw(st.sampled_from([0j, complex(-0.0, -0.0)]))
+        return d, draw(st.sampled_from([(zero, w), (w, zero)]))
+    return d, (w, cmath.rect(10.0 ** draw(st.floats(-200, 200)), draw(st.floats(0, 2 * math.pi))))
+
+
+def _kernel_mismatches(d, z):
+    """The float kernels of d that disagree with the reference at z."""
+    bad = []
+    if not _same(_outcome(eval_devmap, d, z), _outcome(ref_eval_devmap, d, z)):
+        bad.append("eval_devmap")
+    det = det_jacobian(d)
+    if not _same(_outcome(det.eval_numeric, z), _outcome(ref_det, det, z)):
+        bad.append("DetJacobian.eval_numeric")
+    h1, h2 = 1e-6 * max(abs(z[0]), 1.0), 1e-6 * max(abs(z[1]), 1.0)
+    if not _same(_outcome(eval_stencil_t, d, z, h1, h2), _outcome(ref_stencil, d, z, h1, h2)):
+        bad.append("eval_stencil_t")
+    try:
+        pt, ref_pt = eval_devmap(d, z), ref_eval_devmap(d, z)
+    except ArithmeticError:
+        return bad
+    if not _same(_outcome(_fd_det, d, z, d.n, pt), _outcome(ref_fd_det, d, z, d.n, ref_pt)):
+        bad.append("_fd_det")
+    return bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_cases())
+def test_map_kernels_match_reference(case):
+    d, z = case
+    assert _kernel_mismatches(d, z) == []
+
+
+def test_map_kernel_parity_catches_swapped_exponents_on_the_folded_path(monkeypatch):
+    # k2~ and l2~ swapped where K is constant and den1, denn are in the plan
+    chart_t = devmaps._chart_t
+
+    def swapped(plan, z1, z2):
+        h1, hq, h2, k1, kt2, l1, lt2, n, den1, denn = plan
+        if den1 is not None:
+            plan = (h1, hq, h2, k1, lt2, l1, kt2, n, den1, denn)
+        return chart_t(plan, z1, z2)
+
+    monkeypatch.setattr(devmaps, "_chart_t", swapped)
+    with pytest.raises(AssertionError, match=r"\] == \[\]"):
+        test_map_kernels_match_reference()
+
+
+def _count_calls(monkeypatch, module, name, *also):
+    """Count the calls of module.name, patched there and in the modules `also`."""
+    calls = []
+    func = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+
+    for mod in (module,) + also:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_immersion_evaluates_the_map_once_per_sample(monkeypatch):
+    # 200 samples and 8 axis points; the stencil of a map with constant
+    # polynomials never falls back to eval_devmap
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    rec = next(r for r in enumerate_structures(s, 2) if r.kind == "radial")
+    assert all(p.is_constant() for p in (rec.dev.P1, rec.dev.Q1, rec.dev.P2))
+    calls = _count_calls(monkeypatch, devmaps, "eval_devmap", verify)
+    rep = check_immersion(rec, VerifyConfig(), s)
+    assert rep.passed and rep.checks["fd_samples"] == 200
+    assert len(calls) == 208
+
+
+def test_numeric_plan_is_built_once_per_map(monkeypatch):
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    recs = enumerate_structures(s, 2, hyper_params=[[2]])
+    assert any(not r.dev.P1.is_constant() for r in recs)
+    calls = _count_calls(monkeypatch, devmaps, "_homogenized")
+    for rec in recs:
+        before = len(calls)
+        assert all(rep.passed for rep in verify_structure(rec, s, VerifyConfig(samples=20)))
+        assert len(calls) - before == 3  # P1, Q1, P2 of rec.dev, once
+        assert devmaps._numeric_plan(rec.dev) is rec.dev._plan
+    assert len(calls) == 3 * len(recs)
 
 
 def ref_random_entries(n, rng, scale=3):
