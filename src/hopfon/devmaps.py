@@ -204,7 +204,8 @@ class DevMap:
     then it holds the tuple `_numeric_plan` builds, which `eval_devmap`
     and `eval_stencil_t` read: P1, Q1 and P2 homogenized, each constant
     one folded to its complex value, the exponents k1, k2~, l1, l2~ and
-    n, and, when Q1 is constant, the chart-T denominators K**1 and K**n.
+    n, and the chart-T denominators K**1 and K**n where Q1 is constant
+    and both are finite and nonzero.
     """
 
     __slots__ = _FIELDS + ("_plan",)
