@@ -31,6 +31,7 @@ from .scalars import (
     EigenBasis,
     Scalar,
     ScalarDomainError,
+    sum_of_products,
 )
 
 
@@ -105,6 +106,7 @@ class HomogPoly:
         With L1 = m11 Z1 + m12 Z2 and L2 = m21 Z1 + m22 Z2, the result
         sum(a_k L1^k L2^(n-k)) is built by the homogeneous Horner scheme
         r <- r L1 + a_k L2^(n-k), for k = n-1 down to 0, from r = a_n.
+        Each coefficient of a step is one `sum_of_products` call.
         """
         n = self.degree
         cs = self.coeffs
@@ -119,10 +121,7 @@ class HomogPoly:
         r = [cs[n]]
         l2pow = [m22, m21]
         for k in range(n - 1, -1, -1):
-            r = _times_linear(r, m12, m11)
-            a = cs[k]
-            if a.terms:
-                r = [c + a * e for c, e in zip(r, l2pow)]
+            r = _times_linear(r, m12, m11, cs[k], l2pow)
             if k:
                 l2pow = _times_linear(l2pow, m22, m21)
         return HomogPoly._raw(self.basis, n, r)
@@ -146,13 +145,17 @@ class HomogPoly:
         return "HomogPoly<%s>" % (" + ".join(bits) or "0")
 
 
-def _times_linear(v, u2, u1):
-    """Coefficient vector of (sum v_i Z1^i Z2^(d-i)) (u1 Z1 + u2 Z2)."""
-    out = [v[0] * u2]
-    for i in range(1, len(v)):
-        out.append(v[i] * u2 + v[i - 1] * u1)
-    out.append(v[-1] * u1)
-    return out
+def _times_linear(v, u2, u1, a=None, w=None):
+    """Coefficient vector of (sum v_i Z1^i Z2^(d-i)) (u1 Z1 + u2 Z2), plus
+    a (sum w_i Z1^i Z2^(d+1-i)) when a scalar a and d+2 scalars w are given.
+
+    Each coefficient is one fused `sum_of_products`."""
+    d = len(v)
+    rows = [[(v[0], u2)]] + [[(v[i], u2), (v[i - 1], u1)] for i in range(1, d)] + [[(v[-1], u1)]]
+    if a is not None and a.terms:
+        for row, e in zip(rows, w):
+            row.append((a, e))
+    return [sum_of_products(row) for row in rows]
 
 
 class Mat2:
@@ -161,7 +164,9 @@ class Mat2:
     Products, inverses and rescalings derive the determinant of the
     result from that of their operands (det(AB) = det A det B), so the
     invertibility check costs one scalar product instead of a fresh
-    2x2 determinant.  The inverse is computed once and kept.
+    2x2 determinant.  The inverse is computed once and kept, and links
+    back to the matrix.  Each entry of a product is one fused
+    `sum_of_products`.
     """
 
     __slots__ = ("basis", "entries", "_det", "_inv")
@@ -175,7 +180,7 @@ class Mat2:
                 if not isinstance(e, Scalar) or e.basis != basis:
                     raise BasisMismatchError("entries must be scalars over the basis")
         (a, b), (c, d) = rows
-        self._set(basis, rows, a * d - b * c)
+        self._set(basis, rows, sum_of_products(((a, d), (-b, c))))
 
     @classmethod
     def _raw(cls, basis, rows, det):
@@ -217,13 +222,20 @@ class Mat2:
             raise BasisMismatchError("matrices over different bases")
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
-        return Mat2._raw(
-            self.basis,
-            ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)),
-            self._det * other._det,
+        rows = (
+            (sum_of_products(((a, e), (b, g))), sum_of_products(((a, f), (b, h)))),
+            (sum_of_products(((c, e), (d, g))), sum_of_products(((c, f), (d, h)))),
         )
+        return Mat2._raw(self.basis, rows, self._det * other._det)
 
     def inverse(self) -> "Mat2":
+        """adj(g)/det g, for a monomial determinant.
+
+        The inverse is kept on the matrix, and the inverse keeps the
+        matrix as its own inverse, so (g^-1)^-1 is g itself and costs
+        nothing: the group laws take inverse(x) and then compose(xi, x),
+        which inverts g^-1.
+        """
         if self._inv is None:
             det = self._det
             if not det.is_unit():
@@ -231,9 +243,12 @@ class Mat2:
                     "matrix determinant is not a monomial; inverse leaves the domain"
                 )
             inv = det.inverse()
+            neg = -inv
             (a, b), (c, d) = self.entries
-            rows = ((inv * d, -(inv * b)), (-(inv * c), inv * a))
-            object.__setattr__(self, "_inv", Mat2._raw(self.basis, rows, inv))
+            rows = ((inv * d, neg * b), (neg * c, inv * a))
+            out = Mat2._raw(self.basis, rows, inv)
+            object.__setattr__(out, "_inv", self)
+            object.__setattr__(self, "_inv", out)
         return self._inv
 
     def scale(self, s: Scalar) -> "Mat2":

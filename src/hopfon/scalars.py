@@ -401,6 +401,37 @@ class RelationLattice:
                 e2 = e2 - t * c
         return (e1 if type(e1) is int else _exp(e1), e2 if type(e2) is int else _exp(e2))
 
+    def add_reduced(self, e, f):
+        """reduce_exponents((e1 + f1, e2 + f2)) for two reduced pairs e and f.
+
+        Reduced pairs have 0 <= e1 < a under a pivot row (a, b), a > 0,
+        and 0 <= e2 < c under a row (0, c), so each coordinate of the sum
+        lies in [0, 2a) or [0, 2c).  One subtraction of (a, b) brings the
+        first into range; at rank 2 the HNF has 0 <= b < c, which leaves
+        the second in (-c, 2c), and one step by (0, c) ends it.  Entries
+        keep reduce_exponents' types: int when integral, Fraction otherwise.
+        """
+        s1, s2 = e[0] + f[0], e[1] + f[1]
+        if type(s1) is not int:
+            s1 = _exp(s1)
+        if type(s2) is not int:
+            s2 = _exp(s2)
+        rows = self.rows
+        if rows:
+            a, b = rows[0]
+            if a:
+                if s1 >= a:
+                    s1, s2 = s1 - a, s2 - b
+                if len(rows) == 2:
+                    c = rows[1][1]
+                    if s2 >= c:
+                        s2 -= c
+                    elif s2 < 0:
+                        s2 += c
+            elif s2 >= b:  # a lone row (0, b)
+                s2 -= b
+        return (s1, s2)
+
     def coset_order(self, v):
         """Least t >= 1 with t*v in the lattice (v a rational pair); None if infinite."""
         v1, v2 = _frac(v[0]), _frac(v[1])
@@ -761,28 +792,96 @@ class EigenBasis:
 # Scalars
 
 
-def _accumulate(items):
-    """Canonical terms from (key, x, y, z) items with reduced keys and z > 0.
+def _canonical(acc, keys=None):
+    """The sorted term tuple of acc, a dict from reduced key to term (key, x, y, z), z > 0.
 
-    Items on one key are added; each sum is brought to lowest terms,
-    zero sums are dropped and the result is sorted by key.
+    Only the terms on `keys` (every term when keys is None) may be off
+    canonical form, as a sum or a product of canonical coefficients:
+    each is brought to lowest terms, or dropped when zero.  Every other
+    term is kept as it is.  A Gaussian integer (z = 1) is in lowest
+    terms already, since gcd(x, y, 1) = 1.  Keys are distinct, so the
+    sort compares keys only.  The constructor, sums, products and
+    `sum_of_products` all end here.
+    """
+    if keys is None:
+        out = []
+        for t in acc.values():
+            key, x, y, z = t
+            if x or y:
+                if z != 1:
+                    g = math.gcd(x, y, z)
+                    if g > 1:
+                        t = (key, x // g, y // g, z // g)
+                out.append(t)
+        out.sort()
+        return tuple(out)
+    for key in keys:
+        _, x, y, z = acc[key]
+        if x or y:
+            if z != 1:
+                g = math.gcd(x, y, z)
+                if g > 1:
+                    acc[key] = (key, x // g, y // g, z // g)
+        else:
+            del acc[key]
+    return tuple(sorted(acc.values()))
+
+
+def _products(pairs, add):
+    """The canonical terms of sum(a * b for a, b in pairs), for scalars
+    over one basis: the kernel of `Scalar.__mul__` and `sum_of_products`.
+
+    Each term product is added straight into one dict on its key, found
+    in one step by `add` (`RelationLattice.add_reduced`, skipped for a
+    constant factor), with no list of products between.  Two Gaussian
+    integers (z = 1) on one key add without z arithmetic, and
+    `_canonical` takes no gcd of a Gaussian integer, so the Kronecker
+    proof, whose coefficients are all Gaussian integers, takes none.
     """
     acc = {}
-    for key, x, y, z in items:
-        t = acc.get(key)
-        if t is None:
-            acc[key] = (x, y, z)
-        else:
-            a, b, c = t
-            acc[key] = (a * z + x * c, b * z + y * c, c * z)
+    for a, b in pairs:
+        for e1, x1, y1, z1 in a.terms:
+            for e2, x2, y2, z2 in b.terms:
+                key = e2 if e1 == _E00 else e1 if e2 == _E00 else add(e1, e2)
+                x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
+                t = acc.get(key)
+                if t is not None:
+                    _, u, v, w = t
+                    if w == 1 and z == 1:
+                        x, y = u + x, v + y
+                    else:
+                        x, y, z = u * z + x * w, v * z + y * w, w * z
+                acc[key] = (key, x, y, z)
+    return _canonical(acc)
+
+
+def _shift(basis, term, ts):
+    """The canonical terms of the monomial `term` times the canonical terms ts.
+
+    Multiplying by a monomial shifts every key by the same exponent, and
+    distinct cosets stay distinct, so no two terms merge and, in the
+    field Q(i), none vanishes.  The keys keep their order at rank 0,
+    where reduction is the identity, and when the shift is 0.
+    """
+    e1, x1, y1, z1 = term
+    add = basis.lattice.add_reduced
     out = []
-    for key in sorted(acc):
-        x, y, z = acc[key]
-        if x or y:
+    for e2, x2, y2, z2 in ts:
+        x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
+        if z != 1:
             g = math.gcd(x, y, z)
             if g > 1:
                 x, y, z = x // g, y // g, z // g
-            out.append((key, x, y, z))
+        # a constant factor keeps the other (canonical) key as it is
+        if e1 == _E00:
+            key = e2
+        elif e2 == _E00:
+            key = e1
+        else:
+            key = add(e1, e2)
+        out.append((key, x, y, z))
+    if e1 != _E00 and basis.lattice.rows and len(out) > 1:
+        out.sort()
     return tuple(out)
 
 
@@ -795,6 +894,13 @@ class Scalar:
     that ring operations work on the integers.  Terms are sorted by key
     and never zero, so zero is the empty sum.  Single-term values are
     the units of the ring; only those admit inverses and roots.
+
+    Every operation ends in the one helper `_canonical`.  A sum adds
+    and reduces only the keys both operands hold.  A monomial factor
+    shifts the other's keys (`_shift`).  Other products, and the fused
+    `sum_of_products`, add each term product into one accumulator on
+    its key (`RelationLattice.add_reduced`); with Gaussian-integer
+    coefficients throughout they form no z and take no gcd.
     """
 
     __slots__ = ("basis", "terms")
@@ -802,12 +908,19 @@ class Scalar:
     def __init__(self, basis: EigenBasis, terms):
         """The canonical sum of (GaussRat coefficient, exponent pair) terms."""
         reduce = basis.lattice.reduce_exponents
+        acc, merged = {}, set()
+        for c, e in terms:
+            if c.x or c.y:
+                key = reduce(e)
+                t = acc.get(key)
+                if t is None:
+                    acc[key] = (key, c.x, c.y, c.z)
+                else:
+                    _, a, b, z = t
+                    acc[key] = (key, a * c.z + c.x * z, b * c.z + c.y * z, z * c.z)
+                    merged.add(key)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(
-            self,
-            "terms",
-            _accumulate([(reduce(e), c.x, c.y, c.z) for c, e in terms if not c.is_zero()]),
-        )
+        object.__setattr__(self, "terms", _canonical(acc, merged))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -882,17 +995,33 @@ class Scalar:
             return other
         if len(ts) == 1 and len(to) == 1:
             (e1, x1, y1, z1), (e2, x2, y2, z2) = ts[0], to[0]
-            if e1 == e2:
-                # two monomials on one (canonical) exponent key: add coefficients
-                x, y, z = x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2
-                if not (x or y):
-                    return Scalar._raw(self.basis, ())
-                g = math.gcd(x, y, z)
-                if g > 1:
-                    x, y, z = x // g, y // g, z // g
-                return Scalar._raw(self.basis, ((e1, x, y, z),))
-        # both term lists are canonical: merge without re-reducing exponents
-        return Scalar._raw(self.basis, _accumulate(ts + to))
+            if e1 != e2:
+                return Scalar._raw(self.basis, (ts[0], to[0]) if e1 < e2 else (to[0], ts[0]))
+            # two monomials on one (canonical) exponent key: add coefficients
+            x, y, z = x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2
+            if not (x or y):
+                return Scalar._raw(self.basis, ())
+            g = math.gcd(x, y, z)
+            if g > 1:
+                x, y, z = x // g, y // g, z // g
+            return Scalar._raw(self.basis, ((e1, x, y, z),))
+        # both operands are canonical: only a key they share is added and reduced
+        acc = {t[0]: t for t in ts}
+        shared = []
+        for t in to:
+            key = t[0]
+            s = acc.get(key)
+            if s is None:
+                acc[key] = t
+            else:
+                _, x1, y1, z1 = s
+                _, x2, y2, z2 = t
+                if z1 == 1 and z2 == 1:
+                    acc[key] = (key, x1 + x2, y1 + y2, 1)
+                else:
+                    acc[key] = (key, x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2)
+                shared.append(key)
+        return Scalar._raw(self.basis, _canonical(acc, shared))
 
     __radd__ = __add__
 
@@ -915,28 +1044,26 @@ class Scalar:
             return self
         if not to:
             return other
-        if len(ts) == 1 and len(to) == 1:
-            (e1, x1, y1, z1), (e2, x2, y2, z2) = ts[0], to[0]
-            # Q(i) is a field, so the product of nonzero coefficients is nonzero
-            x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
-            g = math.gcd(x, y, z)
-            if g > 1:
-                x, y, z = x // g, y // g, z // g
-            # a constant factor keeps the other (canonical) key as it is
-            if e1 == _E00:
-                e = e2
-            elif e2 == _E00:
-                e = e1
-            else:
-                e = self.basis.lattice.reduce_exponents((e1[0] + e2[0], e1[1] + e2[1]))
-            return Scalar._raw(self.basis, ((e, x, y, z),))
-        reduce = self.basis.lattice.reduce_exponents
-        prod = [
-            (reduce((e1[0] + e2[0], e1[1] + e2[1])), x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2)
-            for e1, x1, y1, z1 in ts
-            for e2, x2, y2, z2 in to
-        ]
-        return Scalar._raw(self.basis, _accumulate(prod))
+        if len(ts) == 1:
+            if len(to) == 1:
+                (e1, x1, y1, z1), (e2, x2, y2, z2) = ts[0], to[0]
+                # Q(i) is a field, so the product of nonzero coefficients is nonzero
+                x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
+                g = math.gcd(x, y, z)
+                if g > 1:
+                    x, y, z = x // g, y // g, z // g
+                # a constant factor keeps the other (canonical) key as it is
+                if e1 == _E00:
+                    e = e2
+                elif e2 == _E00:
+                    e = e1
+                else:
+                    e = self.basis.lattice.add_reduced(e1, e2)
+                return Scalar._raw(self.basis, ((e, x, y, z),))
+            return Scalar._raw(self.basis, _shift(self.basis, ts[0], to))
+        if len(to) == 1:
+            return Scalar._raw(self.basis, _shift(self.basis, to[0], ts))
+        return Scalar._raw(self.basis, _products(((self, other),), self.basis.lattice.add_reduced))
 
     __rmul__ = __mul__
 
@@ -1052,6 +1179,27 @@ def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
     if not isinstance(b, Scalar) or a.basis != b.basis:
         raise BasisMismatchError("scalar_mul needs two scalars over one basis")
     return a * b
+
+
+def sum_of_products(pairs, start=None) -> Scalar:
+    """start + sum(a * b for a, b in pairs), for a sequence of pairs of
+    scalars over one basis; start defaults to zero.
+
+    The fused form of the dot products of the group layer (matrix
+    products, the steps of precomposition) and of the exact action:
+    every term product lands in one accumulator (`_products`), which is
+    brought to canonical form once, so no intermediate sum or product is
+    built.  The result equals the unfused expression term for term.
+    """
+    first = pairs[0][0] if start is None else start
+    basis = first.basis
+    for a, b in pairs:
+        if type(a) is not Scalar or type(b) is not Scalar or a.basis is not basis or b.basis is not basis:
+            pairs = [(first._check(a), first._check(b)) for a, b in pairs]
+            break
+    if start is not None and start.terms:
+        pairs = [*pairs, (first._check(start), basis.one())]  # start, as start * 1
+    return Scalar._raw(basis, _products(pairs, basis.lattice.add_reduced))
 
 
 def is_root_of_unity(a: Scalar, n: int) -> bool:

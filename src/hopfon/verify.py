@@ -49,7 +49,7 @@ from .group import (
     random_group_elt,
 )
 from .hopf import HopfSurface
-from .scalars import EigenBasis, GaussRat, Scalar
+from .scalars import EigenBasis, GaussRat, Scalar, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -418,17 +418,15 @@ def _act_exact(x: GroupElt, point):
     """
     z1, z2, tau = point
     (a, b), (c, d) = x.g.entries
-    w1, w2 = a * z1 + b * z2, c * z1 + d * z2
+    w1, w2 = sum_of_products(((a, z1), (b, z2))), sum_of_products(((c, z1), (d, z2)))
     n = x.degree
     one = w1.basis.one()
     pow1, pow2 = [one, w1], [one, w2]  # w^k for k = 0..n, one product each
     for _ in range(n - 1):
         pow1.append(pow1[-1] * w1)
         pow2.append(pow2[-1] * w2)
-    for k, coeff in enumerate(x.p.coeffs):
-        if coeff.terms:
-            tau = tau + coeff * (pow1[k] * pow2[n - k])
-    return (w1, w2, tau)
+    terms = [(coeff, pow1[k] * pow2[n - k]) for k, coeff in enumerate(x.p.coeffs) if coeff.terms]
+    return (w1, w2, sum_of_products(terms, tau))
 
 
 def _law_failure(x: GroupElt, y: GroupElt, z: GroupElt, e: GroupElt):
