@@ -3,8 +3,11 @@
 Structures are checked on a shell of C^2 minus the origin sized like a
 fundamental domain of the contraction, so residuals stay conditioned.
 The equivariance residual compares dev(F(z)) with hol . dev(z) using
-the chordal metric on the base direction and a scaled absolute
-difference on the fiber after aligning charts.  Immersion checks
+the chordal metric on the base direction and, after aligning charts,
+the fiber difference |a - b| / max(1, |a|, |b|): absolute for fibers
+of modulus up to 1 and relative beyond, so that rounding near a pole
+of the holonomy, where the fibers grow large, does not fail a correct
+map.  Immersion checks
 evaluate the exact Jacobian factorization at the samples (including
 points on the coordinate axes) and cross-check against central finite
 differences.  Each sample evaluates the map once with `eval_devmap`,
@@ -115,10 +118,13 @@ def _sample_annulus(rng, lo, hi):
 def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -> float:
     """Chordal distance of base directions plus a fiber difference.
 
-    The fiber components are compared after aligning charts, by plain
-    absolute difference (the equivariance and action checks, whose
-    values stay moderate) or chordally, for values that random
-    denominators can make unbounded.
+    The fiber components a, b are compared after aligning charts, by
+    the scaled absolute difference |a - b| / max(1, |a|, |b|) (the
+    equivariance and action checks) or chordally, for values that
+    random denominators can make unbounded.  The scaling keeps rounding
+    from failing a correct map where the fibers are large, as near a
+    pole of the holonomy, where c t1 + d is near 0 and the fibers reach
+    1e5 and more; below modulus 1 the difference is the absolute one.
     """
     t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else _INF)
     t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else _INF)
@@ -130,7 +136,9 @@ def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -
             a, b = p.in_chart(q.chart, n).c2, q.c2
         except ZeroDivisionError:
             return res + 1.0
-    return res + (chordal(a, b) if fiber == "chordal" else abs(a - b))
+    if fiber == "chordal":
+        return res + chordal(a, b)
+    return res + abs(a - b) / max(1.0, abs(a), abs(b))
 
 
 def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyReport:
@@ -188,7 +196,8 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     z1^m1/z2^m2, raises ZeroDivisionError on the z2 = 0 axis, and such
     samples are skipped (ROADMAP item 1(a)).  A sample where the map's
     own float evaluation underflows to a division by 0 or overflows, as
-    at extreme radii, is listed as failing.
+    at extreme radii, is listed as failing.  The exact Jacobian of the
+    map in chart S is built only when a sample evaluates there.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
@@ -196,7 +205,7 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     dev = rec.dev if hasattr(rec, "dev") else rec
     n = dev.n
     det = det_jacobian(dev)
-    det_hat = det_jacobian(dev.hat())
+    det_hat = None  # the chart-S Jacobian, built at the first sample that needs it
     samples = [_sample_annulus(rng, lo, hi) for _ in range(cfg.samples)]
     axis = []
     for _ in range(4):
@@ -217,8 +226,14 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             # has no value here, which fails the sample like a non-finite one
             failing.append(z)
             continue
+        if pt.chart == "T":
+            jac = det
+        else:
+            if det_hat is None:
+                det_hat = det_jacobian(dev.hat())
+            jac = det_hat
         try:
-            val = (det if pt.chart == "T" else det_hat).eval_numeric(z)
+            val = jac.eval_numeric(z)
         except ZeroDivisionError:
             val = None
         listed = False

@@ -400,6 +400,21 @@ def test_verify_stdout_matches_golden(tmp_path, capsys, spec, flags, golden):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("seed", [1383634611, 1353643518])
+def test_verify_passes_correct_structures_near_a_holonomy_pole(tmp_path, capsys, seed):
+    # At these seeds an equivariance sample of the radial structure lands
+    # where c t1 + d is near 0, and the fibers compared there are about 5e5
+    # in modulus.  Their absolute difference read rounding as residuals of
+    # 1.8e-9 and 7.3e-9, above the 1e-9 tolerance; scaled by the fibers'
+    # size it is about 1e-14.
+    spec = write(tmp_path, "exc.json", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1})
+    code, out = run(capsys, ["verify", "--spec", spec, "--n", "3", "--compact", "--seed", str(seed)])
+    assert code == 0 and out["passed"]
+    equivariance = [r for r in out["reports"] if r["check"] == "equivariance"]
+    assert len(equivariance) == 2
+    assert all(r["max_equivariance_residual"] < 1e-12 for r in equivariance)
+
+
 def test_verify_detects_failure_with_tight_tolerance(tmp_path, capsys):
     spec = write(
         tmp_path,

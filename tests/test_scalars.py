@@ -24,7 +24,9 @@ from hopfon.scalars import (
     is_root_of_unity,
     numeric_eval,
     scalar_mul,
+    sum_of_products,
 )
+from hopfon import scalars
 from hopfon.scalars import ValuationSystem
 from hopfon.sections import solve_power_product
 
@@ -595,3 +597,120 @@ def test_nth_root_exact_where_floats_fail():
     # argument, and the counterclockwise one is returned
     assert GaussRat(16).nth_root(8) == GaussRat(1, 1)
     assert GaussRat(2).nth_root(2) is None
+
+
+# ---------------------------------------------------------------------------
+# The accumulate-and-canonicalise kernel against a dict model with Fraction
+# coefficients: sums, products, the fused sum_of_products and add_reduced.
+
+KERNEL_BASES = [
+    EigenBasis(("l1", "l2"), (), (0.5, 0.3)),  # rank 0
+    EigenBasis(("l1", "l2"), [(1, 1)], (0.5, 2.0)),  # rank 1, pivot (1, 1)
+    EigenBasis(("l1", "l2"), [(0, 3)], (0.5, 1.0)),  # rank 1, a lone row (0, 3)
+    LATTICE_BASIS,  # rank 2
+]
+KERNEL_IDS = ["rank0", "rank1", "rank1_lone_row", "rank2"]
+# keys from a small pool, so that terms share keys and sums cancel
+pool_exp = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2]))
+pool_gauss = st.builds(
+    GaussRat,
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+kernel_terms = st.lists(st.tuples(pool_gauss, st.tuples(pool_exp, pool_exp)), max_size=4)
+
+
+def model(basis, pairs):
+    """sum(c l^e) as a dict from reduced key to (re, im), in Fractions, zeros dropped."""
+    acc = {}
+    for c, e in pairs:
+        key = basis.lattice.reduce_exponents(e)
+        re, im = acc.get(key, (Fraction(0), Fraction(0)))
+        acc[key] = (re + c.re, im + c.im)
+    return {k: v for k, v in acc.items() if v != (0, 0)}
+
+
+def model_product(p, q):
+    """The (coefficient, exponent) pairs of the product of two term lists."""
+    out = []
+    for c, e in p:
+        for d, f in q:
+            re = c.re * d.re - c.im * d.im
+            im = c.re * d.im + c.im * d.re
+            out.append((GaussRat(re, im), (e[0] + f[0], e[1] + f[1])))
+    return out
+
+
+def check_against_model(s, basis, pairs):
+    """s is canonical and equals the model of sum(c l^e) term for term."""
+    want = model(basis, pairs)
+    keys = [t[0] for t in s.terms]
+    assert keys == sorted(want) and len(set(keys)) == len(keys)
+    for key, x, y, z in s.terms:
+        assert z > 0 and math.gcd(x, y, z) == 1 and (x or y)
+        assert (Fraction(x, z), Fraction(y, z)) == want[key]
+        assert basis.lattice.reduce_exponents(key) == key
+        # an exponent is an int when integral and a Fraction otherwise
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in key)
+
+
+def check_kernel(basis, p, q, r):
+    a, b, c = Scalar(basis, p), Scalar(basis, q), Scalar(basis, r)
+    for s, pairs in ((a, p), (b, q), (c, r)):
+        check_against_model(s, basis, pairs)
+    check_against_model(a + b, basis, p + q)
+    check_against_model(b + a, basis, p + q)
+    check_against_model(a * b, basis, model_product(p, q))
+    check_against_model(
+        sum_of_products([(a, b), (b, c)]), basis, model_product(p, q) + model_product(q, r)
+    )
+    check_against_model(
+        sum_of_products([(a, b), (c, c)], a), basis, p + model_product(p, q) + model_product(r, r)
+    )
+    check_against_model(sum_of_products([], c), basis, r)
+
+
+@pytest.mark.parametrize("basis", KERNEL_BASES, ids=KERNEL_IDS)
+@settings(max_examples=80, deadline=None)
+@given(p=kernel_terms, q=kernel_terms, r=kernel_terms, cancel=st.booleans())
+def test_kernel_matches_fraction_model(basis, p, q, r, cancel):
+    if cancel:
+        # b holds -a as well, so that a + b cancels a's terms
+        q = q + [(-c, e) for c, e in p]
+    check_kernel(basis, p, q, r)
+
+
+def test_kernel_check_catches_a_merge_without_gcd(monkeypatch):
+    # negative control: terms merged on a shared key but not brought to
+    # lowest terms, (1/2 + 1/2) l2 kept as (2 + 0i)/4 l2
+    def no_gcd(acc, keys=None):
+        return tuple(sorted(t for t in acc.values() if t[1] or t[2]))
+
+    basis = KERNEL_BASES[0]
+    half = (GaussRat(Fraction(1, 2)), (0, 1))
+    p, q = [half, (GaussRat(1), (1, 0))], [half]
+    check_kernel(basis, p, q, q)
+    monkeypatch.setattr(scalars, "_canonical", no_gcd)
+    with pytest.raises(AssertionError):
+        check_kernel(basis, p, q, q)
+
+
+rational_pairs = st.tuples(
+    st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4])),
+    st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(), [(1, 1)], [(2, -1)], [(0, 3)], [(3, 5)], [(2, 0), (1, 3)], [(4, 2), (0, 6)], [(4, 0), (0, 4)]],
+)
+@settings(max_examples=150, deadline=None)
+@given(e=rational_pairs, f=rational_pairs)
+def test_add_reduced_matches_reduce_exponents(rows, e, f):
+    lattice = RelationLattice(rows)
+    e, f = lattice.reduce_exponents(e), lattice.reduce_exponents(f)
+    got = lattice.add_reduced(e, f)
+    want = lattice.reduce_exponents((e[0] + f[0], e[1] + f[1]))
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]

@@ -758,7 +758,7 @@ def ref_point_residual(p, q, n, fiber="abs"):
     res = ref_chordal(t1p, t1q)
 
     def fiber_diff(a, b):
-        return ref_chordal(a, b) if fiber == "chordal" else abs(a - b)
+        return ref_chordal(a, b) if fiber == "chordal" else abs(a - b) / max(1.0, abs(a), abs(b))
 
     try:
         q_al = ref_in_chart(q, p.chart, n)
@@ -973,6 +973,30 @@ def test_immersion_evaluates_the_map_once_per_sample(monkeypatch):
     rep = check_immersion(rec, VerifyConfig(), s)
     assert rep.passed and rep.checks["fd_samples"] == 200
     assert len(calls) == 208
+
+
+def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monkeypatch):
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    recs = {r.provenance: r for r in enumerate_structures(s, 2)}
+    calls = _count_calls(monkeypatch, devmaps, "det_jacobian", verify)
+    charts = []
+    real_eval = verify.eval_devmap
+
+    def eval_and_record(d, z):
+        pt = real_eval(d, z)
+        charts.append(pt.chart)
+        return pt
+
+    monkeypatch.setattr(verify, "eval_devmap", eval_and_record)
+    # the eigenstructure along axis 1 evaluates every sample in chart T
+    assert check_immersion(recs["eigenstructure along axis 1"], VerifyConfig(), s).passed
+    assert set(charts) == {"T"} and len(calls) == 1
+    # the radial structure has samples in chart S: its hat map's Jacobian is built once
+    calls.clear()
+    charts.clear()
+    assert check_immersion(recs["radial structure on a linear surface"], VerifyConfig(), s).passed
+    assert charts.count("S") > 1 and len(calls) == 2
+    assert calls[1][0] == recs["radial structure on a linear surface"].dev.hat()
 
 
 def test_numeric_plan_is_built_once_per_map(monkeypatch):
