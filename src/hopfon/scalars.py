@@ -1181,25 +1181,29 @@ def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
     return a * b
 
 
-def sum_of_products(pairs, start=None) -> Scalar:
-    """start + sum(a * b for a, b in pairs), for a sequence of pairs of
-    scalars over one basis; start defaults to zero.
+def sum_of_products(pairs) -> Scalar:
+    """sum(a * b for a, b in pairs), for a nonempty sequence of pairs of
+    scalars over one basis.
 
     The fused form of the dot products of the group layer (matrix
     products, the steps of precomposition) and of the exact action:
     every term product lands in one accumulator (`_products`), which is
     brought to canonical form once, so no intermediate sum or product is
-    built.  The result equals the unfused expression term for term.
+    built.  A sum with one nonzero product is that product.
     """
-    first = pairs[0][0] if start is None else start
+    first = pairs[0][0]
     basis = first.basis
+    live = []
     for a, b in pairs:
-        if type(a) is not Scalar or type(b) is not Scalar or a.basis is not basis or b.basis is not basis:
-            pairs = [(first._check(a), first._check(b)) for a, b in pairs]
-            break
-    if start is not None and start.terms:
-        pairs = [*pairs, (first._check(start), basis.one())]  # start, as start * 1
-    return Scalar._raw(basis, _products(pairs, basis.lattice.add_reduced))
+        if type(a) is not Scalar or a.basis is not basis:
+            a = first._check(a)
+        if type(b) is not Scalar or b.basis is not basis:
+            b = first._check(b)
+        if a.terms and b.terms:
+            live.append((a, b))
+    if len(live) == 1:
+        return live[0][0] * live[0][1]
+    return Scalar._raw(basis, _products(live, basis.lattice.add_reduced))
 
 
 def is_root_of_unity(a: Scalar, n: int) -> bool:

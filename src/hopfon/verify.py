@@ -7,10 +7,9 @@ the chordal metric on the base direction and, after aligning charts,
 the fiber difference |a - b| / max(1, |a|, |b|): absolute for fibers
 of modulus up to 1 and relative beyond, so that rounding near a pole
 of the holonomy, where the fibers grow large, does not fail a correct
-map.  Immersion checks
-evaluate the exact Jacobian factorization at the samples (including
-points on the coordinate axes) and cross-check against central finite
-differences.  Each sample evaluates the map once with `eval_devmap`,
+map.  Immersion checks evaluate the exact Jacobian factorization at
+the samples (including points on the coordinate axes) and cross-check
+against central finite differences.  Each sample evaluates the map once with `eval_devmap`,
 and its four stencil points with one `eval_stencil_t` call; both read
 the map's numeric plan, in which constant polynomials and the chart-T
 denominators are folded, by the same float operations as a term-by-term
@@ -441,7 +440,7 @@ def _act_exact(x: GroupElt, point):
         pow1.append(pow1[-1] * w1)
         pow2.append(pow2[-1] * w2)
     terms = [(coeff, pow1[k] * pow2[n - k]) for k, coeff in enumerate(x.p.coeffs) if coeff.terms]
-    return (w1, w2, sum_of_products(terms, tau))
+    return (w1, w2, sum_of_products([(tau, one)] + terms))
 
 
 def _law_failure(x: GroupElt, y: GroupElt, z: GroupElt, e: GroupElt):

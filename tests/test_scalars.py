@@ -665,9 +665,11 @@ def check_kernel(basis, p, q, r):
         sum_of_products([(a, b), (b, c)]), basis, model_product(p, q) + model_product(q, r)
     )
     check_against_model(
-        sum_of_products([(a, b), (c, c)], a), basis, p + model_product(p, q) + model_product(r, r)
+        sum_of_products([(a, basis.one()), (a, b), (c, c)]),
+        basis,
+        p + model_product(p, q) + model_product(r, r),
     )
-    check_against_model(sum_of_products([], c), basis, r)
+    check_against_model(sum_of_products([(c, basis.one())]), basis, r)
 
 
 @pytest.mark.parametrize("basis", KERNEL_BASES, ids=KERNEL_IDS)
