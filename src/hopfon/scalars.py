@@ -1189,7 +1189,7 @@ def sum_of_products(pairs) -> Scalar:
     products, the steps of precomposition) and of the exact action:
     every term product lands in one accumulator (`_products`), which is
     brought to canonical form once, so no intermediate sum or product is
-    built.  A sum with one nonzero product is that product.
+    built.  A sum with at most one nonzero product is that product.
     """
     first = pairs[0][0]
     basis = first.basis
@@ -1201,8 +1201,8 @@ def sum_of_products(pairs) -> Scalar:
             b = first._check(b)
         if a.terms and b.terms:
             live.append((a, b))
-    if len(live) == 1:
-        return live[0][0] * live[0][1]
+    if len(live) < 2:
+        return live[0][0] * live[0][1] if live else basis.zero()
     return Scalar._raw(basis, _products(live, basis.lattice.add_reduced))
 
 
