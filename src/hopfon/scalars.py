@@ -800,8 +800,8 @@ def _canonical(acc, keys=None):
     each is brought to lowest terms, or dropped when zero.  Every other
     term is kept as it is.  A Gaussian integer (z = 1) is in lowest
     terms already, since gcd(x, y, 1) = 1.  Keys are distinct, so the
-    sort compares keys only.  The constructor, sums, products and
-    `sum_of_products` all end here.
+    sort compares keys only.  The constructor, sums beyond two monomials
+    and `_products` end here.
     """
     if keys is None:
         out = []
@@ -834,7 +834,7 @@ def _products(pairs, add):
     Each term product is added straight into one dict on its key, found
     in one step by `add` (`RelationLattice.add_reduced`, skipped for a
     constant factor), with no list of products between.  Two Gaussian
-    integers (z = 1) on one key add without z arithmetic, and
+    integers (z = 1) on one key add without cross-multiplying by z, and
     `_canonical` takes no gcd of a Gaussian integer, so the Kronecker
     proof, whose coefficients are all Gaussian integers, takes none.
     """
@@ -895,12 +895,13 @@ class Scalar:
     and never zero, so zero is the empty sum.  Single-term values are
     the units of the ring; only those admit inverses and roots.
 
-    Every operation ends in the one helper `_canonical`.  A sum adds
-    and reduces only the keys both operands hold.  A monomial factor
-    shifts the other's keys (`_shift`).  Other products, and the fused
-    `sum_of_products`, add each term product into one accumulator on
-    its key (`RelationLattice.add_reduced`); with Gaussian-integer
-    coefficients throughout they form no z and take no gcd.
+    Two monomials add directly.  Otherwise a sum adds and reduces only
+    the keys both operands hold; a monomial factor only shifts the
+    other's keys (`_shift`), so nothing merges; and other products, like
+    the fused `sum_of_products`, add each term product into one
+    accumulator on its key (`_products`).  Those sums and products, and
+    the constructor, end in one helper, `_canonical`.  Neither it nor
+    `_shift` takes the gcd of a Gaussian-integer coefficient (z = 1).
     """
 
     __slots__ = ("basis", "terms")
