@@ -18,6 +18,7 @@ from .classify import (
     DEFAULT_ROOT_POOL,
     ClassifyError,
     brute_force_admissible,
+    canonical_key,
     enumerate_structures,
     reproduce_case_table,
 )
@@ -30,6 +31,7 @@ from .hopf import (
     classify_surface,
     function_field,
     relation_pairs,
+    witness_pair,
 )
 from .normalform import NormalFormError, normal_form, resonant_degrees
 from .scalars import (
@@ -215,7 +217,6 @@ def cmd_structures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _positive(args.trials, "--trials")
     _positive(args.deg_bound, "--deg-bound")
     spec = _load_json(args.spec)
     s = _surface_from_spec(spec)
@@ -231,8 +232,7 @@ def cmd_verify(args) -> int:
         records = enumerate_structures(s, n, hyper_params=params)
     except ClassifyError as exc:
         raise InputError(str(exc)) from exc
-    trials = args.trials if args.trials is not None else 0
-    axioms = check_group_axioms(n, trials=trials, seed=cfg.seed)
+    axioms = check_group_axioms(n)
     reports = [axioms.to_record()]
     ok = axioms.passed
     for rec in records:
@@ -242,8 +242,6 @@ def cmd_verify(args) -> int:
             reports.append(entry)
             ok = ok and rep.passed
     if args.deg_bound is not None:
-        from .classify import canonical_key
-
         bf = brute_force_admissible(s, n, deg_bound=args.deg_bound)
         keys_bf = sorted({repr(canonical_key(d, n)) for d in bf})
         keys_enum = sorted({repr(canonical_key(r.dev, n)) for r in records})
@@ -293,7 +291,7 @@ def _element_from_record(rec: dict):
                 raise InputError("basis.values: %s" % exc) from exc
         else:
             try:
-                witness = [complex(w[0], w[1]) for w in braw["witness"]]
+                witness = witness_pair(braw.get("witness"))
                 basis = EigenBasis(("l1", "l2"), relation_pairs(braw.get("relations", [])), witness)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError("basis record: %s" % exc) from exc
@@ -360,41 +358,44 @@ def cmd_normal_form(args) -> int:
     return 0
 
 
+def _json_flag(text: str, flag: str):
+    """The JSON value of a flag, with parse errors that name it."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError("%s: invalid JSON %r: %s" % (flag, text, exc)) from exc
+
+
 def cmd_sections(args) -> int:
     spec = _load_json(args.spec)
     s = _surface_from_spec(spec)
     try:
-        if args.twist:
-            a = s.basis.gauss(_quad(json.loads(args.twist), "--twist"))
+        if args.twist is not None:
+            a = s.basis.gauss(_quad(_json_flag(args.twist, "--twist"), "--twist"))
             fam = line_bundle_sections(s, a)
         elif args.power is not None:
-            if s.kind == "exceptional":
-                a = s.lam ** args.power
-            else:
+            if s.kind != "exceptional":
                 raise InputError("--power applies to exceptional surfaces; use --powers")
-            fam = line_bundle_sections(s, a)
-        elif args.powers:
-            k1, k2 = (int(t) for t in args.powers.split(","))
+            fam = line_bundle_sections(s, s.lam ** args.power)
+        elif args.powers is not None:
+            try:
+                k1, k2 = (int(t) for t in args.powers.split(","))
+            except ValueError as exc:
+                raise InputError("--powers: expected 'k1,k2' with integers k1, k2, got %r" % args.powers) from exc
             fam = line_bundle_sections(s, s.l1**k1 * s.l2**k2)
-        elif args.bundle:
-            rows = json.loads(args.bundle)
+        elif args.bundle is not None:
+            rows = _json_flag(args.bundle, "--bundle")
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise InputError("--bundle: expected [[quad, quad], [quad, quad]], got %r" % (rows,))
             g = tuple(
                 tuple(s.basis.gauss(_quad(v, "--bundle")) for v in row) for row in rows
             )
             fam = proj_bundle_sections(s, g)
-        elif args.jordan:
-            a = s.basis.gauss(_quad(json.loads(args.jordan), "--jordan"))
+        else:
+            a = s.basis.gauss(_quad(_json_flag(args.jordan, "--jordan"), "--jordan"))
             g = ((a, s.basis.one()), (s.basis.zero(), a))
             fam = proj_bundle_sections(s, g)
-        else:
-            raise InputError(
-                "choose a bundle: --twist/--power/--powers (line) or --bundle/--jordan (P^1)"
-            )
     except (SectionError, ScalarDomainError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
         raise InputError(str(exc)) from exc
     _emit(fam.to_record(), args)
     return 0
@@ -434,7 +435,6 @@ def build_parser():
     add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--params", help="hyperresonant parameter lists (default with --deg-bound D: the root-pool prefixes of length 1..D)")
-    p.add_argument("--trials", type=int, help="random exact group-law triples run after the exact proof (default: none)")
     p.add_argument("--deg-bound", dest="deg_bound", type=int, help="run the brute-force completeness oracle")
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)
@@ -455,11 +455,12 @@ def build_parser():
 
     p = sub.add_parser("sections", help="meromorphic section families")
     add_common(p)
-    p.add_argument("--twist", help="line-bundle twist as a JSON quadruple")
-    p.add_argument("--power", type=int, help="twist lam^k on an exceptional surface")
-    p.add_argument("--powers", help="twist l1^k1 l2^k2 as 'k1,k2'")
-    p.add_argument("--bundle", help="diagonal projective class as JSON [[quad,quad],[quad,quad]]")
-    p.add_argument("--jordan", help="Jordan-block projective class; pass the quad of a")
+    bundle = p.add_mutually_exclusive_group(required=True)
+    bundle.add_argument("--twist", help="line-bundle twist as a JSON quadruple")
+    bundle.add_argument("--power", type=int, help="twist lam^k on an exceptional surface")
+    bundle.add_argument("--powers", help="twist l1^k1 l2^k2 as 'k1,k2'")
+    bundle.add_argument("--bundle", help="diagonal projective class as JSON [[quad,quad],[quad,quad]]")
+    bundle.add_argument("--jordan", help="Jordan-block projective class; pass the quad of a")
     p.set_defaults(func=cmd_sections)
     return ap
 

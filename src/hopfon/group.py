@@ -530,38 +530,23 @@ def inverse(x: GroupElt) -> GroupElt:
 
 
 def random_group_elt(basis, n, rng, scale=3) -> GroupElt:
-    """A random element with small Gaussian-rational entries (for property tests).
+    """A random element with small Gaussian-rational entries (a test helper).
 
-    Entries and coefficients are constant scalars built in canonical
-    form, and the matrix takes the determinant its invertibility test
-    computed, so no constructor checks them again.
+    Each entry and coefficient is (a/b) + i (c/d), drawn a, b, c, d with
+    `rng.randrange`: a, c in [-scale, scale] and b, d in [1, scale].  The
+    matrix, redrawn until invertible, takes the determinant its test
+    computed, and entries are built in canonical form, so no constructor
+    checks them again.
     """
     if scale < 1:
         raise ValueError("scale must be at least 1")
     zero = basis.zero()
     span = 2 * scale + 1
-    span_bits, scale_bits = span.bit_length(), scale.bit_length()
-    getrandbits = rng.getrandbits
+    randrange = rng.randrange
 
     def small():
-        # (a/b) + i (c/d), drawn in the order a, b, c, d with a in [-scale,
-        # scale] and b in [1, scale].  Each draw is rng.randrange(k) inlined:
-        # getrandbits(k.bit_length()), redrawn until below k, as
-        # Random._randbelow_with_getrandbits does, so the integers drawn and
-        # the generator's final state are randrange's.
-        a = getrandbits(span_bits)
-        while a >= span:
-            a = getrandbits(span_bits)
-        b = getrandbits(scale_bits)
-        while b >= scale:
-            b = getrandbits(scale_bits)
-        c = getrandbits(span_bits)
-        while c >= span:
-            c = getrandbits(span_bits)
-        d = getrandbits(scale_bits)
-        while d >= scale:
-            d = getrandbits(scale_bits)
-        a, b, c, d = a - scale, b + 1, c - scale, d + 1
+        a, b = randrange(span) - scale, randrange(scale) + 1
+        c, d = randrange(span) - scale, randrange(scale) + 1
         x, y, z = a * d, c * b, b * d
         if not (x or y):
             return zero

@@ -44,6 +44,16 @@ def relation_pairs(value):
     return value
 
 
+def witness_pair(value):
+    """value, a JSON list of two [re, im] pairs of numbers, as two complex
+    numbers; SurfaceError otherwise (a bool is not a number)."""
+    if not _pairs(value) or len(value) != 2 or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for w in value for v in w
+    ):
+        raise SurfaceError("formal witness must list two [re, im] pairs of numbers, got %r" % (value,))
+    return [complex(re, im) for re, im in value]
+
+
 class HopfSurface:
     """Contraction data for a primary Hopf surface, diagonal or exceptional."""
 
@@ -177,11 +187,9 @@ class HopfSurface:
                 f = rec["formal"]
                 if not isinstance(f, dict):
                     raise SurfaceError("formal must be an object")
-                wit = f.get("witness")
-                if not _pairs(wit) or len(wit) != 2:
-                    raise SurfaceError("formal witness must list two [re, im] pairs")
+                wit = witness_pair(f.get("witness"))
                 rels = relation_pairs(f.get("relations", []))
-                return cls.diagonal_formal(rels, [complex(w[0], w[1]) for w in wit])
+                return cls.diagonal_formal(rels, wit)
             try:
                 l1 = GaussRat.from_quad(rec["lambda1"])
                 l2 = GaussRat.from_quad(rec["lambda2"])

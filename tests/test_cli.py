@@ -144,8 +144,7 @@ def test_verify_command(tmp_path, capsys):
     )
     code, out = run(
         capsys,
-        ["verify", "--spec", spec, "--n", "1", "--trials", "40", "--samples", "60",
-         "--deg-bound", "2"],
+        ["verify", "--spec", spec, "--n", "1", "--samples", "60", "--deg-bound", "2"],
     )
     assert code == 0
     assert out["passed"]
@@ -260,6 +259,48 @@ def test_invalid_input_exits_2(tmp_path, capsys, command, element, flags):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [[[0.5, 0]], [[0.5, 0], [0.25, 0], [0.125, 0]], [[0.5, 0, 7], [0.25, 0]], [[0.5, False], [0.25, 0]]],
+    ids=["one-pair", "three-pairs", "three-entry-pair", "bool-entry"],
+)
+def test_element_basis_witness_must_list_two_pairs(tmp_path, capsys, witness):
+    # one pair used to end in an IndexError traceback with exit code 1, and
+    # extra pairs or entries, or a bool read as 0 or 1, passed without a word
+    element = {"n": 1, "basis": {"witness": witness}, "g": [[_ONE, _ZERO], [_ZERO, _ONE]]}
+    code = main(["normal-form", "--element", write(tmp_path, "elt.json", element)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: basis record: ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--power", "1", "--twist", "[1,2,0,1]"], "argument --twist: not allowed with argument --power"),
+        ([], "one of the arguments --twist --power --powers --bundle --jordan is required"),
+        (["--twist", "notjson"], "error: --twist: invalid JSON"),
+        (["--bundle", "xx"], "error: --bundle: invalid JSON"),
+        (["--jordan", "notjson"], "error: --jordan: invalid JSON"),
+        (["--powers", "a,b"], "error: --powers: expected 'k1,k2'"),
+        (["--powers", "1"], "error: --powers: expected 'k1,k2'"),
+        (["--powers", "1,2,3"], "error: --powers: expected 'k1,k2'"),
+    ],
+    ids=["power-and-twist", "no-bundle", "twist-not-json", "bundle-not-json", "jordan-not-json",
+         "powers-not-integers", "powers-one-value", "powers-three-values"],
+)
+def test_sections_takes_one_bundle_and_names_the_flag_it_cannot_parse(tmp_path, capsys, flags, message):
+    # --power beside --twist used to be ignored, and these parse errors
+    # printed Python's message without the flag
+    try:
+        code = main(["sections", "--spec", hyper_spec(tmp_path)] + flags)
+    except SystemExit as exc:  # argparse rejects the flags themselves
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 _DIAG = {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}
@@ -423,8 +464,7 @@ def test_verify_detects_failure_with_tight_tolerance(tmp_path, capsys):
     )
     code, out = run(
         capsys,
-        ["verify", "--spec", spec, "--n", "1", "--trials", "10", "--samples", "30",
-         "--tol", "1e-30"],
+        ["verify", "--spec", spec, "--n", "1", "--samples", "30", "--tol", "1e-30"],
     )
     assert code == 1
     assert not out["passed"]
@@ -551,21 +591,32 @@ def test_verify_deg_bound_without_params(tmp_path, capsys, l1, l2, n):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--trials", "0"), ("--trials", "-5"), ("--samples", "0"), ("--deg-bound", "0"),
-     ("--tol", "0"), ("--n", "0")],
+    [("--samples", "0"), ("--deg-bound", "0"), ("--tol", "0"), ("--n", "0")],
 )
 def test_verify_rejects_non_positive_counts(tmp_path, capsys, flag, value):
-    # such a value used to pass zero trials, fall back to a default or skip the oracle
+    # such a value used to fall back to a default or skip the oracle
     spec = write(
         tmp_path,
         "gen4.json",
         {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1]},
     )
-    code = main(["verify", "--spec", spec, "--n", "1", "--trials", "5", flag, value])
+    code = main(["verify", "--spec", spec, "--n", "1", flag, value])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert flag in captured.err and "must be positive" in captured.err
+
+
+@pytest.mark.parametrize("value", ["5", "0", "-5"])
+def test_verify_rejects_the_removed_trials_flag(tmp_path, capsys, value):
+    # the exact proof decides the group laws, so no random trials repeat it
+    spec = write(tmp_path, "s.json", _GENERIC)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--spec", spec, "--n", "1", "--trials", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --trials" in captured.err
 
 
 _TINY = {"surface": _GENERIC, "verify": {"annulus": [1e-9, 1e-8]}}

@@ -116,8 +116,9 @@ def test_radial_immersion_includes_axis_points():
 
 
 def test_group_axioms_pass():
-    for n in (1, 2, 3):
-        rep = check_group_axioms(n, trials=120, seed=8)
+    # the degrees beyond the three the other group-axiom tests pin
+    for n in (4, 5, 6):
+        rep = check_group_axioms(n)
         assert rep.passed, rep.checks
 
 
@@ -125,14 +126,17 @@ def test_group_axioms_default_is_the_proof_and_the_action_trials():
     for n in (1, 2, 3):
         rep = check_group_axioms(n)
         assert rep.passed, rep.checks
-        assert rep.checks == {"trials": 0, "action_trials": 24, "proved": list(PROOF_BRANCHES)}
+        assert rep.checks == {"action_trials": 24, "proved": list(PROOF_BRANCHES)}
         assert rep.max_equivariance_residual < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_axioms_record_does_not_depend_on_the_seed(n):
-    # without --trials nothing is drawn: the proof and the fixed points
-    records = [check_group_axioms(n, seed=seed).to_record() for seed in (0, 7, 2**31 - 1)]
+    # the record depends on n alone: repeated calls give one record, and
+    # none draws from the global random generator
+    state = random.getstate()
+    records = [check_group_axioms(n).to_record() for _ in range(3)]
+    assert random.getstate() == state
     assert records[0]["passed"]
     assert records[1] == records[0] and records[2] == records[0]
 
@@ -164,8 +168,8 @@ def test_fixed_action_points_reach_every_path_of_act_affine(n):
 
 
 def _fails(n=2):
-    """The failure reported by check_group_axioms(n, trials=0), the proof alone."""
-    rep = check_group_axioms(n, trials=0, seed=8)
+    """The failure reported by check_group_axioms(n), whose proof runs first."""
+    rep = check_group_axioms(n)
     assert not rep.passed
     return rep.checks["failed"], rep.checks["branch"]
 
@@ -421,7 +425,7 @@ def test_group_axioms_make_few_composes(monkeypatch, n):
         return compose(x, y)
 
     monkeypatch.setattr(GroupElt, "compose", counting)
-    assert check_group_axioms(n, trials=0).passed
+    assert check_group_axioms(n).passed
     assert calls[0] == 3 * 8 + 3
 
 
