@@ -164,9 +164,8 @@ class Mat2:
     Products, inverses and rescalings derive the determinant of the
     result from that of their operands (det(AB) = det A det B), so the
     invertibility check costs one scalar product instead of a fresh
-    2x2 determinant.  The inverse is computed once and kept, and links
-    back to the matrix.  Each entry of a product is one fused
-    `sum_of_products`.
+    2x2 determinant.  The inverse is computed once and kept.  Each
+    entry of a product is one fused `sum_of_products`.
     """
 
     __slots__ = ("basis", "entries", "_det", "_inv")
@@ -229,13 +228,7 @@ class Mat2:
         return Mat2._raw(self.basis, rows, self._det * other._det)
 
     def inverse(self) -> "Mat2":
-        """adj(g)/det g, for a monomial determinant.
-
-        The inverse is kept on the matrix, and the inverse keeps the
-        matrix as its own inverse, so (g^-1)^-1 is g itself and costs
-        nothing: the group laws take inverse(x) and then compose(xi, x),
-        which inverts g^-1.
-        """
+        """adj(g)/det g, for a monomial determinant, kept on the matrix."""
         if self._inv is None:
             det = self._det
             if not det.is_unit():
@@ -246,9 +239,7 @@ class Mat2:
             neg = -inv
             (a, b), (c, d) = self.entries
             rows = ((inv * d, neg * b), (neg * c, inv * a))
-            out = Mat2._raw(self.basis, rows, inv)
-            object.__setattr__(out, "_inv", self)
-            object.__setattr__(self, "_inv", out)
+            object.__setattr__(self, "_inv", Mat2._raw(self.basis, rows, inv))
         return self._inv
 
     def scale(self, s: Scalar) -> "Mat2":
@@ -324,8 +315,6 @@ class GroupElt:
 
     def inverse(self) -> "GroupElt":
         """(g, p)^{-1} = (g^{-1}, -p . g)."""
-        if self.p.is_zero():
-            return GroupElt(self.g.inverse(), self.p)
         return GroupElt(self.g.inverse(), -self.p.precompose(self.g))
 
     def conjugate_by(self, h: "GroupElt") -> "GroupElt":

@@ -19,14 +19,15 @@ compares false both ways, so max() or a bare threshold test would let
 it pass.
 
 The group axioms of G for degree n are checked in two parts, and the
-record depends on n alone.  First an exact proof: associativity,
-identity and inverse, and the action law act(xy) = act(x) act(y) on
-homogeneous points of O(n), hold as polynomial identities in the
-entries, and Kronecker substitution (Kronecker, J. reine angew. Math.
-92, 1882) decides each on generic elements with one exact evaluation,
-one triple or pair per code path of compose, inverse and
-precomposition.  Then the float action `act_affine` is compared with
-the exact action at fixed points that reach each of its code paths.
+record depends on n alone.  First an exact proof: the action law
+act(xy) = act(x) act(y) on homogeneous points of O(n), on one pair of
+generic elements per code path of compose, and one identity and one
+inverse check.  G acts faithfully, so these make compose the product of
+G (`_prove_group_law`).  Each is a polynomial identity in the entries,
+and Kronecker substitution (Kronecker, J. reine angew. Math. 92, 1882)
+decides it with one exact evaluation.  Then the float action
+`act_affine` is compared with the exact action at fixed points that
+reach each of its code paths.
 """
 
 from __future__ import annotations
@@ -291,36 +292,25 @@ def _fd_det(dev: DevMap, z, n, pt):
     return j11 * j22 - j12 * j21
 
 
-# The code paths the proof covers, in the order it runs them.
-PROOF_BRANCHES = (
-    "big_cell",
-    "diagonal",
-    "p_zero",
-    "scalar_multiple",
-    "action_big_cell",
-    "action_diagonal",
-    "action_p_zero",
-)
-
-
 def check_group_axioms(n: int) -> VerifyReport:
     """The group law of G for degree n and its action on O(n): proved, then checked in floats.
 
-    1. `_prove_group_law` proves associativity, identity, inverse and
-       the action law exactly, once per call, on generic elements over
-       its own basis.
+    1. `_prove_group_law` proves the action law, the identity and the
+       inverse exactly, once per call, on generic elements over its own
+       basis; `proved` lists the branches it ran.
     2. `_check_numeric_action` compares the float `act_affine` with the
        exact action at the fixed points of `_action_cases`, which reach
        each of its code paths.  A residual not below 1e-10, NaN
        included, or an `ArithmeticError` at any point fails the record,
        which then names the failing paths.
     """
-    failure = _prove_group_law(n)
+    proved = []
+    failure = _prove_group_law(n, proved=proved)
     if failure is not None:
         return VerifyReport("group_axioms", False, checks=failure)
     cases = _action_cases(n)
     worst, failure = _check_numeric_action(cases, n)
-    checks = {"action_trials": len(cases), "proved": list(PROOF_BRANCHES)}
+    checks = {"action_trials": len(cases), "proved": proved}
     checks.update(failure or {})
     return VerifyReport(
         "group_axioms",
@@ -429,43 +419,36 @@ def _act_exact(x: GroupElt, point):
     return (w1, w2, sum_of_products([(tau, one)] + terms))
 
 
-def _law_failure(x: GroupElt, y: GroupElt, z: GroupElt, e: GroupElt):
-    """The first of associativity, identity and inverse that fails on x, y, z, or None."""
-    if compose(compose(x, y), z) != compose(x, compose(y, z)):
-        return "associativity"
-    if compose(x, e) != x or compose(e, x) != x:
-        return "identity"
-    xi = inverse(x)
-    if compose(x, xi) != e or compose(xi, x) != e:
-        return "inverse"
-    return None
-
-
 def _kronecker_span(n: int) -> int:
     """The widest exponent window an indeterminate of the proof reaches.
 
-    An indeterminate belongs to one element (g, p).  It enters p
-    linearly (window 1) and the entries of g with exponent 0 or 1.  The
-    entries of g^{-1} = adj(g)/(uv) have exponent -1 or 0 in u and v and
-    0 or 1 in b and c, so every entry of g or g^{-1} has window 1.  A
-    matrix product in the laws holds g and g^{-1} of one element at most
-    once each (g g^{-1} in the inverse law): window 2.  Precomposition
-    multiplies a coefficient of p by n entries, and (p.g).g^{-1} in the
-    inverse law nests two of them: window 2n.  `GroupElt.__eq__`
-    compares p coefficientwise (window 2n), matrix entries (2),
-    products of two entries (4) and n-th powers of entries (2n).
+    An indeterminate belongs to one element (g, p) or to the point
+    (Z1, Z2, tau).  It enters p linearly (window 1) and the entries of g
+    with exponent 0 or 1.  The entries of g^{-1} = adj(g)/(uv) have
+    exponent -1 or 0 in u and v and 0 or 1 in b and c, and those of
+    (g^{-1})^{-1} exponent 0 or 1, so every entry of these has window 1.
 
-    The action law compares act(xy) and act(x) act(y) at (Z1, Z2, tau),
-    three more indeterminates (`_act_exact`).  tau enters linearly, and
-    p(gZ) multiplies a coefficient by n entries of gZ, so Z1, Z2 and the
-    entries of g have exponents 0..n there.  On the right every
-    indeterminate stays within 0..n.  On the left p_xy = p_x + p_y.g_x^{-1}
-    is evaluated at g_x g_y Z: a coefficient of p_y.g_x^{-1} holds n
-    entries of g_x^{-1} (exponents -n..0 in u and v, 0..n in b and c)
-    and its monomial n entries of g_x g_y Z (0..n), so x's matrix
-    indeterminates reach window 2n, inside the span above.
+    The action law compares act(xy) and act(x) act(y) at the point
+    (`_act_exact`).  tau enters linearly, and p(gZ) multiplies a
+    coefficient by n entries of gZ, so Z1, Z2 and the entries of g have
+    exponents 0..n there.  On the right every indeterminate stays within
+    0..n.  On the left p_xy = p_x + p_y.g_x^{-1} is evaluated at
+    g_x g_y Z: a coefficient of p_y.g_x^{-1} holds n entries of g_x^{-1}
+    (exponents -n..0 in u and v, 0..n in b and c) and its monomial n
+    entries of g_x g_y Z (0..n), so x's matrix indeterminates reach
+    window 2n.
+
+    The identity check compares act(e) at the point with the point:
+    window 1.  The inverse check compares x^{-1} x with e: an entry of
+    g^{-1} g has window 2, and p_{x^{-1}x} = -p.g + p.(g^{-1})^{-1}
+    multiplies a coefficient by n entries of g or (g^{-1})^{-1}: window
+    n.  `GroupElt.__eq__` compares p coefficientwise (n), the matrix
+    entries (2), products of one entry with one of e (2) and n-th powers
+    of entries (2n).  scalar_multiple compares x with zeta x and 2x:
+    entries (1), products of two entries (2) and n-th powers (n).  With
+    n >= 1 the widest window is 2n.
     """
-    return max(2 * n, 4)
+    return 2 * n
 
 
 def _indeterminates(basis: EigenBasis, base: int, axes=(0, 1)):
@@ -504,46 +487,52 @@ def _generic_elt(basis: EigenBasis, n: int, t, shape: str, with_p: bool = True) 
     return GroupElt(Mat2._raw(basis, rows, u * v), HomogPoly._raw(basis, n, coeffs))
 
 
-def _prove_group_law(n: int, base: int = None):
-    """Prove associativity, identity and inverse of G for degree n exactly.
+def _prove_group_law(n: int, base: int = None, proved: list = None):
+    """Prove exactly that compose is the group law of G for degree n.
 
     Generic elements over a free basis of their own (never a caller's)
     carry independent indeterminates, sent to monomials by Kronecker
     substitution with a base N above `_kronecker_span(n)`, so one exact
-    evaluation per law decides it as a polynomial identity.  One triple
-    runs per code path:
+    evaluation decides each check as a polynomial identity.  The checks
+    of `_group_law_checks`, each named by its branch, in order:
 
-    * big_cell: three big-cell elements;
-    * diagonal: x and z diagonal, so precomposition by g_x^{-1} takes
-      its diagonal path.  The big-cell y is needed: on diagonal
-      matrices alone, a diagonal path that swaps the exponents of
-      u and v is still an action, and only a product with a
-      non-diagonal matrix exposes it;
-    * p_zero: big-cell matrices with p = 0, so compose and inverse take
-      their p = 0 shortcuts (compose's shortcut with p != 0 beside it
-      runs in the big_cell identity law, x e = x);
     * scalar_multiple: for `GroupElt.__eq__`, x == zeta x for zeta a
       primitive n-th root of unity and x != 2x.  Q(i) holds zeta only
-      for n | 4, so this pair lives over a basis whose second generator
-      is zeta (relation (0, n)), with the indeterminates on l1.
+      for n | 4, so this check lives over a basis whose second generator
+      is zeta (relation (0, n)), with the indeterminates on l1.  It
+      runs first: the inverse check compares with ==;
+    * the action law act(xy) = act(x) act(y) (`_act_exact`) at a
+      generic point (Z1, Z2, tau), one pair (x, y) per code path of
+      compose.  action_big_cell: two big-cell elements.
+      action_diagonal: x diagonal, so p_y.g_x^{-1} takes the diagonal
+      path of precomposition.  action_p_zero: y with p = 0, so compose
+      takes its shortcut, and x with p != 0, which the shortcut must
+      keep;
+    * identity: act(e) fixes the point of the last pair;
+    * inverse: x^{-1} x == e for the big-cell x of the last pair, whose
+      p is not 0.  `GroupElt.inverse` has one code path.
 
-    Then the action law act(xy) = act(x) act(y) (`_act_exact`) at a
-    generic point (Z1, Z2, tau), one pair (x, y) per code path of
-    compose:
+    Why these suffice: G acts faithfully.  act(x) for x = (g, p) maps
+    (Z, tau) to (gZ, tau + p(gZ)); its Z part gives back g, and then,
+    since g is invertible, tau' - tau = p(gZ) at every gZ gives back p.
+    So an element is determined by its map.  The action law, an identity
+    in the entries on a Zariski-dense set of each code path's inputs,
+    holds on all of them, so compose(x, y) is the one element whose map
+    is act(x) act(y): compose is composition of maps, carried back to
+    pairs, and is associative because composition is.  act(e) = id
+    gives act(compose(e, x)) = act(compose(x, e)) = act(x), so e is the
+    identity.  x^{-1} x == e up to an n-th root of unity zeta, and
+    (zeta I, 0) fixes every point of O(n), so act(x^{-1}) act(x) = id on
+    O(n): act(x^{-1}) is the inverse of the bijection act(x), and
+    x x^{-1} = e as well.  A one-sided inverse is enough.  Associativity, identity and inverse alone would not do:
+    a compose in the swapped order, or under the other convention
+    (g0 g1, p1 + p0.g1), satisfies them and fails the action law.
 
-    * action_big_cell: two big-cell elements;
-    * action_diagonal: x diagonal, so p_y.g_x^{-1} takes the diagonal
-      path of precomposition;
-    * action_p_zero: y with p = 0, so compose takes its shortcut, and x
-      with p != 0, which the shortcut must keep.
-
-    A compose that swaps the order of its operands, or that follows the
-    other convention (g0 g1, p1 + p0.g1), still satisfies the group
-    laws; only the action law tells it apart.
-
-    Returns None, or {"failed": law, "branch": path} for the first
-    failure, with law "action" for the action law.  A base at or below
-    the span raises ValueError.
+    Returns None, or {"failed": law, "branch": branch} for the first
+    check that fails, law being "equality", "action", "identity" or
+    "inverse".  The branch of each check that holds is appended to
+    `proved` when a list is given.  A base at or below the span raises
+    ValueError.
     """
     span = _kronecker_span(n)
     if base is None:
@@ -552,23 +541,25 @@ def _prove_group_law(n: int, base: int = None):
         raise ValueError(
             "Kronecker base %d must exceed the exponent span %d of degree %d" % (base, span, n)
         )
-    basis = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
-    e = GroupElt.identity(basis, n)
-    big, diag, bare = ("big_cell", True), ("diagonal", True), ("big_cell", False)
-    for branch, shapes in (
-        ("big_cell", (big, big, big)),
-        ("diagonal", (diag, big, diag)),
-        ("p_zero", (bare, bare, bare)),
-    ):
-        t = _indeterminates(basis, base)
-        x, y, z = (_generic_elt(basis, n, t, shape, with_p) for shape, with_p in shapes)
-        failed = _law_failure(x, y, z, e)
-        if failed is not None:
-            return {"failed": failed, "branch": branch}
+    for law, branch, holds in _group_law_checks(n, base):
+        if not holds:
+            return {"failed": law, "branch": branch}
+        if proved is not None:
+            proved.append(branch)
+    return None
+
+
+def _group_law_checks(n: int, base: int):
+    """(law, branch, holds) for each check of `_prove_group_law`, in order;
+    a check is evaluated when the one before it has been taken."""
     roots = EigenBasis(("l1", "zeta"), [(0, n)], (0.5, cmath.exp(2j * math.pi / n)))
     x = _generic_elt(roots, n, _indeterminates(roots, base, axes=(0,)), "big_cell")
-    if x != GroupElt(x.g.scale(roots.gen(1)), x.p) or x == GroupElt(x.g.scale(roots.gauss(2)), x.p):
-        return {"failed": "equality", "branch": "scalar_multiple"}
+    yield "equality", "scalar_multiple", (
+        x == GroupElt(x.g.scale(roots.gen(1)), x.p)
+        and x != GroupElt(x.g.scale(roots.gauss(2)), x.p)
+    )
+    basis = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
+    big, diag, bare = ("big_cell", True), ("diagonal", True), ("big_cell", False)
     for branch, shapes in (
         ("action_big_cell", (big, big)),
         ("action_diagonal", (diag, big)),
@@ -577,9 +568,11 @@ def _prove_group_law(n: int, base: int = None):
         t = _indeterminates(basis, base)
         x, y = (_generic_elt(basis, n, t, shape, with_p) for shape, with_p in shapes)
         point = (next(t), next(t), next(t))
-        if _act_exact(compose(x, y), point) != _act_exact(x, _act_exact(y, point)):
-            return {"failed": "action", "branch": branch}
-    return None
+        holds = _act_exact(compose(x, y), point) == _act_exact(x, _act_exact(y, point))
+        yield "action", branch, holds
+    e = GroupElt.identity(basis, n)
+    yield "identity", "identity", _act_exact(e, point) == point
+    yield "inverse", "inverse", compose(inverse(x), x) == e
 
 
 def verify_structure(rec, s: HopfSurface, cfg: VerifyConfig = None):

@@ -27,7 +27,6 @@ from hopfon.hopf import HopfSurface
 from hopfon import devmaps, group, verify
 from hopfon.scalars import EigenBasis, GaussRat, Scalar
 from hopfon.verify import (
-    PROOF_BRANCHES,
     VerifyConfig,
     _fd_det,
     _kronecker_span,
@@ -122,11 +121,21 @@ def test_group_axioms_pass():
         assert rep.passed, rep.checks
 
 
+_PROVED = [
+    "scalar_multiple",
+    "action_big_cell",
+    "action_diagonal",
+    "action_p_zero",
+    "identity",
+    "inverse",
+]
+
+
 def test_group_axioms_default_is_the_proof_and_the_action_trials():
     for n in (1, 2, 3):
         rep = check_group_axioms(n)
         assert rep.passed, rep.checks
-        assert rep.checks == {"action_trials": 24, "proved": list(PROOF_BRANCHES)}
+        assert rep.checks == {"action_trials": 24, "proved": _PROVED}
         assert rep.max_equivariance_residual < 1e-12
 
 
@@ -183,18 +192,18 @@ def test_group_axioms_catch_a_dropped_horner_term(monkeypatch):
         return precompose(HomogPoly._raw(p.basis, p.degree, (zero,) + p.coeffs[1:]), m)
 
     monkeypatch.setattr(HomogPoly, "precompose", dropped)
-    assert _fails() == ("associativity", "big_cell")
+    assert _fails() == ("action", "action_big_cell")
 
 
 def test_group_axioms_catch_a_wrong_matrix_inverse(monkeypatch):
     def adjugate(g):
-        # the inverse without the division by det: still anti-multiplicative,
-        # so composition stays associative and only x x^-1 = e fails
+        # the inverse without the division by det: compose precomposes
+        # p_y by g_x^{-1}, so the action law fails
         (a, b), (c, d) = g.entries
         return Mat2._raw(g.basis, ((d, -b), (-c, a)), g.det())
 
     monkeypatch.setattr(Mat2, "inverse", adjugate)
-    assert _fails() == ("inverse", "big_cell")
+    assert _fails() == ("action", "action_big_cell")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -212,7 +221,7 @@ def test_group_axioms_catch_swapped_diagonal_exponents(monkeypatch, n):
 
     monkeypatch.setattr(HomogPoly, "precompose", swapped)
     # n = 1 too: there the swap trades the diagonal entries of g^{-1}
-    assert _fails(n) == ("associativity", "diagonal")
+    assert _fails(n) == ("action", "action_diagonal")
 
 
 def test_group_axioms_catch_a_compose_shortcut_that_drops_p(monkeypatch):
@@ -222,8 +231,26 @@ def test_group_axioms_catch_a_compose_shortcut_that_drops_p(monkeypatch):
         return GroupElt(x.g * y.g, x.p + y.p.precompose(x.g.inverse()))
 
     monkeypatch.setattr(GroupElt, "compose", shortcut)
-    # x e takes the shortcut with x's p nonzero
-    assert _fails() == ("identity", "big_cell")
+    # x y takes the shortcut with x's p nonzero
+    assert _fails() == ("action", "action_p_zero")
+
+
+def test_group_axioms_catch_an_inverse_that_keeps_the_sign_of_p(monkeypatch):
+    def unsigned(x):
+        # (g^-1, +p.g): x^-1 x = (I, 2 p.g)
+        return GroupElt(x.g.inverse(), x.p.precompose(x.g))
+
+    monkeypatch.setattr(GroupElt, "inverse", unsigned)
+    assert _fails() == ("inverse", "inverse")
+
+
+def test_group_axioms_catch_an_identity_that_scales_the_point(monkeypatch):
+    def doubled(cls, basis, n):
+        # (2I, 0) acts as (Z, tau) -> (2Z, tau), not as the identity
+        return cls(Mat2.identity(basis).scale(basis.gauss(2)), HomogPoly.zero(basis, n))
+
+    monkeypatch.setattr(GroupElt, "identity", classmethod(doubled))
+    assert _fails() == ("identity", "identity")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -244,7 +271,8 @@ def test_group_axioms_catch_equality_up_to_any_scalar(monkeypatch, n):
 
 def _swapped_compose(monkeypatch):
     compose = GroupElt.compose
-    # the opposite group: associativity, identity and inverse still hold
+    # the opposite group: associativity, identity and inverse still hold,
+    # the action law does not
     monkeypatch.setattr(GroupElt, "compose", lambda x, y: compose(y, x))
 
 
@@ -265,7 +293,6 @@ def _right_convention(monkeypatch, with_inverse):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_axioms_catch_a_compose_in_the_swapped_order(monkeypatch, n):
     _swapped_compose(monkeypatch)
-    # every group-law branch runs first and passes; the action law fails
     assert _fails(n) == ("action", "action_big_cell")
 
 
@@ -360,17 +387,18 @@ def test_kronecker_span_bounds_every_compared_window(monkeypatch):
     # decode each scalar that the proof compares, computed with a base far
     # above any window, into per-indeterminate exponents (balanced base-N
     # digits), and check that their windows stay within the derived span,
-    # for the group laws and for the action law, where the point's Z1, Z2
-    # and tau are indeterminates too
+    # for every check of the proof.  A check's comparisons run before it
+    # is yielded, so the windows seen since the last yield are its own
     base = 10**6
-    widest = {"laws": [], "action": []}
-    phase = ["laws"]
+    pending, widest = [], {}
     eq = Scalar.__eq__
-    act_exact = verify._act_exact
+    checks = verify._group_law_checks
 
-    def acting(x, point):
-        phase[0] = "action"  # the action pairs run after every law
-        return act_exact(x, point)
+    def labelled(n, base):
+        for law, branch, holds in checks(n, base):
+            widest[branch] = max(pending, default=0)
+            pending.clear()
+            yield law, branch, holds
 
     def digits(e):
         e, out = int(e), []
@@ -386,37 +414,78 @@ def test_kronecker_span_bounds_every_compared_window(monkeypatch):
             cols = [digits(key[ax]) for key, *_ in a.terms + b.terms for ax in axes]
             for j in range(max(map(len, cols), default=0)):
                 col = [c[j] if j < len(c) else 0 for c in cols]
-                widest[phase[0]].append(max(col) - min(col))
+                pending.append(max(col) - min(col))
         return eq(a, b)
 
     def run(n):
-        phase[0] = "laws"
-        for windows in widest.values():
-            windows.clear()
+        pending.clear()
+        widest.clear()
         return _prove_group_law(n, base=base)
 
     monkeypatch.setattr(Scalar, "__eq__", recording)
-    monkeypatch.setattr(verify, "_act_exact", acting)
+    monkeypatch.setattr(verify, "_group_law_checks", labelled)
     for n in (1, 2, 3):
         assert run(n) is None
-        assert 0 < max(widest["laws"]) <= _kronecker_span(n)
-        assert 0 < max(widest["action"]) <= _kronecker_span(n)
-    # where the two sides of the action law differ, the left side is a
+        assert list(widest) == _PROVED
+        assert max(widest.values()) <= _kronecker_span(n)
+        assert 0 < widest["scalar_multiple"] and 0 < widest["action_big_cell"]
+    # where the two sides of a check differ, the left side is a
     # polynomial of its own, and its window must fit the span as well.
+    # An inverse that keeps the sign of p leaves x^-1 x = (I, 2 p.g): a
+    # coefficient of p.g holds n entries of g, window n
+    monkeypatch.setattr(GroupElt, "inverse", lambda x: GroupElt(x.g.inverse(), x.p.precompose(x.g)))
+    for n in (1, 2, 3):
+        assert run(n) == {"failed": "inverse", "branch": "inverse"}
+        assert widest["inverse"] == n <= _kronecker_span(n)
     # Under the right-acting convention the matrices agree, and tau' of
     # the left side reaches the window 2n that the span's derivation gives
     _right_convention(monkeypatch, with_inverse=True)
     for n in (1, 2, 3):
         assert run(n) == {"failed": "action", "branch": "action_big_cell"}
-        assert max(widest["action"]) == 2 * n <= _kronecker_span(n)
+        assert widest["action_big_cell"] == 2 * n == _kronecker_span(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_proved_list_names_the_checks_the_proof_ran(monkeypatch, n):
+    # each check is named here from the elements the proof hands to
+    # GroupElt.__eq__, compose and _act_exact, not from the proof's names
+    ran = []
+    eq, compose, act_exact = GroupElt.__eq__, verify.compose, verify._act_exact
+
+    def equal(x, y):
+        if "zeta" in x.basis.names and ran[-1:] != ["scalar_multiple"]:
+            ran.append("scalar_multiple")
+        return eq(x, y)
+
+    def composing(x, y):
+        if x.g * y.g == Mat2.identity(x.basis):
+            ran.append("inverse")
+        elif x.g.is_diagonal():
+            ran.append("action_diagonal")
+        elif y.p.is_zero():
+            ran.append("action_p_zero")
+        else:
+            ran.append("action_big_cell")
+        return compose(x, y)
+
+    def acting(x, point):
+        if x.g == Mat2.identity(x.basis) and x.p.is_zero():
+            ran.append("identity")
+        return act_exact(x, point)
+
+    monkeypatch.setattr(GroupElt, "__eq__", equal)
+    monkeypatch.setattr(verify, "compose", composing)
+    monkeypatch.setattr(verify, "_act_exact", acting)
+    rep = check_group_axioms(n)
+    assert rep.passed
+    assert rep.checks["proved"] == ran == _PROVED
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_axioms_make_few_composes(monkeypatch, n):
-    # the proof composes 8 times per triple (4 associativity, 2 identity,
-    # 2 inverse) on 3 triples and once per action pair on 3 pairs; the
-    # float action check composes nothing.  Sampling the laws instead
-    # would cost 8 composes per random triple.
+    # the proof composes once per action pair on 3 pairs and once in the
+    # inverse check; the float action check composes nothing.  Sampling
+    # the laws instead would cost 8 composes per random triple.
     calls = [0]
     compose = GroupElt.compose
 
@@ -426,7 +495,7 @@ def test_group_axioms_make_few_composes(monkeypatch, n):
 
     monkeypatch.setattr(GroupElt, "compose", counting)
     assert check_group_axioms(n).passed
-    assert calls[0] == 3 * 8 + 3
+    assert calls[0] == 3 + 1
 
 
 def test_verify_structure_bundle():
