@@ -28,7 +28,10 @@ certificate on top.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .group import AffinePoint
 from .scalars import GR_ONE, GR_ZERO, GaussRat, _power, as_gauss
@@ -200,15 +203,11 @@ _FIELDS = ("k1", "k2", "l1", "l2", "P1", "Q1", "P2", "hyper", "n")
 class DevMap:
     """A candidate developing map in monomial-times-rational form.
 
-    `_plan` is an unset slot until the map's first float evaluation;
-    then it holds the tuple `_numeric_plan` builds, which `eval_devmap`
-    and `eval_stencil_t` read: P1, Q1 and P2 homogenized, each constant
-    one folded to its complex value, the exponents k1, k2~, l1, l2~ and
-    n, and the chart-T denominators K**1 and K**n where Q1 is constant
-    and both are finite and nonzero.
+    `_kernel` is an unset slot until the map's first float evaluation;
+    then it holds the map's float evaluation (`map_kernel`).
     """
 
-    __slots__ = _FIELDS + ("_plan",)
+    __slots__ = _FIELDS + ("_kernel",)
 
     def __init__(self, k1, k2, l1, l2, P1, Q1, P2, hyper, n):
         if n < 1:
@@ -400,18 +399,26 @@ class DetJacobian:
     _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Without a hyperresonance u = 1.0 at every point, so the factors
-        # of eval_numeric that depend on u alone are the same complex
-        # numbers everywhere: P1(u) P2(u), Q1(u)^(n+1) and R(u).  Where one
-        # of them raises, every call takes the general path and raises there.
+        # Where P1, P2, Q1, R_num and R_den are constants, the factors of
+        # eval_numeric that depend on u -- P1(u) P2(u), Q1(u)^(n+1) and
+        # R(u) -- are computed once.  A constant c evaluates to 0j*u + c,
+        # which is c itself at every finite u when no part of c is -0.0;
+        # without a hyperresonance u is 1.0 everywhere.  eval_numeric takes
+        # the general path at a non-finite u, and at every point where a
+        # factor raises here.
+        polys = (self.P1, self.P2, self.Q1, self.R_num, self.R_den)
         factors = None
-        if self.hyper is None:
+        if all(p.is_constant() for p in polys):
             try:
-                factors = (
-                    self.P1.eval_numeric(1.0) * self.P2.eval_numeric(1.0),
-                    self.Q1.eval_numeric(1.0) ** (self.n + 1),
-                    self.R_num.eval_numeric(1.0) / self.R_den.eval_numeric(1.0),
-                )
+                values = [p.coeffs[0].to_complex() for p in polys]
+                if self.hyper is None or all(
+                    v or math.copysign(1.0, v) > 0 for c in values for v in (c.real, c.imag)
+                ):
+                    factors = (
+                        self.P1.eval_numeric(1.0) * self.P2.eval_numeric(1.0),
+                        self.Q1.eval_numeric(1.0) ** (self.n + 1),
+                        self.R_num.eval_numeric(1.0) / self.R_den.eval_numeric(1.0),
+                    )
             except ArithmeticError:
                 pass
         object.__setattr__(self, "_factors", factors)
@@ -419,21 +426,23 @@ class DetJacobian:
     def eval_numeric(self, z) -> complex:
         """det t' at z, in float arithmetic.
 
-        Without a hyperresonance the u-dependent factors are the
-        constants `__post_init__` computed, used by the same operations
-        in the same order, so the value is bit-identical to the general
-        path.
+        With a hyperresonance u = z1^m1/z2^m2 is formed first, so a
+        point on the z2 = 0 axis raises ZeroDivisionError.  Where
+        `__post_init__` folded the u-dependent factors and u is finite,
+        they are used by the same operations in the same order, so the
+        value is bit-identical to the general path.
         """
         z1, z2 = complex(z[0]), complex(z[1])
         factors = self._factors
-        if factors is not None:
-            pp, qn, r = factors
-            return z1**self.z1_exp * z2**self.z2_exp * pp / qn * r
+        u = 1.0
         if self.hyper is not None:
             m1, m2 = self.hyper
             u = z1**m1 / z2**m2
-        else:
-            u = 1.0
+            if not cmath.isfinite(u):
+                factors = None
+        if factors is not None:
+            pp, qn, r = factors
+            return z1**self.z1_exp * z2**self.z2_exp * pp / qn * r
         val = z1**self.z1_exp * z2**self.z2_exp
         val *= self.P1.eval_numeric(u) * self.P2.eval_numeric(u)
         val /= self.Q1.eval_numeric(u) ** (self.n + 1)
@@ -564,35 +573,6 @@ def _homogenized(p: UniPoly, m1, m2):
     )
 
 
-def _numeric_plan(d: DevMap):
-    """The float data `eval_devmap` needs for d, computed on first use.
-
-    The plan is (H1, K, H2, k1, k2~, l1, l2~, n, den1, denn).  H1, K and
-    H2 are P1, Q1 and P2 from `_homogenized`: a complex constant, or
-    the terms of a nonconstant polynomial.  den1 and denn are the
-    chart-T denominators K**1 and K**n when K is constant and both are
-    nonzero.  Otherwise, and where K**n overflows, both are None, and
-    `_chart_t` forms t1 and t2 with `_chart_value`, which forms K**p at
-    each point, so an overflowing K**n raises there.
-    """
-    plan = getattr(d, "_plan", None)
-    if plan is None:
-        m1, m2 = d._m()
-        h1, hq, h2 = (_homogenized(p, m1, m2) for p in (d.P1, d.Q1, d.P2))
-        kt2, lt2 = d.tilde_exponents()
-        den1 = denn = None
-        if hq.__class__ is complex:
-            try:
-                den1, denn = hq**1, hq**d.n
-            except OverflowError:  # the general path raises it again at each point
-                pass
-            if not (den1 and denn):
-                den1 = denn = None
-        plan = (h1, hq, h2, d.k1, kt2, d.l1, lt2, d.n, den1, denn)
-        object.__setattr__(d, "_plan", plan)
-    return plan
-
-
 def _homog_sum(terms, z1, z2):
     """sum p_i z1^(m1 i) z2^(m2 (deg - i)) over the terms of a nonconstant p."""
     total = 0j
@@ -601,30 +581,111 @@ def _homog_sum(terms, z1, z2):
     return total
 
 
-def _chart_t(plan, z1, z2):
-    """(t1, t2) at a point with both coordinates nonzero, or None where
-    chart T is infinite there.
+def map_kernel(d: DevMap) -> SimpleNamespace:
+    """d's float evaluation, built on the first call and kept in `d._kernel`:
+    three functions, each raising what its float operations raise.
 
-    The operations and their order are those of the general path of
-    `eval_devmap`: the term sums of H1, K and H2, then t1 and t2 as
-    `_chart_value` forms them.  With den1 and denn in the plan, K is
-    constant and t1 and t2 are finite, so their quotients are formed
-    directly.
+    * `at(z1, z2)`: chart T, (t1, t2), at a point with both coordinates
+      nonzero, or None where chart T is infinite there;
+    * `point(z1, z2)`: the value anywhere, as `eval_devmap` describes it;
+    * `stencil(z1, z2, h1, h2)`: t1, t2 at (z1 + h1, z2), (z1 - h1, z2),
+      (z1, z2 + h2) and (z1, z2 - h2), eight values; a point outside the
+      domain of `at` is read from `point` in chart T.
+
+    Chart T is z1^k1 z2^k2~ H1 / K**1 and z1^l1 z2^l2~ H2 / K**n, left to
+    right, with H1, K, H2 the homogenized P1, Q1, P2.  Where all three
+    are constants and K**1, K**n are finite and nonzero, `at` is that
+    expression with the constants bound, and the stencil forms once each
+    coordinate power two points share: z2^k2~, z2^l2~ for (z1 +- h1, z2)
+    and z1^k1, z1^l1 for (z1, z2 +- h2).  Otherwise `at` sums the terms
+    of each nonconstant polynomial, and unless K is a constant with
+    K**1, K**n nonzero, forms t1 and t2 with `_chart_value`, which forms
+    K**p at each point, so an overflowing K**n raises there.
     """
-    h1, hq, h2, k1, kt2, l1, lt2, n, den1, denn = plan
-    if h1.__class__ is tuple:
-        h1 = _homog_sum(h1, z1, z2)
-    if hq.__class__ is tuple:
-        hq = _homog_sum(hq, z1, z2)
-    if h2.__class__ is tuple:
-        h2 = _homog_sum(h2, z1, z2)
-    if den1 is not None:
-        return (z1**k1 * z2**kt2 * h1 / den1, z1**l1 * z2**lt2 * h2 / denn)
-    t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
-    t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
-    if t1 is None or t2 is None:
-        return None
-    return (t1, t2)
+    kern = getattr(d, "_kernel", None)
+    if kern is not None:
+        return kern
+    m1, m2 = d._m()
+    H1, K, H2 = (_homogenized(p, m1, m2) for p in (d.P1, d.Q1, d.P2))
+    k1, l1, n = d.k1, d.l1, d.n
+    kt2, lt2 = d.tilde_exponents()
+    den1 = denn = None
+    if K.__class__ is complex:
+        try:
+            den1, denn = K**1, K**n
+        except OverflowError:  # _chart_value raises it again at each point
+            pass
+        if not (den1 and denn):
+            den1 = denn = None
+
+    def at(z1, z2):
+        h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
+        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
+        h2 = _homog_sum(H2, z1, z2) if H2.__class__ is tuple else H2
+        if den1 is not None:
+            return (z1**k1 * z2**kt2 * h1 / den1, z1**l1 * z2**lt2 * h2 / denn)
+        t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
+        t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
+        if t1 is None or t2 is None:
+            return None
+        return (t1, t2)
+
+    def point(z1, z2):
+        if z1 and z2:
+            t = at(z1, z2)
+            if t is not None:
+                return AffinePoint._raw("T", t[0], t[1])
+        if not z1:
+            if not z2:
+                raise EvalError("the developing map lives on C^2 minus the origin")
+            z1 = 0j
+        elif not z2:
+            z2 = 0j
+        # z2^(m2 deg p) p(u) = sum p_i z1^(m1 i) z2^(m2 (deg - i)): no exponent is negative
+        h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
+        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
+        h2 = _homog_sum(H2, z1, z2) if H2.__class__ is tuple else H2
+        t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
+        t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
+        if t1 is not None and t2 is not None:
+            return AffinePoint._raw("T", t1, t2)
+        s1 = _chart_value(z1, -k1, z2, -kt2, hq, h1, 1)
+        s2 = _chart_value(z1, l1 - n * k1, z2, lt2 - n * kt2, h2, h1, n)
+        if s1 is not None and s2 is not None:
+            return AffinePoint._raw("S", s1, s2)
+        raise EvalError("point lies on a zero locus of both charts; resample")
+
+    def stencil(z1, z2, h1, h2):
+        out = ()
+        for w1, w2 in ((z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2)):
+            t = at(w1, w2) if w1 and w2 else None
+            if t is None:
+                pt = point(w1, w2).in_chart("T", n)
+                t = (pt.c1, pt.c2)
+            out += t
+        return out
+
+    if den1 is not None and H1.__class__ is complex and H2.__class__ is complex:
+        per_point = stencil
+
+        def at(z1, z2):
+            return (z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)
+
+        def stencil(z1, z2, h1, h2):
+            x1, x2, y1, y2 = z1 + h1, z1 - h1, z2 + h2, z2 - h2
+            if not (z1 and z2 and x1 and x2 and y1 and y2):
+                return per_point(z1, z2, h1, h2)
+            a1, a2, b1, b2 = z1**k1, z1**l1, z2**kt2, z2**lt2
+            return (
+                x1**k1 * b1 * H1 / den1, x1**l1 * b2 * H2 / denn,
+                x2**k1 * b1 * H1 / den1, x2**l1 * b2 * H2 / denn,
+                a1 * y1**kt2 * H1 / den1, a2 * y1**lt2 * H2 / denn,
+                a1 * y2**kt2 * H1 / den1, a2 * y2**lt2 * H2 / denn,
+            )
+
+    kern = SimpleNamespace(at=at, point=point, stencil=stencil)
+    object.__setattr__(d, "_kernel", kern)
+    return kern
 
 
 def eval_devmap(d: DevMap, z):
@@ -639,64 +700,11 @@ def eval_devmap(d: DevMap, z):
     Raises EvalError on the measure-zero loci where neither chart gives
     a finite value.
 
-    Where both coordinates are nonzero, chart T comes from `_chart_t`,
-    without the checks for zero coordinates, and when it is finite it
-    is returned; axis points and the rest take the general path, which
-    forms the same values again.  Constant H and K come folded from the
-    plan on both paths.
+    Where both coordinates are nonzero and chart T is finite, the value
+    is the kernel's `at` (`map_kernel`); axis points and the rest take
+    the general path, which forms the same values again.
     """
-    z1, z2 = complex(z[0]), complex(z[1])
-    plan = _numeric_plan(d)
-    if z1 and z2:
-        t = _chart_t(plan, z1, z2)
-        if t is not None:
-            return AffinePoint._raw("T", t[0], t[1])
-    if not z1:
-        if not z2:
-            raise EvalError("the developing map lives on C^2 minus the origin")
-        z1 = 0j
-    elif not z2:
-        z2 = 0j
-    h1, hq, h2, k1, kt2, l1, lt2, n, _, _ = plan
-    # z2^(m2 deg p) p(u) = sum p_i z1^(m1 i) z2^(m2 (deg - i)): no exponent is negative
-    if h1.__class__ is tuple:
-        h1 = _homog_sum(h1, z1, z2)
-    if hq.__class__ is tuple:
-        hq = _homog_sum(hq, z1, z2)
-    if h2.__class__ is tuple:
-        h2 = _homog_sum(h2, z1, z2)
-    t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
-    t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
-    if t1 is not None and t2 is not None:
-        return AffinePoint._raw("T", t1, t2)
-    s1 = _chart_value(z1, -k1, z2, -kt2, hq, h1, 1)
-    s2 = _chart_value(z1, l1 - n * k1, z2, lt2 - n * kt2, h2, h1, n)
-    if s1 is not None and s2 is not None:
-        return AffinePoint._raw("S", s1, s2)
-    raise EvalError("point lies on a zero locus of both charts; resample")
-
-
-def eval_stencil_t(d: DevMap, z, h1, h2):
-    """Chart-T values (t1, t2) of the map at the four points
-    (z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2), in that order.
-
-    Each equals `eval_devmap(d, w).in_chart("T", d.n)` at its point w,
-    and raises what that expression raises: where both coordinates of w
-    are nonzero and chart T is finite, the value comes from `_chart_t`,
-    as in `eval_devmap`, without building a point; any other point
-    falls back to that expression.  The points are evaluated in order,
-    so the first failing one decides the exception.
-    """
-    z1, z2 = complex(z[0]), complex(z[1])
-    plan = _numeric_plan(d)
-    out = []
-    for w1, w2 in ((z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2)):
-        t = _chart_t(plan, w1, w2) if w1 and w2 else None
-        if t is None:
-            pt = eval_devmap(d, (w1, w2)).in_chart("T", d.n)
-            t = (pt.c1, pt.c2)
-        out.append(t)
-    return out
+    return map_kernel(d).point(complex(z[0]), complex(z[1]))
 
 
 def _chart_value(z1, a, z2, b, H, K, p):

@@ -271,8 +271,8 @@ class Mat2:
 class GroupElt:
     """An element (g, p): matrix modulo n-th roots of unity plus degree-n polynomial.
 
-    `act_affine` keeps the element's numeric action in `_act`, an unset
-    slot until the element first acts on a point.
+    `_numeric_action` keeps the element's float action function in
+    `_act`, an unset slot until the element first acts on a point.
     """
 
     __slots__ = ("g", "p", "_act")
@@ -443,70 +443,75 @@ _DEN_MIN = 1e-9
 def act_affine(x: GroupElt, pt: AffinePoint, n: int = None) -> AffinePoint:
     """Numeric action of a group element on an affine point of O(n).
 
-    Computed in chart T unless the result is large or the chart
-    denominator is unsafe, in which case chart S is used.  For a
-    diagonal matrix the action only involves the quotient-invariant
-    pair (a/d, d^n), so it is independent of the root-of-unity
-    representative.
+    The action is x's one action function (`_numeric_action`), which
+    the equivariance check also calls on bare chart values.
     """
     if n is None:
         n = x.degree
     elif n != x.degree:
         raise ValueError("point and element live on different O(n)")
-    mat, poly = _numeric_action(x, n)
-    if len(mat) == 2:
-        ratio, dn = mat
-        if pt.chart == "T":
-            chart, c1, c2 = "T", ratio * pt.c1, pt.c2 / dn
-        else:
-            chart, c1, c2 = "S", pt.c1 / ratio, pt.c2 / (ratio**n * dn)
-    else:
-        a, b, c, d = mat
-        if pt.chart == "T":
-            num = a * pt.c1 + b
-            den = c * pt.c1 + d
-        else:
-            num = a + b * pt.c1
-            den = c + d * pt.c1
-        abs_num, abs_den = abs(num), abs(den)
-        scale = abs_den if abs_den > abs_num else abs_num  # max(abs_num, abs_den), NaNs alike
-        if scale == 0:
-            raise ArithmeticError("degenerate image point; matrix is singular numerically")
-        if abs_den >= _DEN_MIN * scale and abs_num <= _T1_MAX * abs_den:
-            chart, c1, c2 = "T", num / den, pt.c2 / den**n
-        else:
-            chart, c1, c2 = "S", den / num, pt.c2 / num**n
-    if poly is not None:
-        # (I, p) adds p(t1, 1) in chart T and p(1, s1) in chart S
-        total = 0j
-        power = 1.0 + 0j
-        for coeff in poly if chart == "T" else reversed(poly):
-            if coeff is not None:
-                total += coeff * power
-            power *= c1
-        c2 = c2 + total
+    try:
+        act = x._act
+    except AttributeError:
+        act = _numeric_action(x, n)
+    chart, c1, c2 = act(pt.chart, pt.c1, pt.c2)
     return AffinePoint._raw(chart, c1, c2)
 
 
 def _numeric_action(x: GroupElt, n: int):
-    """(matrix part, polynomial part) of x's action as floats, computed on first use.
+    """x's float action (chart, c1, c2) -> (chart, c1, c2) on O(n), built on
+    first use and kept in `_act`.
 
-    The matrix part is (a/d, d^n) for a diagonal matrix and (a, b, c, d)
-    otherwise; the polynomial part lists p's coefficients by power of
-    Z1, None for a zero one, and is None when p = 0.
+    The image is in chart T unless it is large or the chart denominator
+    is unsafe, in which case chart S is used.  For a diagonal matrix the
+    action only involves the quotient-invariant pair (a/d, d^n), so it
+    is independent of the root-of-unity representative.
     """
     act = getattr(x, "_act", None)
-    if act is None:
-        (ea, eb), (ec, ed) = x.g.entries
-        if x.g.is_diagonal():
-            mat = ((ea / ed).numeric(), (ed**n).numeric())
+    if act is not None:
+        return act
+    (ea, eb), (ec, ed) = x.g.entries
+    diagonal = x.g.is_diagonal()
+    if diagonal:
+        ratio, dn = (ea / ed).numeric(), (ed**n).numeric()
+    else:
+        a, b, c, d = ea.numeric(), eb.numeric(), ec.numeric(), ed.numeric()
+    poly = None
+    if not x.p.is_zero():
+        coeffs = [coeff.numeric() if coeff.terms else None for coeff in x.p.coeffs]
+        poly = {"T": coeffs, "S": coeffs[::-1]}
+
+    def act(chart, c1, c2):
+        if diagonal:
+            if chart == "T":
+                chart, c1, c2 = "T", ratio * c1, c2 / dn
+            else:
+                chart, c1, c2 = "S", c1 / ratio, c2 / (ratio**n * dn)
         else:
-            mat = (ea.numeric(), eb.numeric(), ec.numeric(), ed.numeric())
-        poly = None
-        if not x.p.is_zero():
-            poly = tuple([c.numeric() if c.terms else None for c in x.p.coeffs])
-        act = (mat, poly)
-        object.__setattr__(x, "_act", act)
+            if chart == "T":
+                num, den = a * c1 + b, c * c1 + d
+            else:
+                num, den = a + b * c1, c + d * c1
+            abs_num, abs_den = abs(num), abs(den)
+            scale = abs_den if abs_den > abs_num else abs_num  # max(abs_num, abs_den), NaNs alike
+            if scale == 0:
+                raise ArithmeticError("degenerate image point; matrix is singular numerically")
+            if abs_den >= _DEN_MIN * scale and abs_num <= _T1_MAX * abs_den:
+                chart, c1, c2 = "T", num / den, c2 / den**n
+            else:
+                chart, c1, c2 = "S", den / num, c2 / num**n
+        if poly is not None:
+            # (I, p) adds p(t1, 1) in chart T and p(1, s1) in chart S
+            total = 0j
+            power = 1.0 + 0j
+            for coeff in poly[chart]:
+                if coeff is not None:
+                    total += coeff * power
+                power *= c1
+            c2 = c2 + total
+        return chart, c1, c2
+
+    object.__setattr__(x, "_act", act)
     return act
 
 

@@ -148,11 +148,17 @@ class HopfSurface:
         z1, z2 = complex(z[0]), complex(z[1])
         if z1 == 0 and z2 == 0:
             raise SurfaceError("the contraction acts on C^2 minus the origin")
+        return self.float_F()(z1, z2)
+
+    def float_F(self):
+        """The contraction as a function of two complex numbers, with its
+        float constants bound; it does not check for the origin."""
         if self.kind == "diagonal":
             w1, w2 = self.basis.witness
-            return (w1 * z1, w2 * z2)
-        lam = self.basis.witness[0]
-        return (lam * z1, lam**self.m * z2 + z1**self.m)
+            return lambda z1, z2: (w1 * z1, w2 * z2)
+        lam, m = self.basis.witness[0], self.m
+        lam_m = lam**m
+        return lambda z1, z2: (lam * z1, lam_m * z2 + z1**m)
 
     # -- serialization ------------------------------------------------------
 

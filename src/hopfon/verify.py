@@ -9,14 +9,16 @@ of modulus up to 1 and relative beyond, so that rounding near a pole
 of the holonomy, where the fibers grow large, does not fail a correct
 map.  Immersion checks evaluate the exact Jacobian factorization at
 the samples (including points on the coordinate axes) and cross-check
-against central finite differences.  Each sample evaluates the map once with `eval_devmap`,
-and its four stencil points with one `eval_stencil_t` call; both read
-the map's numeric plan, in which constant polynomials and the chart-T
-denominators are folded, by the same float operations as a term-by-term
-evaluation, so every printed value is unchanged by the folding.  A NaN
-or infinite residual, determinant or difference fails its check: NaN
-compares false both ways, so max() or a bare threshold test would let
-it pass.
+against central finite differences.  Both sample loops bind the map's
+float kernel (`devmaps.map_kernel`), F, the holonomy's action function
+and the folded factors of the Jacobian once and run on local values; a
+sample takes the per-point path (`eval_devmap`, `act_affine`,
+`point_residual`) only on an axis or where the kernel gives no chart-T
+value.  The kernels repeat the float operations of a term-by-term
+evaluation in the same order, so every printed value is the same.  A
+NaN or infinite residual, determinant or difference fails its check:
+NaN compares false both ways, so max() or a bare threshold test would
+let it pass.
 
 The group axioms of G for degree n are checked in two parts, and the
 record depends on n alone.  First an exact proof: the action law
@@ -36,14 +38,17 @@ import cmath
 import itertools
 import math
 import random
+from cmath import isfinite
+from math import sqrt
 from dataclasses import dataclass, field
 
-from .devmaps import DevMap, EvalError, det_jacobian, eval_devmap, eval_stencil_t
+from .devmaps import EvalError, det_jacobian, eval_devmap, map_kernel
 from .group import (
     AffinePoint,
     GroupElt,
     HomogPoly,
     Mat2,
+    _numeric_action,
     act_affine,
     chordal,
     compose,
@@ -103,14 +108,19 @@ _TWO_PI_J = 2j * math.pi
 _INF = complex("inf")
 
 
-def _sample_annulus(rng, lo, hi):
-    """A point whose coordinates have log-modulus uniform in [lo, hi) and a
-    uniform argument: per coordinate, rng.uniform(lo, hi) (inlined) and
-    then rng.random()."""
-    rand = rng.random
+def _sample_annulus(rng, lo, hi, count):
+    """count points whose coordinates have log-modulus uniform in [lo, hi)
+    and a uniform argument: per coordinate, rng.uniform(lo, hi) (inlined)
+    and then rng.random()."""
+    rand, exp, cexp = rng.random, math.exp, cmath.exp
     span = hi - lo
-    w1 = math.exp(lo + span * rand()) * cmath.exp(_TWO_PI_J * rand())
-    return (w1, math.exp(lo + span * rand()) * cmath.exp(_TWO_PI_J * rand()))
+    return [
+        (
+            exp(lo + span * rand()) * cexp(_TWO_PI_J * rand()),
+            exp(lo + span * rand()) * cexp(_TWO_PI_J * rand()),
+        )
+        for _ in range(count)
+    ]
 
 
 def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -> float:
@@ -143,13 +153,20 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
     """dev(F(z)) = hol . dev(z) at annulus samples, with resampling on zero loci.
 
     A sample whose residual is not below the tolerance, NaN included,
-    fails and is listed.
+    fails and is listed.  Where the map's kernel gives chart T at z and
+    F(z), both off the axes, the residual of two chart-T points is formed
+    inline as `point_residual` forms it.  A batch of samples holds no
+    more than the draws still allowed, so the samples are those of
+    drawing one at a time.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed)
     lo, hi = map(math.log, cfg.resolve_annulus(s))
-    dev, hol, apply_F = rec.dev, rec.hol, s.apply_F
+    dev, hol = rec.dev, rec.hol
     n = dev.n
+    at, F = map_kernel(dev).at, s.float_F()
+    # on a degree mismatch every sample takes act_affine, which raises it
+    act = _numeric_action(hol, n) if hol.degree == n else None
     tol = cfg.tol_equiv
     worst = 0.0
     failing = []
@@ -157,19 +174,40 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
     attempts = 0
     max_attempts = max(20, cfg.samples * 10)
     while done < cfg.samples and attempts < max_attempts:
-        attempts += 1
-        z = _sample_annulus(rng, lo, hi)
-        try:
-            lhs = eval_devmap(dev, apply_F(z))
-            rhs = act_affine(hol, eval_devmap(dev, z), n)
-        except (EvalError, ArithmeticError):
-            continue
-        res = point_residual(lhs, rhs, n)
-        if res > worst or res != res:  # max(), except that a NaN is kept
-            worst = res
-        if not res < tol:
-            failing.append(z)
-        done += 1
+        for z in _sample_annulus(rng, lo, hi, min(cfg.samples - done, max_attempts - attempts)):
+            attempts += 1
+            z1, z2 = z
+            try:
+                lhs = rhs = None
+                if z1 and z2 and act is not None:
+                    w1, w2 = F(z1, z2)
+                    lhs = at(w1, w2) if w1 and w2 else None
+                    t = at(z1, z2) if lhs is not None else None
+                    if t is not None:
+                        rhs = act("T", t[0], t[1])
+                if rhs is None:
+                    p = eval_devmap(dev, s.apply_F(z))
+                    q = act_affine(hol, eval_devmap(dev, z), n)
+            except ArithmeticError:
+                continue
+            if rhs is not None and rhs[0] == "T":
+                (a1, a2), (_, b1, b2) = lhs, rhs
+                try:
+                    den = (1 + abs(a1) ** 2) * (1 + abs(b1) ** 2)
+                except OverflowError:
+                    den = math.inf
+                # chordal(a1, b1), whose last branch this is when den is finite
+                res = abs(a1 - b1) / sqrt(den) if den < math.inf else chordal(a1, b1)
+                res += abs(a2 - b2) / max(1.0, abs(a2), abs(b2))
+            else:
+                if rhs is not None:
+                    p, q = AffinePoint._raw("T", lhs[0], lhs[1]), AffinePoint._raw(*rhs)
+                res = point_residual(p, q, n)
+            if res > worst or res != res:  # max(), except that a NaN is kept
+                worst = res
+            if not res < tol:
+                failing.append(z)
+            done += 1
     if done < cfg.samples:
         return VerifyReport(
             "equivariance",
@@ -196,6 +234,11 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     own float evaluation underflows to a division by 0 or overflows, as
     at extreme radii, is listed as failing.  The exact Jacobian of the
     map in chart S is built only when a sample evaluates there.
+
+    Where the map's kernel gives chart T at a sample, its determinant
+    comes from the folded factors when `DetJacobian` has them; any other
+    sample takes `eval_devmap` and `DetJacobian.eval_numeric`.  The
+    stencil of every annulus sample comes from the kernel.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
@@ -204,19 +247,25 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     n = dev.n
     det = det_jacobian(dev)
     det_hat = None  # the chart-S Jacobian, built at the first sample that needs it
-    samples = [_sample_annulus(rng, lo, hi) for _ in range(cfg.samples)]
-    axis = []
-    for _ in range(4):
-        w = _sample_annulus(rng, lo, hi)
-        axis.append((w[0], 0j))
-        axis.append((0j, w[1]))
+    samples = _sample_annulus(rng, lo, hi, cfg.samples)
+    axis = [p for w in _sample_annulus(rng, lo, hi, 4) for p in ((w[0], 0j), (0j, w[1]))]
+    kern = map_kernel(dev)
+    at, stencil = kern.at, kern.stencil
+    folded, hyper, za, zb = det._factors, det.hyper, det.z1_exp, det.z2_exp
+    if folded is not None:
+        pp, qn, r = folded
+        m1, m2 = hyper or (1, 1)
     min_mag = math.inf
     worst_fd = 0.0
     failing = []
     count = 0
     for i, z in enumerate(samples + axis):
+        z1, z2 = z
+        pt = None  # the point from eval_devmap, where the kernel gives no chart-T value
         try:
-            pt = eval_devmap(dev, z)
+            t = at(z1, z2) if z1 and z2 else None
+            if t is None:
+                pt = eval_devmap(dev, z)
         except EvalError:
             continue
         except (ZeroDivisionError, OverflowError):
@@ -224,14 +273,14 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             # has no value here, which fails the sample like a non-finite one
             failing.append(z)
             continue
-        if pt.chart == "T":
-            jac = det
-        else:
-            if det_hat is None:
-                det_hat = det_jacobian(dev.hat())
-            jac = det_hat
+        chart_t = pt is None or pt.chart == "T"
+        if not chart_t and det_hat is None:
+            det_hat = det_jacobian(dev.hat())
         try:
-            val = jac.eval_numeric(z)
+            if pt is None and folded is not None and (hyper is None or isfinite(z1**m1 / z2**m2)):
+                val = z1**za * z2**zb * pp / qn * r
+            else:
+                val = (det if chart_t else det_hat).eval_numeric(z)
         except ZeroDivisionError:
             val = None
         listed = False
@@ -244,12 +293,26 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
                 listed = True
         if i >= len(samples):
             continue
-        # the finite-difference cross-check, annulus samples only
-        fd = _fd_det(dev, z, n, pt)
-        if fd is None:
-            continue
+        # the finite-difference cross-check of the chart-T map, annulus samples only
         try:
-            sym = val if pt.chart == "T" else det.eval_numeric(z)
+            h1 = 1e-6 * max(abs(z1), 1.0)
+            h2 = 1e-6 * max(abs(z2), 1.0)
+            st = stencil(z1, z2, h1, h2)
+            if pt is not None:
+                base = pt.in_chart("T", n)
+                t = (base.c1, base.c2)
+        except (EvalError, ZeroDivisionError, OverflowError):
+            continue
+        if max(abs(t[0]), abs(t[1])) > 1e4:
+            continue
+        pp1, pp2, pm1, pm2, qp1, qp2, qm1, qm2 = st
+        j11 = (pp1 - pm1) / (2 * h1)
+        j21 = (pp2 - pm2) / (2 * h1)
+        j12 = (qp1 - qm1) / (2 * h2)
+        j22 = (qp2 - qm2) / (2 * h2)
+        fd = j11 * j22 - j12 * j21
+        try:
+            sym = val if chart_t else det.eval_numeric(z)
         except ZeroDivisionError:
             continue
         if sym is None:  # chart T, where det raised above
@@ -270,26 +333,6 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         checks={"fd_samples": count},
         failing_samples=failing,
     )
-
-
-def _fd_det(dev: DevMap, z, n, pt):
-    """Central-difference det of the chart-T map at z, where the map's value
-    is pt; None where a stencil point fails or the value is large."""
-    z1, z2 = z
-    try:
-        h1 = 1e-6 * max(abs(z1), 1.0)
-        h2 = 1e-6 * max(abs(z2), 1.0)
-        (pp1, pp2), (pm1, pm2), (qp1, qp2), (qm1, qm2) = eval_stencil_t(dev, z, h1, h2)
-        base = pt.in_chart("T", n)
-    except (EvalError, ZeroDivisionError, OverflowError):
-        return None
-    if max(abs(base.c1), abs(base.c2)) > 1e4:
-        return None
-    j11 = (pp1 - pm1) / (2 * h1)
-    j21 = (pp2 - pm2) / (2 * h1)
-    j12 = (qp1 - qm1) / (2 * h2)
-    j22 = (qp2 - qm2) / (2 * h2)
-    return j11 * j22 - j12 * j21
 
 
 def check_group_axioms(n: int) -> VerifyReport:

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -14,21 +15,22 @@ from hypothesis import strategies as st
 
 from hopfon.classify import enumerate_structures, StructureRecord
 from hopfon.devmaps import (
+    DetJacobian,
     DevMap,
     EvalError,
     UniPoly,
     det_jacobian,
     eval_devmap,
-    eval_stencil_t,
     is_semiadmissible,
+    map_kernel,
 )
 from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
-from hopfon.hopf import HopfSurface
+from hopfon.hopf import HopfSurface, SurfaceError
 from hopfon import devmaps, group, verify
 from hopfon.scalars import EigenBasis, GaussRat, Scalar
 from hopfon.verify import (
     VerifyConfig,
-    _fd_det,
+    VerifyReport,
     _kronecker_span,
     _prove_group_law,
     _sample_annulus,
@@ -337,9 +339,9 @@ def _action_failure(n=2):
 
 def test_group_axioms_catch_a_dropped_diagonal_chart_s_branch(monkeypatch):
     # a diagonal matrix acts on every point by the chart-T formula
-    old = 'if pt.chart == "T":\n            chart, c1, c2 = "T", ratio'
-    mutant = _mutant(group.act_affine, old, old.replace('pt.chart == "T"', "True"))
-    monkeypatch.setattr(verify, "act_affine", mutant)
+    old = 'if chart == "T":\n                chart, c1, c2 = "T", ratio'
+    mutant = _mutant(group._numeric_action, old, old.replace('chart == "T"', "True"))
+    monkeypatch.setattr(group, "_numeric_action", mutant)
     assert _action_failure()["paths"] == ["diagonal_S_to_S_p_zero", "diagonal_S_to_S_p"]
 
 
@@ -354,8 +356,8 @@ def test_group_axioms_catch_an_inverted_diagonal_ratio(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_group_axioms_catch_the_wrong_power_in_the_chart_s_fiber(monkeypatch, n):
     # den**n in place of num**n: at a pole den = 0, so the action raises
-    mutant = _mutant(group.act_affine, "pt.c2 / num**n", "pt.c2 / den**n")
-    monkeypatch.setattr(verify, "act_affine", mutant)
+    mutant = _mutant(group._numeric_action, "c2 / num**n", "c2 / den**n")
+    monkeypatch.setattr(group, "_numeric_action", mutant)
     checks = _action_failure(n)
     assert {"general_T_to_S_p", "general_S_to_S_p_zero"} <= set(checks["paths"])
     assert checks["error"].startswith("ZeroDivisionError")
@@ -541,23 +543,28 @@ def test_nan_determinants_and_differences_fail_immersion():
 
 
 def test_infinite_determinant_fails_immersion(monkeypatch):
-    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    rec = next(r for r in enumerate_structures(s, 2) if r.kind == "eigen")
+    # the [2] family on (1/4, 1/2) has a nonconstant P1, so its determinant
+    # has no folded factors and each sample reads it from eval_numeric
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    recs = enumerate_structures(s, 2, hyper_params=[[2]])
+    rec = next(r for r in recs if not r.dev.P1.is_constant())
+    assert det_jacobian(rec.dev)._factors is None
+    cfg = VerifyConfig(samples=20, seed=6)
+    clean = check_immersion(rec, cfg, s)
+    assert clean.passed
+    calls = []
+    eval_numeric = DetJacobian.eval_numeric
 
-    class InfiniteAtThirdSample:
-        def __init__(self, det):
-            self.det, self.calls = det, 0
+    def infinite_at_third_sample(det, z):
+        calls.append(z)
+        return complex("inf") if len(calls) == 3 else eval_numeric(det, z)
 
-        def eval_numeric(self, z):
-            self.calls += 1
-            return complex("inf") if self.calls == 3 else self.det.eval_numeric(z)
-
-    monkeypatch.setattr(verify, "det_jacobian", lambda d: InfiniteAtThirdSample(det_jacobian(d)))
-    rep = check_immersion(rec, VerifyConfig(samples=20, seed=6), s)
+    monkeypatch.setattr(DetJacobian, "eval_numeric", infinite_at_third_sample)
+    rep = check_immersion(rec, cfg, s)
     assert not rep.passed
-    # the minimum over the samples is still |det J| = 1; the infinite one is listed
-    assert rep.min_jacobian_magnitude == pytest.approx(1.0)
-    assert len(rep.failing_samples) == 1
+    # the minimum over the samples is still finite; the infinite one is listed
+    assert clean.min_jacobian_magnitude <= rep.min_jacobian_magnitude < math.inf
+    assert rep.failing_samples == [calls[2]]
 
 
 def test_a_nan_action_residual_fails_the_group_axioms(monkeypatch):
@@ -587,10 +594,12 @@ def test_annulus_validation():
 # The reference converts every exact coefficient to a float on each call,
 # as evaluation did before the floats were kept on the objects, and goes
 # through the helper calls and closures that the evaluators have since
-# inlined; `eval_devmap`, `act_affine`, `AffinePoint.in_chart`,
-# `point_residual`, `chordal`, `_sample_annulus` and `_fd_det` must repeat
+# inlined; `eval_devmap`, the map kernels, `act_affine`,
+# `AffinePoint.in_chart`, `point_residual`, `chordal`, `_sample_annulus`,
+# and `check_equivariance` and `check_immersion` as a whole must repeat
 # its float operations in the same order.  The reference shares no code
-# with them: its helpers are copies kept here.
+# with them, except `_chordal_scaled` where squares overflow: its helpers
+# are copies kept here.
 
 
 def _mono(z: complex, k: int):
@@ -741,17 +750,27 @@ def _same(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _parity_records():
+def _check_records():
+    """(surface, record) for the structures of generic, hyperresonant,
+    homothety and exceptional surfaces, hyperresonant families included."""
     params = [[2], [2, 3]]
     cases = [(HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3)), (1, 2, 3))]
     cases.append((HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2)), (1, 2, 3)))
     cases.append((HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 2)), (1, 2)))
     cases.append((HopfSurface.exceptional(Fraction(1, 2), 1), (1, 2, 3)))
     cases.append((HopfSurface.exceptional(Fraction(1, 2), 2), (2, 3)))
-    recs = [r for s, ns in cases for n in ns for r in enumerate_structures(s, n, hyper_params=params)]
+    pairs = [(s, r) for s, ns in cases for n in ns for r in enumerate_structures(s, n, hyper_params=params)]
+    recs = [r for _, r in pairs]
     assert {r.kind for r in recs} >= {"radial", "eigen", "hyperresonant"}
     assert any(r.dev.hyper and not r.dev.P1.is_constant() for r in recs)
-    return tuple(recs)
+    assert any(r.hol.p.is_zero() is False for r in recs)
+    assert any(not r.hol.g.is_diagonal() for r in recs)
+    return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_records():
+    return tuple(r for _, r in _check_records())
 
 
 @functools.lru_cache(maxsize=None)
@@ -818,11 +837,17 @@ def ref_chordal(a, b):
     b_inf = isinf(b.real) or isinf(b.imag) if isinstance(b, complex) else b == inf
     if a_inf and b_inf:
         return 0.0
-    if a_inf:
-        return 1 / sqrt(1 + abs(b) ** 2)
-    if b_inf:
-        return 1 / sqrt(1 + abs(a) ** 2)
-    return abs(a - b) / sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+    try:
+        if a_inf:
+            return 1 / sqrt(1 + abs(b) ** 2)
+        if b_inf:
+            return 1 / sqrt(1 + abs(a) ** 2)
+        den = (1 + abs(a) ** 2) * (1 + abs(b) ** 2)
+        if den != inf:
+            return abs(a - b) / sqrt(den)
+    except OverflowError:
+        pass
+    return group._chordal_scaled(a, b, a_inf, b_inf)
 
 
 def ref_point_residual(p, q, n, fiber="abs"):
@@ -914,37 +939,29 @@ def test_sample_annulus_matches_reference(seed, r0, ratio):
     r1 = r0 * ratio
     rng, ref = random.Random(seed), random.Random(seed)
     lo, hi = math.log(r0), math.log(r1)
-    for _ in range(5):
-        assert _same(_sample_annulus(rng, lo, hi), ref_sample_annulus(ref, r0, r1))
+    assert _same(_sample_annulus(rng, lo, hi, 5), [ref_sample_annulus(ref, r0, r1) for _ in range(5)])
     assert rng.getstate() == ref.getstate()
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(0, 10**6), _coord, _coord)
-def test_fd_det_matches_reference(i, z1, z2):
-    recs = _parity_records()
-    dev = recs[i % len(recs)].dev
-    z = (z1, z2)
-    try:
-        pt, ref_pt = eval_devmap(dev, z), ref_eval_devmap(dev, z)
-    except EvalError:
-        return
-    assert _same(_fd_det(dev, z, dev.n, pt), ref_fd_det(dev, z, dev.n, ref_pt))
-
-
 def ref_stencil(dev, z, h1, h2):
-    """The four chart-T stencil values of `_fd_det`, one `ref_eval_devmap` each."""
+    """The eight chart-T stencil values of `check_immersion`, one
+    `ref_eval_devmap` per point."""
     z1, z2 = z
-    out = []
+    out = ()
     for w in ((z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2)):
         pt = ref_in_chart(ref_eval_devmap(dev, w), "T", dev.n)
-        out.append((pt.c1, pt.c2))
+        out += (pt.c1, pt.c2)
     return out
 
 
 # Constants of the kernel maps: 2^-600 and 2^600 make K^n underflow to 0 or
-# overflow for n >= 2, so the chart-T denominators stay out of the plan.
-_KERNEL_CONSTS = (1, -1, 2, Fraction(1, 2), GaussRat(1, 1), GaussRat(0, -3), Fraction(1, 2**600), 2**600)
+# overflow for n >= 2, so the kernel keeps no chart-T denominators; -2^-1100
+# is -0.0 as a float, which DetJacobian must not fold on a hyperresonant
+# surface, where the general path's 0j*u + c has the sign of 0j*u.
+_KERNEL_CONSTS = (
+    1, -1, 2, Fraction(1, 2), GaussRat(1, 1), GaussRat(0, -3), Fraction(1, 2**600), 2**600,
+    Fraction(-1, 2**1100),
+)
 # dyadic roots, so that K vanishes exactly at z1 = r z2^m2 (m1 = 1)
 _KERNEL_ROOTS = (2, -1, Fraction(1, 2), GaussRat(1, 1), GaussRat(0, Fraction(-1, 4)))
 _KERNEL_Z2 = (1, -1, 1j, -1j, 2, 0.5)
@@ -989,14 +1006,11 @@ def _kernel_mismatches(d, z):
     if not _same(_outcome(det.eval_numeric, z), _outcome(ref_det, det, z)):
         bad.append("DetJacobian.eval_numeric")
     h1, h2 = 1e-6 * max(abs(z[0]), 1.0), 1e-6 * max(abs(z[1]), 1.0)
-    if not _same(_outcome(eval_stencil_t, d, z, h1, h2), _outcome(ref_stencil, d, z, h1, h2)):
-        bad.append("eval_stencil_t")
-    try:
-        pt, ref_pt = eval_devmap(d, z), ref_eval_devmap(d, z)
-    except ArithmeticError:
-        return bad
-    if not _same(_outcome(_fd_det, d, z, d.n, pt), _outcome(ref_fd_det, d, z, d.n, ref_pt)):
-        bad.append("_fd_det")
+    # the stencil forms shared powers first, so where both raise, the type
+    # may differ; check_immersion skips the sample on either
+    out, ref = _outcome(map_kernel(d).stencil, *z, h1, h2), _outcome(ref_stencil, d, z, h1, h2)
+    if not (_same(out, ref) or isinstance(out, type) and isinstance(ref, type)):
+        bad.append("stencil")
     return bad
 
 
@@ -1007,19 +1021,190 @@ def test_map_kernels_match_reference(case):
     assert _kernel_mismatches(d, z) == []
 
 
-def test_map_kernel_parity_catches_swapped_exponents_on_the_folded_path(monkeypatch):
-    # k2~ and l2~ swapped where K is constant and den1, denn are in the plan
-    chart_t = devmaps._chart_t
+def test_folded_determinant_keeps_the_sign_of_a_zero_constant():
+    # P1 = -2^-1100 is -0.0 as a float.  On a hyperresonant surface the
+    # general path evaluates it as 0j*u + P1, which is 0j or -0+0j by the
+    # signs of u, and the sign reaches det J at about one point in ten; so
+    # DetJacobian folds no factor here and matches the reference everywhere
+    d = DevMap(1, -1, 0, -2, UniPoly([Fraction(-1, 2**1100)]), UniPoly([1]), UniPoly([1]), (1, 2), 2)
+    det = det_jacobian(d)
+    assert det._factors is None
+    assert {repr(det.P1.eval_numeric(u)) for u in (0.3 + 0.1j, -0.3 + 0.1j)} == {"0j", "(-0+0j)"}
+    rng = random.Random(1)
+    for _ in range(200):
+        z = tuple(cmath.rect(rng.uniform(0.3, 2), rng.uniform(0, 2 * math.pi)) for _ in range(2))
+        assert _same(det.eval_numeric(z), ref_det(det, z))
 
-    def swapped(plan, z1, z2):
-        h1, hq, h2, k1, kt2, l1, lt2, n, den1, denn = plan
-        if den1 is not None:
-            plan = (h1, hq, h2, k1, lt2, l1, kt2, n, den1, denn)
-        return chart_t(plan, z1, z2)
 
-    monkeypatch.setattr(devmaps, "_chart_t", swapped)
+def ref_apply_F(s, z):
+    z1, z2 = complex(z[0]), complex(z[1])
+    if z1 == 0 and z2 == 0:
+        raise SurfaceError("the contraction acts on C^2 minus the origin")
+    if s.kind == "diagonal":
+        w1, w2 = s.basis.witness
+        return (w1 * z1, w2 * z2)
+    lam = s.basis.witness[0]
+    return (lam * z1, lam**s.m * z2 + z1**s.m)
+
+
+def ref_check_equivariance(rec, s, cfg):
+    """`check_equivariance` one sample at a time, by the reference helpers."""
+    rng = random.Random(cfg.seed)
+    r0, r1 = cfg.resolve_annulus(s)
+    dev, hol, n = rec.dev, rec.hol, rec.dev.n
+    worst, failing, done, attempts = 0.0, [], 0, 0
+    while done < cfg.samples and attempts < max(20, cfg.samples * 10):
+        attempts += 1
+        z = ref_sample_annulus(rng, r0, r1)
+        try:
+            lhs = ref_eval_devmap(dev, ref_apply_F(s, z))
+            rhs = ref_act_affine(hol, ref_eval_devmap(dev, z), n)
+        except ArithmeticError:
+            continue
+        res = ref_point_residual(lhs, rhs, n)
+        if res > worst or res != res:
+            worst = res
+        if not res < cfg.tol_equiv:
+            failing.append(z)
+        done += 1
+    if done < cfg.samples:
+        error = {"error": "persistent chart failure; record looks malformed"}
+        return VerifyReport("equivariance", False, checks=error)
+    return VerifyReport(
+        "equivariance", worst < cfg.tol_equiv, max_equivariance_residual=worst,
+        checks={"samples": done}, failing_samples=failing,
+    )
+
+
+def ref_check_immersion(dev, cfg, s):
+    """`check_immersion` one sample at a time, by the reference helpers."""
+    rng = random.Random(cfg.seed + 1)
+    r0, r1 = cfg.resolve_annulus(s)
+    det, det_hat = det_jacobian(dev), det_jacobian(dev.hat())
+    samples = [ref_sample_annulus(rng, r0, r1) for _ in range(cfg.samples)]
+    axis = []
+    for _ in range(4):
+        w = ref_sample_annulus(rng, r0, r1)
+        axis += [(w[0], 0j), (0j, w[1])]
+    min_mag, worst_fd, failing, count = math.inf, 0.0, [], 0
+    for i, z in enumerate(samples + axis):
+        try:
+            pt = ref_eval_devmap(dev, z)
+        except EvalError:
+            continue
+        except (ZeroDivisionError, OverflowError):
+            failing.append(z)
+            continue
+        try:
+            val = ref_det(det if pt.chart == "T" else det_hat, z)
+        except ZeroDivisionError:
+            val = None
+        listed = False
+        if val is not None:
+            mag = abs(val)
+            if mag < min_mag or mag != mag:
+                min_mag = mag
+            if not 1e-12 < mag < math.inf:
+                failing.append(z)
+                listed = True
+        if i >= len(samples):
+            continue
+        fd = ref_fd_det(dev, z, dev.n, pt)
+        if fd is None:
+            continue
+        try:
+            sym = val if pt.chart == "T" else ref_det(det, z)
+        except ZeroDivisionError:
+            continue
+        if sym is None:
+            continue
+        mismatch = abs(sym - fd) / max(1.0, abs(sym))
+        if mismatch > worst_fd or mismatch != mismatch:
+            worst_fd = mismatch
+        if not listed and not math.isfinite(mismatch):
+            failing.append(z)
+        count += 1
+    passed = min_mag > 1e-12 and worst_fd < cfg.tol_jac and count > 0 and not failing
+    return VerifyReport(
+        "immersion", passed, min_jacobian_magnitude=min_mag, max_fd_mismatch=worst_fd,
+        checks={"fd_samples": count}, failing_samples=failing,
+    )
+
+
+def _check_mismatches(rec, s, cfg):
+    """The checks whose report, or exception type, differs from the reference's."""
+    bad = []
+    for name, check, ref in (
+        ("equivariance", lambda: check_equivariance(rec, s, cfg), lambda: ref_check_equivariance(rec, s, cfg)),
+        ("immersion", lambda: check_immersion(rec, cfg, s), lambda: ref_check_immersion(rec.dev, cfg, s)),
+    ):
+        out, want = _outcome(check), _outcome(ref)
+        if isinstance(out, VerifyReport) and isinstance(want, VerifyReport):
+            out, want = (out.to_record(), out), (want.to_record(), want)
+        if not _same(out, want):  # the repr of a report shows every value, NaN and -0.0 included
+            bad.append(name)
+    return bad
+
+
+def _fresh(rec):
+    """rec with a copy of its map, whose kernel is built on the copy's first use."""
+    return types.SimpleNamespace(dev=DevMap.from_record(rec.dev.to_record()), hol=rec.hol)
+
+
+# default annuli and the extreme ones, where powers underflow or overflow
+_ANNULI = (None, (0.5, 1.0), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159), (1e120, 1e121))
+
+
+@st.composite
+def _check_cases(draw):
+    """(record, surface, config): a structure on its own surface, or a map
+    with constant polynomials, or one nonconstant where it has a
+    hyperresonance, and a holonomy of its degree from `_parity_elements`
+    (diagonal or not, p zero or not) on any of the surfaces."""
+    pairs = _check_records()
+    if draw(st.booleans()):
+        s, rec = draw(st.sampled_from(pairs))
+        rec = _fresh(rec)
+    else:
+        n = draw(st.integers(1, 3))
+        exps = [draw(st.integers(-3, 3)) for _ in range(4)]
+        hyper = draw(st.one_of(st.none(), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+        polys = [UniPoly([draw(st.sampled_from(_KERNEL_CONSTS))]) for _ in range(3)]
+        if hyper is not None and draw(st.booleans()):
+            i = draw(st.integers(0, 2))
+            roots = draw(st.lists(st.sampled_from(_KERNEL_ROOTS), min_size=1, max_size=2, unique=True))
+            polys[i] = UniPoly.from_roots(roots, lead=polys[i].coeffs[0])
+        hol = draw(st.sampled_from([x for x in _parity_elements() if x.degree == n]))
+        rec = types.SimpleNamespace(dev=DevMap(*exps, *polys, hyper, n), hol=hol)
+        s = draw(st.sampled_from(pairs))[0]
+    samples, seed = draw(st.integers(1, 24)), draw(st.integers(0, 2**16))
+    return rec, s, VerifyConfig(samples=samples, seed=seed, annulus=draw(st.sampled_from(_ANNULI)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_check_cases())
+def test_checks_match_per_point_reference(case):
+    assert _check_mismatches(*case) == []
+
+
+# the constant-plan kernel's chart T, and its stencil's powers of z2 for
+# (z1 +- h1, z2), with k2~ and l2~ swapped
+_SWAPPED_EXPONENTS = {
+    "at": (
+        "\n            return (z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)",
+        "\n            return (z1**k1 * z2**lt2 * H1 / den1, z1**l1 * z2**kt2 * H2 / denn)",
+    ),
+    "stencil": ("z2**kt2, z2**lt2\n", "z2**lt2, z2**kt2\n"),
+}
+
+
+@pytest.mark.parametrize("part", sorted(_SWAPPED_EXPONENTS))
+def test_check_parity_catches_swapped_exponents_in_the_constant_kernel(monkeypatch, part):
+    mutant = _mutant(devmaps.map_kernel, *_SWAPPED_EXPONENTS[part])
+    monkeypatch.setattr(devmaps, "map_kernel", mutant)
+    monkeypatch.setattr(verify, "map_kernel", mutant)
     with pytest.raises(AssertionError, match=r"\] == \[\]"):
-        test_map_kernels_match_reference()
+        test_checks_match_per_point_reference()
 
 
 def _count_calls(monkeypatch, module, name, *also):
@@ -1036,21 +1221,42 @@ def _count_calls(monkeypatch, module, name, *also):
     return calls
 
 
+def _kernel_results(monkeypatch, dev, name):
+    """The results of each call of `name` of dev's kernel, built now."""
+    kern, results = map_kernel(dev), []
+    func = getattr(kern, name)
+
+    def recorded(*args):
+        results.append(func(*args))
+        return results[-1]
+
+    monkeypatch.setattr(kern, name, recorded)
+    return results
+
+
 def test_immersion_evaluates_the_map_once_per_sample(monkeypatch):
-    # 200 samples and 8 axis points; the stencil of a map with constant
-    # polynomials never falls back to eval_devmap
+    # 200 samples and 8 axis points.  Each sample off the axes evaluates the
+    # map once in the kernel and its four stencil points in one call, and a
+    # map with constant polynomials reads none of them from the general path
+    # in chart T (`point` and then in_chart); eval_devmap evaluates the axis
+    # points alone
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    rec = next(r for r in enumerate_structures(s, 2) if r.kind == "radial")
+    rec = _fresh(next(r for r in enumerate_structures(s, 2) if r.kind == "radial"))
     assert all(p.is_constant() for p in (rec.dev.P1, rec.dev.Q1, rec.dev.P2))
+    at, stencil = (_kernel_results(monkeypatch, rec.dev, name) for name in ("at", "stencil"))
     calls = _count_calls(monkeypatch, devmaps, "eval_devmap", verify)
+    in_chart = _count_calls(monkeypatch, AffinePoint, "in_chart")
     rep = check_immersion(rec, VerifyConfig(), s)
     assert rep.passed and rep.checks["fd_samples"] == 200
-    assert len(calls) == 208
+    assert len(at) == 200 and None not in at
+    assert len(stencil) == 200 and all(len(values) == 8 for values in stencil)
+    assert len(calls) == 8 and all(0 in z for _, z in calls)
+    assert in_chart == []
 
 
 def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monkeypatch):
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    recs = {r.provenance: r for r in enumerate_structures(s, 2)}
+    recs = {r.provenance: _fresh(r) for r in enumerate_structures(s, 2)}
     calls = _count_calls(monkeypatch, devmaps, "det_jacobian", verify)
     charts = []
     real_eval = verify.eval_devmap
@@ -1061,27 +1267,32 @@ def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monke
         return pt
 
     monkeypatch.setattr(verify, "eval_devmap", eval_and_record)
-    # the eigenstructure along axis 1 evaluates every sample in chart T
-    assert check_immersion(recs["eigenstructure along axis 1"], VerifyConfig(), s).passed
+    # the eigenstructure along axis 1 evaluates every sample in chart T: the
+    # kernel gives chart T at each sample off the axes
+    rec = recs["eigenstructure along axis 1"]
+    at = _kernel_results(monkeypatch, rec.dev, "at")
+    assert check_immersion(rec, VerifyConfig(), s).passed
+    assert len(at) == 200 and None not in at
     assert set(charts) == {"T"} and len(calls) == 1
     # the radial structure has samples in chart S: its hat map's Jacobian is built once
     calls.clear()
     charts.clear()
-    assert check_immersion(recs["radial structure on a linear surface"], VerifyConfig(), s).passed
+    rec = recs["radial structure on a linear surface"]
+    assert check_immersion(rec, VerifyConfig(), s).passed
     assert charts.count("S") > 1 and len(calls) == 2
-    assert calls[1][0] == recs["radial structure on a linear surface"].dev.hat()
+    assert calls[1][0] == rec.dev.hat()
 
 
 def test_numeric_plan_is_built_once_per_map(monkeypatch):
     s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
-    recs = enumerate_structures(s, 2, hyper_params=[[2]])
+    recs = [_fresh(r) for r in enumerate_structures(s, 2, hyper_params=[[2]])]
     assert any(not r.dev.P1.is_constant() for r in recs)
     calls = _count_calls(monkeypatch, devmaps, "_homogenized")
     for rec in recs:
         before = len(calls)
         assert all(rep.passed for rep in verify_structure(rec, s, VerifyConfig(samples=20)))
         assert len(calls) - before == 3  # P1, Q1, P2 of rec.dev, once
-        assert devmaps._numeric_plan(rec.dev) is rec.dev._plan
+        assert devmaps.map_kernel(rec.dev) is rec.dev._kernel
     assert len(calls) == 3 * len(recs)
 
 
