@@ -26,7 +26,7 @@ from .devmaps import (
     is_semiadmissible,
 )
 from .group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, compose, inverse
-from .hopf import HopfSurface, apply_F, bihol_group, classify_surface, function_field
+from .hopf import HopfSurface, bihol_group, classify_surface, function_field
 from .normalform import (
     NormalFormResult,
     ResonanceReport,

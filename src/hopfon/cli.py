@@ -148,7 +148,7 @@ def _verify_config(spec: dict, args, s: HopfSurface) -> VerifyConfig:
             "default annulus from the float eigenvalue moduli %r" % ([abs(w) for w in s.basis.witness],)
         )
         raise InputError("%s: %s" % (where, exc)) from exc
-    # apply_F scales by the witnesses: at a zero one the equivariance check is vacuous
+    # F scales by the witnesses: at a zero one the equivariance check is vacuous
     if not all(0 < abs(w) < math.inf for w in s.basis.witness):
         raise InputError(
             "float eigenvalue witness %r has a zero or non-finite entry; "

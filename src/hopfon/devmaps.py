@@ -384,7 +384,10 @@ class DetJacobian:
     """Exact factorization of det t' for a DevMap.
 
     R(u) is kept as the fraction R_num/R_den in lowest terms, with R_den
-    monic, which makes the pair unique.
+    monic, which makes the pair unique.  A root of R_den that P1 P2
+    shares is a removable singularity of det t', so `eval_numeric`
+    evaluates P1, P2 and R_den with those factors cancelled
+    (`_evaluated`); where R_den shares none, they are P1, P2 and R_den.
     """
 
     z1_exp: int
@@ -396,9 +399,17 @@ class DetJacobian:
     R_num: UniPoly
     R_den: UniPoly
     hyper: tuple
+    _evaluated: tuple = field(init=False, repr=False, compare=False)
     _factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        P1, P2, R_den = self.P1, self.P2, self.R_den
+        if R_den.degree > 0:
+            g = R_den.gcd(P1)
+            P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
+            g = R_den.gcd(P2)
+            P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
+        object.__setattr__(self, "_evaluated", (P1, P2, R_den))
         # Where P1, P2, Q1, R_num and R_den are constants, the factors of
         # eval_numeric that depend on u -- P1(u) P2(u), Q1(u)^(n+1) and
         # R(u) -- are computed once.  A constant c evaluates to 0j*u + c,
@@ -406,7 +417,7 @@ class DetJacobian:
         # without a hyperresonance u is 1.0 everywhere.  eval_numeric takes
         # the general path at a non-finite u, and at every point where a
         # factor raises here.
-        polys = (self.P1, self.P2, self.Q1, self.R_num, self.R_den)
+        polys = (P1, P2, self.Q1, self.R_num, R_den)
         factors = None
         if all(p.is_constant() for p in polys):
             try:
@@ -415,9 +426,9 @@ class DetJacobian:
                     v or math.copysign(1.0, v) > 0 for c in values for v in (c.real, c.imag)
                 ):
                     factors = (
-                        self.P1.eval_numeric(1.0) * self.P2.eval_numeric(1.0),
+                        P1.eval_numeric(1.0) * P2.eval_numeric(1.0),
                         self.Q1.eval_numeric(1.0) ** (self.n + 1),
-                        self.R_num.eval_numeric(1.0) / self.R_den.eval_numeric(1.0),
+                        self.R_num.eval_numeric(1.0) / R_den.eval_numeric(1.0),
                     )
             except ArithmeticError:
                 pass
@@ -443,10 +454,11 @@ class DetJacobian:
         if factors is not None:
             pp, qn, r = factors
             return z1**self.z1_exp * z2**self.z2_exp * pp / qn * r
+        P1, P2, R_den = self._evaluated
         val = z1**self.z1_exp * z2**self.z2_exp
-        val *= self.P1.eval_numeric(u) * self.P2.eval_numeric(u)
+        val *= P1.eval_numeric(u) * P2.eval_numeric(u)
         val /= self.Q1.eval_numeric(u) ** (self.n + 1)
-        return val * (self.R_num.eval_numeric(u) / self.R_den.eval_numeric(u))
+        return val * (self.R_num.eval_numeric(u) / R_den.eval_numeric(u))
 
 
 def det_jacobian(d: DevMap) -> DetJacobian:
@@ -583,24 +595,24 @@ def _homog_sum(terms, z1, z2):
 
 def map_kernel(d: DevMap) -> SimpleNamespace:
     """d's float evaluation, built on the first call and kept in `d._kernel`:
-    three functions, each raising what its float operations raise.
+    two functions, each raising what its float operations raise.
 
-    * `at(z1, z2)`: chart T, (t1, t2), at a point with both coordinates
-      nonzero, or None where chart T is infinite there;
-    * `point(z1, z2)`: the value anywhere, as `eval_devmap` describes it;
+    * `point(z1, z2)`: the value (chart, c1, c2) anywhere, as
+      `eval_devmap` describes it;
     * `stencil(z1, z2, h1, h2)`: t1, t2 at (z1 + h1, z2), (z1 - h1, z2),
-      (z1, z2 + h2) and (z1, z2 - h2), eight values; a point outside the
-      domain of `at` is read from `point` in chart T.
+      (z1, z2 + h2) and (z1, z2 - h2), eight values: each point read
+      from `point`, in chart T (`to_chart_t`).
 
     Chart T is z1^k1 z2^k2~ H1 / K**1 and z1^l1 z2^l2~ H2 / K**n, left to
-    right, with H1, K, H2 the homogenized P1, Q1, P2.  Where all three
-    are constants and K**1, K**n are finite and nonzero, `at` is that
-    expression with the constants bound, and the stencil forms once each
+    right, with H1, K, H2 the homogenized P1, Q1, P2.  Where K is a
+    constant with K**1, K**n finite and nonzero, `point` forms that
+    expression off the axes with K**1 and K**n bound, and with H1 and H2
+    bound too where they are constants; the stencil then forms once each
     coordinate power two points share: z2^k2~, z2^l2~ for (z1 +- h1, z2)
-    and z1^k1, z1^l1 for (z1, z2 +- h2).  Otherwise `at` sums the terms
-    of each nonconstant polynomial, and unless K is a constant with
-    K**1, K**n nonzero, forms t1 and t2 with `_chart_value`, which forms
-    K**p at each point, so an overflowing K**n raises there.
+    and z1^k1, z1^l1 for (z1, z2 +- h2).  Otherwise `point` sums the
+    terms of each nonconstant polynomial and forms each chart with
+    `_chart_value`, which forms K**p at each point, so an overflowing
+    K**n raises there.
     """
     kern = getattr(d, "_kernel", None)
     if kern is not None:
@@ -617,64 +629,34 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
             pass
         if not (den1 and denn):
             den1 = denn = None
-
-    def at(z1, z2):
-        h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
-        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
-        h2 = _homog_sum(H2, z1, z2) if H2.__class__ is tuple else H2
-        if den1 is not None:
-            return (z1**k1 * z2**kt2 * h1 / den1, z1**l1 * z2**lt2 * h2 / denn)
-        t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
-        t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
-        if t1 is None or t2 is None:
-            return None
-        return (t1, t2)
+    constant = den1 is not None and H1.__class__ is complex and H2.__class__ is complex
 
     def point(z1, z2):
-        if z1 and z2:
-            t = at(z1, z2)
-            if t is not None:
-                return AffinePoint._raw("T", t[0], t[1])
-        if not z1:
-            if not z2:
+        if not (z1 and z2):
+            if not (z1 or z2):
                 raise EvalError("the developing map lives on C^2 minus the origin")
-            z1 = 0j
-        elif not z2:
-            z2 = 0j
+            z1, z2 = z1 or 0j, z2 or 0j
+        elif constant:
+            return ("T", z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)
         # z2^(m2 deg p) p(u) = sum p_i z1^(m1 i) z2^(m2 (deg - i)): no exponent is negative
         h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
         hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
         h2 = _homog_sum(H2, z1, z2) if H2.__class__ is tuple else H2
+        if den1 is not None and z1 and z2:
+            return ("T", z1**k1 * z2**kt2 * h1 / den1, z1**l1 * z2**lt2 * h2 / denn)
         t1 = _chart_value(z1, k1, z2, kt2, h1, hq, 1)
         t2 = _chart_value(z1, l1, z2, lt2, h2, hq, n)
         if t1 is not None and t2 is not None:
-            return AffinePoint._raw("T", t1, t2)
+            return ("T", t1, t2)
         s1 = _chart_value(z1, -k1, z2, -kt2, hq, h1, 1)
         s2 = _chart_value(z1, l1 - n * k1, z2, lt2 - n * kt2, h2, h1, n)
         if s1 is not None and s2 is not None:
-            return AffinePoint._raw("S", s1, s2)
+            return ("S", s1, s2)
         raise EvalError("point lies on a zero locus of both charts; resample")
 
     def stencil(z1, z2, h1, h2):
-        out = ()
-        for w1, w2 in ((z1 + h1, z2), (z1 - h1, z2), (z1, z2 + h2), (z1, z2 - h2)):
-            t = at(w1, w2) if w1 and w2 else None
-            if t is None:
-                pt = point(w1, w2).in_chart("T", n)
-                t = (pt.c1, pt.c2)
-            out += t
-        return out
-
-    if den1 is not None and H1.__class__ is complex and H2.__class__ is complex:
-        per_point = stencil
-
-        def at(z1, z2):
-            return (z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)
-
-        def stencil(z1, z2, h1, h2):
-            x1, x2, y1, y2 = z1 + h1, z1 - h1, z2 + h2, z2 - h2
-            if not (z1 and z2 and x1 and x2 and y1 and y2):
-                return per_point(z1, z2, h1, h2)
+        x1, x2, y1, y2 = z1 + h1, z1 - h1, z2 + h2, z2 - h2
+        if constant and z1 and z2 and x1 and x2 and y1 and y2:
             a1, a2, b1, b2 = z1**k1, z1**l1, z2**kt2, z2**lt2
             return (
                 x1**k1 * b1 * H1 / den1, x1**l1 * b2 * H2 / denn,
@@ -682,10 +664,22 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
                 a1 * y1**kt2 * H1 / den1, a2 * y1**lt2 * H2 / denn,
                 a1 * y2**kt2 * H1 / den1, a2 * y2**lt2 * H2 / denn,
             )
+        out = ()
+        for w1, w2 in ((x1, z2), (x2, z2), (z1, y1), (z1, y2)):
+            out += to_chart_t(*point(w1, w2), n)
+        return out
 
-    kern = SimpleNamespace(at=at, point=point, stencil=stencil)
+    kern = SimpleNamespace(point=point, stencil=stencil)
     object.__setattr__(d, "_kernel", kern)
     return kern
+
+
+def to_chart_t(chart, c1, c2, n):
+    """(t1, t2) of the point (chart, c1, c2) of O(n), as `AffinePoint.in_chart`
+    forms them; from chart S, s1 = 0 raises ZeroDivisionError."""
+    if chart == "T":
+        return (c1, c2)
+    return (1 / c1, c2 / c1**n)
 
 
 def eval_devmap(d: DevMap, z):
@@ -698,13 +692,10 @@ def eval_devmap(d: DevMap, z):
     k-th power is exactly 0 for k > 0 and 1 for k = 0, and whose
     negative powers are infinite.
     Raises EvalError on the measure-zero loci where neither chart gives
-    a finite value.
-
-    Where both coordinates are nonzero and chart T is finite, the value
-    is the kernel's `at` (`map_kernel`); axis points and the rest take
-    the general path, which forms the same values again.
+    a finite value.  The value is the kernel's `point` (`map_kernel`)
+    as an `AffinePoint`.
     """
-    return map_kernel(d).point(complex(z[0]), complex(z[1]))
+    return AffinePoint._raw(*map_kernel(d).point(complex(z[0]), complex(z[1])))
 
 
 def _chart_value(z1, a, z2, b, H, K, p):

@@ -301,7 +301,3 @@ def bihol_group(s: HopfSurface) -> BiholGroup:
     if s.is_homothety():
         return BiholGroup("all_linear")
     return BiholGroup("diagonal_linear")
-
-
-def apply_F(s: HopfSurface, z) -> tuple:
-    return s.apply_F(z)

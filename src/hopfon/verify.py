@@ -11,14 +11,14 @@ map.  Immersion checks evaluate the exact Jacobian factorization at
 the samples (including points on the coordinate axes) and cross-check
 against central finite differences.  Both sample loops bind the map's
 float kernel (`devmaps.map_kernel`), F, the holonomy's action function
-and the folded factors of the Jacobian once and run on local values; a
-sample takes the per-point path (`eval_devmap`, `act_affine`,
-`point_residual`) only on an axis or where the kernel gives no chart-T
-value.  The kernels repeat the float operations of a term-by-term
-evaluation in the same order, so every printed value is the same.  A
-NaN or infinite residual, determinant or difference fails its check:
-NaN compares false both ways, so max() or a bare threshold test would
-let it pass.
+and the Jacobian's `eval_numeric` once, and each sample takes the one
+path through them: the kernel's `point` gives the map's value in
+whichever chart is finite, on the axes too.  The kernel repeats the
+float operations of a term-by-term evaluation in the same order.  A NaN
+or infinite residual, determinant or difference fails its check: NaN
+compares false both ways, so max() or a bare threshold test would let
+it pass.  So does a modulus that leaves the float range, where abs()
+raises OverflowError.
 
 The group axioms of G for degree n are checked in two parts, and the
 record depends on n alone.  First an exact proof: the action law
@@ -38,11 +38,10 @@ import cmath
 import itertools
 import math
 import random
-from cmath import isfinite
 from math import sqrt
 from dataclasses import dataclass, field
 
-from .devmaps import EvalError, det_jacobian, eval_devmap, map_kernel
+from .devmaps import EvalError, det_jacobian, map_kernel, to_chart_t
 from .group import (
     AffinePoint,
     GroupElt,
@@ -54,7 +53,7 @@ from .group import (
     compose,
     inverse,
 )
-from .hopf import HopfSurface
+from .hopf import HopfSurface, SurfaceError
 from .scalars import EigenBasis, GaussRat, Scalar, sum_of_products
 
 
@@ -124,7 +123,13 @@ def _sample_annulus(rng, lo, hi, count):
 
 
 def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -> float:
-    """Chordal distance of base directions plus a fiber difference.
+    """`_residual` of two affine points."""
+    return _residual((p.chart, p.c1, p.c2), (q.chart, q.c1, q.c2), n, fiber)
+
+
+def _residual(p, q, n: int, fiber: str = "abs") -> float:
+    """Chordal distance of base directions plus a fiber difference, for two
+    points (chart, c1, c2) of O(n).
 
     The fiber components a, b are compared after aligning charts, by
     the scaled absolute difference |a - b| / max(1, |a|, |b|) (the
@@ -133,40 +138,51 @@ def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -
     from failing a correct map where the fibers are large, as near a
     pole of the holonomy, where c t1 + d is near 0 and the fibers reach
     1e5 and more; below modulus 1 the difference is the absolute one.
+    A modulus or power beyond the float range gives an infinite
+    residual.
     """
-    t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else _INF)
-    t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else _INF)
-    res = chordal(t1p, t1q)
+    (cp, p1, p2), (cq, q1, q2) = p, q
+    t1p = p1 if cp == "T" else (1 / p1 if p1 != 0 else _INF)
+    t1q = q1 if cq == "T" else (1 / q1 if q1 != 0 else _INF)
     try:
-        a, b = p.c2, q.in_chart(p.chart, n).c2
-    except ZeroDivisionError:
         try:
-            a, b = p.in_chart(q.chart, n).c2, q.c2
+            den = (1 + abs(t1p) ** 2) * (1 + abs(t1q) ** 2)
+        except OverflowError:
+            den = math.inf
+        # chordal(t1p, t1q), whose last branch this is when den is finite
+        res = abs(t1p - t1q) / sqrt(den) if den < math.inf else chordal(t1p, t1q)
+        # align q's fiber to p's chart, or else p's to q's, as AffinePoint.in_chart does
+        try:
+            a, b = p2, q2 if cq == cp else q2 / q1**n
         except ZeroDivisionError:
-            return res + 1.0
-    if fiber == "chordal":
-        return res + chordal(a, b)
-    return res + abs(a - b) / max(1.0, abs(a), abs(b))
+            try:
+                a, b = p2 / p1**n, q2
+            except ZeroDivisionError:
+                return res + 1.0
+        if fiber == "chordal":
+            return res + chordal(a, b)
+        return res + abs(a - b) / max(1.0, abs(a), abs(b))
+    except OverflowError:
+        return math.inf
 
 
 def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyReport:
     """dev(F(z)) = hol . dev(z) at annulus samples, with resampling on zero loci.
 
-    A sample whose residual is not below the tolerance, NaN included,
-    fails and is listed.  Where the map's kernel gives chart T at z and
-    F(z), both off the axes, the residual of two chart-T points is formed
-    inline as `point_residual` forms it.  A batch of samples holds no
-    more than the draws still allowed, so the samples are those of
-    drawing one at a time.
+    Each sample compares the kernel's `point` at F(z) with the holonomy's
+    action on `point` at z (`_residual`); a residual not below the
+    tolerance, NaN included, fails and is listed.  A batch of samples
+    holds no more than the draws still allowed, so the samples are those
+    of drawing one at a time.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed)
     lo, hi = map(math.log, cfg.resolve_annulus(s))
     dev, hol = rec.dev, rec.hol
     n = dev.n
-    at, F = map_kernel(dev).at, s.float_F()
-    # on a degree mismatch every sample takes act_affine, which raises it
-    act = _numeric_action(hol, n) if hol.degree == n else None
+    if hol.degree != n:
+        raise ValueError("point and element live on different O(n)")
+    point, F, act = map_kernel(dev).point, s.float_F(), _numeric_action(hol, n)
     tol = cfg.tol_equiv
     worst = 0.0
     failing = []
@@ -176,33 +192,14 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
     while done < cfg.samples and attempts < max_attempts:
         for z in _sample_annulus(rng, lo, hi, min(cfg.samples - done, max_attempts - attempts)):
             attempts += 1
-            z1, z2 = z
             try:
-                lhs = rhs = None
-                if z1 and z2 and act is not None:
-                    w1, w2 = F(z1, z2)
-                    lhs = at(w1, w2) if w1 and w2 else None
-                    t = at(z1, z2) if lhs is not None else None
-                    if t is not None:
-                        rhs = act("T", t[0], t[1])
-                if rhs is None:
-                    p = eval_devmap(dev, s.apply_F(z))
-                    q = act_affine(hol, eval_devmap(dev, z), n)
+                lhs = point(*F(*z))
+                rhs = act(*point(*z))
             except ArithmeticError:
+                if not (z[0] or z[1]):
+                    raise SurfaceError("the contraction acts on C^2 minus the origin") from None
                 continue
-            if rhs is not None and rhs[0] == "T":
-                (a1, a2), (_, b1, b2) = lhs, rhs
-                try:
-                    den = (1 + abs(a1) ** 2) * (1 + abs(b1) ** 2)
-                except OverflowError:
-                    den = math.inf
-                # chordal(a1, b1), whose last branch this is when den is finite
-                res = abs(a1 - b1) / sqrt(den) if den < math.inf else chordal(a1, b1)
-                res += abs(a2 - b2) / max(1.0, abs(a2), abs(b2))
-            else:
-                if rhs is not None:
-                    p, q = AffinePoint._raw("T", lhs[0], lhs[1]), AffinePoint._raw(*rhs)
-                res = point_residual(p, q, n)
+            res = _residual(lhs, rhs, n)
             if res > worst or res != res:  # max(), except that a NaN is kept
                 worst = res
             if not res < tol:
@@ -232,40 +229,33 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     z1^m1/z2^m2, raises ZeroDivisionError on the z2 = 0 axis, and such
     samples are skipped (ROADMAP item 1(a)).  A sample where the map's
     own float evaluation underflows to a division by 0 or overflows, as
-    at extreme radii, is listed as failing.  The exact Jacobian of the
-    map in chart S is built only when a sample evaluates there.
+    at extreme radii, is listed as failing, as is one where the modulus
+    of the determinant or of the map's chart-T value leaves the float
+    range.
 
-    Where the map's kernel gives chart T at a sample, its determinant
-    comes from the folded factors when `DetJacobian` has them; any other
-    sample takes `eval_devmap` and `DetJacobian.eval_numeric`.  The
-    stencil of every annulus sample comes from the kernel.
+    Each sample reads the map from the kernel's `point` and the
+    determinant from the exact Jacobian in the chart `point` chose, built
+    for chart S at the first sample there.  The stencil of every annulus
+    sample comes from the kernel.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
     lo, hi = map(math.log, cfg.resolve_annulus(s))
     dev = rec.dev if hasattr(rec, "dev") else rec
     n = dev.n
-    det = det_jacobian(dev)
-    det_hat = None  # the chart-S Jacobian, built at the first sample that needs it
+    dets = {"T": det_jacobian(dev).eval_numeric}
     samples = _sample_annulus(rng, lo, hi, cfg.samples)
     axis = [p for w in _sample_annulus(rng, lo, hi, 4) for p in ((w[0], 0j), (0j, w[1]))]
     kern = map_kernel(dev)
-    at, stencil = kern.at, kern.stencil
-    folded, hyper, za, zb = det._factors, det.hyper, det.z1_exp, det.z2_exp
-    if folded is not None:
-        pp, qn, r = folded
-        m1, m2 = hyper or (1, 1)
+    point, stencil = kern.point, kern.stencil
     min_mag = math.inf
     worst_fd = 0.0
     failing = []
     count = 0
     for i, z in enumerate(samples + axis):
         z1, z2 = z
-        pt = None  # the point from eval_devmap, where the kernel gives no chart-T value
         try:
-            t = at(z1, z2) if z1 and z2 else None
-            if t is None:
-                pt = eval_devmap(dev, z)
+            chart, c1, c2 = point(z1, z2)
         except EvalError:
             continue
         except (ZeroDivisionError, OverflowError):
@@ -273,19 +263,18 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             # has no value here, which fails the sample like a non-finite one
             failing.append(z)
             continue
-        chart_t = pt is None or pt.chart == "T"
-        if not chart_t and det_hat is None:
-            det_hat = det_jacobian(dev.hat())
+        if chart not in dets:
+            dets[chart] = det_jacobian(dev.hat()).eval_numeric
         try:
-            if pt is None and folded is not None and (hyper is None or isfinite(z1**m1 / z2**m2)):
-                val = z1**za * z2**zb * pp / qn * r
-            else:
-                val = (det if chart_t else det_hat).eval_numeric(z)
+            val = dets[chart](z)
         except ZeroDivisionError:
             val = None
         listed = False
         if val is not None:
-            mag = abs(val)
+            try:
+                mag = abs(val)
+            except OverflowError:  # finite parts whose modulus leaves the float range
+                mag = math.inf
             if mag < min_mag or mag != mag:  # min(), except that a NaN is kept
                 min_mag = mag
             if not 1e-12 < mag < math.inf:  # vanishing or non-finite
@@ -298,12 +287,15 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             h1 = 1e-6 * max(abs(z1), 1.0)
             h2 = 1e-6 * max(abs(z2), 1.0)
             st = stencil(z1, z2, h1, h2)
-            if pt is not None:
-                base = pt.in_chart("T", n)
-                t = (base.c1, base.c2)
+            t1, t2 = to_chart_t(chart, c1, c2, n)
         except (EvalError, ZeroDivisionError, OverflowError):
             continue
-        if max(abs(t[0]), abs(t[1])) > 1e4:
+        try:
+            if max(abs(t1), abs(t2)) > 1e4:
+                continue
+        except OverflowError:
+            if not listed:
+                failing.append(z)
             continue
         pp1, pp2, pm1, pm2, qp1, qp2, qm1, qm2 = st
         j11 = (pp1 - pm1) / (2 * h1)
@@ -312,13 +304,15 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         j22 = (qp2 - qm2) / (2 * h2)
         fd = j11 * j22 - j12 * j21
         try:
-            sym = val if chart_t else det.eval_numeric(z)
+            sym = val if chart == "T" else dets["T"](z)
         except ZeroDivisionError:
             continue
         if sym is None:  # chart T, where det raised above
             continue
-        scale = max(1.0, abs(sym))
-        mismatch = abs(sym - fd) / scale
+        try:
+            mismatch = abs(sym - fd) / max(1.0, abs(sym))
+        except OverflowError:
+            mismatch = math.inf
         if mismatch > worst_fd or mismatch != mismatch:  # max(), except that a NaN is kept
             worst_fd = mismatch
         if not listed and not math.isfinite(mismatch):

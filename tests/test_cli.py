@@ -519,7 +519,7 @@ def test_exact_eigenvalue_whose_witness_underflows(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", ["1", "3"])
 def test_exact_eigenvalue_whose_witness_underflows_with_an_explicit_annulus(tmp_path, capsys, n):
-    # apply_F scales by the witness 0.0, so every sample maps to (0, ...): the
+    # F scales by the witness 0.0, so every sample maps to (0, ...): the
     # numeric checks would pass or fail vacuously, whatever the annulus
     spec = write(tmp_path, "s.json", {"type": "diagonal", "lambda1": [1, 2**1200, 0, 1],
                                       "lambda2": [1, 2**20, 0, 1],

@@ -157,6 +157,32 @@ def test_R_has_simple_poles_at_P1_roots_when_A_nonzero():
     assert det.R_den == UniPoly.from_roots([2])
 
 
+def test_det_jacobian_cancels_what_R_den_shares_with_P1_P2():
+    # (z1, z1 - 2 z2) on the homothety: P2 = u - 2 and R = -2/(u - 2), so
+    # det J = -2 everywhere, on the line u = 2 too
+    d = DevMap(1, 0, 0, 1, UniPoly([1]), UniPoly([1]), UniPoly.from_roots([2]), (1, 1), 1)
+    det = det_jacobian(d)
+    assert (det.R_num, det.R_den) == (UniPoly([-2]), UniPoly.from_roots([2]))
+    for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
+        assert det.eval_numeric(z) == -2
+
+
+def test_det_jacobian_values_are_unchanged_where_R_den_shares_nothing():
+    # C = 1 with Q1 = u - 2: R = (2u - 2)/(u - 2) has a denominator that
+    # shares no factor with P1 P2, and eval_numeric forms
+    # P1 P2 / Q1^(n+1) R(u) term for term
+    d = DevMap(1, 1, 0, 1, UniPoly([3]), UniPoly.from_roots([2]), UniPoly([GaussRat(1, 1)]), (1, 1), 1)
+    det = det_jacobian(d)
+    assert (det.R_num, det.R_den) == (UniPoly([-2, 2]), UniPoly.from_roots([2]))
+    for z in ((0.7 + 0.1j, 0.4 - 0.2j), (1.3, 0.9j), (-0.2 + 1j, 1.1 + 0.5j)):
+        z1, z2 = complex(z[0]), complex(z[1])
+        u = z1 / z2
+        val = z1**det.z1_exp * z2**det.z2_exp
+        val *= det.P1.eval_numeric(u) * det.P2.eval_numeric(u)
+        val /= det.Q1.eval_numeric(u) ** 2
+        assert det.eval_numeric(z) == val * (det.R_num.eval_numeric(u) / det.R_den.eval_numeric(u))
+
+
 def test_R_is_the_reduced_fraction_over_P1_P2_Q1():
     # double roots, roots shared between slots, a Gaussian root, constants
     # other than 1 and slots outside the allowed list, so that the gcd has

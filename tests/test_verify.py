@@ -567,6 +567,75 @@ def test_infinite_determinant_fails_immersion(monkeypatch):
     assert rep.failing_samples == [calls[2]]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_determinant_whose_modulus_overflows_fails_immersion(seed):
+    # det J = -2^1021 / z2^4: on |z2| < 0.6 its modulus can leave the float
+    # range with both parts finite, where abs() raises OverflowError, or
+    # with a part infinite; either fails the sample
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    d = DevMap(1, -1, 0, -2, UniPoly([2**1020]), UniPoly([1]), UniPoly([1]), None, 2)
+    rep = check_immersion(d, VerifyConfig(seed=seed, annulus=(0.52, 0.6)), s)
+    assert not rep.passed and rep.min_jacobian_magnitude > 1e300
+    det, kinds = det_jacobian(d), set()
+    for z in (z for z in rep.failing_samples if 0 not in z):  # annulus samples
+        try:
+            kinds.add("infinite" if math.isinf(abs(det.eval_numeric(z))) else "finite")
+        except OverflowError:
+            kinds.add("overflow")
+    assert kinds == {"overflow", "infinite"}
+    json.dumps(rep.to_record(), allow_nan=False)
+
+
+def test_a_chart_t_value_whose_modulus_overflows_fails_immersion():
+    # t1 = C z1 with |C| = 2^1023.5 and det J = 1: on 1.45 < |z1| < 1.9 the
+    # modulus of t1 leaves the float range, with both parts finite or one
+    # infinite; the difference check fails the first kind of sample and
+    # skips the second, as it skips every t above 1e4
+    c = GaussRat(2**1023, 2**1023)
+    d = DevMap(1, 0, 0, 1, UniPoly([c]), UniPoly([1]), UniPoly([1 / c]), None, 1)
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    rep = check_immersion(d, VerifyConfig(samples=50, seed=3, annulus=(1.45, 1.9)), s)
+    assert rep.min_jacobian_magnitude == 1.0 and rep.checks["fd_samples"] == 0
+    point = map_kernel(d).point
+    overflows = []
+    for z in _sample_annulus(random.Random(4), math.log(1.45), math.log(1.9), 50):
+        t1 = point(*z)[1]
+        try:
+            abs(t1)
+        except OverflowError:
+            overflows.append(z)
+        else:
+            assert math.isinf(abs(t1))
+    assert overflows and rep.failing_samples == overflows
+
+
+def test_a_fiber_difference_that_overflows_is_an_infinite_residual():
+    # |a - b| and |a| leave the float range in chart T; q1^n does across charts
+    huge = AffinePoint("T", 0.5, 1.5e308 + 1.5e308j)
+    assert point_residual(huge, AffinePoint("T", 0.5, 0j), 1) == math.inf
+    assert point_residual(AffinePoint("T", 1, 1), AffinePoint("S", 1e200, 1), 2) == math.inf
+
+
+def test_equivariance_raises_on_a_degree_mismatch_and_at_the_origin(monkeypatch):
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    rec = next(r for r in enumerate_structures(s, 2) if r.kind == "radial")
+    other = next(r for r in enumerate_structures(s, 3) if r.kind == "radial")
+    drawn = []
+    real_sample = verify._sample_annulus
+
+    def recorded(*args):
+        drawn.append(args)
+        return real_sample(*args)
+
+    monkeypatch.setattr(verify, "_sample_annulus", recorded)
+    with pytest.raises(ValueError, match="different O"):
+        check_equivariance(types.SimpleNamespace(dev=rec.dev, hol=other.hol), s)
+    assert drawn == []
+    monkeypatch.setattr(verify, "_sample_annulus", lambda rng, lo, hi, count: [(0j, 0j)] * count)
+    with pytest.raises(SurfaceError, match="minus the origin"):
+        check_equivariance(rec, s)
+
+
 def test_a_nan_action_residual_fails_the_group_axioms(monkeypatch):
     calls = []
 
@@ -682,16 +751,24 @@ def _ref_unipoly(p, x):
 
 
 def ref_det(det, z):
+    """det t' at z, with the factors that R_den shares with P1, then with
+    P2, cancelled from both: where it shares none, the division leaves
+    every coefficient as it is."""
     z1, z2 = complex(z[0]), complex(z[1])
     if det.hyper is not None:
         m1, m2 = det.hyper
         u = z1**m1 / z2**m2
     else:
         u = 1.0
+    P1, P2, R_den = det.P1, det.P2, det.R_den
+    g = R_den.gcd(P1)
+    P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
+    g = R_den.gcd(P2)
+    P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
     val = z1**det.z1_exp * z2**det.z2_exp
-    val *= _ref_unipoly(det.P1, u) * _ref_unipoly(det.P2, u)
+    val *= _ref_unipoly(P1, u) * _ref_unipoly(P2, u)
     val /= _ref_unipoly(det.Q1, u) ** (det.n + 1)
-    return val * (_ref_unipoly(det.R_num, u) / _ref_unipoly(det.R_den, u))
+    return val * (_ref_unipoly(det.R_num, u) / _ref_unipoly(R_den, u))
 
 
 def _ref_poly_value(p, w, chart):
@@ -851,6 +928,7 @@ def ref_chordal(a, b):
 
 
 def ref_point_residual(p, q, n, fiber="abs"):
+    """The residual, infinite where a modulus or a power leaves the float range."""
     t1p = p.c1 if p.chart == "T" else (1 / p.c1 if p.c1 != 0 else complex("inf"))
     t1q = q.c1 if q.chart == "T" else (1 / q.c1 if q.c1 != 0 else complex("inf"))
     res = ref_chordal(t1p, t1q)
@@ -859,14 +937,17 @@ def ref_point_residual(p, q, n, fiber="abs"):
         return ref_chordal(a, b) if fiber == "chordal" else abs(a - b) / max(1.0, abs(a), abs(b))
 
     try:
-        q_al = ref_in_chart(q, p.chart, n)
-        res += fiber_diff(p.c2, q_al.c2)
-    except ZeroDivisionError:
         try:
-            p_al = ref_in_chart(p, q.chart, n)
-            res += fiber_diff(p_al.c2, q.c2)
+            q_al = ref_in_chart(q, p.chart, n)
+            res += fiber_diff(p.c2, q_al.c2)
         except ZeroDivisionError:
-            res += 1.0
+            try:
+                p_al = ref_in_chart(p, q.chart, n)
+                res += fiber_diff(p_al.c2, q.c2)
+            except ZeroDivisionError:
+                res += 1.0
+    except OverflowError:
+        return math.inf
     return res
 
 
@@ -1101,7 +1182,10 @@ def ref_check_immersion(dev, cfg, s):
             val = None
         listed = False
         if val is not None:
-            mag = abs(val)
+            try:
+                mag = abs(val)
+            except OverflowError:
+                mag = math.inf
             if mag < min_mag or mag != mag:
                 min_mag = mag
             if not 1e-12 < mag < math.inf:
@@ -1109,7 +1193,12 @@ def ref_check_immersion(dev, cfg, s):
                 listed = True
         if i >= len(samples):
             continue
-        fd = ref_fd_det(dev, z, dev.n, pt)
+        try:
+            fd = ref_fd_det(dev, z, dev.n, pt)
+        except OverflowError:  # the modulus of the map's chart-T value
+            if not listed:
+                failing.append(z)
+            continue
         if fd is None:
             continue
         try:
@@ -1118,7 +1207,10 @@ def ref_check_immersion(dev, cfg, s):
             continue
         if sym is None:
             continue
-        mismatch = abs(sym - fd) / max(1.0, abs(sym))
+        try:
+            mismatch = abs(sym - fd) / max(1.0, abs(sym))
+        except OverflowError:
+            mismatch = math.inf
         if mismatch > worst_fd or mismatch != mismatch:
             worst_fd = mismatch
         if not listed and not math.isfinite(mismatch):
@@ -1187,12 +1279,12 @@ def test_checks_match_per_point_reference(case):
     assert _check_mismatches(*case) == []
 
 
-# the constant-plan kernel's chart T, and its stencil's powers of z2 for
-# (z1 +- h1, z2), with k2~ and l2~ swapped
+# chart T in the constant branch of the kernel's point, and its stencil's
+# powers of z2 for (z1 +- h1, z2), with k2~ and l2~ swapped
 _SWAPPED_EXPONENTS = {
-    "at": (
-        "\n            return (z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)",
-        "\n            return (z1**k1 * z2**lt2 * H1 / den1, z1**l1 * z2**kt2 * H2 / denn)",
+    "point": (
+        'return ("T", z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)',
+        'return ("T", z1**k1 * z2**lt2 * H1 / den1, z1**l1 * z2**kt2 * H2 / denn)',
     ),
     "stencil": ("z2**kt2, z2**lt2\n", "z2**lt2, z2**kt2\n"),
 }
@@ -1235,51 +1327,40 @@ def _kernel_results(monkeypatch, dev, name):
 
 
 def test_immersion_evaluates_the_map_once_per_sample(monkeypatch):
-    # 200 samples and 8 axis points.  Each sample off the axes evaluates the
-    # map once in the kernel and its four stencil points in one call, and a
-    # map with constant polynomials reads none of them from the general path
-    # in chart T (`point` and then in_chart); eval_devmap evaluates the axis
-    # points alone
+    # 200 samples and 8 axis points.  Each sample evaluates the map once, by
+    # the kernel's point, and each annulus sample its four stencil points in
+    # one call; a map with constant polynomials is in chart T at every
+    # annulus sample, and no sample calls eval_devmap or in_chart
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
     rec = _fresh(next(r for r in enumerate_structures(s, 2) if r.kind == "radial"))
     assert all(p.is_constant() for p in (rec.dev.P1, rec.dev.Q1, rec.dev.P2))
-    at, stencil = (_kernel_results(monkeypatch, rec.dev, name) for name in ("at", "stencil"))
-    calls = _count_calls(monkeypatch, devmaps, "eval_devmap", verify)
+    point, stencil = (_kernel_results(monkeypatch, rec.dev, name) for name in ("point", "stencil"))
+    calls = _count_calls(monkeypatch, devmaps, "eval_devmap")
     in_chart = _count_calls(monkeypatch, AffinePoint, "in_chart")
     rep = check_immersion(rec, VerifyConfig(), s)
     assert rep.passed and rep.checks["fd_samples"] == 200
-    assert len(at) == 200 and None not in at
+    assert len(point) == 208 and {p[0] for p in point[:200]} == {"T"}
     assert len(stencil) == 200 and all(len(values) == 8 for values in stencil)
-    assert len(calls) == 8 and all(0 in z for _, z in calls)
-    assert in_chart == []
+    assert calls == [] and in_chart == []
 
 
 def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monkeypatch):
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
     recs = {r.provenance: _fresh(r) for r in enumerate_structures(s, 2)}
     calls = _count_calls(monkeypatch, devmaps, "det_jacobian", verify)
-    charts = []
-    real_eval = verify.eval_devmap
-
-    def eval_and_record(d, z):
-        pt = real_eval(d, z)
-        charts.append(pt.chart)
-        return pt
-
-    monkeypatch.setattr(verify, "eval_devmap", eval_and_record)
-    # the eigenstructure along axis 1 evaluates every sample in chart T: the
-    # kernel gives chart T at each sample off the axes
+    # the eigenstructure along axis 1 evaluates every sample in chart T,
+    # axis points included
     rec = recs["eigenstructure along axis 1"]
-    at = _kernel_results(monkeypatch, rec.dev, "at")
+    point = _kernel_results(monkeypatch, rec.dev, "point")
     assert check_immersion(rec, VerifyConfig(), s).passed
-    assert len(at) == 200 and None not in at
-    assert set(charts) == {"T"} and len(calls) == 1
+    assert len(point) == 208 and {p[0] for p in point} == {"T"}
+    assert len(calls) == 1
     # the radial structure has samples in chart S: its hat map's Jacobian is built once
     calls.clear()
-    charts.clear()
     rec = recs["radial structure on a linear surface"]
+    point = _kernel_results(monkeypatch, rec.dev, "point")
     assert check_immersion(rec, VerifyConfig(), s).passed
-    assert charts.count("S") > 1 and len(calls) == 2
+    assert [p[0] for p in point].count("S") > 1 and len(calls) == 2
     assert calls[1][0] == rec.dev.hat()
 
 
