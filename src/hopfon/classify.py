@@ -21,10 +21,15 @@ degree pattern with roots drawn from a fixed generic pool, filters by
 the exact admissibility certificate, and collapses the survivors
 modulo the declared isomorphisms (chart swap, axis rescalings,
 diagonal conjugation); `enumerate_structures` must reproduce it row
-for row.  `reproduce_case_table` derives the feasible degree pattern
-for every exponent-slot combination in closed form from the A, B, C,
-D relations: one free polynomial per feasible row, whose only
-excluded degree is the positive-integer root of D.
+for row.  The certificate's A, B, C, D clauses are integers of the
+exponents, the degrees, (m1, m2) and n, so the oracle decides them
+before it builds anything: the pool polynomials, their shape verdict
+and the `DevMap` are built only for the candidates that pass.
+
+`reproduce_case_table` derives the feasible degree pattern for every
+exponent-slot combination in closed form from the A, B, C, D
+relations: one free polynomial per feasible row, whose only excluded
+degree is the positive-integer root of D.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from itertools import product
 from .devmaps import (
     DevMap,
     UniPoly,
+    _clause_verdict,
     _shape_verdict,
     _unbranched_verdict,
+    exponent_constants,
     exponent_list,
     z2_exponents,
 )
@@ -313,38 +320,52 @@ def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
     pattern up to deg_bound, with roots instantiated at fixed generic
     pool values, filters by the exact admissibility certificate, and
     keeps one representative per canonical key.
+
+    The slots are allowed by construction, and the unbranchedness
+    clauses depend only on the exponents, the degrees, (m1, m2) and n,
+    so each candidate is decided on integers first (`_clause_verdict`).
+    Only a candidate that passes gets its pattern's pool polynomials and
+    their shape verdict, built once per pattern and kept for the call,
+    and then its `DevMap` and canonical key.
     """
     if s.kind != "diagonal":
         raise ClassifyError("the brute-force oracle runs on diagonal surfaces")
     hyper = s.hyperresonance()
+    m1, m2 = hyper or (1, 1)
     slots = exponent_list(n)
+    roots = DEFAULT_ROOT_POOL
     degree_patterns = [(0, 0, 0)]
     if hyper is not None:
-        degree_patterns = product(range(deg_bound + 1), repeat=3)
-    # the polynomials and their shape verdict depend on the degree pattern only
-    roots = DEFAULT_ROOT_POOL
-    shaped = []
-    for (d1, dq, d3) in degree_patterns:
-        if d1 + dq + d3 > len(roots):
-            continue
-        P1 = UniPoly.from_roots(roots[:d1])
-        Q1 = UniPoly.from_roots(roots[d1 : d1 + dq])
-        P2 = UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3])
-        if _shape_verdict(P1, Q1, P2):
-            shaped.append(((d1, dq, d3), P1, Q1, P2))
+        degree_patterns = [
+            p for p in product(range(deg_bound + 1), repeat=3) if sum(p) <= len(roots)
+        ]
+    shaped = {}  # degree pattern -> (P1, Q1, P2), or None where the shape fails
     found = {}
     for (k1, l1) in slots:
         for (kt2, lt2) in slots:
-            for (degrees, P1, Q1, P2) in shaped:
+            for degrees in degree_patterns:
                 k2, l2 = z2_exponents(kt2, lt2, degrees, hyper, n)
-                d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
-                # the slots are allowed by construction, so only the
-                # unbranchedness clauses remain
-                if not _unbranched_verdict(d):
+                constants = exponent_constants(k1, k2, l1, l2, m1, m2, n)
+                if not _clause_verdict(*constants, degrees):
                     continue
-                key = canonical_key(d, n)
-                found.setdefault(key, d)
+                if degrees not in shaped:
+                    shaped[degrees] = _pool_polys(roots, degrees)
+                polys = shaped[degrees]
+                if polys is None:
+                    continue
+                d = DevMap(k1, k2, l1, l2, *polys, hyper, n)
+                found.setdefault(canonical_key(d, n), d)
     return [found[k] for k in sorted(found, key=repr)]
+
+
+def _pool_polys(roots, degrees):
+    """(P1, Q1, P2) with degrees (d1, dq, d3) on consecutive pool roots,
+    or None where they fail the shape constraints."""
+    d1, dq, d3 = degrees
+    P1 = UniPoly.from_roots(roots[:d1])
+    Q1 = UniPoly.from_roots(roots[d1 : d1 + dq])
+    P2 = UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3])
+    return (P1, Q1, P2) if _shape_verdict(P1, Q1, P2) else None
 
 
 # ---------------------------------------------------------------------------

@@ -364,13 +364,21 @@ class AbcdReport:
     tilde_exponents: tuple
 
 
+def exponent_constants(k1, k2, l1, l2, m1, m2, n):
+    """(A, B, C, D) of the exponents (k1, k2, l1, l2) over the pair (m1, m2) and degree n.
+
+    A = m1 l2 + l1 m2, B = m1 k2 + k1 m2, C = n B - A, D = k1 l2 - l1 k2;
+    plain integers, so a caller can decide the certificate's clauses
+    before it builds a map.
+    """
+    A = m1 * l2 + l1 * m2
+    B = m1 * k2 + k1 * m2
+    return A, B, n * B - A, k1 * l2 - l1 * k2
+
+
 def abcd(d: DevMap) -> AbcdReport:
     """Exponent bookkeeping constants with their tilde and hat transforms."""
-    m1, m2 = d._m()
-    A = m1 * d.l2 + d.l1 * m2
-    B = m1 * d.k2 + d.k1 * m2
-    C = d.n * B - A
-    Dd = d.k1 * d.l2 - d.l1 * d.k2
+    A, B, C, Dd = exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
     d1, dq, d3 = d.degrees
     alpha = d1 - dq
     beta = d3 - d.n * dq
@@ -528,18 +536,28 @@ def is_semiadmissible(d: DevMap) -> Verdict:
     return Verdict(True)
 
 
-def _unbranched_verdict(d: DevMap) -> Verdict:
-    """The clauses of `is_admissible` beyond semiadmissibility."""
-    rep = abcd(d)
-    if rep.A != 0 and not d.P1.is_constant():
-        return Verdict(False, "A = %d nonzero with nonconstant P1" % rep.A)
-    if rep.B != 0 and not d.P2.is_constant():
-        return Verdict(False, "B = %d nonzero with nonconstant P2" % rep.B)
-    if rep.C != 0 and not d.Q1.is_constant():
-        return Verdict(False, "C = %d nonzero with nonconstant Q1" % rep.C)
-    if rep.D == 0:
+def _clause_verdict(A, B, C, D, degrees) -> Verdict:
+    """The unbranchedness clauses on the constants and the degrees (d1, dq, d3).
+
+    Requires A = 0 or deg P1 = 0, B = 0 or deg P2 = 0, C = 0 or deg Q1 = 0,
+    and D != 0, in that order.
+    """
+    d1, dq, d3 = degrees
+    if A != 0 and d1:
+        return Verdict(False, "A = %d nonzero with nonconstant P1" % A)
+    if B != 0 and d3:
+        return Verdict(False, "B = %d nonzero with nonconstant P2" % B)
+    if C != 0 and dq:
+        return Verdict(False, "C = %d nonzero with nonconstant Q1" % C)
+    if D == 0:
         return Verdict(False, "R(u) = D vanishes")
     return Verdict(True)
+
+
+def _unbranched_verdict(d: DevMap) -> Verdict:
+    """The clauses of `is_admissible` beyond semiadmissibility."""
+    constants = exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
+    return _clause_verdict(*constants, d.degrees)
 
 
 def is_admissible(d: DevMap) -> Verdict:

@@ -229,9 +229,9 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
     z1^m1/z2^m2, raises ZeroDivisionError on the z2 = 0 axis, and such
     samples are skipped (ROADMAP item 1(a)).  A sample where the map's
     own float evaluation underflows to a division by 0 or overflows, as
-    at extreme radii, is listed as failing, as is one where the modulus
-    of the determinant or of the map's chart-T value leaves the float
-    range.
+    at extreme radii, is listed as failing, as is one where the
+    determinant overflows or the modulus of the determinant or of the
+    map's chart-T value leaves the float range.
 
     Each sample reads the map from the kernel's `point` and the
     determinant from the exact Jacobian in the chart `point` chose, built
@@ -269,6 +269,9 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             val = dets[chart](z)
         except ZeroDivisionError:
             val = None
+        except OverflowError:  # u or a power of a coordinate left the float range
+            failing.append(z)
+            continue
         listed = False
         if val is not None:
             try:
@@ -306,6 +309,10 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         try:
             sym = val if chart == "T" else dets["T"](z)
         except ZeroDivisionError:
+            continue
+        except OverflowError:
+            if not listed:
+                failing.append(z)
             continue
         if sym is None:  # chart T, where det raised above
             continue

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from hopfon import classify
 from hopfon.classify import (
     DEFAULT_ROOT_POOL,
     ClassifyError,
@@ -14,7 +16,7 @@ from hopfon.classify import (
     enumerate_structures,
     reproduce_case_table,
 )
-from hopfon.devmaps import DevMap, is_admissible
+from hopfon.devmaps import DevMap, UniPoly, _unbranched_verdict, exponent_list, is_admissible
 from hopfon.group import GroupElt, Mat2
 from hopfon.hopf import HopfSurface
 from hopfon.scalars import GaussRat
@@ -250,6 +252,73 @@ def test_brute_force_constant_maps_reduce_to_three():
 def test_brute_force_requires_diagonal():
     with pytest.raises(ClassifyError):
         brute_force_admissible(HopfSurface.exceptional(Fraction(1, 2), 1), 1)
+
+
+def _reference_oracle(s, n, deg_bound):
+    """`brute_force_admissible` decided candidate by candidate: every slot pair
+    and degree pattern builds its pool polynomials and its map, which the
+    whole certificate then judges (`is_admissible` runs `_shape_verdict`)."""
+    hyper = s.hyperresonance()
+    m2 = hyper[1] if hyper else 1
+    patterns = [(0, 0, 0)]
+    if hyper is not None:
+        patterns = list(itertools.product(range(deg_bound + 1), repeat=3))
+    pool = DEFAULT_ROOT_POOL
+    found = {}
+    for (k1, l1), (kt2, lt2) in itertools.product(exponent_list(n), repeat=2):
+        for d1, dq, d3 in patterns:
+            if d1 + dq + d3 > len(pool):
+                continue
+            P1 = UniPoly.from_roots(pool[:d1])
+            Q1 = UniPoly.from_roots(pool[d1 : d1 + dq])
+            P2 = UniPoly.from_roots(pool[d1 + dq : d1 + dq + d3])
+            k2, l2 = kt2 + m2 * (d1 - dq), lt2 + m2 * (d3 - n * dq)
+            d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
+            if is_admissible(d):
+                found.setdefault(canonical_key(d, n), d)
+    return [found[k] for k in sorted(found, key=repr)]
+
+
+def test_brute_force_matches_the_per_candidate_reference():
+    # 5 surfaces x n = 1..3 x deg_bound 0..2, each against the reference loop
+    surfaces = (
+        generic(),
+        hyper12(),
+        HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 4)),
+        HopfSurface.diagonal(Fraction(1, 8), Fraction(1, 2)),
+        homothety(),
+    )
+    start = time.perf_counter()
+    for s, n, deg_bound in itertools.product(surfaces, (1, 2, 3), (0, 1, 2)):
+        got = brute_force_admissible(s, n, deg_bound=deg_bound)
+        want = _reference_oracle(s, n, deg_bound)
+        assert [d.to_record() for d in got] == [d.to_record() for d in want], (s, n, deg_bound)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, "runtime budget exceeded: %.1fs" % elapsed
+
+
+def test_brute_force_builds_maps_only_for_candidates_that_pass_the_clauses(monkeypatch):
+    # (1/4, 1/2) with n = 2 and deg_bound 2 has 16 slot pairs x 27 degree
+    # patterns = 432 candidates.  10 pass the A/B/C/D clauses, on 5 patterns:
+    # only those build a map, and each of the 5 checks its shape once
+    built, shapes = [], []
+    shape_verdict = classify._shape_verdict
+
+    def devmap(*args):
+        built.append(DevMap(*args))
+        return built[-1]
+
+    def counted_shape(*polys):
+        shapes.append(tuple(p.degree for p in polys))
+        return shape_verdict(*polys)
+
+    monkeypatch.setattr(classify, "DevMap", devmap)
+    monkeypatch.setattr(classify, "_shape_verdict", counted_shape)
+    got = brute_force_admissible(hyper12(), 2, deg_bound=2)
+    assert len(built) == 10 and all(_unbranched_verdict(d) for d in built)
+    assert len(shapes) == 5 and len(set(shapes)) == 5
+    assert {d.degrees for d in built} == set(shapes)
+    assert got == _reference_oracle(hyper12(), 2, 2)
 
 
 def test_canonical_key_identifies_chart_swap():

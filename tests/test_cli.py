@@ -554,6 +554,23 @@ def test_verify_huge_annulus_reports_instead_of_overflowing(tmp_path, capsys):
     assert [r["check"] for r in payload["reports"]][:3] == ["group_axioms", "equivariance", "immersion"]
 
 
+def test_verify_fails_samples_where_the_determinant_overflows(tmp_path, capsys):
+    # on (1/8, 1/2), with (m1, m2) = (1, 3), DetJacobian.eval_numeric forms
+    # u = z1/z2^3, and z2^3 overflows at |z2| ~ 1e120
+    spec = write(
+        tmp_path,
+        "huge.json",
+        {"type": "diagonal", "lambda1": [1, 8, 0, 1], "lambda2": [1, 2, 0, 1],
+         "verify": {"annulus": [1e120, 1e121]}},
+    )
+    code = main(["verify", "--spec", spec, "--n", "2", "--compact"])
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_nan)
+    assert code == 1 and payload["passed"] is False
+    immersion = [r for r in payload["reports"] if r["check"] == "immersion"]
+    assert immersion and not any(r["passed"] for r in immersion)
+    assert all(r["failing_samples"] for r in immersion)
+
+
 @pytest.mark.parametrize(
     "l1, l2, flags",
     [([1, 2, 0, 1], [1, 3, 0, 1], ["--n", "3"]), ([1, 4, 0, 1], [1, 2, 0, 1], ["--n", "2", "--params", "2;2,3"])],

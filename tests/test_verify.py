@@ -1180,6 +1180,9 @@ def ref_check_immersion(dev, cfg, s):
             val = ref_det(det if pt.chart == "T" else det_hat, z)
         except ZeroDivisionError:
             val = None
+        except OverflowError:
+            failing.append(z)
+            continue
         listed = False
         if val is not None:
             try:
@@ -1204,6 +1207,10 @@ def ref_check_immersion(dev, cfg, s):
         try:
             sym = val if pt.chart == "T" else ref_det(det, z)
         except ZeroDivisionError:
+            continue
+        except OverflowError:
+            if not listed:
+                failing.append(z)
             continue
         if sym is None:
             continue
