@@ -323,7 +323,8 @@ def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
 
     The slots are allowed by construction, and the unbranchedness
     clauses depend only on the exponents, the degrees, (m1, m2) and n,
-    so each candidate is decided on integers first (`_clause_verdict`).
+    so each candidate is decided on integers first (`_clause_verdict`),
+    with (k2, l2) formed once per slot pair (k2~, l2~) and pattern.
     Only a candidate that passes gets its pattern's pool polynomials and
     their shape verdict, built once per pattern and kept for the call,
     and then its `DevMap` and canonical key.
@@ -339,22 +340,26 @@ def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
         degree_patterns = [
             p for p in product(range(deg_bound + 1), repeat=3) if sum(p) <= len(roots)
         ]
+    # (degrees, (k2, l2)) for each slot pair (k2~, l2~) and pattern, in loop order
+    z2_slots = [
+        (degrees, z2_exponents(kt2, lt2, degrees, hyper, n))
+        for (kt2, lt2) in slots
+        for degrees in degree_patterns
+    ]
     shaped = {}  # degree pattern -> (P1, Q1, P2), or None where the shape fails
     found = {}
     for (k1, l1) in slots:
-        for (kt2, lt2) in slots:
-            for degrees in degree_patterns:
-                k2, l2 = z2_exponents(kt2, lt2, degrees, hyper, n)
-                constants = exponent_constants(k1, k2, l1, l2, m1, m2, n)
-                if not _clause_verdict(*constants, degrees):
-                    continue
-                if degrees not in shaped:
-                    shaped[degrees] = _pool_polys(roots, degrees)
-                polys = shaped[degrees]
-                if polys is None:
-                    continue
-                d = DevMap(k1, k2, l1, l2, *polys, hyper, n)
-                found.setdefault(canonical_key(d, n), d)
+        for degrees, (k2, l2) in z2_slots:
+            constants = exponent_constants(k1, k2, l1, l2, m1, m2, n)
+            if not _clause_verdict(*constants, degrees):
+                continue
+            if degrees not in shaped:
+                shaped[degrees] = _pool_polys(roots, degrees)
+            polys = shaped[degrees]
+            if polys is None:
+                continue
+            d = DevMap(k1, k2, l1, l2, *polys, hyper, n)
+            found.setdefault(canonical_key(d, n), d)
     return [found[k] for k in sorted(found, key=repr)]
 
 

@@ -401,28 +401,23 @@ def cmd_sections(args) -> int:
     return 0
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="hopfon",
-        description="Classify O(n)-structures on primary Hopf surfaces and verify them.",
+def _add_common(p, spec=True):
+    if spec:
+        p.add_argument("--spec", required=True, help="surface spec JSON file")
+    p.add_argument("--compact", action="store_true", help="single-line JSON output")
+    p.add_argument(
+        "--json", action="store_true", default=True,
+        help="JSON output (the only format; accepted for interface stability)",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="surface spec JSON file")
-        p.add_argument("--compact", action="store_true", help="single-line JSON output")
-        p.add_argument(
-            "--json", action="store_true", default=True,
-            help="JSON output (the only format; accepted for interface stability)",
-        )
 
-    p = sub.add_parser("classify", help="classify a surface spec")
-    add_common(p)
+def _classify_args(p):
+    _add_common(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("structures", help="enumerate the O(n)-structures")
-    add_common(p)
+
+def _structures_args(p):
+    _add_common(p)
     p.add_argument("--n", type=int, help="bundle degree")
     p.add_argument("--params", help="hyperresonant parameter lists, e.g. '2;2,3'")
     p.add_argument("--verify", action="store_true", help="verify each record")
@@ -431,8 +426,9 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_structures)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    add_common(p)
+
+def _verify_args(p):
+    _add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--params", help="hyperresonant parameter lists (default with --deg-bound D: the root-pool prefixes of length 1..D)")
     p.add_argument("--deg-bound", dest="deg_bound", type=int, help="run the brute-force completeness oracle")
@@ -441,20 +437,23 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("cases", help="re-derive the developing-map case table")
+
+def _cases_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--compact", action="store_true")
     p.set_defaults(func=cmd_cases)
 
-    p = sub.add_parser("normal-form", help="conjugacy normal form of a group element")
+
+def _normal_form_args(p):
     p.add_argument("--element", required=True, help="element JSON file")
     p.add_argument("--compact", action="store_true")
     p.set_defaults(func=cmd_normal_form)
 
-    p = sub.add_parser("sections", help="meromorphic section families")
-    add_common(p)
+
+def _sections_args(p):
+    _add_common(p)
     bundle = p.add_mutually_exclusive_group(required=True)
     bundle.add_argument("--twist", help="line-bundle twist as a JSON quadruple")
     bundle.add_argument("--power", type=int, help="twist lam^k on an exceptional surface")
@@ -462,12 +461,44 @@ def build_parser():
     bundle.add_argument("--bundle", help="diagonal projective class as JSON [[quad,quad],[quad,quad]]")
     bundle.add_argument("--jordan", help="Jordan-block projective class; pass the quad of a")
     p.set_defaults(func=cmd_sections)
+
+
+# name -> (help, adds the subcommand's arguments), in the order of the usage line
+_SUBCOMMANDS = {
+    "classify": ("classify a surface spec", _classify_args),
+    "structures": ("enumerate the O(n)-structures", _structures_args),
+    "verify": ("run the verification suite", _verify_args),
+    "cases": ("re-derive the developing-map case table", _cases_args),
+    "normal-form": ("conjugacy normal form of a group element", _normal_form_args),
+    "sections": ("meromorphic section families", _sections_args),
+}
+
+
+def build_parser(command=None):
+    """The argument parser, with every subcommand, or with `command` alone.
+
+    A parser built for one subcommand parses its arguments and prints its
+    help and errors byte for byte as the full parser does: its usage line
+    still lists every subcommand.
+    """
+    ap = argparse.ArgumentParser(
+        prog="hopfon",
+        description="Classify O(n)-structures on primary Hopf surfaces and verify them.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
+    if command is not None:
+        sub.metavar = "{%s}" % ",".join(_SUBCOMMANDS)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading subcommand name needs that subcommand's parser alone
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, SurfaceError, ClassifyError, SectionError, DevMapError, BasisMismatchError) as exc:

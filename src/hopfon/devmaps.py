@@ -53,7 +53,7 @@ class UniPoly:
     __slots__ = ("coeffs", "_cx")
 
     def __init__(self, coeffs):
-        cs = [as_gauss(c) for c in coeffs]
+        cs = [c if type(c) is GaussRat else as_gauss(c) for c in coeffs]
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs) if cs else (GR_ZERO,))
@@ -94,7 +94,7 @@ class UniPoly:
     def __mul__(self, other):
         other = self._lift(other)
         if self.is_zero() or other.is_zero():
-            return UniPoly([0])
+            return UniPoly([GR_ZERO])
         out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -106,7 +106,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return _power(self, k, UniPoly([1]))
+        return _power(self, k, UniPoly([GR_ONE]))
 
     def _lift(self, other):
         return other if isinstance(other, UniPoly) else UniPoly([other])
@@ -117,8 +117,10 @@ class UniPoly:
 
     def derivative(self):
         if self.is_constant():
-            return UniPoly([0])
-        return UniPoly([as_gauss(i) * c for i, c in enumerate(self.coeffs)][1:])
+            return UniPoly([GR_ZERO])
+        return UniPoly(
+            [GaussRat._raw(i * c.x, i * c.y, c.z) for i, c in enumerate(self.coeffs) if i]
+        )
 
     def reversed(self):
         """Coefficients reversed: u^deg * p(1/u)."""
@@ -140,7 +142,7 @@ class UniPoly:
             for i, c in enumerate(d):
                 rem[shift + i] = rem[shift + i] - factor * c
             rem.pop()
-        return UniPoly(q or [0]), UniPoly(rem or [0])
+        return UniPoly(q or [GR_ZERO]), UniPoly(rem or [GR_ZERO])
 
     def gcd(self, other):
         a, b = self, other
@@ -478,7 +480,7 @@ def det_jacobian(d: DevMap) -> DetJacobian:
     rep = abcd(d)
     P1, P2, Q1 = d.P1, d.P2, d.Q1
     den = P1 * P2 * Q1
-    num = den.scale(rep.D) + UniPoly([0, 1]) * (
+    num = den.scale(rep.D) + UniPoly([GR_ZERO, GR_ONE]) * (
         (P1.derivative() * P2 * Q1).scale(rep.A)
         - (P2.derivative() * P1 * Q1).scale(rep.B)
         + (Q1.derivative() * P1 * P2).scale(rep.C)

@@ -27,9 +27,11 @@ generic elements per code path of compose, and one identity and one
 inverse check.  G acts faithfully, so these make compose the product of
 G (`_prove_group_law`).  Each is a polynomial identity in the entries,
 and Kronecker substitution (Kronecker, J. reine angew. Math. 92, 1882)
-decides it with one exact evaluation.  Then the float action
-`act_affine` is compared with the exact action at fixed points that
-reach each of its code paths.
+decides it with one exact evaluation.  The action law is evaluated at
+the adjugate point Z = adj(g_xy) W, which both sides move to
+det(g_xy) W, so that p is evaluated at monomials.  Then the float
+action `act_affine` is compared with the exact action at fixed points
+that reach each of its code paths.
 """
 
 from __future__ import annotations
@@ -453,6 +455,8 @@ def _act_exact(x: GroupElt, point):
     z1, z2, tau = point
     (a, b), (c, d) = x.g.entries
     w1, w2 = sum_of_products(((a, z1), (b, z2))), sum_of_products(((c, z1), (d, z2)))
+    if x.p.is_zero():
+        return (w1, w2, tau)
     n = x.degree
     one = w1.basis.one()
     pow1, pow2 = [one, w1], [one, w2]  # w^k for k = 0..n, one product each
@@ -467,30 +471,37 @@ def _kronecker_span(n: int) -> int:
     """The widest exponent window an indeterminate of the proof reaches.
 
     An indeterminate belongs to one element (g, p) or to the point
-    (Z1, Z2, tau).  It enters p linearly (window 1) and the entries of g
+    (W1, W2, tau).  It enters p linearly (window 1) and the entries of g
     with exponent 0 or 1.  The entries of g^{-1} = adj(g)/(uv) have
     exponent -1 or 0 in u and v and 0 or 1 in b and c, and those of
     (g^{-1})^{-1} exponent 0 or 1, so every entry of these has window 1.
+    So has every entry of M, the matrix of xy, and of adj(M): each is a
+    sum of products of one entry of g_x and one of g_y.
 
-    The action law compares act(xy) and act(x) act(y) at the point
-    (`_act_exact`).  tau enters linearly, and p(gZ) multiplies a
-    coefficient by n entries of gZ, so Z1, Z2 and the entries of g have
-    exponents 0..n there.  On the right every indeterminate stays within
-    0..n.  On the left p_xy = p_x + p_y.g_x^{-1} is evaluated at
-    g_x g_y Z: a coefficient of p_y.g_x^{-1} holds n entries of g_x^{-1}
-    (exponents -n..0 in u and v, 0..n in b and c) and its monomial n
-    entries of g_x g_y Z (0..n), so x's matrix indeterminates reach
-    window 2n.
+    The action law compares act(xy) and act(x) act(y) at Z = adj(M) W
+    (`_act_exact`), one component after the other, and the Z components
+    come first.  On the left M Z = det(M) W, on the right
+    g_x g_y adj(M) W: window 2.  Where they differ the check fails,
+    whatever the tau components are.  Where they agree as polynomials,
+    g_x g_y adj(M) = det(M) I and det M != 0 give g_x g_y = M, so
+    det M = det g_x det g_y, the monomial of exponent 1 in the u and v
+    of x and y.  Then tau' on the left is tau + det(M)^n p_xy(W): a
+    coefficient of p_xy = p_x + p_y.g_x^{-1} holds n entries of g_x^{-1}
+    (exponents -n..0 in u and v, 0..n in b and c), so with det(M)^n and
+    tau every indeterminate stays within 0..n.  On the right p_y and p_x
+    take n entries of g_y adj(M) W and of g_x g_y adj(M) W, which have
+    window 2 in the matrix indeterminates: window 2n.  A compose that
+    adds p_x.g_y instead reaches 2n on the left as well.
 
-    The identity check compares act(e) at the point with the point:
-    window 1.  The inverse check compares x^{-1} x with e: an entry of
-    g^{-1} g has window 2, and p_{x^{-1}x} = -p.g + p.(g^{-1})^{-1}
-    multiplies a coefficient by n entries of g or (g^{-1})^{-1}: window
-    n.  `GroupElt.__eq__` compares p coefficientwise (n), the matrix
-    entries (2), products of one entry with one of e (2) and n-th powers
-    of entries (2n).  scalar_multiple compares x with zeta x and 2x:
-    entries (1), products of two entries (2) and n-th powers (n).  With
-    n >= 1 the widest window is 2n.
+    The identity check compares act(e) at the point with the point, whose
+    entries are those of adj(M) W: window 1.  The inverse check compares
+    x^{-1} x with e: an entry of g^{-1} g has window 2, and
+    p_{x^{-1}x} = -p.g + p.(g^{-1})^{-1} multiplies a coefficient by n
+    entries of g or (g^{-1})^{-1}: window n.  `GroupElt.__eq__` compares
+    p coefficientwise (n), the matrix entries (2), products of one entry
+    with one of e (2) and n-th powers of entries (2n).  scalar_multiple
+    compares x with zeta x and 2x: entries (1), products of two entries
+    (2) and n-th powers (n).  With n >= 1 the widest window is 2n.
     """
     return 2 * n
 
@@ -545,9 +556,15 @@ def _prove_group_law(n: int, base: int = None, proved: list = None):
       for n | 4, so this check lives over a basis whose second generator
       is zeta (relation (0, n)), with the indeterminates on l1.  It
       runs first: the inverse check compares with ==;
-    * the action law act(xy) = act(x) act(y) (`_act_exact`) at a
-      generic point (Z1, Z2, tau), one pair (x, y) per code path of
-      compose.  action_big_cell: two big-cell elements.
+    * the action law act(xy) = act(x) act(y) (`_act_exact`) at the
+      point (Z, tau) with Z = adj(M) W, where M is the matrix of xy and
+      W1, W2, tau are fresh indeterminates, one pair (x, y) per code
+      path of compose.  M Z = det(M) W, and so is g_x g_y Z when compose
+      is right, so p_xy and p_x are evaluated at monomials.  det M is
+      computed from the entries, not taken from what compose carried,
+      and a pair with det M = 0 fails: adj(M) is then singular, and the
+      law at its image would not be the law at every point.
+      action_big_cell: two big-cell elements.
       action_diagonal: x diagonal, so p_y.g_x^{-1} takes the diagonal
       path of precomposition.  action_p_zero: y with p = 0, so compose
       takes its shortcut, and x with p != 0, which the shortcut must
@@ -559,11 +576,14 @@ def _prove_group_law(n: int, base: int = None, proved: list = None):
     Why these suffice: G acts faithfully.  act(x) for x = (g, p) maps
     (Z, tau) to (gZ, tau + p(gZ)); its Z part gives back g, and then,
     since g is invertible, tau' - tau = p(gZ) at every gZ gives back p.
-    So an element is determined by its map.  The action law, an identity
-    in the entries on a Zariski-dense set of each code path's inputs,
-    holds on all of them, so compose(x, y) is the one element whose map
-    is act(x) act(y): compose is composition of maps, carried back to
-    pairs, and is associative because composition is.  act(e) = id
+    So an element is determined by its map.  The action law at
+    Z = adj(M) W, an identity in W, gives it at every Z wherever
+    det M != 0, since W -> adj(M) W is onto there; det M is a nonzero
+    polynomial, so that is a Zariski-dense set of the entries.  An
+    identity in the entries on a Zariski-dense set of each code path's
+    inputs holds on all of them, so compose(x, y) is the one element
+    whose map is act(x) act(y): compose is composition of maps, carried
+    back to pairs, and is associative because composition is.  act(e) = id
     gives act(compose(e, x)) = act(compose(x, e)) = act(x), so e is the
     identity.  x^{-1} x == e up to an n-th root of unity zeta, and
     (zeta I, 0) fixes every point of O(n), so act(x^{-1}) act(x) = id on
@@ -611,8 +631,15 @@ def _group_law_checks(n: int, base: int):
     ):
         t = _indeterminates(basis, base)
         x, y = (_generic_elt(basis, n, t, shape, with_p) for shape, with_p in shapes)
-        point = (next(t), next(t), next(t))
-        holds = _act_exact(compose(x, y), point) == _act_exact(x, _act_exact(y, point))
+        xy = compose(x, y)
+        (a, b), (c, d) = xy.g.entries
+        w1, w2 = next(t), next(t)
+        # Z = adj(M) W; det M from the entries, not the one compose carried
+        z1, z2 = sum_of_products(((d, w1), (-b, w2))), sum_of_products(((-c, w1), (a, w2)))
+        point = (z1, z2, next(t))
+        holds = bool(sum_of_products(((a, d), (-b, c))).terms) and (
+            _act_exact(xy, point) == _act_exact(x, _act_exact(y, point))
+        )
         yield "action", branch, holds
     e = GroupElt.identity(basis, n)
     yield "identity", "identity", _act_exact(e, point) == point

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfon import cli
 from hopfon.cli import main
 
 
@@ -691,3 +692,53 @@ def test_structures_rejects_non_integer_spec_degree(tmp_path, capsys, value):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: spec key 'n' must be an integer")
+
+
+_COMMANDS = ["classify", "structures", "verify", "cases", "normal-form", "sections"]
+
+
+def _parse(capsys, ap, argv):
+    """(exit code, stdout, stderr) of ap.parse_args(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        ap.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+# the required arguments of each subcommand
+_REQUIRED = {
+    "classify": ["--spec", "s.json"],
+    "structures": ["--spec", "s.json"],
+    "verify": ["--spec", "s.json"],
+    "cases": ["--n", "1", "--m1", "1", "--m2", "1"],
+    "normal-form": ["--element", "e.json"],
+    "sections": ["--spec", "s.json", "--power", "1"],
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_subcommand_parser_prints_as_the_full_parser(capsys, command):
+    # main builds the invoked subcommand's parser alone; its help, its
+    # errors and the top-level usage of an unknown argument stay the same
+    assert list(cli._SUBCOMMANDS) == _COMMANDS == list(_REQUIRED)
+    for argv in ([command, "--help"], [command], [command] + _REQUIRED[command] + ["--no-such-flag"]):
+        full = _parse(capsys, cli.build_parser(), argv)
+        alone = _parse(capsys, cli.build_parser(command), argv)
+        assert alone == full, argv
+        assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_main_builds_the_full_parser_unless_argv_names_a_subcommand(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    for argv in ([], ["-h"], ["frobnicate"], ["--compact", "verify"], ["cases"], ["normal-form", "-h"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert built == [None, None, None, None, "cases", "normal-form"]

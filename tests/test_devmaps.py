@@ -478,3 +478,43 @@ def test_abc_clauses_imply_the_other_certificate_clauses(d):
         assert (d.k1, d.l1) != (0, 0) or rep.D == 0
     v = is_admissible(d)
     assert (v.ok, v.reason) == full_certificate(d)
+
+
+def test_unipoly_derivative_is_canonical():
+    # i * c for the coefficient c of u^i, brought to lowest terms
+    p = UniPoly([GaussRat(1, 2), GaussRat(Fraction(1, 2), Fraction(1, 2)), GaussRat(Fraction(3, 4))])
+    d = p.derivative()
+    assert d == UniPoly([GaussRat(Fraction(1, 2), Fraction(1, 2)), GaussRat(Fraction(3, 2))])
+    assert [(c.x, c.y, c.z) for c in d.coeffs] == [(1, 1, 2), (3, 0, 2)]
+    assert UniPoly([GaussRat(5)]).derivative() == UniPoly([0])
+
+
+def test_det_jacobian_of_the_cli_verify_structures_keeps_its_repr():
+    # every structure, and its chart-S map, of the five surfaces of the
+    # cli-verify benchmark for n = 1..3 (n = 2, 3 for m = 2).  The digest is
+    # that of the reprs built when UniPoly coerced every coefficient through
+    # as_gauss and formed i * c in the derivative as as_gauss(i) * c
+    from hashlib import sha256
+
+    from hopfon.classify import enumerate_structures
+    from hopfon.hopf import HopfSurface
+
+    F = Fraction
+    surfaces = (
+        (HopfSurface.diagonal(F(1, 2), F(1, 3)), (1, 2, 3)),
+        (HopfSurface.diagonal(F(1, 4), F(1, 2)), (1, 2, 3)),
+        (HopfSurface.diagonal(F(1, 2), F(1, 2)), (1, 2, 3)),
+        (HopfSurface.exceptional(F(1, 2), 1), (1, 2, 3)),
+        (HopfSurface.exceptional(F(1, 2), 2), (2, 3)),
+    )
+    maps = []
+    for s, ns in surfaces:
+        params = [[2], [2, 3]] if s.kind == "diagonal" else None
+        for n in ns:
+            for rec in enumerate_structures(s, n, hyper_params=params):
+                maps += [rec.dev, rec.dev.hat()]
+    text = "\n".join(repr(det_jacobian(d)) for d in maps)
+    assert len(maps) == 86
+    assert sha256(text.encode()).hexdigest() == (
+        "9b390b3b7d4ad1b5fbe5598ca7a298a17c5e42e56cd875724f3e5de4d6bd6ab7"
+    )

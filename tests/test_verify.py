@@ -3,6 +3,7 @@
 import cmath
 import functools
 import inspect
+import itertools
 import json
 import math
 import random
@@ -26,7 +27,7 @@ from hopfon.devmaps import (
 )
 from hopfon.group import AffinePoint, GroupElt, HomogPoly, Mat2, act_affine, random_group_elt
 from hopfon.hopf import HopfSurface, SurfaceError
-from hopfon import devmaps, group, verify
+from hopfon import devmaps, group, scalars, verify
 from hopfon.scalars import EigenBasis, GaussRat, Scalar
 from hopfon.verify import (
     VerifyConfig,
@@ -392,13 +393,13 @@ def test_kronecker_span_bounds_every_compared_window(monkeypatch):
     # for every check of the proof.  A check's comparisons run before it
     # is yielded, so the windows seen since the last yield are its own
     base = 10**6
-    pending, widest = [], {}
+    pending, windows = [], {}
     eq = Scalar.__eq__
     checks = verify._group_law_checks
 
     def labelled(n, base):
         for law, branch, holds in checks(n, base):
-            widest[branch] = max(pending, default=0)
+            windows[branch] = list(pending)
             pending.clear()
             yield law, branch, holds
 
@@ -414,37 +415,57 @@ def test_kronecker_span_bounds_every_compared_window(monkeypatch):
         if type(b) is Scalar:
             axes = (0, 1) if a.basis.lattice.rank == 0 else (0,)
             cols = [digits(key[ax]) for key, *_ in a.terms + b.terms for ax in axes]
+            width = 0
             for j in range(max(map(len, cols), default=0)):
                 col = [c[j] if j < len(c) else 0 for c in cols]
-                pending.append(max(col) - min(col))
+                width = max(width, max(col) - min(col))
+            pending.append(width)
         return eq(a, b)
 
     def run(n):
         pending.clear()
-        widest.clear()
+        windows.clear()
         return _prove_group_law(n, base=base)
+
+    def widest(branch):
+        return max(windows[branch], default=0)
 
     monkeypatch.setattr(Scalar, "__eq__", recording)
     monkeypatch.setattr(verify, "_group_law_checks", labelled)
+    actions = [b for b in _PROVED if b.startswith("action_")]
     for n in (1, 2, 3):
         assert run(n) is None
-        assert list(widest) == _PROVED
-        assert max(widest.values()) <= _kronecker_span(n)
-        assert 0 < widest["scalar_multiple"] and 0 < widest["action_big_cell"]
+        assert list(windows) == _PROVED
+        assert max(map(widest, _PROVED)) <= _kronecker_span(n)
+        assert 0 < widest("scalar_multiple") and 0 < widest("action_big_cell")
+        # each action pair compares the two Z components, then tau'; at the
+        # adjugate point the Z components have window at most 2 at every n
+        for branch in actions:
+            assert len(windows[branch]) == 3 and max(windows[branch][:2]) <= 2
     # where the two sides of a check differ, the left side is a
     # polynomial of its own, and its window must fit the span as well.
     # An inverse that keeps the sign of p leaves x^-1 x = (I, 2 p.g): a
     # coefficient of p.g holds n entries of g, window n
+    inverse = GroupElt.inverse
     monkeypatch.setattr(GroupElt, "inverse", lambda x: GroupElt(x.g.inverse(), x.p.precompose(x.g)))
     for n in (1, 2, 3):
         assert run(n) == {"failed": "inverse", "branch": "inverse"}
-        assert widest["inverse"] == n <= _kronecker_span(n)
-    # Under the right-acting convention the matrices agree, and tau' of
-    # the left side reaches the window 2n that the span's derivation gives
+        assert widest("inverse") == n <= _kronecker_span(n)
+    monkeypatch.setattr(GroupElt, "inverse", inverse)
+    # A matrix other than g_x g_y fails at the first Z component, window 2,
+    # and the tau components, which could be wider, are never compared
+    _swapped_compose(monkeypatch)
+    for n in (1, 2, 3):
+        assert run(n) == {"failed": "action", "branch": "action_big_cell"}
+        assert windows["action_big_cell"] == [2]
+    # Under the right-acting convention the matrices agree, and tau' reaches
+    # the window 2n that the span's derivation gives: p_x.g_y times
+    # det(M)^n has y's u and v in n..2n beside tau's 0
     _right_convention(monkeypatch, with_inverse=True)
     for n in (1, 2, 3):
         assert run(n) == {"failed": "action", "branch": "action_big_cell"}
-        assert widest["action_big_cell"] == 2 * n == _kronecker_span(n)
+        assert max(windows["action_big_cell"][:2]) <= 2
+        assert windows["action_big_cell"][2] == 2 * n == _kronecker_span(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -498,6 +519,42 @@ def test_group_axioms_make_few_composes(monkeypatch, n):
     monkeypatch.setattr(GroupElt, "compose", counting)
     assert check_group_axioms(n).passed
     assert calls[0] == 3 + 1
+
+
+def test_the_proof_at_the_adjugate_point_makes_few_term_products(monkeypatch):
+    # every product of the proof's multi-term scalars goes through
+    # scalars._products.  At a generic point (Z1, Z2, tau) the n = 3 proof
+    # takes 6,189 term products, most of them evaluating p_xy at g_xy Z; at
+    # Z = adj(g_xy) W it evaluates p_xy and p_x at monomials
+    count = [0]
+    products = scalars._products
+
+    def counting(pairs, add):
+        count[0] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
+        return products(pairs, add)
+
+    monkeypatch.setattr(scalars, "_products", counting)
+    assert _prove_group_law(3) is None
+    assert 0 < count[0] < 6189 // 3
+
+
+def test_group_axioms_catch_a_compose_with_a_singular_matrix(monkeypatch):
+    def compose(x, y):
+        # the zero matrix, carrying the determinant of g_x g_y
+        zero = x.basis.zero()
+        g = Mat2._raw(x.basis, ((zero, zero), (zero, zero)), x.g.det() * y.g.det())
+        return GroupElt(g, x.p + y.p.precompose(x.g.inverse()))
+
+    # adj(0) = 0 sends every W to Z = 0, where both sides of the action law
+    # read (0, 0, tau); the determinant taken from the entries fails the pair
+    monkeypatch.setattr(GroupElt, "compose", compose)
+    for n in (1, 2, 3):
+        assert _fails(n) == ("action", "action_big_cell")
+    # without that test the three pairs and the identity check hold at Z = 0
+    old = "bool(sum_of_products(((a, d), (-b, c))).terms) and "
+    unguarded = _mutant(verify._group_law_checks, old, "")
+    checks = itertools.islice(unguarded(2, _kronecker_span(2) + 1), len(_PROVED) - 1)
+    assert [(branch, holds) for _, branch, holds in checks] == [(b, True) for b in _PROVED[:-1]]
 
 
 def test_verify_structure_bundle():
