@@ -28,8 +28,6 @@ certificate on top.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -45,12 +43,11 @@ def exponent_list(n: int):
 class UniPoly:
     """Polynomial in one variable with Gaussian-rational coefficients.
 
-    `eval_numeric` converts the coefficients to complex numbers on its
-    first call and keeps them in `_cx`, an unset slot until then, so
-    polynomials that are never evaluated pay nothing for it.
+    Its float form is the homogenized one in (z1, z2) (`_homogenized`),
+    so no float u is ever formed.
     """
 
-    __slots__ = ("coeffs", "_cx")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = [c if type(c) is GaussRat else as_gauss(c) for c in coeffs]
@@ -169,16 +166,6 @@ class UniPoly:
         x = as_gauss(x)
         total = GR_ZERO
         for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def eval_numeric(self, x: complex) -> complex:
-        cx = getattr(self, "_cx", None)
-        if cx is None:
-            cx = tuple([c.to_complex() for c in reversed(self.coeffs)])
-            object.__setattr__(self, "_cx", cx)
-        total = 0j
-        for c in cx:
             total = total * x + c
         return total
 
@@ -396,8 +383,9 @@ class DetJacobian:
     R(u) is kept as the fraction R_num/R_den in lowest terms, with R_den
     monic, which makes the pair unique.  A root of R_den that P1 P2
     shares is a removable singularity of det t', so `eval_numeric`
-    evaluates P1, P2 and R_den with those factors cancelled
-    (`_evaluated`); where R_den shares none, they are P1, P2 and R_den.
+    evaluates P1, P2 and R_den with those factors cancelled.  It reads the
+    five factors homogenized, as the map kernel reads P1, Q1 and P2, so
+    it forms no u and evaluates points on either axis like any other.
     """
 
     z1_exp: int
@@ -409,8 +397,8 @@ class DetJacobian:
     R_num: UniPoly
     R_den: UniPoly
     hyper: tuple
-    _evaluated: tuple = field(init=False, repr=False, compare=False)
-    _factors: tuple = field(init=False, repr=False, compare=False)
+    _terms: tuple = field(init=False, repr=False, compare=False)
+    _z2_power: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P1, P2, R_den = self.P1, self.P2, self.R_den
@@ -419,56 +407,25 @@ class DetJacobian:
             P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
             g = R_den.gcd(P2)
             P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
-        object.__setattr__(self, "_evaluated", (P1, P2, R_den))
-        # Where P1, P2, Q1, R_num and R_den are constants, the factors of
-        # eval_numeric that depend on u -- P1(u) P2(u), Q1(u)^(n+1) and
-        # R(u) -- are computed once.  A constant c evaluates to 0j*u + c,
-        # which is c itself at every finite u when no part of c is -0.0;
-        # without a hyperresonance u is 1.0 everywhere.  eval_numeric takes
-        # the general path at a non-finite u, and at every point where a
-        # factor raises here.
+        m1, m2 = self.hyper if self.hyper is not None else (1, 1)
         polys = (P1, P2, self.Q1, self.R_num, R_den)
-        factors = None
-        if all(p.is_constant() for p in polys):
-            try:
-                values = [p.coeffs[0].to_complex() for p in polys]
-                if self.hyper is None or all(
-                    v or math.copysign(1.0, v) > 0 for c in values for v in (c.real, c.imag)
-                ):
-                    factors = (
-                        P1.eval_numeric(1.0) * P2.eval_numeric(1.0),
-                        self.Q1.eval_numeric(1.0) ** (self.n + 1),
-                        self.R_num.eval_numeric(1.0) / R_den.eval_numeric(1.0),
-                    )
-            except ArithmeticError:
-                pass
-        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_terms", tuple([_homogenized(p, m1, m2) for p in polys]))
+        # p(u) = H_p / z2^(m2 deg p) for each factor
+        deg = P1.degree + P2.degree - (self.n + 1) * self.Q1.degree + self.R_num.degree - R_den.degree
+        object.__setattr__(self, "_z2_power", self.z2_exp - m2 * deg)
 
     def eval_numeric(self, z) -> complex:
-        """det t' at z, in float arithmetic.
-
-        With a hyperresonance u = z1^m1/z2^m2 is formed first, so a
-        point on the z2 = 0 axis raises ZeroDivisionError.  Where
-        `__post_init__` folded the u-dependent factors and u is finite,
-        they are used by the same operations in the same order, so the
-        value is bit-identical to the general path.
-        """
+        """det t' at z in floats: z1^z1_exp z2^b h1 h2 / hq^(n+1) (hn / hd), with
+        P1, P2, Q1, R_num, R_den homogenized (`_homogenized`) and b = `_z2_power`;
+        without a hyperresonance each is a constant and b = z2_exp."""
         z1, z2 = complex(z[0]), complex(z[1])
-        factors = self._factors
-        u = 1.0
-        if self.hyper is not None:
-            m1, m2 = self.hyper
-            u = z1**m1 / z2**m2
-            if not cmath.isfinite(u):
-                factors = None
-        if factors is not None:
-            pp, qn, r = factors
-            return z1**self.z1_exp * z2**self.z2_exp * pp / qn * r
-        P1, P2, R_den = self._evaluated
-        val = z1**self.z1_exp * z2**self.z2_exp
-        val *= P1.eval_numeric(u) * P2.eval_numeric(u)
-        val /= self.Q1.eval_numeric(u) ** (self.n + 1)
-        return val * (self.R_num.eval_numeric(u) / R_den.eval_numeric(u))
+        H1, H2, K, N, D = self._terms
+        h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
+        h2 = _homog_sum(H2, z1, z2) if H2.__class__ is tuple else H2
+        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
+        hn = _homog_sum(N, z1, z2) if N.__class__ is tuple else N
+        hd = _homog_sum(D, z1, z2) if D.__class__ is tuple else D
+        return z1**self.z1_exp * z2**self._z2_power * (h1 * h2) / hq ** (self.n + 1) * (hn / hd)
 
 
 def det_jacobian(d: DevMap) -> DetJacobian:
@@ -477,13 +434,13 @@ def det_jacobian(d: DevMap) -> DetJacobian:
     R(u) is formed over the common denominator P1 P2 Q1 and reduced by
     one gcd.
     """
-    rep = abcd(d)
+    A, B, C, D = exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
     P1, P2, Q1 = d.P1, d.P2, d.Q1
     den = P1 * P2 * Q1
-    num = den.scale(rep.D) + UniPoly([GR_ZERO, GR_ONE]) * (
-        (P1.derivative() * P2 * Q1).scale(rep.A)
-        - (P2.derivative() * P1 * Q1).scale(rep.B)
-        + (Q1.derivative() * P1 * P2).scale(rep.C)
+    num = den.scale(D) + UniPoly([GR_ZERO, GR_ONE]) * (
+        (P1.derivative() * P2 * Q1).scale(A)
+        - (P2.derivative() * P1 * Q1).scale(B)
+        + (Q1.derivative() * P1 * P2).scale(C)
     )
     g = num.gcd(den)
     num, den = num.divmod(g)[0], den.divmod(g)[0]
@@ -588,8 +545,10 @@ class EvalError(ArithmeticError):
 
 
 def _homogenized(p: UniPoly, m1, m2):
-    """p homogenized for the term loop of `eval_devmap`, or its value if constant.
+    """p homogenized for the term loop `_homog_sum`, or its value if constant.
 
+    The one float form of a polynomial in u: the map kernel and
+    `DetJacobian.eval_numeric` read theirs through it, the axes included.
     A nonconstant p gives the terms (p_i, m1 i, m2 (deg - i)), one per
     nonzero coefficient p_i.  For a constant p = c the loop would add
     c * z1**0 * z2**0 to 0j at every point; z**0 is exactly 1+0j for

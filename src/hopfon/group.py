@@ -330,8 +330,8 @@ class GroupElt:
             return True
         flat = [e for row in self.g.entries for e in row]
         flat2 = [e for row in other.g.entries for e in row]
-        ref = next(i for i, e in enumerate(flat) if not e.is_zero())
-        if flat2[ref].is_zero():
+        ref = next((i for i, e in enumerate(flat) if not e.is_zero()), None)
+        if ref is None or flat2[ref].is_zero():
             return False
         r, r2 = flat[ref], flat2[ref]
         # g' = (r2/r) g entrywise, tested by cross-multiplication.

@@ -13,7 +13,8 @@ against central finite differences.  Both sample loops bind the map's
 float kernel (`devmaps.map_kernel`), F, the holonomy's action function
 and the Jacobian's `eval_numeric` once, and each sample takes the one
 path through them: the kernel's `point` gives the map's value in
-whichever chart is finite, on the axes too.  The kernel repeats the
+whichever chart is finite, on the axes too, and the Jacobian of that
+chart is read in the same homogenized form.  The kernel repeats the
 float operations of a term-by-term evaluation in the same order.  A NaN
 or infinite residual, determinant or difference fails its check: NaN
 compares false both ways, so max() or a bare threshold test would let
@@ -225,15 +226,14 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
 def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> VerifyReport:
     """Nonvanishing exact Jacobian at samples, cross-checked by differences.
 
-    The sample set always contains points on both coordinate axes.  A
-    map branched along an axis does not yet always fail there: on a
-    hyperresonant surface `DetJacobian.eval_numeric` forms u =
-    z1^m1/z2^m2, raises ZeroDivisionError on the z2 = 0 axis, and such
-    samples are skipped (ROADMAP item 1(a)).  A sample where the map's
-    own float evaluation underflows to a division by 0 or overflows, as
-    at extreme radii, is listed as failing, as is one where the
-    determinant overflows or the modulus of the determinant or of the
-    map's chart-T value leaves the float range.
+    The sample set always contains points on both coordinate axes.
+    Every sample, axis points included, reads the determinant in the
+    homogenized form of `DetJacobian.eval_numeric`, so a map branched
+    along an axis fails there.  A sample where the map's own float
+    evaluation underflows to a division by 0 or overflows, as at extreme
+    radii, is listed as failing, as is one where the determinant
+    overflows or the modulus of the determinant or of the map's chart-T
+    value leaves the float range.
 
     Each sample reads the map from the kernel's `point` and the
     determinant from the exact Jacobian in the chart `point` chose, built
@@ -271,7 +271,7 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             val = dets[chart](z)
         except ZeroDivisionError:
             val = None
-        except OverflowError:  # u or a power of a coordinate left the float range
+        except OverflowError:  # a power of a coordinate left the float range
             failing.append(z)
             continue
         listed = False

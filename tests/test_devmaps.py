@@ -1,6 +1,8 @@
 """Developing-map calculus: exponent constants, Jacobians, admissibility, evaluation."""
 
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -167,20 +169,74 @@ def test_det_jacobian_cancels_what_R_den_shares_with_P1_P2():
         assert det.eval_numeric(z) == -2
 
 
+def _horner(p, x):
+    total = 0j
+    for c in reversed(p.coeffs):
+        total = total * x + c.to_complex()
+    return total
+
+
+def _det_in_u(det, z):
+    """det t' at z read through u = z1^m1/z2^m2, P1(u) P2(u) / Q1(u)^(n+1)
+    R(u) term for term, with the factors that R_den shares with P1, then
+    with P2, cancelled from both."""
+    z1, z2 = complex(z[0]), complex(z[1])
+    m1, m2 = det.hyper if det.hyper is not None else (1, 1)
+    u = z1**m1 / z2**m2
+    P1, P2, R_den = det.P1, det.P2, det.R_den
+    g = R_den.gcd(P1)
+    P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
+    g = R_den.gcd(P2)
+    P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
+    val = z1**det.z1_exp * z2**det.z2_exp
+    val *= _horner(P1, u) * _horner(P2, u)
+    val /= _horner(det.Q1, u) ** (det.n + 1)
+    return val * (_horner(det.R_num, u) / _horner(R_den, u))
+
+
+def _agrees_in_u(det, z):
+    val, ref = det.eval_numeric(z), _det_in_u(det, z)
+    return abs(val - ref) <= 1e-12 * abs(ref)
+
+
 def test_det_jacobian_values_are_unchanged_where_R_den_shares_nothing():
     # C = 1 with Q1 = u - 2: R = (2u - 2)/(u - 2) has a denominator that
-    # shares no factor with P1 P2, and eval_numeric forms
-    # P1 P2 / Q1^(n+1) R(u) term for term
+    # shares no factor with P1 P2, and the homogenized eval_numeric agrees
+    # with P1 P2 / Q1^(n+1) R(u) formed in u
     d = DevMap(1, 1, 0, 1, UniPoly([3]), UniPoly.from_roots([2]), UniPoly([GaussRat(1, 1)]), (1, 1), 1)
     det = det_jacobian(d)
     assert (det.R_num, det.R_den) == (UniPoly([-2, 2]), UniPoly.from_roots([2]))
     for z in ((0.7 + 0.1j, 0.4 - 0.2j), (1.3, 0.9j), (-0.2 + 1j, 1.1 + 0.5j)):
-        z1, z2 = complex(z[0]), complex(z[1])
-        u = z1 / z2
-        val = z1**det.z1_exp * z2**det.z2_exp
-        val *= det.P1.eval_numeric(u) * det.P2.eval_numeric(u)
-        val /= det.Q1.eval_numeric(u) ** 2
-        assert det.eval_numeric(z) == val * (det.R_num.eval_numeric(u) / det.R_den.eval_numeric(u))
+        assert _agrees_in_u(det, z)
+
+
+def test_det_jacobian_of_the_cli_verify_structures_agrees_with_u():
+    # every structure, and its chart-S map, of the five cli-verify surfaces,
+    # at points of the unit torus: there |u| = 1, away from the roots 2 and 3
+    from hopfon.classify import enumerate_structures
+    from hopfon.hopf import HopfSurface
+
+    F = Fraction
+    surfaces = (
+        (HopfSurface.diagonal(F(1, 2), F(1, 3)), (1, 2, 3)),
+        (HopfSurface.diagonal(F(1, 4), F(1, 2)), (1, 2, 3)),
+        (HopfSurface.diagonal(F(1, 2), F(1, 2)), (1, 2, 3)),
+        (HopfSurface.exceptional(F(1, 2), 1), (1, 2, 3)),
+        (HopfSurface.exceptional(F(1, 2), 2), (2, 3)),
+    )
+    rng = random.Random(30)
+    maps = []
+    for s, ns in surfaces:
+        params = [[2], [2, 3]] if s.kind == "diagonal" else None
+        for n in ns:
+            for rec in enumerate_structures(s, n, hyper_params=params):
+                maps += [rec.dev, rec.dev.hat()]
+    assert len(maps) == 86 and any(not d.P1.is_constant() for d in maps)
+    for d in maps:
+        det = det_jacobian(d)
+        for _ in range(20):
+            z = tuple(cmath.rect(1.0, rng.uniform(0, 2 * math.pi)) for _ in range(2))
+            assert _agrees_in_u(det, z), (d, z)
 
 
 def test_R_is_the_reduced_fraction_over_P1_P2_Q1():
@@ -343,7 +399,7 @@ def test_det_jacobian_matches_finite_differences():
             z1 = rng.uniform(0.5, 1.0) + 1j * rng.uniform(0.1, 0.6)
             z2 = rng.uniform(0.5, 1.0) + 1j * rng.uniform(0.1, 0.6)
             u = z1**m1 / z2**m2
-            if min(abs(d.P1.eval_numeric(u)), abs(d.Q1.eval_numeric(u))) < 0.3:
+            if min(abs(_horner(d.P1, u)), abs(_horner(d.Q1, u))) < 0.3:
                 continue
             sym = det.eval_numeric((z1, z2))
             num = _fd_jacobian(d, z1, z2)

@@ -92,6 +92,20 @@ def test_mu_n_quotient_equality():
     assert x != GroupElt(x.g.scale(eye), x.p)
 
 
+def test_an_all_zero_matrix_is_unequal_instead_of_raising():
+    # Mat2._raw admits a zero matrix with a nonzero carried det; __eq__ has no
+    # nonzero entry to take the ratio from, so the left element is no
+    # root-of-unity multiple of the right one.  Inside a generator a bare
+    # next() would surface as RuntimeError: generator raised StopIteration
+    b = free_basis()
+    z = b.zero()
+    zero = GroupElt(Mat2._raw(b, ((z, z), (z, z)), b.one()), HomogPoly.zero(b, 2))
+    eye = GroupElt.identity(b, 2)
+    assert (zero == eye) is False and (zero != eye) is True
+    assert not all(x == eye for x in (eye, zero))
+    assert zero == GroupElt(Mat2._raw(b, ((z, z), (z, z)), b.one()), HomogPoly.zero(b, 2))
+
+
 def test_act_affine_swap_example():
     # g = [[0,1],[1,0]], n=1, (2,3) -> (1/2, 3/2)
     b = free_basis()

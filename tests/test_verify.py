@@ -101,6 +101,29 @@ def test_double_root_map_is_not_semiadmissible_and_its_jacobian_vanishes():
         assert abs(det.eval_numeric((2 * z2**2, z2))) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_a_map_branched_along_the_z2_axis_fails_immersion_there(seed):
+    # (z1, z1 - 2 z2^2) on (1/4, 1/2) has det J = -4 z2, which vanishes on the
+    # axis z2 = 0; the determinant is read there in homogenized form, with no
+    # u = z1/z2^2 to divide by zero, so the axis samples fail
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    axis_map = DevMap(1, 0, 0, 2, UniPoly([1]), UniPoly([1]), UniPoly.from_roots([2]), (1, 2), 1)
+    rep = check_immersion(axis_map, VerifyConfig(seed=seed), s)
+    assert not rep.passed and rep.min_jacobian_magnitude == 0.0
+    assert rep.failing_samples and all(z[1] == 0 for z in rep.failing_samples)
+    assert rep.max_fd_mismatch < 1e-5
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_the_homothety_automorphism_passes_immersion(seed):
+    # (z1, z1 - 2 z2) on (1/2, 1/2) has det J = -2 everywhere, on u = 2 and on
+    # both axes too
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 2))
+    auto = DevMap(1, 0, 0, 1, UniPoly([1]), UniPoly([1]), UniPoly.from_roots([2]), (1, 1), 1)
+    rep = check_immersion(auto, VerifyConfig(seed=seed), s)
+    assert rep.passed and rep.min_jacobian_magnitude == 2.0
+
+
 def test_eigen_immersion_det_is_one():
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
     rec = next(r for r in enumerate_structures(s, 2) if r.kind == "eigen")
@@ -600,12 +623,11 @@ def test_nan_determinants_and_differences_fail_immersion():
 
 
 def test_infinite_determinant_fails_immersion(monkeypatch):
-    # the [2] family on (1/4, 1/2) has a nonconstant P1, so its determinant
-    # has no folded factors and each sample reads it from eval_numeric
+    # the [2] family on (1/4, 1/2), whose P1 is nonconstant: each sample reads
+    # its determinant from eval_numeric
     s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
     recs = enumerate_structures(s, 2, hyper_params=[[2]])
     rec = next(r for r in recs if not r.dev.P1.is_constant())
-    assert det_jacobian(rec.dev)._factors is None
     cfg = VerifyConfig(samples=20, seed=6)
     clean = check_immersion(rec, cfg, s)
     assert clean.passed
@@ -800,32 +822,34 @@ def ref_eval_devmap(d, z):
     raise EvalError("point lies on a zero locus of both charts; resample")
 
 
-def _ref_unipoly(p, x):
+def _ref_homog_terms(p, z1, z2, m1, m2):
+    """sum p_i z1^(m1 i) z2^(m2 (deg - i)) from 0j, a constant p too."""
     total = 0j
-    for c in reversed(p.coeffs):
-        total = total * x + c.to_complex()
+    deg = p.degree
+    for i, c in enumerate(p.coeffs):
+        if not c.is_zero() or deg == 0:
+            total += c.to_complex() * z1 ** (m1 * i) * z2 ** (m2 * (deg - i))
     return total
 
 
 def ref_det(det, z):
-    """det t' at z, with the factors that R_den shares with P1, then with
-    P2, cancelled from both: where it shares none, the division leaves
-    every coefficient as it is."""
+    """det t' at z as z1^a z2^b H1 H2 / HQ^(n+1) (HN / HD): each factor
+    homogenized, after the factors that R_den shares with P1, then with P2,
+    are cancelled from both, and b = z2_exp minus m2 times the degrees the
+    homogenization adds."""
     z1, z2 = complex(z[0]), complex(z[1])
-    if det.hyper is not None:
-        m1, m2 = det.hyper
-        u = z1**m1 / z2**m2
-    else:
-        u = 1.0
+    m1, m2 = det.hyper if det.hyper is not None else (1, 1)
     P1, P2, R_den = det.P1, det.P2, det.R_den
     g = R_den.gcd(P1)
     P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
     g = R_den.gcd(P2)
     P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
-    val = z1**det.z1_exp * z2**det.z2_exp
-    val *= _ref_unipoly(P1, u) * _ref_unipoly(P2, u)
-    val /= _ref_unipoly(det.Q1, u) ** (det.n + 1)
-    return val * (_ref_unipoly(det.R_num, u) / _ref_unipoly(R_den, u))
+    h1, h2, hq, hn, hd = (
+        _ref_homog_terms(p, z1, z2, m1, m2) for p in (P1, P2, det.Q1, det.R_num, R_den)
+    )
+    n = det.n
+    shift = P1.degree + P2.degree - (n + 1) * det.Q1.degree + det.R_num.degree - R_den.degree
+    return z1**det.z1_exp * z2 ** (det.z2_exp - m2 * shift) * (h1 * h2) / hq ** (n + 1) * (hn / hd)
 
 
 def _ref_poly_value(p, w, chart):
@@ -1159,19 +1183,36 @@ def test_map_kernels_match_reference(case):
     assert _kernel_mismatches(d, z) == []
 
 
-def test_folded_determinant_keeps_the_sign_of_a_zero_constant():
-    # P1 = -2^-1100 is -0.0 as a float.  On a hyperresonant surface the
-    # general path evaluates it as 0j*u + P1, which is 0j or -0+0j by the
-    # signs of u, and the sign reaches det J at about one point in ten; so
-    # DetJacobian folds no factor here and matches the reference everywhere
+def test_determinant_of_a_negative_zero_constant_matches_the_reference():
+    # P1 = -2^-1100 is -0.0 as a float.  eval_numeric reads a constant c as
+    # the sum 0j + c z1^0 z2^0 of its one term, which is the same at every
+    # point, so det J matches the term-by-term reference everywhere, the
+    # signs of its zero parts included
     d = DevMap(1, -1, 0, -2, UniPoly([Fraction(-1, 2**1100)]), UniPoly([1]), UniPoly([1]), (1, 2), 2)
     det = det_jacobian(d)
-    assert det._factors is None
-    assert {repr(det.P1.eval_numeric(u)) for u in (0.3 + 0.1j, -0.3 + 0.1j)} == {"0j", "(-0+0j)"}
+    assert repr(d.P1.coeffs[0].to_complex()) == "(-0+0j)"
     rng = random.Random(1)
+    signs = set()
     for _ in range(200):
         z = tuple(cmath.rect(rng.uniform(0.3, 2), rng.uniform(0, 2 * math.pi)) for _ in range(2))
-        assert _same(det.eval_numeric(z), ref_det(det, z))
+        val = det.eval_numeric(z)
+        assert _same(val, ref_det(det, z))
+        signs.add(repr(val))
+    assert len(signs) > 1  # zeros of both signs reach det J
+
+
+def test_kernel_parity_catches_an_unshifted_z2_exponent(monkeypatch):
+    # the determinant's power of z2 without the degrees that homogenizing
+    # its factors adds
+    post_init = DetJacobian.__post_init__
+
+    def unshifted(det):
+        post_init(det)
+        object.__setattr__(det, "_z2_power", det.z2_exp)
+
+    monkeypatch.setattr(DetJacobian, "__post_init__", unshifted)
+    with pytest.raises(AssertionError, match=r"'DetJacobian.eval_numeric'\] == \[\]"):
+        test_map_kernels_match_reference()
 
 
 def ref_apply_F(s, z):
@@ -1433,12 +1474,17 @@ def test_numeric_plan_is_built_once_per_map(monkeypatch):
     recs = [_fresh(r) for r in enumerate_structures(s, 2, hyper_params=[[2]])]
     assert any(not r.dev.P1.is_constant() for r in recs)
     calls = _count_calls(monkeypatch, devmaps, "_homogenized")
+    dets = _count_calls(monkeypatch, devmaps, "det_jacobian", verify)
+    built = []
     for rec in recs:
-        before = len(calls)
+        before, jacobians = len(calls), len(dets)
         assert all(rep.passed for rep in verify_structure(rec, s, VerifyConfig(samples=20)))
-        assert len(calls) - before == 3  # P1, Q1, P2 of rec.dev, once
+        built.append((len(calls) - before, len(dets) - jacobians))
         assert devmaps.map_kernel(rec.dev) is rec.dev._kernel
-    assert len(calls) == 3 * len(recs)
+    # P1, Q1, P2 of rec.dev once, for its kernel, and the five factors P1, P2,
+    # Q1, R_num, R_den of each exact Jacobian: rec.dev's, and rec.dev.hat()'s
+    # where a sample lies in chart S
+    assert built == [(13, 2), (8, 1), (8, 1), (13, 2)]
 
 
 def ref_random_entries(n, rng, scale=3):
