@@ -16,13 +16,13 @@ bookkeeping constants
 
 control the exact Jacobian factorization
 
-    det t' = z1^(k1+l1-1) z2^(k2+l2-1) (P1 P2 / Q1^(n+1)) R(u),
-    R(u) = A u P1'/P1 - B u P2'/P2 + C u Q1'/Q1 + D,
+    det t' = z1^(k1+l1-1) z2^(k2+l2-1) N(u) / Q1(u)^(n+2),
+    N = D P1 P2 Q1 + u (A P1' P2 Q1 - B P2' P1 Q1 + C Q1' P1 P2),
 
-and the rewriting dictionaries for the reciprocal-u form (tilde) and
-the swapped chart (hat).  R(u) is stored as a fraction in lowest terms
-with a monic denominator.  Semiadmissibility constrains the exponent
-pairs and root patterns; admissibility is the exact unbranchedness
+where N = P1 P2 Q1 R(u), R(u) = A u P1'/P1 - B u P2'/P2 + C u Q1'/Q1 + D,
+and the rewriting dictionaries for the reciprocal-u form (tilde) and the
+swapped chart (hat).  Semiadmissibility constrains the exponent pairs
+and root patterns; admissibility is the exact unbranchedness
 certificate on top.
 """
 
@@ -378,84 +378,57 @@ def abcd(d: DevMap) -> AbcdReport:
 
 @dataclass(frozen=True)
 class DetJacobian:
-    """Exact factorization of det t' for a DevMap.
+    """Exact factorization det t' = z1^z1_exp z2^z2_exp N(u) / Q1(u)^(n+2).
 
-    R(u) is kept as the fraction R_num/R_den in lowest terms, with R_den
-    monic, which makes the pair unique.  A root of R_den that P1 P2
-    shares is a removable singularity of det t', so `eval_numeric`
-    evaluates P1, P2 and R_den with those factors cancelled.  It reads the
-    five factors homogenized, as the map kernel reads P1, Q1 and P2, so
-    it forms no u and evaluates points on either axis like any other.
+    N is a polynomial, so nothing cancels.  `det_jacobian(d.hat())` is
+    -N / P1^(n+2) with the exponents less (n+2) (k1, k2): ROADMAP item
+    15's B_S comes from this same N.  `eval_numeric` reads N and Q1
+    homogenized, as the map kernel reads P1, Q1 and P2, so it forms no u
+    and evaluates points on either axis like any other.
     """
 
     z1_exp: int
     z2_exp: int
-    P1: UniPoly
-    P2: UniPoly
+    N: UniPoly
     Q1: UniPoly
     n: int
-    R_num: UniPoly
-    R_den: UniPoly
     hyper: tuple
     _terms: tuple = field(init=False, repr=False, compare=False)
     _z2_power: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        P1, P2, R_den = self.P1, self.P2, self.R_den
-        if R_den.degree > 0:
-            g = R_den.gcd(P1)
-            P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
-            g = R_den.gcd(P2)
-            P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
         m1, m2 = self.hyper if self.hyper is not None else (1, 1)
-        polys = (P1, P2, self.Q1, self.R_num, R_den)
-        object.__setattr__(self, "_terms", tuple([_homogenized(p, m1, m2) for p in polys]))
-        # p(u) = H_p / z2^(m2 deg p) for each factor
-        deg = P1.degree + P2.degree - (self.n + 1) * self.Q1.degree + self.R_num.degree - R_den.degree
+        terms = (_homogenized(self.N, m1, m2), _homogenized(self.Q1, m1, m2))
+        object.__setattr__(self, "_terms", terms)
+        # p(u) = H_p / z2^(m2 deg p) for N and Q1
+        deg = self.N.degree - (self.n + 2) * self.Q1.degree
         object.__setattr__(self, "_z2_power", self.z2_exp - m2 * deg)
 
     def eval_numeric(self, z) -> complex:
-        """det t' at z in floats: z1^z1_exp z2^b h1 h2 / hq^(n+1) (hn / hd), with
-        P1, P2, Q1, R_num, R_den homogenized (`_homogenized`) and b = `_z2_power`;
-        without a hyperresonance each is a constant and b = z2_exp."""
+        """det t' at z in floats: z1^z1_exp z2^b (hn / hq^(n+2)), with N and Q1
+        homogenized (`_homogenized`) and b = `_z2_power`; without a
+        hyperresonance N = D, Q1 is a constant and b = z2_exp."""
         z1, z2 = complex(z[0]), complex(z[1])
-        H1, H2, K, N, D = self._terms
-        h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
-        h2 = _homog_sum(H2, z1, z2) if H2.__class__ is tuple else H2
-        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
+        N, K = self._terms
         hn = _homog_sum(N, z1, z2) if N.__class__ is tuple else N
-        hd = _homog_sum(D, z1, z2) if D.__class__ is tuple else D
-        return z1**self.z1_exp * z2**self._z2_power * (h1 * h2) / hq ** (self.n + 1) * (hn / hd)
+        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
+        return z1**self.z1_exp * z2**self._z2_power * (hn / hq ** (self.n + 2))
 
 
 def det_jacobian(d: DevMap) -> DetJacobian:
-    """det t' = z1^(k1+l1-1) z2^(k2+l2-1) (P1 P2/Q1^(n+1)) R(u), exactly.
+    """det t' = z1^(k1+l1-1) z2^(k2+l2-1) N(u) / Q1(u)^(n+2), exactly.
 
-    R(u) is formed over the common denominator P1 P2 Q1 and reduced by
-    one gcd.
+    N = P1 P2 Q1 R(u) is formed as D P1 P2 Q1 + u (A P1' P2 Q1 - B P2' P1 Q1
+    + C Q1' P1 P2), with no division.
     """
     A, B, C, D = exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
     P1, P2, Q1 = d.P1, d.P2, d.Q1
-    den = P1 * P2 * Q1
-    num = den.scale(D) + UniPoly([GR_ZERO, GR_ONE]) * (
+    N = (P1 * P2 * Q1).scale(D) + UniPoly([GR_ZERO, GR_ONE]) * (
         (P1.derivative() * P2 * Q1).scale(A)
         - (P2.derivative() * P1 * Q1).scale(B)
         + (Q1.derivative() * P1 * P2).scale(C)
     )
-    g = num.gcd(den)
-    num, den = num.divmod(g)[0], den.divmod(g)[0]
-    lead = GR_ONE / den.coeffs[-1]
-    return DetJacobian(
-        d.k1 + d.l1 - 1,
-        d.k2 + d.l2 - 1,
-        P1,
-        P2,
-        Q1,
-        d.n,
-        num.scale(lead),
-        den.scale(lead),
-        d.hyper,
-    )
+    return DetJacobian(d.k1 + d.l1 - 1, d.k2 + d.l2 - 1, N, Q1, d.n, d.hyper)
 
 
 @dataclass(frozen=True)
@@ -580,7 +553,8 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
       `eval_devmap` describes it;
     * `stencil(z1, z2, h1, h2)`: t1, t2 at (z1 + h1, z2), (z1 - h1, z2),
       (z1, z2 + h2) and (z1, z2 - h2), eight values: each point read
-      from `point`, in chart T (`to_chart_t`).
+      from `point`, in chart T as `AffinePoint.in_chart` forms it, so
+      that s1 = 0 raises ZeroDivisionError.
 
     Chart T is z1^k1 z2^k2~ H1 / K**1 and z1^l1 z2^l2~ H2 / K**n, left to
     right, with H1, K, H2 the homogenized P1, Q1, P2.  Where K is a
@@ -645,20 +619,13 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
             )
         out = ()
         for w1, w2 in ((x1, z2), (x2, z2), (z1, y1), (z1, y2)):
-            out += to_chart_t(*point(w1, w2), n)
+            chart, c1, c2 = point(w1, w2)
+            out += (c1, c2) if chart == "T" else (1 / c1, c2 / c1**n)
         return out
 
     kern = SimpleNamespace(point=point, stencil=stencil)
     object.__setattr__(d, "_kernel", kern)
     return kern
-
-
-def to_chart_t(chart, c1, c2, n):
-    """(t1, t2) of the point (chart, c1, c2) of O(n), as `AffinePoint.in_chart`
-    forms them; from chart S, s1 = 0 raises ZeroDivisionError."""
-    if chart == "T":
-        return (c1, c2)
-    return (1 / c1, c2 / c1**n)
 
 
 def eval_devmap(d: DevMap, z):

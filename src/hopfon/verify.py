@@ -19,7 +19,8 @@ float operations of a term-by-term evaluation in the same order.  A NaN
 or infinite residual, determinant or difference fails its check: NaN
 compares false both ways, so max() or a bare threshold test would let
 it pass.  So does a modulus that leaves the float range, where abs()
-raises OverflowError.
+raises OverflowError.  A check whose map, holonomy or Jacobian has an
+exact coefficient beyond the float range fails and names that cause.
 
 The group axioms of G for degree n are checked in two parts, and the
 record depends on n alone.  First an exact proof: the action law
@@ -44,7 +45,7 @@ import random
 from math import sqrt
 from dataclasses import dataclass, field
 
-from .devmaps import EvalError, det_jacobian, map_kernel, to_chart_t
+from .devmaps import EvalError, det_jacobian, map_kernel
 from .group import (
     AffinePoint,
     GroupElt,
@@ -169,6 +170,9 @@ def _residual(p, q, n: int, fiber: str = "abs") -> float:
         return math.inf
 
 
+_OUT_OF_RANGE = "exact coefficient beyond the float range"
+
+
 def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyReport:
     """dev(F(z)) = hol . dev(z) at annulus samples, with resampling on zero loci.
 
@@ -185,7 +189,10 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
     n = dev.n
     if hol.degree != n:
         raise ValueError("point and element live on different O(n)")
-    point, F, act = map_kernel(dev).point, s.float_F(), _numeric_action(hol, n)
+    try:
+        point, F, act = map_kernel(dev).point, s.float_F(), _numeric_action(hol, n)
+    except OverflowError:  # the map or the holonomy has no float form
+        return VerifyReport("equivariance", False, checks={"error": _OUT_OF_RANGE})
     tol = cfg.tol_equiv
     worst = 0.0
     failing = []
@@ -237,18 +244,22 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
 
     Each sample reads the map from the kernel's `point` and the
     determinant from the exact Jacobian in the chart `point` chose, built
-    for chart S at the first sample there.  The stencil of every annulus
-    sample comes from the kernel.
+    for chart S at the first sample there.  The finite differences, from
+    the kernel's stencil, check the annulus samples read in chart T that
+    have a determinant: off the axes, `point` picks chart S only on a
+    pole of chart T, where chart T's determinant divides by zero.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
     lo, hi = map(math.log, cfg.resolve_annulus(s))
     dev = rec.dev if hasattr(rec, "dev") else rec
-    n = dev.n
-    dets = {"T": det_jacobian(dev).eval_numeric}
+    try:
+        dets = {"T": det_jacobian(dev).eval_numeric}
+        kern = map_kernel(dev)
+    except OverflowError:  # the map or N has no float form
+        return VerifyReport("immersion", False, checks={"error": _OUT_OF_RANGE})
     samples = _sample_annulus(rng, lo, hi, cfg.samples)
     axis = [p for w in _sample_annulus(rng, lo, hi, 4) for p in ((w[0], 0j), (0j, w[1]))]
-    kern = map_kernel(dev)
     point, stencil = kern.point, kern.stencil
     min_mag = math.inf
     worst_fd = 0.0
@@ -285,18 +296,17 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
             if not 1e-12 < mag < math.inf:  # vanishing or non-finite
                 failing.append(z)
                 listed = True
-        if i >= len(samples):
+        if i >= len(samples) or chart != "T" or val is None:
             continue
-        # the finite-difference cross-check of the chart-T map, annulus samples only
+        # the finite-difference cross-check of the chart-T map and determinant
         try:
             h1 = 1e-6 * max(abs(z1), 1.0)
             h2 = 1e-6 * max(abs(z2), 1.0)
             st = stencil(z1, z2, h1, h2)
-            t1, t2 = to_chart_t(chart, c1, c2, n)
         except (EvalError, ZeroDivisionError, OverflowError):
             continue
         try:
-            if max(abs(t1), abs(t2)) > 1e4:
+            if max(abs(c1), abs(c2)) > 1e4:
                 continue
         except OverflowError:
             if not listed:
@@ -309,17 +319,7 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         j22 = (qp2 - qm2) / (2 * h2)
         fd = j11 * j22 - j12 * j21
         try:
-            sym = val if chart == "T" else dets["T"](z)
-        except ZeroDivisionError:
-            continue
-        except OverflowError:
-            if not listed:
-                failing.append(z)
-            continue
-        if sym is None:  # chart T, where det raised above
-            continue
-        try:
-            mismatch = abs(sym - fd) / max(1.0, abs(sym))
+            mismatch = abs(val - fd) / max(1.0, abs(val))
         except OverflowError:
             mismatch = math.inf
         if mismatch > worst_fd or mismatch != mismatch:  # max(), except that a NaN is kept

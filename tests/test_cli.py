@@ -571,6 +571,29 @@ def test_verify_fails_samples_where_the_determinant_overflows(tmp_path, capsys):
     assert immersion and not any(r["passed"] for r in immersion)
 
 
+@pytest.mark.parametrize("params", ["1e200,2e200", "1e308,1", "2;1e200,1e108"])
+@pytest.mark.parametrize("command", ["verify", "structures"])
+def test_an_exact_coefficient_beyond_the_float_range_fails_its_checks(tmp_path, capsys, command, params):
+    # roots of 1e200 and more give P1, or N of the exact Jacobian, a
+    # coefficient with no float form: the structure's checks fail with the
+    # cause named, and the command prints JSON and exits 1
+    spec = write(tmp_path, "s.json", {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]})
+    flags = ["--compact"] if command == "verify" else ["--verify"]
+    code = main([command, "--spec", spec, "--n", "2", "--params", params, *flags])
+    out, err = capsys.readouterr()
+    payload = json.loads(out, parse_constant=_no_nan)
+    if command == "verify":
+        reports = payload["reports"]
+        assert payload["passed"] is False
+    else:
+        reports = [r for rec in payload["structures"] for r in rec["verification"]]
+    assert code == 1 and err == ""
+    error = "exact coefficient beyond the float range"
+    out_of_range = [r for r in reports if r["detail"].get("error") == error]
+    assert out_of_range and not any(r["passed"] for r in out_of_range)
+    assert {r["check"] for r in out_of_range} <= {"equivariance", "immersion"}
+
+
 @pytest.mark.parametrize(
     "l1, l2, flags",
     [([1, 2, 0, 1], [1, 3, 0, 1], ["--n", "3"]), ([1, 4, 0, 1], [1, 2, 0, 1], ["--n", "2", "--params", "2;2,3"])],

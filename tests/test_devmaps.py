@@ -1,6 +1,7 @@
 """Developing-map calculus: exponent constants, Jacobians, admissibility, evaluation."""
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from hopfon.devmaps import (
     exponent_list,
     is_admissible,
     is_semiadmissible,
+    z2_exponents,
 )
 from hopfon.scalars import GaussRat
 
@@ -136,7 +138,7 @@ def test_abcd_dictionaries_are_involutive():
 def test_det_jacobian_radial_n1():
     det = det_jacobian(DevMap.radial(1, hyper=(1, 1)))
     assert det.z1_exp == 0 and det.z2_exp == -3
-    assert (det.R_num, det.R_den) == (UniPoly([-1]), UniPoly([1]))
+    assert (det.N, det.Q1) == (UniPoly([-1]), UniPoly([1]))
     # matches direct differentiation of (z1/z2, 1/z2): det = -z2^-3
     z = (0.7 + 0.1j, 0.4 - 0.2j)
     assert abs(det.eval_numeric(z) - (-z[1] ** -3)) < 1e-12
@@ -145,26 +147,27 @@ def test_det_jacobian_radial_n1():
 def test_det_jacobian_identity():
     det = det_jacobian(DevMap.identity(2))
     assert det.z1_exp == 0 and det.z2_exp == 0
-    assert (det.R_num, det.R_den) == (UniPoly([1]), UniPoly([1]))
+    assert (det.N, det.Q1) == (UniPoly([1]), UniPoly([1]))
     assert abs(det.eval_numeric((1.1, 2.3)) - 1) < 1e-15
 
 
-def test_R_has_simple_poles_at_P1_roots_when_A_nonzero():
-    # a map with nonconstant P1 and A != 0: R is nonconstant with P1 in the
-    # denominator
+def test_N_is_constant_for_a_map_with_nonconstant_P1_and_A_nonzero():
+    # (z1 - 2 z2, z1) has P1 = u - 2 and A != 0.  R(u) = 2/(u - 2) has a pole
+    # at u = 2 only because it divides by P1: N = P1 R = 2 and det J = 2
     d = DevMap(0, 1, 1, 0, UniPoly.from_roots([2]), UniPoly([1]), UniPoly([1]), (1, 1), 1)
-    rep = abcd(d)
-    assert rep.A != 0
+    assert abcd(d).A != 0
     det = det_jacobian(d)
-    assert det.R_den == UniPoly.from_roots([2])
+    assert (det.N, det.Q1) == (UniPoly([2]), UniPoly([1]))
+    for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
+        assert det.eval_numeric(z) == 2
 
 
-def test_det_jacobian_cancels_what_R_den_shares_with_P1_P2():
-    # (z1, z1 - 2 z2) on the homothety: P2 = u - 2 and R = -2/(u - 2), so
-    # det J = -2 everywhere, on the line u = 2 too
+def test_det_jacobian_of_the_homothety_automorphism_is_minus_2():
+    # (z1, z1 - 2 z2) on the homothety: P2 = u - 2 and N = -2, so det J = -2
+    # everywhere, on the line u = 2 too
     d = DevMap(1, 0, 0, 1, UniPoly([1]), UniPoly([1]), UniPoly.from_roots([2]), (1, 1), 1)
     det = det_jacobian(d)
-    assert (det.R_num, det.R_den) == (UniPoly([-2]), UniPoly.from_roots([2]))
+    assert (det.N, det.Q1) == (UniPoly([-2]), UniPoly([1]))
     for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
         assert det.eval_numeric(z) == -2
 
@@ -177,21 +180,13 @@ def _horner(p, x):
 
 
 def _det_in_u(det, z):
-    """det t' at z read through u = z1^m1/z2^m2, P1(u) P2(u) / Q1(u)^(n+1)
-    R(u) term for term, with the factors that R_den shares with P1, then
-    with P2, cancelled from both."""
+    """det t' at z read through u = z1^m1/z2^m2: N(u) / Q1(u)^(n+2), each
+    polynomial by Horner's rule in u."""
     z1, z2 = complex(z[0]), complex(z[1])
     m1, m2 = det.hyper if det.hyper is not None else (1, 1)
     u = z1**m1 / z2**m2
-    P1, P2, R_den = det.P1, det.P2, det.R_den
-    g = R_den.gcd(P1)
-    P1, R_den = P1.divmod(g)[0], R_den.divmod(g)[0]
-    g = R_den.gcd(P2)
-    P2, R_den = P2.divmod(g)[0], R_den.divmod(g)[0]
     val = z1**det.z1_exp * z2**det.z2_exp
-    val *= _horner(P1, u) * _horner(P2, u)
-    val /= _horner(det.Q1, u) ** (det.n + 1)
-    return val * (_horner(det.R_num, u) / _horner(R_den, u))
+    return val * (_horner(det.N, u) / _horner(det.Q1, u) ** (det.n + 2))
 
 
 def _agrees_in_u(det, z):
@@ -199,20 +194,21 @@ def _agrees_in_u(det, z):
     return abs(val - ref) <= 1e-12 * abs(ref)
 
 
-def test_det_jacobian_values_are_unchanged_where_R_den_shares_nothing():
-    # C = 1 with Q1 = u - 2: R = (2u - 2)/(u - 2) has a denominator that
-    # shares no factor with P1 P2, and the homogenized eval_numeric agrees
-    # with P1 P2 / Q1^(n+1) R(u) formed in u
-    d = DevMap(1, 1, 0, 1, UniPoly([3]), UniPoly.from_roots([2]), UniPoly([GaussRat(1, 1)]), (1, 1), 1)
+def test_det_jacobian_with_a_nonconstant_Q1_agrees_with_u():
+    # C = 1 with Q1 = u - 2: N = P1 P2 (2u - 2), and the homogenized
+    # eval_numeric agrees with N(u) / Q1(u)^(n+2) formed in u
+    c = GaussRat(1, 1)
+    d = DevMap(1, 1, 0, 1, UniPoly([3]), UniPoly.from_roots([2]), UniPoly([c]), (1, 1), 1)
     det = det_jacobian(d)
-    assert (det.R_num, det.R_den) == (UniPoly([-2, 2]), UniPoly.from_roots([2]))
+    assert (det.N, det.Q1) == (UniPoly([-6 * c, 6 * c]), UniPoly.from_roots([2]))
     for z in ((0.7 + 0.1j, 0.4 - 0.2j), (1.3, 0.9j), (-0.2 + 1j, 1.1 + 0.5j)):
         assert _agrees_in_u(det, z)
 
 
-def test_det_jacobian_of_the_cli_verify_structures_agrees_with_u():
-    # every structure, and its chart-S map, of the five cli-verify surfaces,
-    # at points of the unit torus: there |u| = 1, away from the roots 2 and 3
+@functools.lru_cache(maxsize=None)
+def _cli_verify_maps():
+    """Every structure, and its chart-S map, of the five surfaces of the
+    cli-verify benchmark for n = 1..3 (n = 2, 3 for m = 2)."""
     from hopfon.classify import enumerate_structures
     from hopfon.hopf import HopfSurface
 
@@ -224,7 +220,6 @@ def test_det_jacobian_of_the_cli_verify_structures_agrees_with_u():
         (HopfSurface.exceptional(F(1, 2), 1), (1, 2, 3)),
         (HopfSurface.exceptional(F(1, 2), 2), (2, 3)),
     )
-    rng = random.Random(30)
     maps = []
     for s, ns in surfaces:
         params = [[2], [2, 3]] if s.kind == "diagonal" else None
@@ -232,28 +227,81 @@ def test_det_jacobian_of_the_cli_verify_structures_agrees_with_u():
             for rec in enumerate_structures(s, n, hyper_params=params):
                 maps += [rec.dev, rec.dev.hat()]
     assert len(maps) == 86 and any(not d.P1.is_constant() for d in maps)
-    for d in maps:
+    return tuple(maps)
+
+
+def test_det_jacobian_of_the_cli_verify_structures_agrees_with_u():
+    # at points of the unit torus: there |u| = 1, away from the roots 2 and 3
+    rng = random.Random(30)
+    for d in _cli_verify_maps():
         det = det_jacobian(d)
         for _ in range(20):
             z = tuple(cmath.rect(1.0, rng.uniform(0, 2 * math.pi)) for _ in range(2))
             assert _agrees_in_u(det, z), (d, z)
 
 
-def test_R_is_the_reduced_fraction_over_P1_P2_Q1():
+@functools.lru_cache(maxsize=None)
+def _oracle_candidates():
+    """(map, roots of P1, Q1, P2): every candidate of `brute_force_admissible`
+    at deg_bound 2 on the criterion-6 surfaces, each slot pair and degree
+    pattern with its pool polynomials, whether or not it passes the clauses."""
+    from hopfon.classify import DEFAULT_ROOT_POOL as pool
+
+    surfaces = (
+        (None, (1, 2, 3)),  # generic: constants only
+        ((1, 2), (2,)),  # (1/4, 1/2)
+        ((1, 1), (1, 2, 3)),  # homothety
+    )
+    out = []
+    for hyper, ns in surfaces:
+        patterns = [(0, 0, 0)]
+        if hyper is not None:
+            patterns = [p for p in itertools.product(range(3), repeat=3) if sum(p) <= len(pool)]
+        for n in ns:
+            for (k1, l1), (kt2, lt2) in itertools.product(exponent_list(n), repeat=2):
+                for d1, dq, d3 in patterns:
+                    roots = (pool[:d1], pool[d1 : d1 + dq], pool[d1 + dq : d1 + dq + d3])
+                    k2, l2 = z2_exponents(kt2, lt2, (d1, dq, d3), hyper, n)
+                    polys = [UniPoly.from_roots(r) for r in roots]
+                    out.append((DevMap(k1, k2, l1, l2, *polys, hyper, n), roots))
+    assert len(out) == 3 * 16 + 4 * 432
+    return tuple(out)
+
+
+def _root_formula_holds(d, roots):
+    """N(r) = A r P1'(r) P2(r) Q1(r) at each root r of P1, -B r P2'(r) P1(r) Q1(r)
+    at each root of P2 and C r Q1'(r) P1(r) P2(r) at each root of Q1,
+    exactly (ROADMAP item 1)."""
+    rep, N = abcd(d), det_jacobian(d).N
+    P1, Q1, P2 = d.P1, d.Q1, d.P2
+    r1, rq, r3 = roots
+    # (roots of p, its constant, p, the other two polynomials)
+    cases = ((r1, rep.A, P1, P2, Q1), (r3, -rep.B, P2, P1, Q1), (rq, rep.C, Q1, P1, P2))
+    return all(
+        N.eval_exact(r) == c * r * p.derivative().eval_exact(r) * f.eval_exact(r) * g.eval_exact(r)
+        for rs, c, p, f, g in cases
+        for r in rs
+    )
+
+
+def test_N_at_the_roots_of_P1_P2_Q1_is_the_root_formula():
+    for d, roots in _oracle_candidates():
+        assert _root_formula_holds(d, roots), d
     # double roots, roots shared between slots, a Gaussian root, constants
-    # other than 1 and slots outside the allowed list, so that the gcd has
-    # real factors to cancel
+    # other than 1 and slots outside the allowed list; N is also the
+    # polynomial of its definition
+    g = GaussRat(1, 1)
     polys = [
-        UniPoly([1]),
-        UniPoly([5]),
-        UniPoly.from_roots([2]),
-        UniPoly.from_roots([2, 2]),
-        UniPoly.from_roots([2, 3], lead=Fraction(1, 2)),
-        UniPoly.from_roots([GaussRat(1, 1)]),
+        (UniPoly([1]), ()),
+        (UniPoly([5]), ()),
+        (UniPoly.from_roots([2]), (2,)),
+        (UniPoly.from_roots([2, 2]), (2,)),
+        (UniPoly.from_roots([2, 3], lead=Fraction(1, 2)), (2, 3)),
+        (UniPoly.from_roots([g]), (g,)),
     ]
     slots = exponent_list(2) + ((2, -1),)
     u = UniPoly([0, 1])
-    for i, (P1, Q1, P2) in enumerate(itertools.product(polys, repeat=3)):
+    for i, ((P1, r1), (Q1, rq), (P2, r3)) in enumerate(itertools.product(polys, repeat=3)):
         (k1, l1), (k2, l2) = slots[i % 5], slots[(i // 5) % 5]
         d = DevMap(k1, k2, l1, l2, P1, Q1, P2, ((1, 1), (1, 2), (2, 1))[i % 3], 1 + i % 2)
         rep, det = abcd(d), det_jacobian(d)
@@ -263,9 +311,31 @@ def test_R_is_the_reduced_fraction_over_P1_P2_Q1():
             - (u * P2.derivative() * P1 * Q1).scale(rep.B)
             + (u * Q1.derivative() * P1 * P2).scale(rep.C)
         )
-        assert det.R_num * P1 * P2 * Q1 == det.R_den * num, d
-        assert det.R_num.gcd(det.R_den) == UniPoly([1]), d
-        assert det.R_den.coeffs[-1] == 1, d
+        assert (det.N, det.Q1) == (num, Q1), d
+        assert _root_formula_holds(d, (r1, rq, r3)), d
+
+
+def test_the_swapped_chart_jacobian_is_minus_N_over_P1():
+    # det_jacobian(d.hat()) = (-N, P1) with the exponents shifted by
+    # -(n+2) (k1, k2), on every oracle candidate and cli-verify map
+    maps = [d for d, _ in _oracle_candidates()] + list(_cli_verify_maps())
+    for d in maps:
+        det, hat = det_jacobian(d), det_jacobian(d.hat())
+        assert (hat.N, hat.Q1) == (-det.N, d.P1), d
+        shift = (d.n + 2) * d.k1, (d.n + 2) * d.k2
+        assert (hat.z1_exp, hat.z2_exp) == (det.z1_exp - shift[0], det.z2_exp - shift[1]), d
+
+
+def test_det_jacobian_runs_no_gcd_and_no_division(monkeypatch):
+    calls = []
+    for name in ("gcd", "divmod"):
+        func = getattr(UniPoly, name)
+        monkeypatch.setattr(UniPoly, name, lambda *a, _f=func, _n=name: calls.append(_n) or _f(*a))
+    maps = _cli_verify_maps()
+    for d in maps:
+        det_jacobian(d)
+        det_jacobian(d.hat())
+    assert len(maps) == 86 and calls == []
 
 
 def test_semiadmissible_radial():
@@ -474,10 +544,10 @@ def full_certificate(d):
         return (False, "B = %d nonzero with nonconstant P2" % rep.B)
     if rep.C != 0 and not d.Q1.is_constant():
         return (False, "C = %d nonzero with nonconstant Q1" % rep.C)
-    det = det_jacobian(d)
-    if det.R_den != UniPoly([1]) or not det.R_num.is_constant():
+    N = det_jacobian(d).N
+    if N != (d.P1 * d.P2 * d.Q1).scale(rep.D):  # R(u) = N / (P1 P2 Q1), and R(0) = D
         return (False, "R(u) is not constant")
-    if det.R_num.is_zero():
+    if N.is_zero():
         return (False, "R(u) = D vanishes")
     if d.k1 == 0 and d.l1 == 0:
         return (False, "(k1, l1) = (0, 0)")
@@ -519,8 +589,9 @@ def candidate_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(candidate_maps())
 def test_abc_clauses_imply_the_other_certificate_clauses(d):
-    # once A, B, C pass, R(u) is the constant D, D~ = D, D^ = -D, and
-    # (k1, l1) = (0, 0) forces D = 0, so "D != 0" is the last clause needed
+    # once A, B, C pass, N = D P1 P2 Q1 (R(u) is the constant D), D~ = D,
+    # D^ = -D, and (k1, l1) = (0, 0) forces D = 0, so "D != 0" is the last
+    # clause needed
     rep = abcd(d)
     abc_hold = (
         (rep.A == 0 or d.P1.is_constant())
@@ -529,7 +600,7 @@ def test_abc_clauses_imply_the_other_certificate_clauses(d):
     )
     if abc_hold:
         det = det_jacobian(d)
-        assert (det.R_num, det.R_den) == (UniPoly([rep.D]), UniPoly([1]))
+        assert (det.N, det.Q1) == ((d.P1 * d.P2 * d.Q1).scale(rep.D), d.Q1)
         assert rep.tilde[3] == rep.D and rep.hat[3] == -rep.D
         assert (d.k1, d.l1) != (0, 0) or rep.D == 0
     v = is_admissible(d)
@@ -547,30 +618,14 @@ def test_unipoly_derivative_is_canonical():
 
 def test_det_jacobian_of_the_cli_verify_structures_keeps_its_repr():
     # every structure, and its chart-S map, of the five surfaces of the
-    # cli-verify benchmark for n = 1..3 (n = 2, 3 for m = 2).  The digest is
-    # that of the reprs built when UniPoly coerced every coefficient through
-    # as_gauss and formed i * c in the derivative as as_gauss(i) * c
+    # cli-verify benchmark.  The digest is that of the reprs of
+    # (z1_exp, z2_exp, N, Q1, n, hyper) with N formed as R_num P1 P2 Q1 / R_den
+    # from the reduced fraction R_num / R_den that DetJacobian once stored
     from hashlib import sha256
 
-    from hopfon.classify import enumerate_structures
-    from hopfon.hopf import HopfSurface
-
-    F = Fraction
-    surfaces = (
-        (HopfSurface.diagonal(F(1, 2), F(1, 3)), (1, 2, 3)),
-        (HopfSurface.diagonal(F(1, 4), F(1, 2)), (1, 2, 3)),
-        (HopfSurface.diagonal(F(1, 2), F(1, 2)), (1, 2, 3)),
-        (HopfSurface.exceptional(F(1, 2), 1), (1, 2, 3)),
-        (HopfSurface.exceptional(F(1, 2), 2), (2, 3)),
-    )
-    maps = []
-    for s, ns in surfaces:
-        params = [[2], [2, 3]] if s.kind == "diagonal" else None
-        for n in ns:
-            for rec in enumerate_structures(s, n, hyper_params=params):
-                maps += [rec.dev, rec.dev.hat()]
+    maps = _cli_verify_maps()
     text = "\n".join(repr(det_jacobian(d)) for d in maps)
     assert len(maps) == 86
     assert sha256(text.encode()).hexdigest() == (
-        "9b390b3b7d4ad1b5fbe5598ca7a298a17c5e42e56cd875724f3e5de4d6bd6ab7"
+        "12287d4aabd7ddd65727154910bcfb1586aead4ea618bda92ff96c32b4bd7edb"
     )

@@ -1,0 +1,193 @@
+"""Compare the command-line outputs of a parent revision with the working tree.
+
+    python3 tools/compare_outputs.py PARENT_REV
+
+Run from the root of a source checkout.  The parent's ``src/`` is taken
+with ``git archive`` into a temporary directory, and each side runs in a
+process of its own, since both packages are named ``hopfon``.  Each side
+runs three groups of commands in process, through ``hopfon.cli.main``:
+
+* ``cli-verify``: the 140 ``hopfon verify`` ops of the benchmark's
+  ``cli-verify`` workload for seeds 0-9 (``bench/workloads.py``, imported
+  read-only, with its spec files written to the temporary directory);
+* ``readme``: the command block of ``README.md``, in a directory holding
+  the files it writes;
+* ``extreme-annulus``: ``hopfon verify --n N --compact --seed 3`` for
+  n = 1..3 on six surfaces (generic, (1/4, 1/2), the homothety,
+  (1/8, 1/2), exceptional m = 1 and m = 2; the diagonal ones with
+  ``--params "2;2,3"``), each with the default annulus and with the
+  annuli (0.5, 1), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159) and
+  (1e120, 1e121): 108 commands.
+
+For each group it prints how many outputs (stdout, stderr and exit code)
+are byte-identical and which JSON keys changed, list indices written as
+``[]``, with the number of commands in which each changed.  The exit
+code is 1 when some command changed its exit code or a ``passed`` flag,
+and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+import traceback
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+ANNULI = (None, (0.5, 1.0), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159), (1e120, 1e121))
+SURFACES = (
+    ("generic", {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1]}),
+    ("hyper-4-2", {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}),
+    ("homothety", {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 2, 0, 1]}),
+    ("hyper-8-2", {"type": "diagonal", "lambda1": [1, 8, 0, 1], "lambda2": [1, 2, 0, 1]}),
+    ("exceptional-m1", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1}),
+    ("exceptional-m2", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 2}),
+)
+
+
+def _commands(work):
+    """(group, name, argv, cwd) of every command, with their files written under work."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from workloads import CliVerify
+
+    out = []
+    cli_verify = CliVerify(spec_dir=os.path.join(work, "specs"))
+    for seed in range(10):
+        for inp in cli_verify.make_inputs(seed):
+            out.append(("cli-verify", "seed %d %s n=%d" % (seed, inp["label"], inp["n"]), inp["argv"], work))
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.S | re.M)
+    block = next(b for lang, b in blocks if not lang and "hopfon " in b)
+    readme_dir = os.path.join(work, "readme")
+    os.makedirs(readme_dir)
+    for name, text in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)^EOF$", block, re.S | re.M):
+        with open(os.path.join(readme_dir, name), "w") as fh:
+            fh.write(text)
+    for line in block.splitlines():
+        if line.startswith("hopfon "):
+            out.append(("readme", line, shlex.split(line)[1:], readme_dir))
+    for label, spec in SURFACES:
+        for annulus in ANNULI:
+            path = os.path.join(work, "extreme", "%s-%s.json" % (label, annulus))
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as fh:
+                json.dump(dict(spec, verify={"annulus": list(annulus)}) if annulus else spec, fh)
+            params = ["--params", "2;2,3"] if spec["type"] == "diagonal" else []
+            for n in (1, 2, 3):
+                argv = ["verify", "--spec", path, "--n", str(n), "--compact", "--seed", "3"] + params
+                out.append(("extreme-annulus", "%s %s n=%d" % (label, annulus, n), argv, work))
+    return out
+
+
+def _worker(work, result_path):
+    """Run every command with the hopfon on sys.path and write the results as JSON."""
+    from hopfon import cli
+
+    results = []
+    for group, name, argv, cwd in _commands(work):
+        os.chdir(cwd)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:  # a traceback is an output like any other
+                code = "raised %s" % type(exc).__name__
+                traceback.print_exc()
+        results.append([group, name, code, stdout.getvalue(), stderr.getvalue()])
+    with open(result_path, "w") as fh:
+        json.dump(results, fh)
+
+
+def _run_side(src, work, label):
+    """The results of the commands run with the package in src, in a new process."""
+    result_path = os.path.join(work, label + ".json")
+    side_work = os.path.join(work, label)
+    os.makedirs(side_work)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", side_work, result_path],
+        env=env, check=True,
+    )
+    with open(result_path) as fh:
+        results = json.load(fh)
+    # the spec paths differ between the two sides' directories only
+    return [
+        [g, n, c, o.replace(side_work, "<work>"), e.replace(side_work, "<work>")]
+        for g, n, c, o, e in results
+    ]
+
+
+def _changed_keys(a, b, path=""):
+    """The paths of the values that differ between two JSON documents."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return {p for k in a.keys() | b.keys() for p in _changed_keys(a.get(k), b.get(k), path + "." + k)}
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return {p for x, y in zip(a, b) for p in _changed_keys(x, y, path + "[]")}
+    return set() if a == b else {path or "<document>"}
+
+
+def _diff(old, new):
+    """The changed keys of one command's output, "<exit code>" and "<stderr>" included."""
+    _, _, code_a, out_a, err_a = old
+    _, _, code_b, out_b, err_b = new
+    keys = set()
+    if code_a != code_b:
+        keys.add("<exit code>")
+    if err_a != err_b:
+        keys.add("<stderr>")
+    if out_a != out_b:
+        try:
+            keys |= _changed_keys(json.loads(out_a), json.loads(out_b))
+        except ValueError:
+            keys.add("<stdout, not JSON>")
+    return keys
+
+
+def main(argv):
+    if len(argv) == 4 and argv[1] == "--worker":
+        _worker(argv[2], argv[3])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        parent_dir = os.path.join(work, "parent")
+        os.makedirs(parent_dir)
+        archive = subprocess.run(
+            ["git", "-C", ROOT, "archive", argv[1], "src"], check=True, capture_output=True
+        )
+        subprocess.run(["tar", "-x", "-C", parent_dir], input=archive.stdout, check=True)
+        old = _run_side(os.path.join(parent_dir, "src"), work, "old")
+        new = _run_side(os.path.join(ROOT, "src"), work, "new")
+    assert [r[:2] for r in old] == [r[:2] for r in new]
+    verdicts_changed = []
+    for group in dict.fromkeys(r[0] for r in old):
+        pairs = [(a, b) for a, b in zip(old, new) if a[0] == group]
+        counts, identical = Counter(), 0
+        for a, b in pairs:
+            keys = _diff(a, b)
+            identical += not keys
+            counts.update(keys)
+            if "<exit code>" in keys or any(k.endswith(".passed") for k in keys):
+                verdicts_changed.append("%s: %s" % (group, a[1]))
+        print("%s: %d of %d outputs byte-identical" % (group, identical, len(pairs)))
+        for key, count in sorted(counts.items()):
+            print("    %s changed in %d" % (key, count))
+    for name in verdicts_changed:
+        print("exit code or passed flag changed: %s" % name)
+    return 1 if verdicts_changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
