@@ -21,14 +21,14 @@ control the exact Jacobian factorization
 
 where N = P1 P2 Q1 R(u), R(u) = A u P1'/P1 - B u P2'/P2 + C u Q1'/Q1 + D,
 and the rewriting dictionaries for the reciprocal-u form (tilde) and the
-swapped chart (hat).  Semiadmissibility constrains the exponent pairs
-and root patterns; admissibility is the exact unbranchedness
-certificate on top.
+swapped chart (hat), where det s' = -N / P1^(n+2) with the exponents less
+(n+2) (k1, k2).  Semiadmissibility constrains the exponent pairs and root
+patterns; admissibility is the exact unbranchedness certificate on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .group import AffinePoint
@@ -380,11 +380,9 @@ def abcd(d: DevMap) -> AbcdReport:
 class DetJacobian:
     """Exact factorization det t' = z1^z1_exp z2^z2_exp N(u) / Q1(u)^(n+2).
 
-    N is a polynomial, so nothing cancels.  `det_jacobian(d.hat())` is
-    -N / P1^(n+2) with the exponents less (n+2) (k1, k2): ROADMAP item
-    15's B_S comes from this same N.  `eval_numeric` reads N and Q1
-    homogenized, as the map kernel reads P1, Q1 and P2, so it forms no u
-    and evaluates points on either axis like any other.
+    N is a polynomial, so nothing cancels.  Chart S's determinant is -N /
+    P1^(n+2) (module docstring): ROADMAP item 15's B_S and the float
+    reader of `map_kernel` take both charts from this one N.
     """
 
     z1_exp: int
@@ -393,26 +391,6 @@ class DetJacobian:
     Q1: UniPoly
     n: int
     hyper: tuple
-    _terms: tuple = field(init=False, repr=False, compare=False)
-    _z2_power: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m1, m2 = self.hyper if self.hyper is not None else (1, 1)
-        terms = (_homogenized(self.N, m1, m2), _homogenized(self.Q1, m1, m2))
-        object.__setattr__(self, "_terms", terms)
-        # p(u) = H_p / z2^(m2 deg p) for N and Q1
-        deg = self.N.degree - (self.n + 2) * self.Q1.degree
-        object.__setattr__(self, "_z2_power", self.z2_exp - m2 * deg)
-
-    def eval_numeric(self, z) -> complex:
-        """det t' at z in floats: z1^z1_exp z2^b (hn / hq^(n+2)), with N and Q1
-        homogenized (`_homogenized`) and b = `_z2_power`; without a
-        hyperresonance N = D, Q1 is a constant and b = z2_exp."""
-        z1, z2 = complex(z[0]), complex(z[1])
-        N, K = self._terms
-        hn = _homog_sum(N, z1, z2) if N.__class__ is tuple else N
-        hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K
-        return z1**self.z1_exp * z2**self._z2_power * (hn / hq ** (self.n + 2))
 
 
 def det_jacobian(d: DevMap) -> DetJacobian:
@@ -520,8 +498,8 @@ class EvalError(ArithmeticError):
 def _homogenized(p: UniPoly, m1, m2):
     """p homogenized for the term loop `_homog_sum`, or its value if constant.
 
-    The one float form of a polynomial in u: the map kernel and
-    `DetJacobian.eval_numeric` read theirs through it, the axes included.
+    The one float form of a polynomial in u: the map kernel reads the
+    map's polynomials and its determinant's through it, the axes included.
     A nonconstant p gives the terms (p_i, m1 i, m2 (deg - i)), one per
     nonzero coefficient p_i.  For a constant p = c the loop would add
     c * z1**0 * z2**0 to 0j at every point; z**0 is exactly 1+0j for
@@ -547,14 +525,20 @@ def _homog_sum(terms, z1, z2):
 
 def map_kernel(d: DevMap) -> SimpleNamespace:
     """d's float evaluation, built on the first call and kept in `d._kernel`:
-    two functions, each raising what its float operations raise.
+    three readers, each raising what its float operations raise.
 
     * `point(z1, z2)`: the value (chart, c1, c2) anywhere, as
       `eval_devmap` describes it;
     * `stencil(z1, z2, h1, h2)`: t1, t2 at (z1 + h1, z2), (z1 - h1, z2),
       (z1, z2 + h2) and (z1, z2 - h2), eight values: each point read
       from `point`, in chart T as `AffinePoint.in_chart` forms it, so
-      that s1 = 0 raises ZeroDivisionError.
+      that s1 = 0 raises ZeroDivisionError;
+    * `jacobian()`: the reader det(z1, z2, chart) of det t', built and
+      kept on the first call from one `det_jacobian(d)`: N / D^(n+2) with
+      D = Q1 in chart T, and -N, P1 in chart S (module docstring), read
+      as (N / c^(n+2)) / (D / c)^(n+2), c = lead(D), homogenized like the
+      map.  Chart T is built on the call, so an N with no float form
+      raises OverflowError there; chart S is built at its first read.
 
     Chart T is z1^k1 z2^k2~ H1 / K**1 and z1^l1 z2^l2~ H2 / K**n, left to
     right, with H1, K, H2 the homogenized P1, Q1, P2.  Where K is a
@@ -623,7 +607,31 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
             out += (c1, c2) if chart == "T" else (1 / c1, c2 / c1**n)
         return out
 
-    kern = SimpleNamespace(point=point, stencil=stencil)
+    def jacobian():
+        det, p = det_jacobian(d), n + 2
+
+        def form(N, D, HD, a, b):
+            c = D.coeffs[-1]
+            if c != GR_ONE:  # (N / c^p) / (D / c)^p, divided exactly
+                N, D = N.scale(GR_ONE / c**p), D.scale(GR_ONE / c)
+                HD = _homogenized(D, m1, m2)
+            # q(u) = H_q / z2^(m2 deg q) for q = N and D
+            return _homogenized(N, m1, m2), HD, a, b - m2 * (N.degree - p * D.degree)
+
+        forms = {"T": form(det.N, d.Q1, K, det.z1_exp, det.z2_exp)}
+
+        def read(z1, z2, chart):
+            if chart not in forms:
+                forms[chart] = form(-det.N, d.P1, H1, det.z1_exp - p * k1, det.z2_exp - p * d.k2)
+            HN, HD, a, b = forms[chart]
+            hn = _homog_sum(HN, z1, z2) if HN.__class__ is tuple else HN
+            hd = _homog_sum(HD, z1, z2) if HD.__class__ is tuple else HD
+            return z1**a * z2**b * (hn / hd**p)
+
+        kern.jacobian = lambda: read
+        return read
+
+    kern = SimpleNamespace(point=point, stencil=stencil, jacobian=jacobian)
     object.__setattr__(d, "_kernel", kern)
     return kern
 

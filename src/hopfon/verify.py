@@ -10,11 +10,11 @@ of the holonomy, where the fibers grow large, does not fail a correct
 map.  Immersion checks evaluate the exact Jacobian factorization at
 the samples (including points on the coordinate axes) and cross-check
 against central finite differences.  Both sample loops bind the map's
-float kernel (`devmaps.map_kernel`), F, the holonomy's action function
-and the Jacobian's `eval_numeric` once, and each sample takes the one
-path through them: the kernel's `point` gives the map's value in
-whichever chart is finite, on the axes too, and the Jacobian of that
-chart is read in the same homogenized form.  The kernel repeats the
+float kernel (`devmaps.map_kernel`), F and the holonomy's action
+function once, and each sample takes the one path through them: the
+kernel's `point` gives the map's value in whichever chart is finite, on
+the axes too, and its determinant reader the Jacobian of that chart,
+from one exact N, in the same homogenized form.  The kernel repeats the
 float operations of a term-by-term evaluation in the same order.  A NaN
 or infinite residual, determinant or difference fails its check: NaN
 compares false both ways, so max() or a bare threshold test would let
@@ -45,7 +45,7 @@ import random
 from math import sqrt
 from dataclasses import dataclass, field
 
-from .devmaps import EvalError, det_jacobian, map_kernel
+from .devmaps import EvalError, map_kernel
 from .group import (
     AffinePoint,
     GroupElt,
@@ -233,34 +233,30 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
 def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> VerifyReport:
     """Nonvanishing exact Jacobian at samples, cross-checked by differences.
 
-    The sample set always contains points on both coordinate axes.
-    Every sample, axis points included, reads the determinant in the
-    homogenized form of `DetJacobian.eval_numeric`, so a map branched
-    along an axis fails there.  A sample where the map's own float
-    evaluation underflows to a division by 0 or overflows, as at extreme
-    radii, is listed as failing, as is one where the determinant
-    overflows or the modulus of the determinant or of the map's chart-T
-    value leaves the float range.
-
-    Each sample reads the map from the kernel's `point` and the
-    determinant from the exact Jacobian in the chart `point` chose, built
-    for chart S at the first sample there.  The finite differences, from
-    the kernel's stencil, check the annulus samples read in chart T that
-    have a determinant: off the axes, `point` picks chart S only on a
-    pole of chart T, where chart T's determinant divides by zero.
+    The sample set always contains points on both coordinate axes.  Each
+    sample reads the map from its kernel's `point` (`map_kernel`) and the
+    determinant, in homogenized form, from the kernel's reader in the
+    chart `point` chose, so a map branched along an axis fails there.  A
+    sample where the map's own float evaluation underflows to a division
+    by 0 or overflows, as at extreme radii, is listed as failing, as is
+    one where the determinant overflows or the modulus of the determinant
+    or of the map's chart-T value leaves the float range.  The finite
+    differences, from the kernel's stencil, check the annulus samples
+    read in chart T that have a determinant: off the axes, `point` picks
+    chart S only on a pole of chart T, where chart T's determinant
+    divides by zero.
     """
     cfg = cfg or VerifyConfig()
     rng = random.Random(cfg.seed + 1)
     lo, hi = map(math.log, cfg.resolve_annulus(s))
     dev = rec.dev if hasattr(rec, "dev") else rec
     try:
-        dets = {"T": det_jacobian(dev).eval_numeric}
         kern = map_kernel(dev)
+        point, stencil, det = kern.point, kern.stencil, kern.jacobian()
     except OverflowError:  # the map or N has no float form
         return VerifyReport("immersion", False, checks={"error": _OUT_OF_RANGE})
     samples = _sample_annulus(rng, lo, hi, cfg.samples)
     axis = [p for w in _sample_annulus(rng, lo, hi, 4) for p in ((w[0], 0j), (0j, w[1]))]
-    point, stencil = kern.point, kern.stencil
     min_mag = math.inf
     worst_fd = 0.0
     failing = []
@@ -269,20 +265,15 @@ def check_immersion(rec, cfg: VerifyConfig = None, s: HopfSurface = None) -> Ver
         z1, z2 = z
         try:
             chart, c1, c2 = point(z1, z2)
+            try:
+                val = det(z1, z2, chart)
+            except ZeroDivisionError:  # a pole of the chart's determinant
+                val = None
         except EvalError:
             continue
         except (ZeroDivisionError, OverflowError):
             # a power of a coordinate underflowed to 0 or overflowed: the map
-            # has no value here, which fails the sample like a non-finite one
-            failing.append(z)
-            continue
-        if chart not in dets:
-            dets[chart] = det_jacobian(dev.hat()).eval_numeric
-        try:
-            val = dets[chart](z)
-        except ZeroDivisionError:
-            val = None
-        except OverflowError:  # a power of a coordinate left the float range
+            # or its determinant has no value here, which fails the sample
             failing.append(z)
             continue
         listed = False

@@ -21,9 +21,12 @@ from hopfon.devmaps import (
     exponent_list,
     is_admissible,
     is_semiadmissible,
+    map_kernel,
     z2_exponents,
 )
+from hopfon import devmaps
 from hopfon.scalars import GaussRat
+from hopfon.verify import VerifyConfig, _sample_annulus, check_immersion
 
 
 def test_unipoly_basics():
@@ -136,19 +139,21 @@ def test_abcd_dictionaries_are_involutive():
 
 
 def test_det_jacobian_radial_n1():
-    det = det_jacobian(DevMap.radial(1, hyper=(1, 1)))
+    d = DevMap.radial(1, hyper=(1, 1))
+    det = det_jacobian(d)
     assert det.z1_exp == 0 and det.z2_exp == -3
     assert (det.N, det.Q1) == (UniPoly([-1]), UniPoly([1]))
     # matches direct differentiation of (z1/z2, 1/z2): det = -z2^-3
     z = (0.7 + 0.1j, 0.4 - 0.2j)
-    assert abs(det.eval_numeric(z) - (-z[1] ** -3)) < 1e-12
+    assert abs(_det_at(d, z) - (-z[1] ** -3)) < 1e-12
 
 
 def test_det_jacobian_identity():
-    det = det_jacobian(DevMap.identity(2))
+    d = DevMap.identity(2)
+    det = det_jacobian(d)
     assert det.z1_exp == 0 and det.z2_exp == 0
     assert (det.N, det.Q1) == (UniPoly([1]), UniPoly([1]))
-    assert abs(det.eval_numeric((1.1, 2.3)) - 1) < 1e-15
+    assert abs(_det_at(d, (1.1, 2.3)) - 1) < 1e-15
 
 
 def test_N_is_constant_for_a_map_with_nonconstant_P1_and_A_nonzero():
@@ -159,7 +164,7 @@ def test_N_is_constant_for_a_map_with_nonconstant_P1_and_A_nonzero():
     det = det_jacobian(d)
     assert (det.N, det.Q1) == (UniPoly([2]), UniPoly([1]))
     for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
-        assert det.eval_numeric(z) == 2
+        assert _det_at(d, z) == 2
 
 
 def test_det_jacobian_of_the_homothety_automorphism_is_minus_2():
@@ -169,7 +174,12 @@ def test_det_jacobian_of_the_homothety_automorphism_is_minus_2():
     det = det_jacobian(d)
     assert (det.N, det.Q1) == (UniPoly([-2]), UniPoly([1]))
     for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
-        assert det.eval_numeric(z) == -2
+        assert _det_at(d, z) == -2
+
+
+def _det_at(d, z):
+    """det J of d at z in chart T, from the map kernel's determinant reader."""
+    return map_kernel(d).jacobian()(complex(z[0]), complex(z[1]), "T")
 
 
 def _horner(p, x):
@@ -189,20 +199,20 @@ def _det_in_u(det, z):
     return val * (_horner(det.N, u) / _horner(det.Q1, u) ** (det.n + 2))
 
 
-def _agrees_in_u(det, z):
-    val, ref = det.eval_numeric(z), _det_in_u(det, z)
+def _agrees_in_u(d, z):
+    val, ref = _det_at(d, z), _det_in_u(det_jacobian(d), z)
     return abs(val - ref) <= 1e-12 * abs(ref)
 
 
 def test_det_jacobian_with_a_nonconstant_Q1_agrees_with_u():
-    # C = 1 with Q1 = u - 2: N = P1 P2 (2u - 2), and the homogenized
-    # eval_numeric agrees with N(u) / Q1(u)^(n+2) formed in u
+    # C = 1 with Q1 = u - 2: N = P1 P2 (2u - 2), and the kernel's
+    # homogenized determinant agrees with N(u) / Q1(u)^(n+2) formed in u
     c = GaussRat(1, 1)
     d = DevMap(1, 1, 0, 1, UniPoly([3]), UniPoly.from_roots([2]), UniPoly([c]), (1, 1), 1)
     det = det_jacobian(d)
     assert (det.N, det.Q1) == (UniPoly([-6 * c, 6 * c]), UniPoly.from_roots([2]))
     for z in ((0.7 + 0.1j, 0.4 - 0.2j), (1.3, 0.9j), (-0.2 + 1j, 1.1 + 0.5j)):
-        assert _agrees_in_u(det, z)
+        assert _agrees_in_u(d, z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,10 +244,9 @@ def test_det_jacobian_of_the_cli_verify_structures_agrees_with_u():
     # at points of the unit torus: there |u| = 1, away from the roots 2 and 3
     rng = random.Random(30)
     for d in _cli_verify_maps():
-        det = det_jacobian(d)
         for _ in range(20):
             z = tuple(cmath.rect(1.0, rng.uniform(0, 2 * math.pi)) for _ in range(2))
-            assert _agrees_in_u(det, z), (d, z)
+            assert _agrees_in_u(d, z), (d, z)
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,6 +333,73 @@ def test_the_swapped_chart_jacobian_is_minus_N_over_P1():
         assert (hat.N, hat.Q1) == (-det.N, d.P1), d
         shift = (d.n + 2) * d.k1, (d.n + 2) * d.k2
         assert (hat.z1_exp, hat.z2_exp) == (det.z1_exp - shift[0], det.z2_exp - shift[1]), d
+
+
+def _det_terms(det, z):
+    """det t' of a `DetJacobian` at z, term by term: z1^a z2^b (HN / HQ^(n+2)),
+    each of N and Q1 homogenized as a sum from 0j, a constant too, and b the
+    z2 exponent less m2 times the degrees the homogenization adds."""
+    z1, z2 = z
+    m1, m2 = det.hyper if det.hyper is not None else (1, 1)
+
+    def homog(p):
+        total = 0j
+        for i, c in enumerate(p.coeffs):
+            if not c.is_zero() or p.degree == 0:
+                total += c.to_complex() * z1 ** (m1 * i) * z2 ** (m2 * (p.degree - i))
+        return total
+
+    b = det.z2_exp - m2 * (det.N.degree - (det.n + 2) * det.Q1.degree)
+    return z1**det.z1_exp * z2**b * (homog(det.N) / homog(det.Q1) ** (det.n + 2))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def test_the_kernel_reads_chart_s_as_the_swapped_map_jacobian_bit_for_bit():
+    # chart S of the kernel's determinant is -N / P1^(n+2) from d's own N;
+    # at points on the axes, both signs of zero included, it is the
+    # term-by-term value of det_jacobian(d.hat()), the signs of its zero
+    # parts included
+    rng = random.Random(31)
+    maps = list(_cli_verify_maps()) + [d for d, _ in _oracle_candidates()]
+    checked = 0
+    for d in maps:
+        det, hat = map_kernel(d).jacobian(), det_jacobian(d.hat())
+        for w1, w2 in _sample_annulus(rng, math.log(0.5), 0.0, 2):
+            for z in ((w1, 0j), (0j, w2), (w1, complex(-0.0, -0.0)), (complex(-0.0, -0.0), w2)):
+                got, want = _outcome(det, *z, "S"), _outcome(_det_terms, hat, z)
+                assert repr(got) == repr(want), (d, z)
+                checked += isinstance(got, complex)
+    assert checked > len(maps)
+
+
+def test_immersion_expands_the_jacobian_once_per_map(monkeypatch):
+    # at three seeds, with samples in chart S for some of the maps
+    calls = []
+    expand = devmaps.det_jacobian
+    monkeypatch.setattr(devmaps, "det_jacobian", lambda d: calls.append(d) or expand(d))
+    maps_in_chart_s = 0
+    for d in _cli_verify_maps():
+        for seed in range(3):
+            dev = DevMap.from_record(d.to_record())
+            kern, charts = map_kernel(dev), []
+
+            def recorded(z1, z2, point=kern.point):
+                out = point(z1, z2)
+                charts.append(out[0])
+                return out
+
+            kern.point = recorded
+            calls.clear()
+            check_immersion(dev, VerifyConfig(seed=seed))
+            assert len(calls) == 1, (d, seed)
+            maps_in_chart_s += "S" in charts
+    assert maps_in_chart_s > 0
 
 
 def test_det_jacobian_runs_no_gcd_and_no_division(monkeypatch):
@@ -462,7 +538,6 @@ def test_det_jacobian_matches_finite_differences():
         ),
     ]
     for d in maps:
-        det = det_jacobian(d)
         m1, m2 = d.hyper if d.hyper else (1, 1)
         checked = 0
         for _ in range(60):
@@ -471,7 +546,7 @@ def test_det_jacobian_matches_finite_differences():
             u = z1**m1 / z2**m2
             if min(abs(_horner(d.P1, u)), abs(_horner(d.Q1, u))) < 0.3:
                 continue
-            sym = det.eval_numeric((z1, z2))
+            sym = _det_at(d, (z1, z2))
             num = _fd_jacobian(d, z1, z2)
             if num is None:
                 continue

@@ -20,7 +20,6 @@ from hopfon.devmaps import (
     DevMap,
     EvalError,
     UniPoly,
-    abcd,
     det_jacobian,
     eval_devmap,
     is_semiadmissible,
@@ -96,10 +95,10 @@ def test_double_root_map_is_not_semiadmissible_and_its_jacobian_vanishes():
     assert not is_semiadmissible(bad)
     # the double root of P1 is a zero of the exact Jacobian: it vanishes where
     # u = z1/z2^2 = 2, points the annulus samples of check_immersion miss
-    det = det_jacobian(bad)
+    det = map_kernel(bad).jacobian()
     for z2 in (1, 0.5, 1j, 1 + 1j, 2):
         z2 = complex(z2)
-        assert abs(det.eval_numeric((2 * z2**2, z2))) < 1e-12
+        assert abs(det(2 * z2**2, z2, "T")) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -625,7 +624,7 @@ def test_nan_determinants_and_differences_fail_immersion():
 
 def test_infinite_determinant_fails_immersion(monkeypatch):
     # the [2] family on (1/4, 1/2), whose P1 is nonconstant: each sample reads
-    # its determinant from eval_numeric
+    # its determinant from the kernel's determinant reader
     s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
     recs = enumerate_structures(s, 2, hyper_params=[[2]])
     rec = next(r for r in recs if not r.dev.P1.is_constant())
@@ -633,13 +632,14 @@ def test_infinite_determinant_fails_immersion(monkeypatch):
     clean = check_immersion(rec, cfg, s)
     assert clean.passed
     calls = []
-    eval_numeric = DetJacobian.eval_numeric
+    kern = map_kernel(rec.dev)
+    det = kern.jacobian()
 
-    def infinite_at_third_sample(det, z):
-        calls.append(z)
-        return complex("inf") if len(calls) == 3 else eval_numeric(det, z)
+    def infinite_at_third_sample(z1, z2, chart):
+        calls.append((z1, z2))
+        return complex("inf") if len(calls) == 3 else det(z1, z2, chart)
 
-    monkeypatch.setattr(DetJacobian, "eval_numeric", infinite_at_third_sample)
+    monkeypatch.setattr(kern, "jacobian", lambda: infinite_at_third_sample)
     rep = check_immersion(rec, cfg, s)
     assert not rep.passed
     # the minimum over the samples is still finite; the infinite one is listed
@@ -656,10 +656,10 @@ def test_a_determinant_whose_modulus_overflows_fails_immersion(seed):
     d = DevMap(1, -1, 0, -2, UniPoly([2**1020]), UniPoly([1]), UniPoly([1]), None, 2)
     rep = check_immersion(d, VerifyConfig(seed=seed, annulus=(0.52, 0.6)), s)
     assert not rep.passed and rep.min_jacobian_magnitude > 1e300
-    det, kinds = det_jacobian(d), set()
+    det, kinds = map_kernel(d).jacobian(), set()
     for z in (z for z in rep.failing_samples if 0 not in z):  # annulus samples
         try:
-            kinds.add("infinite" if math.isinf(abs(det.eval_numeric(z))) else "finite")
+            kinds.add("infinite" if math.isinf(abs(det(*z, "T"))) else "finite")
         except OverflowError:
             kinds.add("overflow")
     assert kinds == {"overflow", "infinite"}
@@ -687,6 +687,21 @@ def test_a_chart_t_value_whose_modulus_overflows_fails_immersion():
         else:
             assert math.isinf(abs(t1))
     assert overflows and rep.failing_samples == overflows
+
+
+def test_a_scale_common_to_the_polynomials_cancels_in_the_determinant():
+    # t = (z1, z2) with P1 = Q1 = P2 = 2^400: N = D P1 P2 Q1 = 2^1200 has no
+    # float form, but chart T reads (N / c^3) / (Q1 / c)^3 with c = lead(Q1)
+    # = 2^400, divided exactly, so det J = 1
+    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
+    d = DevMap(1, 0, 0, 1, UniPoly([2**400]), UniPoly([2**400]), UniPoly([2**400]), None, 1)
+    rep = check_immersion(d, VerifyConfig(), s)
+    assert rep.passed and rep.min_jacobian_magnitude == 1.0 and rep.checks["fd_samples"] == 200
+    # the control with Q1 = 1 has det J = 2^800: its t2 = 2^400 z2 is too
+    # large for the differences, so none is taken and the check fails
+    d = DevMap(1, 0, 0, 1, UniPoly([2**400]), UniPoly([1]), UniPoly([2**400]), None, 1)
+    rep = check_immersion(d, VerifyConfig(), s)
+    assert not rep.passed and rep.min_jacobian_magnitude == 2.0**800 and rep.checks["fd_samples"] == 0
 
 
 def test_a_fiber_difference_that_overflows_is_an_infinite_residual():
@@ -833,18 +848,6 @@ def _ref_homog_terms(p, z1, z2, m1, m2):
     return total
 
 
-def ref_N(d):
-    """N = D P1 P2 Q1 + u (A P1' P2 Q1 - B P2' P1 Q1 + C Q1' P1 P2), exactly."""
-    rep, u = abcd(d), UniPoly([0, 1])
-    P1, Q1, P2 = d.P1, d.Q1, d.P2
-    return (
-        (P1 * P2 * Q1).scale(rep.D)
-        + (u * P1.derivative() * P2 * Q1).scale(rep.A)
-        - (u * P2.derivative() * P1 * Q1).scale(rep.B)
-        + (u * Q1.derivative() * P1 * P2).scale(rep.C)
-    )
-
-
 def has_float_form(*polys):
     """Whether every exact coefficient of the polynomials converts to a complex."""
     try:
@@ -859,7 +862,22 @@ def has_float_form(*polys):
 _OUT_OF_RANGE = {"error": "exact coefficient beyond the float range"}
 
 
-def ref_det(det, z):
+def ref_chart_det(d, chart):
+    """The exact Jacobian of d in chart: `det_jacobian` of d in chart T and of
+    d.hat() in chart S, with N divided by c^(n+2) and Q1 by c, c the leading
+    coefficient of Q1, exactly."""
+    det = det_jacobian(d if chart == "T" else d.hat())
+    c, p = det.Q1.coeffs[-1], det.n + 2
+    N, Q1 = det.N.scale(GaussRat(1) / c**p), det.Q1.scale(GaussRat(1) / c)
+    return DetJacobian(det.z1_exp, det.z2_exp, N, Q1, det.n, det.hyper)
+
+
+def ref_det(d, chart, z):
+    """det t' of d at z in chart, by `ref_det_terms`."""
+    return ref_det_terms(ref_chart_det(d, chart), z)
+
+
+def ref_det_terms(det, z):
     """det t' at z as z1^a z2^b (HN / HQ^(n+2)): N and Q1 homogenized, and
     b = z2_exp minus m2 times the degrees the homogenization adds."""
     z1, z2 = complex(z[0]), complex(z[1])
@@ -984,8 +1002,9 @@ def test_cached_devmap_and_jacobian_match_per_call_reference(i, z1, z2):
     z = (z1, z2)
     for d in (dev, dev.hat()):
         assert _same(_outcome(eval_devmap, d, z), _outcome(ref_eval_devmap, d, z))
-        det = det_jacobian(d)
-        assert _same(_outcome(det.eval_numeric, z), _outcome(ref_det, det, z))
+        det = map_kernel(d).jacobian()
+        for chart in "TS":
+            assert _same(_outcome(det, *z, chart), _outcome(ref_det, d, chart, z))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1136,7 +1155,7 @@ def ref_stencil(dev, z, h1, h2):
 
 # Constants of the kernel maps: 2^-600 and 2^600 make K^n underflow to 0 or
 # overflow for n >= 2, so the kernel keeps no chart-T denominators; -2^-1100
-# is -0.0 as a float, which DetJacobian must not fold on a hyperresonant
+# is -0.0 as a float, which the determinant must not fold on a hyperresonant
 # surface, where the general path's 0j*u + c has the sign of 0j*u.
 _KERNEL_CONSTS = (
     1, -1, 2, Fraction(1, 2), GaussRat(1, 1), GaussRat(0, -3), Fraction(1, 2**600), 2**600,
@@ -1182,12 +1201,13 @@ def _kernel_mismatches(d, z):
     bad = []
     if not _same(_outcome(eval_devmap, d, z), _outcome(ref_eval_devmap, d, z)):
         bad.append("eval_devmap")
-    # a Jacobian whose N has no float form raises where it is built
-    det = _outcome(det_jacobian, d)
-    if (det is OverflowError) == has_float_form(ref_N(d)):
-        bad.append("det_jacobian")
-    elif det is not OverflowError and not _same(_outcome(det.eval_numeric, z), _outcome(ref_det, det, z)):
-        bad.append("DetJacobian.eval_numeric")
+    # a determinant reader whose chart-T N has no float form raises where it
+    # is built; chart S is built, or raises, at its first read
+    det, ref = _outcome(map_kernel(d).jacobian), ref_chart_det(d, "T")
+    if (det is OverflowError) == has_float_form(ref.N, ref.Q1):
+        bad.append("jacobian")
+    elif det is not OverflowError:
+        bad += ["jacobian " + c for c in "TS" if not _same(_outcome(det, *z, c), _outcome(ref_det, d, c, z))]
     h1, h2 = 1e-6 * max(abs(z[0]), 1.0), 1e-6 * max(abs(z[1]), 1.0)
     # the stencil forms shared powers first, so where both raise, the type
     # may differ; check_immersion skips the sample on either
@@ -1206,18 +1226,18 @@ def test_map_kernels_match_reference(case):
 
 def test_determinant_of_a_negative_zero_constant_matches_the_reference():
     # D = -2 and P1 = 2^-1100 give N = -2^-1099, which is -0.0 as a float.
-    # eval_numeric reads a constant c as the sum 0j + c z1^0 z2^0 of its one
+    # The kernel reads a constant c as the sum 0j + c z1^0 z2^0 of its one
     # term, which is the same at every point, so det J matches the
     # term-by-term reference everywhere, the signs of its zero parts included
     d = DevMap(1, -1, 0, -2, UniPoly([Fraction(1, 2**1100)]), UniPoly([1]), UniPoly([1]), (1, 2), 2)
-    det = det_jacobian(d)
-    assert repr(det.N.coeffs[0].to_complex()) == "(-0+0j)"
+    assert repr(det_jacobian(d).N.coeffs[0].to_complex()) == "(-0+0j)"
+    det = map_kernel(d).jacobian()
     rng = random.Random(1)
     signs = set()
     for _ in range(200):
         z = tuple(cmath.rect(rng.uniform(0.3, 2), rng.uniform(0, 2 * math.pi)) for _ in range(2))
-        val = det.eval_numeric(z)
-        assert _same(val, ref_det(det, z))
+        val = det(*z, "T")
+        assert _same(val, ref_det(d, "T", z))
         signs.add(repr(val))
     assert len(signs) > 1  # zeros of both signs reach det J
 
@@ -1225,14 +1245,10 @@ def test_determinant_of_a_negative_zero_constant_matches_the_reference():
 def test_kernel_parity_catches_an_unshifted_z2_exponent(monkeypatch):
     # the determinant's power of z2 without the degrees that homogenizing
     # its factors adds
-    post_init = DetJacobian.__post_init__
-
-    def unshifted(det):
-        post_init(det)
-        object.__setattr__(det, "_z2_power", det.z2_exp)
-
-    monkeypatch.setattr(DetJacobian, "__post_init__", unshifted)
-    with pytest.raises(AssertionError, match=r"'DetJacobian.eval_numeric'\] == \[\]"):
+    mutant = _mutant(devmaps.map_kernel, "b - m2 * (N.degree - p * D.degree)", "b")
+    monkeypatch.setattr(devmaps, "map_kernel", mutant)
+    monkeypatch.setitem(globals(), "map_kernel", mutant)
+    with pytest.raises(AssertionError, match=r"\['jacobian [TS]'(, 'jacobian S')?\] == \[\]"):
         test_map_kernels_match_reference()
 
 
@@ -1282,9 +1298,9 @@ def ref_check_immersion(dev, cfg, s):
     """`check_immersion` one sample at a time, by the reference helpers."""
     rng = random.Random(cfg.seed + 1)
     r0, r1 = cfg.resolve_annulus(s)
-    if not has_float_form(dev.P1, dev.Q1, dev.P2, ref_N(dev)):
+    dets = {chart: ref_chart_det(dev, chart) for chart in "TS"}
+    if not has_float_form(dev.P1, dev.Q1, dev.P2, dets["T"].N, dets["T"].Q1):
         return VerifyReport("immersion", False, checks=_OUT_OF_RANGE)
-    det, det_hat = det_jacobian(dev), det_jacobian(dev.hat())
     samples = [ref_sample_annulus(rng, r0, r1) for _ in range(cfg.samples)]
     axis = []
     for _ in range(4):
@@ -1300,7 +1316,7 @@ def ref_check_immersion(dev, cfg, s):
             failing.append(z)
             continue
         try:
-            val = ref_det(det if pt.chart == "T" else det_hat, z)
+            val = ref_det_terms(dets[pt.chart], z)
         except ZeroDivisionError:
             val = None
         except OverflowError:
@@ -1465,23 +1481,29 @@ def test_immersion_evaluates_the_map_once_per_sample(monkeypatch):
 
 
 def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monkeypatch):
+    # N is expanded once per map.  Chart T homogenizes N and reuses the
+    # kernel's Q1, which is monic; chart S homogenizes -N at its first
+    # sample and reuses the kernel's P1
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
     recs = {r.provenance: _fresh(r) for r in enumerate_structures(s, 2)}
-    calls = _count_calls(monkeypatch, devmaps, "det_jacobian", verify)
+    calls = _count_calls(monkeypatch, devmaps, "det_jacobian")
+    homogenized = _count_calls(monkeypatch, devmaps, "_homogenized")
     # the eigenstructure along axis 1 evaluates every sample in chart T,
     # axis points included
     rec = recs["eigenstructure along axis 1"]
     point = _kernel_results(monkeypatch, rec.dev, "point")
+    homogenized.clear()
     assert check_immersion(rec, VerifyConfig(), s).passed
     assert len(point) == 208 and {p[0] for p in point} == {"T"}
-    assert len(calls) == 1
-    # the radial structure has samples in chart S: its hat map's Jacobian is built once
+    assert len(calls) == 1 and len(homogenized) == 1
+    # the radial structure has samples in chart S
     calls.clear()
     rec = recs["radial structure on a linear surface"]
     point = _kernel_results(monkeypatch, rec.dev, "point")
+    homogenized.clear()
     assert check_immersion(rec, VerifyConfig(), s).passed
-    assert [p[0] for p in point].count("S") > 1 and len(calls) == 2
-    assert calls[1][0] == rec.dev.hat()
+    assert [p[0] for p in point].count("S") > 1 and len(calls) == 1
+    assert [h[0] for h in homogenized] == [det_jacobian(rec.dev).N, -det_jacobian(rec.dev).N]
 
 
 def test_numeric_plan_is_built_once_per_map(monkeypatch):
@@ -1489,16 +1511,17 @@ def test_numeric_plan_is_built_once_per_map(monkeypatch):
     recs = [_fresh(r) for r in enumerate_structures(s, 2, hyper_params=[[2]])]
     assert any(not r.dev.P1.is_constant() for r in recs)
     calls = _count_calls(monkeypatch, devmaps, "_homogenized")
-    dets = _count_calls(monkeypatch, devmaps, "det_jacobian", verify)
+    dets = _count_calls(monkeypatch, devmaps, "det_jacobian")
     built = []
     for rec in recs:
         before, jacobians = len(calls), len(dets)
         assert all(rep.passed for rep in verify_structure(rec, s, VerifyConfig(samples=20)))
         built.append((len(calls) - before, len(dets) - jacobians))
         assert devmaps.map_kernel(rec.dev) is rec.dev._kernel
-    # P1, Q1, P2 of rec.dev once, for its kernel, and N and Q1 of each exact
-    # Jacobian: rec.dev's, and rec.dev.hat()'s where a sample lies in chart S
-    assert built == [(7, 2), (5, 1), (5, 1), (7, 2)]
+    # P1, Q1, P2 of rec.dev once, for its kernel, and N of its one exact
+    # Jacobian for chart T, and -N where a sample lies in chart S; Q1 and P1
+    # are monic, so the determinant reuses the kernel's
+    assert built == [(5, 1), (4, 1), (4, 1), (5, 1)]
 
 
 def ref_random_entries(n, rng, scale=3):

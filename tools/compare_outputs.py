@@ -5,7 +5,8 @@
 Run from the root of a source checkout.  The parent's ``src/`` is taken
 with ``git archive`` into a temporary directory, and each side runs in a
 process of its own, since both packages are named ``hopfon``.  Each side
-runs three groups of commands in process, through ``hopfon.cli.main``:
+runs three groups of commands in process, through ``hopfon.cli.main``,
+and one group of checks:
 
 * ``cli-verify``: the 140 ``hopfon verify`` ops of the benchmark's
   ``cli-verify`` workload for seeds 0-9 (``bench/workloads.py``, imported
@@ -17,13 +18,23 @@ runs three groups of commands in process, through ``hopfon.cli.main``:
   (1/8, 1/2), exceptional m = 1 and m = 2; the diagonal ones with
   ``--params "2;2,3"``), each with the default annulus and with the
   annuli (0.5, 1), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159) and
-  (1e120, 1e121): 108 commands.
+  (1e120, 1e121): 108 commands;
+* ``maps``: ``check_immersion`` with the default configuration on maps
+  that no command builds, each on its surface: the swapped-chart map
+  ``hat()`` of each of the 86 maps of the five ``cli-verify`` surfaces
+  (each structure for n = 1..3, n = 2, 3 for m = 2, and its ``hat()``),
+  the axis map (z1, z1 - 2 z2^2) on (1/4, 1/2), the homothety
+  automorphism (z1, z1 - 2 z2), the double-root map with P1 = (u - 2)^2
+  on (1/4, 1/2), and the identity with P1 = Q1 = P2 = 2^400 on the
+  generic surface: 90 records, each the report's JSON.
 
 For each group it prints how many outputs (stdout, stderr and exit code)
 are byte-identical and which JSON keys changed, list indices written as
-``[]``, with the number of commands in which each changed.  The exit
-code is 1 when some command changed its exit code or a ``passed`` flag,
-and 0 otherwise.
+``[]``, with the number of commands in which each changed; for ``maps``
+it also names each record that changed.  The exit code is 1 when some
+command changed its exit code or a ``passed`` flag, and 0 otherwise: a
+``maps`` record is not a command, and a change there is for the reader
+to judge by its name.
 """
 
 from __future__ import annotations
@@ -88,8 +99,42 @@ def _commands(work):
     return out
 
 
+def _map_checks():
+    """[group, name, 0, report JSON, ""] of each check of the ``maps`` group."""
+    from fractions import Fraction
+
+    from workloads import CLI_SURFACES
+    from hopfon import cli
+    from hopfon.classify import enumerate_structures
+    from hopfon.devmaps import DevMap, UniPoly
+    from hopfon.hopf import HopfSurface
+    from hopfon.verify import VerifyConfig, check_immersion
+
+    cases = []
+    for label, spec, _, ns in CLI_SURFACES:
+        s = cli._surface_from_spec(spec)
+        params = [[2], [2, 3]] if spec["type"] == "diagonal" else None
+        for n in ns:
+            for i, rec in enumerate(enumerate_structures(s, n, hyper_params=params)):
+                for name, d in (("hat()", rec.dev), ("hat().hat()", rec.dev.hat())):
+                    cases.append(("%s n=%d #%d %s" % (label, n, i, name), d.hat(), s))
+    quarter, half = (HopfSurface.diagonal(Fraction(1, k), Fraction(1, 2)) for k in (4, 2))
+    one, big = UniPoly([1]), UniPoly([2**400])
+    cases += [
+        ("axis map", DevMap(1, 0, 0, 2, one, one, UniPoly.from_roots([2]), (1, 2), 1), quarter),
+        ("homothety automorphism", DevMap(1, 0, 0, 1, one, one, UniPoly.from_roots([2]), (1, 1), 1), half),
+        ("double root", DevMap(0, 3, 1, -2, UniPoly.from_roots([2, 2]), one, one, (1, 2), 2), quarter),
+        ("2^400 identity", DevMap(1, 0, 0, 1, big, big, big, None, 1), cli._surface_from_spec(CLI_SURFACES[0][1])),
+    ]
+    return [
+        ["maps", name, 0, json.dumps(check_immersion(d, VerifyConfig(), s).to_record()), ""]
+        for name, d, s in cases
+    ]
+
+
 def _worker(work, result_path):
-    """Run every command with the hopfon on sys.path and write the results as JSON."""
+    """Run every command and check with the hopfon on sys.path and write the
+    results as JSON."""
     from hopfon import cli
 
     results = []
@@ -101,10 +146,11 @@ def _worker(work, result_path):
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
-            except Exception:  # a traceback is an output like any other
+            except Exception as exc:  # a traceback is an output like any other
                 code = "raised %s" % type(exc).__name__
                 traceback.print_exc()
         results.append([group, name, code, stdout.getvalue(), stderr.getvalue()])
+    results += _map_checks()
     with open(result_path, "w") as fh:
         json.dump(results, fh)
 
@@ -179,11 +225,15 @@ def main(argv):
             keys = _diff(a, b)
             identical += not keys
             counts.update(keys)
-            if "<exit code>" in keys or any(k.endswith(".passed") for k in keys):
+            if group != "maps" and ("<exit code>" in keys or any(k.endswith(".passed") for k in keys)):
                 verdicts_changed.append("%s: %s" % (group, a[1]))
         print("%s: %d of %d outputs byte-identical" % (group, identical, len(pairs)))
         for key, count in sorted(counts.items()):
             print("    %s changed in %d" % (key, count))
+        if group == "maps":
+            for a, b in pairs:
+                if _diff(a, b):
+                    print("    record changed: %s" % a[1])
     for name in verdicts_changed:
         print("exit code or passed flag changed: %s" % name)
     return 1 if verdicts_changed else 0
