@@ -19,7 +19,6 @@ from .classify import (
 from .devmaps import (
     DevMap,
     UniPoly,
-    abcd,
     det_jacobian,
     eval_devmap,
     is_admissible,
@@ -30,7 +29,6 @@ from .hopf import HopfSurface, bihol_group, classify_surface, function_field
 from .normalform import (
     NormalFormResult,
     ResonanceReport,
-    hyperresonance_rank,
     is_generic,
     normal_form,
     resonant_degrees,
@@ -41,8 +39,6 @@ from .scalars import (
     RelationLattice,
     Scalar,
     is_root_of_unity,
-    numeric_eval,
-    scalar_mul,
 )
 from .sections import SectionFamily, line_bundle_sections, proj_bundle_sections
 from .verify import (

@@ -18,13 +18,15 @@ so its two structures carry their holonomies explicitly.
 
 `brute_force_admissible` enumerates every semiadmissible exponent and
 degree pattern with roots drawn from a fixed generic pool, filters by
-the exact admissibility certificate, and collapses the survivors
+the A, B, C, D admissibility clauses, and collapses the survivors
 modulo the declared isomorphisms (chart swap, axis rescalings,
 diagonal conjugation); `enumerate_structures` must reproduce it row
-for row.  The certificate's A, B, C, D clauses are integers of the
-exponents, the degrees, (m1, m2) and n, so the oracle decides them
-before it builds anything: the pool polynomials, their shape verdict
-and the `DevMap` are built only for the candidates that pass.
+for row.  The clauses are exact integer conditions on the exponents,
+the degrees, (m1, m2) and n, met by every listed family, so the oracle
+decides them before it builds anything: the pool polynomials, their
+shape verdict and the `DevMap` are built only for the candidates that
+pass.  They do not decide unbranchedness (ROADMAP item 1,
+`test_is_admissible_rejects_the_branched_m2_n_m1_map`).
 
 `reproduce_case_table` derives the feasible degree pattern for every
 exponent-slot combination in closed form from the A, B, C, D
@@ -318,13 +320,13 @@ def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
 
     Enumerates every pair of allowed exponent slots and every degree
     pattern up to deg_bound, with roots instantiated at fixed generic
-    pool values, filters by the exact admissibility certificate, and
-    keeps one representative per canonical key.
+    pool values, filters by the A, B, C, D clauses of `is_admissible`,
+    and keeps one representative per canonical key.
 
-    The slots are allowed by construction, and the unbranchedness
-    clauses depend only on the exponents, the degrees, (m1, m2) and n,
-    so each candidate is decided on integers first (`_clause_verdict`),
-    with (k2, l2) formed once per slot pair (k2~, l2~) and pattern.
+    The slots are allowed by construction, and the clauses depend only
+    on the exponents, the degrees, (m1, m2) and n, so each candidate is
+    decided on integers first (`_clause_verdict`), with (k2, l2) formed
+    once per slot pair (k2~, l2~) and pattern.
     Only a candidate that passes gets its pattern's pool polynomials and
     their shape verdict, built once per pattern and kept for the call,
     and then its `DevMap` and canonical key.

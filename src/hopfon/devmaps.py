@@ -20,10 +20,12 @@ control the exact Jacobian factorization
     N = D P1 P2 Q1 + u (A P1' P2 Q1 - B P2' P1 Q1 + C Q1' P1 P2),
 
 where N = P1 P2 Q1 R(u), R(u) = A u P1'/P1 - B u P2'/P2 + C u Q1'/Q1 + D,
-and the rewriting dictionaries for the reciprocal-u form (tilde) and the
-swapped chart (hat), where det s' = -N / P1^(n+2) with the exponents less
-(n+2) (k1, k2).  Semiadmissibility constrains the exponent pairs and root
-patterns; admissibility is the exact unbranchedness certificate on top.
+and in the swapped chart (hat) det s' = -N / P1^(n+2) with the exponents
+less (n+2) (k1, k2).  Semiadmissibility constrains the exponent pairs and
+root patterns.  Admissibility adds the A/B/C/D clauses: exact integer
+conditions that every listed family meets, which do not decide
+unbranchedness (ROADMAP item 1, the strict xfail test
+`test_is_admissible_rejects_the_branched_m2_n_m1_map`).
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ class UniPoly:
             [GaussRat._raw(i * c.x, i * c.y, c.z) for i, c in enumerate(self.coeffs) if i]
         )
 
-    def reversed(self):
-        """Coefficients reversed: u^deg * p(1/u)."""
-        return UniPoly(list(reversed(self.coeffs)))
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -161,13 +159,6 @@ class UniPoly:
 
     def has_root_at_zero(self) -> bool:
         return self.coeffs[0].is_zero() and not self.is_zero()
-
-    def eval_exact(self, x: GaussRat) -> GaussRat:
-        x = as_gauss(x)
-        total = GR_ZERO
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def __eq__(self, other):
         return isinstance(other, UniPoly) and other.coeffs == self.coeffs
@@ -342,17 +333,6 @@ def z2_exponents(kt2, lt2, degrees, hyper, n):
     return (kt2 + m2 * (d1 - dq), lt2 + m2 * (d3 - n * dq))
 
 
-@dataclass(frozen=True)
-class AbcdReport:
-    A: int
-    B: int
-    C: int
-    D: int
-    tilde: tuple
-    hat: tuple
-    tilde_exponents: tuple
-
-
 def exponent_constants(k1, k2, l1, l2, m1, m2, n):
     """(A, B, C, D) of the exponents (k1, k2, l1, l2) over the pair (m1, m2) and degree n.
 
@@ -363,17 +343,6 @@ def exponent_constants(k1, k2, l1, l2, m1, m2, n):
     A = m1 * l2 + l1 * m2
     B = m1 * k2 + k1 * m2
     return A, B, n * B - A, k1 * l2 - l1 * k2
-
-
-def abcd(d: DevMap) -> AbcdReport:
-    """Exponent bookkeeping constants with their tilde and hat transforms."""
-    A, B, C, Dd = exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
-    d1, dq, d3 = d.degrees
-    alpha = d1 - dq
-    beta = d3 - d.n * dq
-    tilde = (-A, -B, -C, Dd + A * alpha - B * beta)
-    hat = (A - d.n * B, -B, -A, -Dd)
-    return AbcdReport(A, B, C, Dd, tilde, hat, d.tilde_exponents())
 
 
 @dataclass(frozen=True)
@@ -471,7 +440,7 @@ def _unbranched_verdict(d: DevMap) -> Verdict:
 
 
 def is_admissible(d: DevMap) -> Verdict:
-    """Unbranchedness certificate on top of semiadmissibility.
+    """The A/B/C/D clauses on top of semiadmissibility.
 
     Requires A = 0 or P1 constant, B = 0 or P2 constant, C = 0 or Q1
     constant, and D != 0.  Once the A, B, C clauses hold, every term
@@ -479,7 +448,9 @@ def is_admissible(d: DevMap) -> Verdict:
     D~ = D + A d1 - B d3 + C dq = D and D^ = -D; and (k1, l1) = (0, 0)
     would force D = 0.  So D != 0 also makes R(u) constant and nonzero,
     (k1, l1) != (0, 0), and D nonvanishing in the tilde and hat
-    rewritings.
+    rewritings.  These exact clauses, met by every listed family, do not
+    decide unbranchedness: N = D P1 P2 Q1 keeps the roots of P1, P2, Q1
+    (`test_is_admissible_rejects_the_branched_m2_n_m1_map`).
     """
     semi = is_semiadmissible(d)
     if not semi:

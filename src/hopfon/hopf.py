@@ -129,9 +129,6 @@ class HopfSurface:
             raise SurfaceError("only exceptional surfaces have a single eigenvalue")
         return self.basis.gen(0)
 
-    def is_linear(self) -> bool:
-        return self.kind == "diagonal" or self.m == 1
-
     def is_homothety(self) -> bool:
         return self.kind == "diagonal" and self.l1 == self.l2
 
@@ -142,13 +139,6 @@ class HopfSurface:
         return self.basis.hyperresonance()
 
     # -- numeric contraction ---------------------------------------------------
-
-    def apply_F(self, z) -> tuple:
-        """Numeric image of z under the contraction; input must be nonzero."""
-        z1, z2 = complex(z[0]), complex(z[1])
-        if z1 == 0 and z2 == 0:
-            raise SurfaceError("the contraction acts on C^2 minus the origin")
-        return self.float_F()(z1, z2)
 
     def float_F(self):
         """The contraction as a function of two complex numbers, with its
@@ -161,27 +151,6 @@ class HopfSurface:
         return lambda z1, z2: (lam * z1, lam_m * z2 + z1**m)
 
     # -- serialization ------------------------------------------------------
-
-    def to_record(self) -> dict:
-        if self.kind == "exceptional":
-            lam = self.basis.exact[0]
-            return {"type": "exceptional", "lambda": lam.as_quad(), "m": self.m}
-        if self.basis.exact is not None:
-            return {
-                "type": "diagonal",
-                "lambda1": self.basis.exact[0].as_quad(),
-                "lambda2": self.basis.exact[1].as_quad(),
-            }
-        return {
-            "type": "diagonal",
-            "formal": {
-                "relations": [list(r) for r in self.basis.lattice.rows],
-                "witness": [
-                    [self.basis.witness[0].real, self.basis.witness[0].imag],
-                    [self.basis.witness[1].real, self.basis.witness[1].imag],
-                ],
-            },
-        }
 
     @classmethod
     def from_record(cls, rec: dict) -> "HopfSurface":

@@ -26,7 +26,6 @@ from itertools import product
 
 from .group import GroupElt, HomogPoly, Mat2
 from .scalars import (
-    EigenBasis,
     RelationLattice,
     Scalar,
     ScalarDomainError,
@@ -64,11 +63,6 @@ class NormalFormResult:
     element: GroupElt
     unique: bool
     swap_applied: bool
-
-
-def hyperresonance_rank(basis: EigenBasis) -> int:
-    """Rank of the stored relation lattice (0, 1, or 2)."""
-    return basis.lattice.rank
 
 
 def eigenvalue_relation_lattice(e1: Scalar, e2: Scalar) -> RelationLattice:

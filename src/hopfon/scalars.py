@@ -733,10 +733,6 @@ class EigenBasis:
             system = self._cache["valuations"] = ValuationSystem(*self.exact)
         return system
 
-    @property
-    def rank(self) -> int:
-        return self.lattice.rank
-
     def hyperresonance(self):
         """Minimal positive pair (m1, m2) with l1^m1 = l2^m2, or None."""
         return self.lattice.minimal_positive_pair()
@@ -1175,13 +1171,6 @@ _set_basis, _set_terms = Scalar.basis.__set__, Scalar.terms.__set__
 # Spec operations
 
 
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    """Product of two scalars over one basis (coefficients multiply, exponents add)."""
-    if not isinstance(b, Scalar) or a.basis != b.basis:
-        raise BasisMismatchError("scalar_mul needs two scalars over one basis")
-    return a * b
-
-
 def sum_of_products(pairs) -> Scalar:
     """sum(a * b for a, b in pairs), for a nonempty sequence of pairs of
     scalars over one basis.
@@ -1222,11 +1211,6 @@ def is_root_of_unity(a: Scalar, n: int) -> bool:
     if not (c**n).is_one():
         return False
     return a.basis.lattice.contains((n * e1, n * e2))
-
-
-def numeric_eval(a: Scalar) -> complex:
-    """Floating-point value of a scalar from the basis witnesses."""
-    return a.numeric()
 
 
 # ---------------------------------------------------------------------------

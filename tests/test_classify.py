@@ -405,7 +405,7 @@ def test_case_table_degree_patterns():
 
 def test_case_table_worked_identities():
     # in the worked slot the constants satisfy B = -m1 D and C = m2 D^
-    from hopfon.devmaps import UniPoly, abcd
+    from hopfon.devmaps import UniPoly, exponent_constants
 
     for (m1, n, dP1) in ((1, 2, 1), (2, 1, 2), (1, 1, 2)):
         m2 = n * m1
@@ -414,10 +414,12 @@ def test_case_table_worked_identities():
             UniPoly.from_roots(list(range(2, 2 + dP1))),
             UniPoly([1]), UniPoly([1]), (m1, m2), n,
         )
-        rep = abcd(d)
-        assert rep.B == -m1 * rep.D
-        assert rep.C == m2 * rep.hat[3]
-        assert rep.A == 0
+        (A, B, C, D), (_, _, _, D_hat) = (
+            exponent_constants(e.k1, e.k2, e.l1, e.l2, m1, m2, n) for e in (d, d.hat())
+        )
+        assert B == -m1 * D
+        assert C == m2 * D_hat
+        assert A == 0
 
 
 # (relation, sign-definite) of the clause constant of P1, Q1, P2 in each combination
@@ -434,14 +436,14 @@ _CLAUSE_TABLE = {
 @pytest.mark.parametrize("combo", sorted(_CLAUSE_TABLE, key=repr))
 def test_clause_constants_table(combo):
     from hopfon.classify import _clause_constants, _clause_value, _relation, _sign_definite
-    from hopfon.devmaps import UniPoly, abcd
+    from hopfon.devmaps import exponent_constants
 
     clauses = _clause_constants(*combo)
     got = tuple((_relation(clauses[p]), _sign_definite(clauses[p])) for p in ("P1", "Q1", "P2"))
     assert got == _CLAUSE_TABLE[combo]
-    # at degree 0 the constants are the A (P1), C (Q1) and B (P2) of the map
-    one = UniPoly([1])
+    # at degree 0 (k2, l2) = (k2~, l2~), and the constants are the A (P1),
+    # C (Q1) and B (P2) of the map
     for n, m1, m2 in itertools.product((1, 2, 3), (1, 2, 5), (1, 3, 4)):
         k1, l1, kt2, lt2 = (-n if v == "minus_n" else v for v in combo)
-        rep = abcd(DevMap(k1, kt2, l1, lt2, one, one, one, (m1, m2), n))
-        assert [_clause_value(clauses[p], n, m1, m2) for p in ("P1", "Q1", "P2")] == [rep.A, rep.C, rep.B]
+        A, B, C, _ = exponent_constants(k1, kt2, l1, lt2, m1, m2, n)
+        assert [_clause_value(clauses[p], n, m1, m2) for p in ("P1", "Q1", "P2")] == [A, C, B]

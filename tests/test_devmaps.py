@@ -15,9 +15,9 @@ from hopfon.devmaps import (
     DevMap,
     EvalError,
     UniPoly,
-    abcd,
     det_jacobian,
     eval_devmap,
+    exponent_constants,
     exponent_list,
     is_admissible,
     is_semiadmissible,
@@ -29,10 +29,43 @@ from hopfon.scalars import GaussRat
 from hopfon.verify import VerifyConfig, _sample_annulus, check_immersion
 
 
+def _value(p, x):
+    """p(x) by Horner's rule, exactly."""
+    total = GaussRat(0)
+    for c in reversed(p.coeffs):
+        total = total * x + c
+    return total
+
+
+def constants(d):
+    """(A, B, C, D) of d, from `exponent_constants`."""
+    return exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
+
+
+def tilde_map(d):
+    """d rewritten in v = 1/u with z1 and z2 swapped: the reversed
+    polynomials, the tilde exponents in the first slots and the pair
+    (m2, m1)."""
+    m1, m2 = d._m()
+    kt2, lt2 = d.tilde_exponents()
+    d1, dq, d3 = d.degrees
+    return DevMap(
+        kt2,
+        d.k1 + m1 * (d1 - dq),
+        lt2,
+        d.l1 + m1 * (d3 - d.n * dq),
+        UniPoly(d.P1.coeffs[::-1]),
+        UniPoly(d.Q1.coeffs[::-1]),
+        UniPoly(d.P2.coeffs[::-1]),
+        None if d.hyper is None else (m2, m1),
+        d.n,
+    )
+
+
 def test_unipoly_basics():
     p = UniPoly.from_roots([2, 3])  # (u-2)(u-3)
     assert p.degree == 2
-    assert p.eval_exact(2).is_zero() and p.eval_exact(3).is_zero()
+    assert _value(p, 2).is_zero() and _value(p, 3).is_zero()
     assert p.squarefree()
     assert not UniPoly.from_roots([2, 2]).squarefree()
     assert not p.coprime_with(UniPoly.from_roots([3, 5]))
@@ -59,16 +92,15 @@ def row1_map(m1, m2, n, roots):
 
 
 def test_abcd_radial_example():
-    rep = abcd(DevMap.radial(2, hyper=(1, 1)))
     n = 2
-    assert (rep.A, rep.B, rep.C, rep.D) == (-n, 0, n, -n)
+    assert constants(DevMap.radial(n, hyper=(1, 1))) == (-n, 0, n, -n)
 
 
 def test_abcd_radial_any_n():
     for n in (1, 2, 3):
-        rep = abcd(DevMap.radial(n, hyper=(1, 1)))
-        assert (rep.A, rep.B, rep.C, rep.D) == (-n, 0, n, -n)
-        assert rep.tilde_exponents == (-1, -n)
+        d = DevMap.radial(n, hyper=(1, 1))
+        assert constants(d) == (-n, 0, n, -n)
+        assert d.tilde_exponents() == (-1, -n)
 
 
 def test_abcd_worked_case_magnitudes():
@@ -78,13 +110,13 @@ def test_abcd_worked_case_magnitudes():
     # with B = -m1 D.
     for (m1, m2, n, dP1) in ((1, 2, 2, 1), (2, 4, 2, 1), (1, 1, 1, 2), (1, 3, 3, 2)):
         d = row1_map(m1, m2, n, list(range(2, 2 + dP1)))
-        rep = abcd(d)
+        A, B, C, D = constants(d)
         dq = dp2 = 0
-        assert rep.A == -(m1 * n - m2 - m1 * m2 * (dp2 - n * dq))
-        assert rep.B == m1 * (-1 + m2 * (dP1 - dq))
-        assert rep.C == m2 * (n * m1 * dP1 - m1 * dp2 - 1)
-        assert rep.D == -(-1 + m2 * (dP1 - dq))
-        assert rep.B == -m1 * rep.D
+        assert A == -(m1 * n - m2 - m1 * m2 * (dp2 - n * dq))
+        assert B == m1 * (-1 + m2 * (dP1 - dq))
+        assert C == m2 * (n * m1 * dP1 - m1 * dp2 - 1)
+        assert D == -(-1 + m2 * (dP1 - dq))
+        assert B == -m1 * D
 
 
 def test_abcd_hat_negates_D():
@@ -102,8 +134,7 @@ def test_abcd_hat_negates_D():
             (rng.randint(1, 3), rng.randint(1, 3)),
             n,
         )
-        rep = abcd(d)
-        assert rep.hat[3] == -rep.D
+        assert constants(d.hat())[3] == -constants(d)[3]
 
 
 def test_abcd_dictionaries_are_involutive():
@@ -121,21 +152,20 @@ def test_abcd_dictionaries_are_involutive():
             (rng.randint(1, 3), rng.randint(1, 3)),
             n,
         )
-        rep = abcd(d)
-        # tilde twice: (A,B,C) flip sign twice; reversing the polynomials
-        # keeps their degrees, so D~~ = D~ + A~ alpha - B~ beta = D.
+        A, B, C, D = constants(d)
         d1, dq, d3 = d.degrees
         alpha, beta = d1 - dq, d3 - d.n * dq
-        tA, tB, tC, tD = rep.tilde
-        ttD = tD + tA * alpha - tB * beta
-        assert (-tA, -tB, -tC, ttD) == (rep.A, rep.B, rep.C, rep.D)
-        # hat twice is the identity on (A, B, C, D)
-        hA, hB, hC, hD = rep.hat
-        hhat = (hA - d.n * hB, -hB, -hA, -hD)
-        assert hhat == (rep.A, rep.B, rep.C, rep.D)
-        # hat implemented on the map level agrees with the dictionary
-        hat_rep = abcd(d.hat())
-        assert (hat_rep.A, hat_rep.B, hat_rep.C, hat_rep.D) == rep.hat
+        # the swapped chart: constants (A - nB, -B, -A, -D), and hat twice
+        # is the map itself
+        assert constants(d.hat()) == (A - d.n * B, -B, -A, -D)
+        assert d.hat().hat() == d
+        # in v = 1/u the constants are (-A, -B, -C, D~) with
+        # D~ = D + A alpha - B beta; swapping z1 and z2 negates the
+        # determinant, so the tilde map has (A, B, C, -D~).  No polynomial
+        # has a root at 0, so reversing keeps the degrees and tilde twice
+        # is the map itself
+        assert constants(tilde_map(d)) == (A, B, C, -(D + A * alpha - B * beta))
+        assert tilde_map(tilde_map(d)) == d
 
 
 def test_det_jacobian_radial_n1():
@@ -160,7 +190,7 @@ def test_N_is_constant_for_a_map_with_nonconstant_P1_and_A_nonzero():
     # (z1 - 2 z2, z1) has P1 = u - 2 and A != 0.  R(u) = 2/(u - 2) has a pole
     # at u = 2 only because it divides by P1: N = P1 R = 2 and det J = 2
     d = DevMap(0, 1, 1, 0, UniPoly.from_roots([2]), UniPoly([1]), UniPoly([1]), (1, 1), 1)
-    assert abcd(d).A != 0
+    assert constants(d)[0] != 0
     det = det_jacobian(d)
     assert (det.N, det.Q1) == (UniPoly([2]), UniPoly([1]))
     for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
@@ -175,6 +205,54 @@ def test_det_jacobian_of_the_homothety_automorphism_is_minus_2():
     assert (det.N, det.Q1) == (UniPoly([-2]), UniPoly([1]))
     for z in ((2, 1), (2j, 1j), (0.3 + 0.1j, 0.7)):
         assert _det_at(d, z) == -2
+
+
+def _branched_m2_n_m1_map():
+    """The m2 = n m1 family on (1/4, 1/2) with n = 2 and params [2]:
+    t = (z1/z2 - 2 z2, z1/z2^2), with det J = -(u - 2)/z2^2, u = z1/z2^2."""
+    return DevMap(0, 1, 1, -2, UniPoly.from_roots([2]), 1, 1, (1, 2), 2)
+
+
+def test_the_m2_n_m1_map_is_branched_where_u_is_2():
+    from hopfon.classify import enumerate_structures
+    from hopfon.hopf import HopfSurface
+
+    d = _branched_m2_n_m1_map()
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    assert d in [r.dev for r in enumerate_structures(s, 2, [[2]])]
+    assert det_jacobian(d).N == UniPoly([2, -1])
+    # z = (1/2, 1/2) lies on the curve u = 2
+    assert _det_at(d, (0.5, 0.5)) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the A/B/C/D clauses accept maps that are branched "
+    "along u = root; item 1(b) makes is_admissible decide unbranchedness",
+)
+def test_is_admissible_rejects_the_branched_m2_n_m1_map():
+    assert not is_admissible(_branched_m2_n_m1_map())
+
+
+def test_shape_verdict_rejects_a_root_at_u_0_in_each_polynomial():
+    # u^2 - 2u is squarefree and coprime with 1, so only the root-at-0
+    # clause rejects it
+    one, p = UniPoly([1]), UniPoly.from_roots([0, 2])
+    for i, name in enumerate(("P1", "Q1", "P2")):
+        polys = [one] * 3
+        polys[i] = p
+        assert devmaps._shape_verdict(*polys) == devmaps.Verdict(False, name + " has a root at u = 0")
+
+
+def test_shape_verdict_rejects_a_root_shared_by_each_pair():
+    # u - 2 has no root at 0 and is squarefree, so only the coprimality
+    # clause rejects it in two slots
+    one, p = UniPoly([1]), UniPoly.from_roots([2])
+    for (i, j), names in (((0, 1), "P1,Q1"), ((0, 2), "P1,P2"), ((1, 2), "Q1,P2")):
+        polys = [one] * 3
+        polys[i] = polys[j] = p
+        assert devmaps._shape_verdict(*polys) == devmaps.Verdict(False, names + " share a root")
+    assert devmaps._shape_verdict(p, UniPoly.from_roots([3]), UniPoly.from_roots([5]))
 
 
 def _det_at(d, z):
@@ -281,13 +359,13 @@ def _root_formula_holds(d, roots):
     """N(r) = A r P1'(r) P2(r) Q1(r) at each root r of P1, -B r P2'(r) P1(r) Q1(r)
     at each root of P2 and C r Q1'(r) P1(r) P2(r) at each root of Q1,
     exactly (ROADMAP item 1)."""
-    rep, N = abcd(d), det_jacobian(d).N
+    (A, B, C, _), N = constants(d), det_jacobian(d).N
     P1, Q1, P2 = d.P1, d.Q1, d.P2
     r1, rq, r3 = roots
     # (roots of p, its constant, p, the other two polynomials)
-    cases = ((r1, rep.A, P1, P2, Q1), (r3, -rep.B, P2, P1, Q1), (rq, rep.C, Q1, P1, P2))
+    cases = ((r1, A, P1, P2, Q1), (r3, -B, P2, P1, Q1), (rq, C, Q1, P1, P2))
     return all(
-        N.eval_exact(r) == c * r * p.derivative().eval_exact(r) * f.eval_exact(r) * g.eval_exact(r)
+        _value(N, r) == c * r * _value(p.derivative(), r) * _value(f, r) * _value(g, r)
         for rs, c, p, f, g in cases
         for r in rs
     )
@@ -313,12 +391,12 @@ def test_N_at_the_roots_of_P1_P2_Q1_is_the_root_formula():
     for i, ((P1, r1), (Q1, rq), (P2, r3)) in enumerate(itertools.product(polys, repeat=3)):
         (k1, l1), (k2, l2) = slots[i % 5], slots[(i // 5) % 5]
         d = DevMap(k1, k2, l1, l2, P1, Q1, P2, ((1, 1), (1, 2), (2, 1))[i % 3], 1 + i % 2)
-        rep, det = abcd(d), det_jacobian(d)
+        (A, B, C, D), det = constants(d), det_jacobian(d)
         num = (
-            (P1 * P2 * Q1).scale(rep.D)
-            + (u * P1.derivative() * P2 * Q1).scale(rep.A)
-            - (u * P2.derivative() * P1 * Q1).scale(rep.B)
-            + (u * Q1.derivative() * P1 * P2).scale(rep.C)
+            (P1 * P2 * Q1).scale(D)
+            + (u * P1.derivative() * P2 * Q1).scale(A)
+            - (u * P2.derivative() * P1 * Q1).scale(B)
+            + (u * Q1.derivative() * P1 * P2).scale(C)
         )
         assert (det.N, det.Q1) == (num, Q1), d
         assert _root_formula_holds(d, (r1, rq, r3)), d
@@ -589,20 +667,7 @@ def test_tilde_invariance_of_admissibility():
     # rewriting in the reciprocal variable preserves both verdicts; the tilde
     # map has reversed polynomials and the tilde exponents in the z2 slots.
     for d in (row1_map(1, 2, 2, [2]), DevMap.radial(2, hyper=(1, 1))):
-        m1, m2 = d.hyper
-        kt2, lt2 = d.tilde_exponents()
-        d1, dq, d3 = d.degrees
-        tilde = DevMap(
-            kt2,
-            d.k1 + m1 * (d1 - dq),
-            lt2,
-            d.l1 + m1 * (d3 - d.n * dq),
-            d.P1.reversed(),
-            d.Q1.reversed(),
-            d.P2.reversed(),
-            (m2, m1),
-            d.n,
-        )
+        tilde = tilde_map(d)
         assert bool(is_semiadmissible(tilde)) == bool(is_semiadmissible(d))
         assert bool(is_admissible(tilde)) == bool(is_admissible(d))
 
@@ -612,23 +677,23 @@ def full_certificate(d):
     semi = is_semiadmissible(d)
     if not semi:
         return (False, "not semiadmissible: " + semi.reason)
-    rep = abcd(d)
-    if rep.A != 0 and not d.P1.is_constant():
-        return (False, "A = %d nonzero with nonconstant P1" % rep.A)
-    if rep.B != 0 and not d.P2.is_constant():
-        return (False, "B = %d nonzero with nonconstant P2" % rep.B)
-    if rep.C != 0 and not d.Q1.is_constant():
-        return (False, "C = %d nonzero with nonconstant Q1" % rep.C)
+    A, B, C, D = constants(d)
+    if A != 0 and not d.P1.is_constant():
+        return (False, "A = %d nonzero with nonconstant P1" % A)
+    if B != 0 and not d.P2.is_constant():
+        return (False, "B = %d nonzero with nonconstant P2" % B)
+    if C != 0 and not d.Q1.is_constant():
+        return (False, "C = %d nonzero with nonconstant Q1" % C)
     N = det_jacobian(d).N
-    if N != (d.P1 * d.P2 * d.Q1).scale(rep.D):  # R(u) = N / (P1 P2 Q1), and R(0) = D
+    if N != (d.P1 * d.P2 * d.Q1).scale(D):  # R(u) = N / (P1 P2 Q1), and R(0) = D
         return (False, "R(u) is not constant")
     if N.is_zero():
         return (False, "R(u) = D vanishes")
     if d.k1 == 0 and d.l1 == 0:
         return (False, "(k1, l1) = (0, 0)")
-    if rep.tilde[3] == 0:
+    if constants(tilde_map(d))[3] == 0:
         return (False, "D~ vanishes (branch in the reciprocal-u chart)")
-    if rep.hat[3] == 0:
+    if constants(d.hat())[3] == 0:
         return (False, "D^ vanishes (branch in the swapped chart)")
     return (True, "")
 
@@ -667,17 +732,18 @@ def test_abc_clauses_imply_the_other_certificate_clauses(d):
     # once A, B, C pass, N = D P1 P2 Q1 (R(u) is the constant D), D~ = D,
     # D^ = -D, and (k1, l1) = (0, 0) forces D = 0, so "D != 0" is the last
     # clause needed
-    rep = abcd(d)
+    A, B, C, D = constants(d)
     abc_hold = (
-        (rep.A == 0 or d.P1.is_constant())
-        and (rep.B == 0 or d.P2.is_constant())
-        and (rep.C == 0 or d.Q1.is_constant())
+        (A == 0 or d.P1.is_constant())
+        and (B == 0 or d.P2.is_constant())
+        and (C == 0 or d.Q1.is_constant())
     )
     if abc_hold:
         det = det_jacobian(d)
-        assert (det.N, det.Q1) == ((d.P1 * d.P2 * d.Q1).scale(rep.D), d.Q1)
-        assert rep.tilde[3] == rep.D and rep.hat[3] == -rep.D
-        assert (d.k1, d.l1) != (0, 0) or rep.D == 0
+        assert (det.N, det.Q1) == ((d.P1 * d.P2 * d.Q1).scale(D), d.Q1)
+        # D~ = D, and the tilde map's D is -D~ (test_abcd_dictionaries_are_involutive)
+        assert constants(tilde_map(d))[3] == -D and constants(d.hat())[3] == -D
+        assert (d.k1, d.l1) != (0, 0) or D == 0
     v = is_admissible(d)
     assert (v.ok, v.reason) == full_certificate(d)
 

@@ -66,8 +66,6 @@ def test_classify_exceptional():
     s = HopfSurface.exceptional(Fraction(1, 2), 3)
     c = classify_surface(s)
     assert c.kind == "exceptional" and c.m == 3
-    assert not s.is_linear()
-    assert HopfSurface.exceptional(Fraction(1, 2), 1).is_linear()
 
 
 def test_function_field():
@@ -90,21 +88,15 @@ def test_bihol_group():
 
 def test_apply_F_examples():
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    w = s.apply_F((1, 1))
+    w = s.float_F()(1, 1)
     assert abs(w[0] - 0.5) < 1e-15 and abs(w[1] - 1 / 3) < 1e-12
 
     e1 = HopfSurface.exceptional(Fraction(1, 2), 1)
-    assert e1.apply_F((1, 0)) == (0.5, 1.0)
+    assert e1.float_F()(1, 0) == (0.5, 1.0)
 
     e2 = HopfSurface.exceptional(Fraction(1, 2), 2)
-    w = e2.apply_F((2, 1))
+    w = e2.float_F()(2, 1)
     assert abs(w[0] - 1.0) < 1e-15 and abs(w[1] - 4.25) < 1e-15
-
-
-def test_apply_F_rejects_origin():
-    s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    with pytest.raises(SurfaceError):
-        s.apply_F((0, 0))
 
 
 def test_apply_F_injective_on_samples():
@@ -117,7 +109,7 @@ def test_apply_F_injective_on_samples():
             (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1), rng.uniform(-1, 1))
             for _ in range(60)
         ]
-        images = [s.apply_F(z) for z in pts]
+        images = [s.float_F()(*z) for z in pts]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 sep = abs(pts[i][0] - pts[j][0]) + abs(pts[i][1] - pts[j][1])
@@ -154,14 +146,28 @@ def test_exact_eigenvalue_whose_witness_underflows():
         HopfSurface.diagonal_formal([(1, -60)], (0.5, 0.5))
 
 
-def test_record_roundtrip():
-    for s in (
-        HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 4)),
-        HopfSurface.exceptional(Fraction(1, 2), 2),
-        HopfSurface.diagonal_formal([(2, -1)], (0.5, 0.25)),
-    ):
-        rec = s.to_record()
-        s2 = HopfSurface.from_record(rec)
-        assert s2.kind == s.kind
-        assert s2.hyperresonance() == s.hyperresonance()
-        assert s2.to_record() == rec
+def test_from_record_reads_the_three_surface_kinds():
+    # an exact diagonal surface, an exceptional one and a formal one, each
+    # from a literal record, against the constructor of its kind
+    half = [1, 2, 0, 1]
+    cases = (
+        (
+            {"type": "diagonal", "lambda1": half, "lambda2": [1, 4, 0, 1]},
+            HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 4)),
+            (2, 1),
+        ),
+        (
+            {"type": "exceptional", "lambda": half, "m": 2},
+            HopfSurface.exceptional(Fraction(1, 2), 2),
+            None,
+        ),
+        (
+            {"type": "diagonal", "formal": {"relations": [[2, -1]], "witness": [[0.5, 0], [0.25, 0]]}},
+            HopfSurface.diagonal_formal([(2, -1)], (0.5, 0.25)),
+            (2, 1),
+        ),
+    )
+    for rec, want, pair in cases:
+        s = HopfSurface.from_record(rec)
+        assert (s.kind, s.m, s.basis) == (want.kind, want.m, want.basis)
+        assert s.hyperresonance() == pair

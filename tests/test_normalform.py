@@ -11,7 +11,6 @@ from hopfon.normalform import (
     NormalFormError,
     eigenvalue_relation_lattice,
     equal_up_to_swap,
-    hyperresonance_rank,
     is_generic,
     is_normal_form,
     normal_form,
@@ -51,6 +50,7 @@ def test_resonant_degrees_homothety_with_torsion():
     b = EigenBasis(("l", "l2"), [(n, 0), (0, n)], (cmath.exp(2j * cmath.pi / n),) * 2)
     rep = resonant_degrees(Mat2.diag(b.gen(0), b.gen(0)), n)
     assert rep.resonant_degrees == tuple(range(n + 1))
+    assert (rep.leading, rep.trailing) == (0, n)
     assert rep.lattice_rank == 2
 
 
@@ -90,10 +90,10 @@ def test_hyperresonance_rank():
         [(4, 0), (0, 3)],
         (1j, cmath.exp(2j * cmath.pi / 3)),
     )
-    assert hyperresonance_rank(b2) == 2
+    assert b2.lattice.rank == 2
     b1 = EigenBasis(("l1", "l2"), [(1, -1)], (0.5, 0.5))
-    assert hyperresonance_rank(b1) == 1
-    assert hyperresonance_rank(free_basis()) == 0
+    assert b1.lattice.rank == 1
+    assert free_basis().lattice.rank == 0
     assert eigenvalue_relation_lattice(b2.gen(0), b2.gen(1)).rank == 2
 
 
@@ -204,6 +204,11 @@ def test_normal_form_single_resonant_term_rescales_to_one():
     assert nf.element.p.coeffs[1].is_one()
     assert is_normal_form(nf.element)
     assert not is_generic(x)
+    # diag(1, -1) at n = 3 has resonant degrees 1 and 3, so the leading
+    # term is not of degree 0: tau^2 = 8/2 and mu2^3 = 2 tau^-1
+    one = free_basis().one()
+    nf = normal_form(diag_elt(one.basis, 3, one, -one, [0, 2, 0, 8])).element
+    assert [c.is_one() for c in nf.p.coeffs] == [False, True, False, True]
 
 
 def test_normal_form_idempotent():
