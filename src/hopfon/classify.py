@@ -16,16 +16,17 @@ F multiplies t1 and t2 by the eigenvalue monomials of their exponents
 (`diagonal_holonomy`).  The exceptional surface's F is not diagonal,
 so its two structures carry their holonomies explicitly.
 
+Admissibility has one gate, `devmaps.is_admissible`, plus an integer
+prefilter that is a necessary condition.  The hyperresonant families
+are listed where the gate accepts their maps, and
 `brute_force_admissible` enumerates every semiadmissible exponent and
-degree pattern with roots drawn from a fixed generic pool, filters by
-the A, B, C, D admissibility clauses, and collapses the survivors
-modulo the declared isomorphisms (chart swap, axis rescalings,
-diagonal conjugation); `enumerate_structures` must reproduce it row
-for row.  The clauses are exact integer conditions on the exponents,
-the degrees, (m1, m2) and n, met by every listed family, so the oracle
-decides them before it builds anything: the pool polynomials, their
-shape verdict and the `DevMap` are built only for the candidates that
-pass.  They do not decide unbranchedness (ROADMAP item 1,
+degree pattern with roots drawn from a fixed generic pool, keeps the
+maps the gate accepts and collapses them modulo the declared
+isomorphisms (chart swap, axis rescalings, diagonal conjugation);
+`enumerate_structures` must reproduce it row for row.  The prefilter
+is the gate's A, B, C, D clauses on integers: the pool polynomials and
+the `DevMap` are built only for the candidates that pass.  The clauses
+do not decide unbranchedness (ROADMAP item 1,
 `test_is_admissible_rejects_the_branched_m2_n_m1_map`).
 
 `reproduce_case_table` derives the feasible degree pattern for every
@@ -44,10 +45,9 @@ from .devmaps import (
     DevMap,
     UniPoly,
     _clause_verdict,
-    _shape_verdict,
-    _unbranched_verdict,
     exponent_constants,
     exponent_list,
+    is_admissible,
     z2_exponents,
 )
 from .group import GroupElt, HomogPoly, Mat2
@@ -180,10 +180,12 @@ _HYPER_FAMILIES = (
 def _hyper_records(s: HopfSurface, n: int, vals):
     """The hyperresonant records with the root factors vals, in table order.
 
-    A family is present when its map passes the unbranchedness clauses
-    of the certificate: the clause of the polynomial that carries the
-    roots vanishes exactly under the family's relation, and D != 0 is
-    the family's side condition.
+    Admissibility has one gate, plus an integer prefilter that is a
+    necessary condition: a family is present when the gate,
+    `is_admissible`, accepts its map.  Its slots are allowed and its
+    roots distinct and nonzero (`_check_params`), so that is when the
+    clause of the root-carrying polynomial vanishes, exactly under the
+    family's relation, and D != 0, the family's side condition.
     """
     hyper = s.hyperresonance()
     N = len(vals)
@@ -193,7 +195,7 @@ def _hyper_records(s: HopfSurface, n: int, vals):
         k1, l1, kt2, lt2 = slots(n)
         k2, l2 = z2_exponents(kt2, lt2, [p.degree for p in polys], hyper, n)
         dev = DevMap(k1, k2, l1, l2, *polys, hyper, n)
-        if not _unbranched_verdict(dev):
+        if not is_admissible(dev):
             continue
         yield StructureRecord(
             kind="hyperresonant",
@@ -316,20 +318,19 @@ def canonical_key(dev: DevMap, n: int):
 
 
 def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
-    """All admissible maps with bounded degrees, modulo declared isomorphisms.
+    """Every map `is_admissible` accepts with bounded degrees, modulo declared isomorphisms.
 
     Enumerates every pair of allowed exponent slots and every degree
     pattern up to deg_bound, with roots instantiated at fixed generic
-    pool values, filters by the A, B, C, D clauses of `is_admissible`,
-    and keeps one representative per canonical key.
+    pool values, and keeps one accepted map per canonical key.
 
-    The slots are allowed by construction, and the clauses depend only
-    on the exponents, the degrees, (m1, m2) and n, so each candidate is
-    decided on integers first (`_clause_verdict`), with (k2, l2) formed
-    once per slot pair (k2~, l2~) and pattern.
-    Only a candidate that passes gets its pattern's pool polynomials and
-    their shape verdict, built once per pattern and kept for the call,
-    and then its `DevMap` and canonical key.
+    Admissibility has one gate, plus an integer prefilter that is a
+    necessary condition: the gate's clauses depend only on the
+    exponents, the degrees, (m1, m2) and n, so each candidate is decided
+    on integers first (`_clause_verdict`), with (k2, l2) formed once per
+    slot pair (k2~, l2~) and pattern.  Only a candidate that passes gets
+    its pattern's pool polynomials, built once per pattern and kept for
+    the call, and a `DevMap` for the gate to judge.
     """
     if s.kind != "diagonal":
         raise ClassifyError("the brute-force oracle runs on diagonal surfaces")
@@ -348,31 +349,26 @@ def brute_force_admissible(s: HopfSurface, n: int, deg_bound: int = 2):
         for (kt2, lt2) in slots
         for degrees in degree_patterns
     ]
-    shaped = {}  # degree pattern -> (P1, Q1, P2), or None where the shape fails
+    pooled = {}  # degree pattern -> (P1, Q1, P2)
     found = {}
     for (k1, l1) in slots:
         for degrees, (k2, l2) in z2_slots:
             constants = exponent_constants(k1, k2, l1, l2, m1, m2, n)
             if not _clause_verdict(*constants, degrees):
                 continue
-            if degrees not in shaped:
-                shaped[degrees] = _pool_polys(roots, degrees)
-            polys = shaped[degrees]
-            if polys is None:
-                continue
-            d = DevMap(k1, k2, l1, l2, *polys, hyper, n)
-            found.setdefault(canonical_key(d, n), d)
+            if degrees not in pooled:
+                pooled[degrees] = _pool_polys(roots, degrees)
+            d = DevMap(k1, k2, l1, l2, *pooled[degrees], hyper, n)
+            if is_admissible(d):
+                found.setdefault(canonical_key(d, n), d)
     return [found[k] for k in sorted(found, key=repr)]
 
 
 def _pool_polys(roots, degrees):
-    """(P1, Q1, P2) with degrees (d1, dq, d3) on consecutive pool roots,
-    or None where they fail the shape constraints."""
+    """(P1, Q1, P2) with degrees (d1, dq, d3) on consecutive pool roots."""
     d1, dq, d3 = degrees
-    P1 = UniPoly.from_roots(roots[:d1])
-    Q1 = UniPoly.from_roots(roots[d1 : d1 + dq])
-    P2 = UniPoly.from_roots(roots[d1 + dq : d1 + dq + d3])
-    return (P1, Q1, P2) if _shape_verdict(P1, Q1, P2) else None
+    cuts = (0, d1, d1 + dq, d1 + dq + d3)
+    return tuple(UniPoly.from_roots(roots[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 # ---------------------------------------------------------------------------

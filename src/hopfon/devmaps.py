@@ -416,7 +416,7 @@ def is_semiadmissible(d: DevMap) -> Verdict:
 
 
 def _clause_verdict(A, B, C, D, degrees) -> Verdict:
-    """The unbranchedness clauses on the constants and the degrees (d1, dq, d3).
+    """The admissibility clauses on the constants and the degrees (d1, dq, d3).
 
     Requires A = 0 or deg P1 = 0, B = 0 or deg P2 = 0, C = 0 or deg Q1 = 0,
     and D != 0, in that order.
@@ -433,14 +433,13 @@ def _clause_verdict(A, B, C, D, degrees) -> Verdict:
     return Verdict(True)
 
 
-def _unbranched_verdict(d: DevMap) -> Verdict:
-    """The clauses of `is_admissible` beyond semiadmissibility."""
-    constants = exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n)
-    return _clause_verdict(*constants, d.degrees)
-
-
 def is_admissible(d: DevMap) -> Verdict:
     """The A/B/C/D clauses on top of semiadmissibility.
+
+    Admissibility has one gate, this one, plus an integer prefilter that
+    is a necessary condition: `classify` decides the hyperresonant
+    families and the brute-force oracle's maps here, and the oracle runs
+    `_clause_verdict` on integers first.
 
     Requires A = 0 or P1 constant, B = 0 or P2 constant, C = 0 or Q1
     constant, and D != 0.  Once the A, B, C clauses hold, every term
@@ -455,7 +454,7 @@ def is_admissible(d: DevMap) -> Verdict:
     semi = is_semiadmissible(d)
     if not semi:
         return Verdict(False, "not semiadmissible: " + semi.reason)
-    return _unbranched_verdict(d)
+    return _clause_verdict(*exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n), d.degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -16,7 +17,14 @@ from hopfon.classify import (
     enumerate_structures,
     reproduce_case_table,
 )
-from hopfon.devmaps import DevMap, UniPoly, _unbranched_verdict, exponent_list, is_admissible
+from hopfon.devmaps import (
+    DevMap,
+    UniPoly,
+    _clause_verdict,
+    exponent_constants,
+    exponent_list,
+    is_admissible,
+)
 from hopfon.group import GroupElt, Mat2
 from hopfon.hopf import HopfSurface
 from hopfon.scalars import GaussRat
@@ -257,9 +265,12 @@ def test_brute_force_requires_diagonal():
 def _reference_oracle(s, n, deg_bound):
     """`brute_force_admissible` decided candidate by candidate: every slot pair
     and degree pattern builds its pool polynomials and its map, which the
-    whole certificate then judges (`is_admissible` runs `_shape_verdict`)."""
+    whole certificate then judges (`is_admissible` runs `_shape_verdict`).
+
+    Along the way it asserts that the oracle's integer prefilter is a
+    necessary condition: no candidate it rejects passes `is_admissible`."""
     hyper = s.hyperresonance()
-    m2 = hyper[1] if hyper else 1
+    m1, m2 = hyper or (1, 1)
     patterns = [(0, 0, 0)]
     if hyper is not None:
         patterns = list(itertools.product(range(deg_bound + 1), repeat=3))
@@ -274,7 +285,11 @@ def _reference_oracle(s, n, deg_bound):
             P2 = UniPoly.from_roots(pool[d1 + dq : d1 + dq + d3])
             k2, l2 = kt2 + m2 * (d1 - dq), lt2 + m2 * (d3 - n * dq)
             d = DevMap(k1, k2, l1, l2, P1, Q1, P2, hyper, n)
-            if is_admissible(d):
+            verdict = is_admissible(d)
+            constants = exponent_constants(k1, k2, l1, l2, m1, m2, n)
+            if not _clause_verdict(*constants, (d1, dq, d3)):
+                assert not verdict, d
+            if verdict:
                 found.setdefault(canonical_key(d, n), d)
     return [found[k] for k in sorted(found, key=repr)]
 
@@ -299,26 +314,34 @@ def test_brute_force_matches_the_per_candidate_reference():
 
 def test_brute_force_builds_maps_only_for_candidates_that_pass_the_clauses(monkeypatch):
     # (1/4, 1/2) with n = 2 and deg_bound 2 has 16 slot pairs x 27 degree
-    # patterns = 432 candidates.  10 pass the A/B/C/D clauses, on 5 patterns:
-    # only those build a map, and each of the 5 checks its shape once
-    built, shapes = [], []
-    shape_verdict = classify._shape_verdict
+    # patterns = 432 candidates.  10 pass the integer A/B/C/D prefilter, on 5
+    # patterns: only those build a map, and the gate judges each map once
+    built, judged = [], []
 
     def devmap(*args):
         built.append(DevMap(*args))
         return built[-1]
 
-    def counted_shape(*polys):
-        shapes.append(tuple(p.degree for p in polys))
-        return shape_verdict(*polys)
+    def counted_gate(d):
+        judged.append(d)
+        return is_admissible(d)
 
     monkeypatch.setattr(classify, "DevMap", devmap)
-    monkeypatch.setattr(classify, "_shape_verdict", counted_shape)
+    monkeypatch.setattr(classify, "is_admissible", counted_gate)
     got = brute_force_admissible(hyper12(), 2, deg_bound=2)
-    assert len(built) == 10 and all(_unbranched_verdict(d) for d in built)
-    assert len(shapes) == 5 and len(set(shapes)) == 5
-    assert {d.degrees for d in built} == set(shapes)
+    assert len(built) == 10 and judged == built
+    assert all(is_admissible(d) for d in built)
+    assert len({d.degrees for d in built}) == 5
     assert got == _reference_oracle(hyper12(), 2, 2)
+
+
+def test_canonical_key_refuses_a_map_in_an_unexpected_slot():
+    # the immersion (z1/z2 - 2 z2, 1/z2^2) on (1/4, 1/2) with n = 2 has slots
+    # (k1, l1) = (0, 0) and (k2~, l2~) = (-1, -2), which no listed shape has
+    d = DevMap(0, 1, 0, -2, UniPoly.from_roots([2]), 1, 1, (1, 2), 2)
+    msg = "admissible map in unexpected slot ((0, 0), (-1, -2))"
+    with pytest.raises(ClassifyError, match=re.escape(msg)):
+        canonical_key(d, 2)
 
 
 def test_canonical_key_identifies_chart_swap():

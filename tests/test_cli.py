@@ -81,6 +81,27 @@ def test_structures_exceptional_below_degree_warns(tmp_path, capsys):
     assert "n < m" in out["warning"]
 
 
+def test_structures_exceptional_radial_holonomy_is_the_jordan_matrix(tmp_path, capsys):
+    # F = (lam z1, lam z2 + z1) with m = 1 and n = 1.  The radial map
+    # t = (z1/z2, 1/z2) gives t1(F z) = lam t1 / (t1 + lam) and
+    # t2(F z) = t2 / (t1 + lam): the Moebius action of [[lam, 0], [1, lam]]
+    # with p = 0, so det = lam^2.
+    from fractions import Fraction
+
+    from hopfon.hopf import HopfSurface
+
+    spec = write(tmp_path, "exc1.json", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1})
+    code, out = run(capsys, ["structures", "--spec", spec, "--n", "1"])
+    assert code == 0
+    (hol,) = [r["holonomy"] for r in out["structures"] if r["kind"] == "radial"]
+    s = HopfSurface.exceptional(Fraction(1, 2), 1)
+    lam, zero, one = s.lam.to_record(), s.basis.zero().to_record(), s.basis.one().to_record()
+    assert hol["type"] == "matrix"
+    assert hol["matrix"] == [[lam, zero], [one, lam]]
+    assert hol["det"] == (s.lam * s.lam).to_record()
+    assert hol["p"] == [zero, zero]
+
+
 def test_structures_hyper_with_params_and_verify(tmp_path, capsys):
     spec = write(
         tmp_path,

@@ -234,6 +234,31 @@ def test_is_admissible_rejects_the_branched_m2_n_m1_map():
     assert not is_admissible(_branched_m2_n_m1_map())
 
 
+def _immersion_m2_n_m1_map():
+    """The radial map composed with the shear (z1 - 2 z2^2, z2) on (1/4, 1/2)
+    with n = 2: t = (z1/z2 - 2 z2, 1/z2^2), whose det J = (1/z2)(-2/z2^3)
+    = -2 z2^-4 vanishes nowhere."""
+    return DevMap(0, 1, 0, -2, UniPoly.from_roots([2]), 1, 1, (1, 2), 2)
+
+
+def test_check_immersion_passes_the_sheared_radial_map():
+    from hopfon.hopf import HopfSurface
+
+    # on the default annulus |z2| <= 1, so |det J| = 2 / |z2|^4 >= 2
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    rep = check_immersion(_immersion_m2_n_m1_map(), VerifyConfig(), s)
+    assert rep.passed and rep.min_jacobian_magnitude >= 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the A/B/C/D clauses reject this immersion "
+    "(A = -2 nonzero with nonconstant P1); item 15's decider in is_admissible accepts it",
+)
+def test_is_admissible_accepts_the_sheared_radial_map():
+    assert is_admissible(_immersion_m2_n_m1_map())
+
+
 def test_shape_verdict_rejects_a_root_at_u_0_in_each_polynomial():
     # u^2 - 2u is squarefree and coprime with 1, so only the root-at-0
     # clause rejects it

@@ -83,6 +83,12 @@ MUTANTS = (
         "the polynomials are pairwise coprime",
     ),
     Mutant(
+        "gate-drops-the-clauses", "devmaps.py",
+        "    return _clause_verdict(*exponent_constants(d.k1, d.k2, d.l1, d.l2, *d._m(), d.n), d.degrees)\n",
+        "    return Verdict(True)\n",
+        "is_admissible decides the A/B/C/D clauses after semiadmissibility",
+    ),
+    Mutant(
         "slot-list-drops-0-1", "devmaps.py",
         "    return ((-1, -n), (0, 0), (0, 1), (1, 0))\n",
         "    return ((-1, -n), (0, 0), (1, 0))\n",
@@ -138,6 +144,12 @@ MUTANTS = (
         '    ("m2 = n m1", 0, lambda n: (0, 1, -1, -n), (1, 2), (4, 5)),\n',
         '    ("m2 = n m1", 0, lambda n: (0, 0, -1, -n), (1, 2), (4, 5)),\n',
         "the slots of the m2 = n m1 family (the l1 lead of ROADMAP item 1)",
+    ),
+    Mutant(
+        "family-gate-dropped", "classify.py",
+        "        if not is_admissible(dev):\n            continue\n",
+        "",
+        "a family is listed only where is_admissible accepts its map",
     ),
     Mutant(
         "family-m1-n-m2-dropped", "classify.py",
