@@ -63,6 +63,14 @@ class ClassifyError(ValueError):
 
 @dataclass(frozen=True)
 class StructureRecord:
+    """One O(n)-structure: its developing map, holonomy and provenance.
+
+    `complete` is False on every record, and must be: a complete structure's
+    developing map would be a covering map from C^2 - 0 to the total space
+    of O(n).  Both are simply connected, so it would be a biholomorphism.
+    But H^2(C^2 - 0) = 0, while the total space retracts onto P^1: H^2 = Z.
+    """
+
     kind: str  # radial | eigen | exceptional_eigen | hyperresonant
     dev: DevMap
     hol: GroupElt

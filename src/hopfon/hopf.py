@@ -88,11 +88,10 @@ class HopfSurface:
     def diagonal(cls, l1, l2) -> "HopfSurface":
         """Diagonal surface with Gaussian-rational eigenvalues.
 
-        The relation lattice is exact (`scalars.find_relations`), with a
-        minimal pair beyond |m1|, |m2| <= 64 reported as no relation.
-        Section solves for twists given by value share the basis's one
-        `scalars.ValuationSystem`.
-        """
+        The basis refines them once, into its `scalars.ValuationSystem`: it
+        gives the relation lattice (`scalars.find_relations`, with a minimal
+        pair beyond |m1|, |m2| <= 64 reported as no relation) and solves
+        every section twist given by value."""
         basis = EigenBasis.from_gauss_values(as_gauss(l1), as_gauss(l2))
         return cls("diagonal", basis)
 
@@ -105,12 +104,15 @@ class HopfSurface:
     def exceptional(cls, lam, m: int) -> "HopfSurface":
         """Exceptional surface (l z1, l^m z2 + z1^m) of degree m.
 
-        Both basis generators name the single eigenvalue, tied by the
-        relation l1 = l2, so diagonal-style bookkeeping stays usable.
-        """
+        Both basis generators name the single eigenvalue, so diagonal-style
+        bookkeeping stays usable: the exact values (l, l) give the lattice
+        generated by l1 = l2."""
         lam = as_gauss(lam)
+        if lam.is_zero():
+            # the modulus check, made here because the basis refuses a zero value
+            raise SurfaceError("eigenvalue moduli must lie strictly in (0, 1)")
         w = lam.to_complex()
-        basis = EigenBasis(("lam", "lam2"), [(1, -1)], (w, w), exact=(lam, lam))
+        basis = EigenBasis(("lam", "lam2"), (), (w, w), exact=(lam, lam))
         return cls("exceptional", basis, m=m)
 
     # -- eigenvalues ---------------------------------------------------------

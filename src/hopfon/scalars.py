@@ -476,12 +476,9 @@ class RelationLattice:
 
 _WITNESS_TOL = 1e-12
 
-# Relation lattices are solved exactly, then clamped for classification:
-# `find_relations` reports a rank-1 lattice whose generator leaves the box
-# |a|, |b| <= _RELATION_BOUND as no relation.  Power products are not
-# clamped.  The clamp stays until the benchmark's numeric section check
-# (bench/workloads.py), which overflows complex floats for exponents
-# beyond the box, can check such surfaces.
+# The clamp of `find_relations` (power products are not clamped) stays until
+# the benchmark's numeric section check (bench/workloads.py), which overflows
+# complex floats for exponents beyond the box, can check such surfaces.
 _RELATION_BOUND = 64
 
 
@@ -663,36 +660,37 @@ class ValuationSystem:
         return None if any(residue) else ((h[0], h[1]), self.lattice)
 
 
-def find_relations(v1: GaussRat, v2: GaussRat) -> RelationLattice:
-    """Relation lattice {(a, b) : v1^a v2^b = 1} of two nonzero Gaussian rationals.
-
-    The lattice is exact (the kernel of their `ValuationSystem`), then
-    clamped to the box |a|, |b| <= 64: a rank-1 lattice whose generator
-    leaves the box is reported as rank 0.  A rank-2 lattice needs no
-    clamp, since it arises only for two roots of unity and then contains
-    4 Z^2.
+def find_relations(system: ValuationSystem) -> RelationLattice:
+    """The exact relation lattice {(a, b) : v1^a v2^b = 1} of a
+    `ValuationSystem`, clamped to the box |a|, |b| <= 64: a rank-1 lattice
+    whose generator leaves the box is reported as rank 0.  A rank-2 lattice
+    needs no clamp, since it arises only for two roots of unity and then
+    contains 4 Z^2.
     """
-    lattice = ValuationSystem(v1, v2).lattice
+    lattice = system.lattice
     if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:
         return RelationLattice()
     return lattice
 
 
 class EigenBasis:
-    """Two formal eigenvalue generators with a relation lattice and witnesses.
+    """Two eigenvalue generators with a relation lattice and witnesses.
 
-    The witnesses of a formal basis are checked: nonzero, and satisfying
-    every declared relation.  A basis with `exact` values takes its
-    lattice from them, and its float witnesses are not checked, since
-    they may round (2^-1200 becomes 0.0).
+    A formal basis declares its relations, and its witnesses are checked:
+    nonzero, and satisfying every declared relation.  A basis with `exact`
+    values declares none: it refines them once into `valuations`, their
+    `ValuationSystem`, which gives the lattice (`find_relations`) and
+    solves every twist given by value.  Its float witnesses are not
+    checked, since they may round (2^-1200 becomes 0.0).
     """
 
-    __slots__ = ("names", "lattice", "witness", "exact", "_cache")
+    __slots__ = ("names", "lattice", "witness", "exact", "valuations", "_cache")
 
     def __init__(self, names=("l1", "l2"), relations=(), witness=(0.5, 0.5), exact=None):
-        lattice = relations if isinstance(relations, RelationLattice) else RelationLattice(relations)
         witness = (complex(witness[0]), complex(witness[1]))
         if exact is None:
+            valuations = None
+            lattice = relations if isinstance(relations, RelationLattice) else RelationLattice(relations)
             if witness[0] == 0 or witness[1] == 0:
                 raise ValueError("numeric witnesses must be nonzero")
             for a, b in lattice.rows:
@@ -701,10 +699,16 @@ class EigenBasis:
                     raise ValueError(
                         "witness %r violates declared relation (%d, %d)" % (witness, a, b)
                     )
+        elif relations:
+            raise ValueError("an exact basis takes its relations from its values")
+        else:
+            valuations = ValuationSystem(*exact)
+            lattice = find_relations(valuations)
         object.__setattr__(self, "names", (str(names[0]), str(names[1])))
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "valuations", valuations)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
@@ -712,26 +716,11 @@ class EigenBasis:
 
     @classmethod
     def from_gauss_values(cls, v1, v2):
-        """Basis for concrete Gaussian-rational eigenvalues.
-
-        The relation lattice comes from `find_relations`: exact, with a
-        generator beyond |a|, |b| <= 64 reported as no relation.  Twists
-        given by value are solved against `valuation_system`.
-        """
+        """Basis for concrete Gaussian-rational eigenvalues, with the exact
+        lattice of their `ValuationSystem`; a generator beyond |a|, |b| <= 64
+        is reported as no relation (`find_relations`)."""
         v1, v2 = as_gauss(v1), as_gauss(v2)
-        lat = find_relations(v1, v2)
-        return cls(("l1", "l2"), lat, (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
-
-    def valuation_system(self):
-        """The `ValuationSystem` of the exact eigenvalues, or None for a
-        formal basis.  It is built on first use and kept on the basis
-        object, so every later twist is solved against it."""
-        if self.exact is None:
-            return None
-        system = self._cache.get("valuations")
-        if system is None:
-            system = self._cache["valuations"] = ValuationSystem(*self.exact)
-        return system
+        return cls(("l1", "l2"), (), (v1.to_complex(), v2.to_complex()), exact=(v1, v2))
 
     def hyperresonance(self):
         """Minimal positive pair (m1, m2) with l1^m1 = l2^m2, or None."""

@@ -99,8 +99,8 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
     the twist c l1^e1 l2^e2 may also carry a plain number c: the whole
     coset of (k1, k2) with v1^k1 v2^k2 = c v1^e1 v2^e2 is found exactly,
     and its canonical point modulo the exact relation lattice is returned.
-    That solve runs against the basis's `ValuationSystem`, built once per
-    basis.
+    That solve runs against `basis.valuations`, the `ValuationSystem` the
+    basis built from its values.
     """
     if a.is_zero():
         return None
@@ -109,7 +109,7 @@ def solve_power_product(basis: EigenBasis, a: Scalar):
         if c.is_one() and e1.denominator == 1 and e2.denominator == 1:
             return (int(e1), int(e2))
         if basis.exact is not None and e1.denominator == 1 and e2.denominator == 1:
-            coset = basis.valuation_system().solve(c)
+            coset = basis.valuations.solve(c)
             if coset is None:
                 return None
             (h1, h2), lattice = coset

@@ -60,6 +60,27 @@ def test_semantically_invalid_spec_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (
+            {"type": "exceptional", "lambda": [0, 1, 0, 1], "m": 1},
+            "eigenvalue moduli must lie strictly in (0, 1)",
+        ),
+        (
+            {"type": "diagonal", "lambda1": [0, 1, 0, 1], "lambda2": [1, 2, 0, 1]},
+            "eigenvalues must be nonzero",
+        ),
+    ],
+    ids=["exceptional", "diagonal"],
+)
+def test_zero_eigenvalue_is_refused_with_its_message(tmp_path, capsys, record, message):
+    code = main(["classify", "--spec", write(tmp_path, "zero.json", record)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: surface record: %s\n" % message
+
+
 def test_structures_generic_n1(tmp_path, capsys):
     spec = write(
         tmp_path,

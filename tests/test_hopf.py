@@ -133,6 +133,13 @@ def test_moduli_decided_exactly():
         HopfSurface.diagonal(1, Fraction(1, 2))
 
 
+def test_exceptional_basis_takes_the_lattice_of_its_values():
+    # the exact values (lam, lam) give the lattice of l1 = l2, declared by no one
+    b = HopfSurface.exceptional(Fraction(1, 2), 2).basis
+    assert b.lattice.rows == ((1, -1),)
+    assert b.valuations.lattice == b.lattice
+
+
 def test_exact_eigenvalue_whose_witness_underflows():
     # 2^-1200 is 0.0 as a float; the exact lattice, (1, -60), decides the class
     s = HopfSurface.diagonal(Fraction(1, 2**1200), Fraction(1, 2**20))

@@ -109,11 +109,11 @@ def test_minimal_pair_rank1():
 
 
 def test_find_relations_bounded_search():
-    lat = find_relations(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 4)))
+    lat = find_relations(ValuationSystem(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 4))))
     assert lat.minimal_positive_pair() == (2, 1)
-    lat = find_relations(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3)))
+    lat = find_relations(ValuationSystem(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 3))))
     assert lat.rank == 0
-    lat = find_relations(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2)))
+    lat = find_relations(ValuationSystem(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 2))))
     assert lat.minimal_positive_pair() == (1, 1)
 
 
@@ -123,7 +123,15 @@ def test_relation_beyond_box_is_exact_then_clamped():
         h, lat = ValuationSystem(mu**a, mu**b).solve(GR_ONE)
         assert h == (0, 0) and lat.rows == (generator,)
         # the clamp reports a generator outside |a|, |b| <= 64 as no relation
-        assert find_relations(mu**a, mu**b).rank == 0
+        assert find_relations(ValuationSystem(mu**a, mu**b)).rank == 0
+
+
+def test_exact_basis_takes_its_relations_from_its_values():
+    half = GaussRat(Fraction(1, 2))
+    b = EigenBasis(("l1", "l2"), (), (0.5, 0.25), exact=(half, half * half))
+    assert b.lattice == b.valuations.lattice == RelationLattice([(2, -1)])
+    with pytest.raises(ValueError, match="exact basis"):
+        EigenBasis(("l1", "l2"), [(2, -1)], (0.5, 0.25), exact=(half, half * half))
 
 
 def exact_scan(v1, v2, value, bound):
@@ -164,7 +172,7 @@ def test_relations_and_power_products_match_exact_scan(kind):
         v1, v2 = _seeded_pair(kind, rng)
         if v1.is_zero() or v2.is_zero():
             continue
-        lat = find_relations(v1, v2)
+        lat = find_relations(ValuationSystem(v1, v2))
         assert [h for h in box if lat.contains(h)] == exact_scan(v1, v2, GR_ONE, bound)
         for _ in range(3):
             value = v1 ** rng.randint(-8, 8) * v2 ** rng.randint(-8, 8)
@@ -595,6 +603,21 @@ def test_nth_root_exact_where_floats_fail():
     # argument, and the counterclockwise one is returned
     assert GaussRat(16).nth_root(8) == GaussRat(1, 1)
     assert GaussRat(2).nth_root(2) is None
+
+
+def test_nth_root_recovers_seeded_exact_powers():
+    # 200 exact k-th powers c^k, k = 2..12, whose parts have 10-600 bits over
+    # a nonunit denominator: each gives back a root r with r^k == c^k (r may
+    # differ from c by a k-th root of unity in Q(i))
+    rng = random.Random(14)
+    for _ in range(200):
+        k, bits = rng.randint(2, 12), rng.randint(10, 600)
+        b = max(2, bits // k)  # c's parts, so that c^k has about `bits` bits
+        z = rng.randint(2, 2**b)
+        c = GaussRat(*(Fraction(rng.choice((-1, 1)) * rng.getrandbits(b), z) for _ in range(2)))
+        power = c**k
+        r = power.nth_root(k)
+        assert r is not None and r**k == power
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,19 @@ MUTANTS = (
         "    leading = max(marks) if marks else None\n",
         "the leading resonant degree is the smallest",
     ),
+    # exact relations (scalars)
+    Mutant(
+        "relation-clamp-dropped", "scalars.py",
+        "    if lattice.rank == 1 and max(map(abs, lattice.rows[0])) > _RELATION_BOUND:\n        return RelationLattice()\n",
+        "",
+        "a rank-1 relation beyond |a|, |b| <= 64 is reported as none",
+    ),
+    Mutant(
+        "valuation-torsion-row-dropped", "scalars.py",
+        "w1 + [k1], w2 + [k2], [0] * len(w1) + [4]]",
+        "w1 + [k1], w2 + [k2]]",
+        "the unit exponents k are read modulo 4",
+    ),
     # sections
     Mutant(
         "exceptional-power-drops-l2", "sections.py",
