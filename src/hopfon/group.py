@@ -27,10 +27,13 @@ from math import hypot, inf, isinf, sqrt
 
 from .scalars import (
     _E00,
+    _ONE_TERMS,
     BasisMismatchError,
     EigenBasis,
     Scalar,
     ScalarDomainError,
+    _accumulate,
+    _canonical,
     sum_of_products,
 )
 
@@ -100,31 +103,47 @@ class HomogPoly:
         if other.basis is not self.basis and other.basis != self.basis:
             raise BasisMismatchError("polynomials over different bases")
 
-    def precompose(self, m: "Mat2") -> "HomogPoly":
-        """p(M Z): substitute Z1 -> m11 Z1 + m12 Z2, Z2 -> m21 Z1 + m22 Z2.
+    def precompose(self, m: "Mat2", plus: "HomogPoly" = None) -> "HomogPoly":
+        """p(M Z) (+ plus): substitute Z1 -> m11 Z1 + m12 Z2, Z2 -> m21 Z1 + m22 Z2.
 
-        With L1 = m11 Z1 + m12 Z2 and L2 = m21 Z1 + m22 Z2, the result
-        sum(a_k L1^k L2^(n-k)) is built by the homogeneous Horner scheme
-        r <- r L1 + a_k L2^(n-k), for k = n-1 down to 0, from r = a_n.
-        Each coefficient of a step is one `sum_of_products` call.
+        A diagonal M scales a_k by m11^k m22^(n-k), read from one table
+        of powers per entry.  Otherwise, with L1 = m11 Z1 + m12 Z2 and
+        L2 = m21 Z1 + m22 Z2, sum(a_k L1^k L2^(n-k)) is built by the
+        homogeneous Horner scheme r <- r L1 + a_k L2^(n-k), for k = n-1
+        down to 0, from r = a_n; `plus` joins the last step.  Each
+        coefficient of a step is one `_accumulate` dict of raw terms,
+        and each of the result passes `_canonical` once.
         """
         n = self.degree
         cs = self.coeffs
         if self.is_zero():
-            return self
+            return self if plus is None else plus
         (m11, m12), (m21, m22) = m.entries
         if not (m12.terms or m21.terms):
             # diagonal substitution scales each coefficient independently
-            cs = [a * m11**k * m22 ** (n - k) if a.terms else a for k, a in enumerate(cs)]
-            return HomogPoly._raw(self.basis, n, cs)
-        # Coefficient vectors are indexed by the power of Z1.
-        r = [cs[n]]
-        l2pow = [m22, m21]
+            ks = [k for k, a in enumerate(cs) if a.terms]
+            pow11, pow22 = _powers(m11, ks[-1]), _powers(m22, n - ks[0])
+            cs = [a * pow11[k] * pow22[n - k] if a.terms else a for k, a in enumerate(cs)]
+            out = HomogPoly._raw(self.basis, n, cs)
+            return out if plus is None else plus + out
+        add = self.basis.lattice.add_reduced
+        t11, t12, t21, t22 = m11.terms, m12.terms, m21.terms, m22.terms
+        # Vectors of raw term collections, indexed by the power of Z1.
+        r, l2pow = [cs[n].terms], [t22, t21]
         for k in range(n - 1, -1, -1):
-            r = _times_linear(r, m12, m11, cs[k], l2pow)
+            rows = _linear_rows(r, t12, t11)
+            a = cs[k].terms
+            if a:
+                for row, w in zip(rows, l2pow):
+                    row.append((a, w))
+            if plus is not None and not k:
+                for row, q in zip(rows, plus.coeffs):
+                    row.append((q.terms, _ONE_TERMS))
+            accs = [_accumulate(row, add) for row in rows]
+            r = [acc.values() for acc in accs]
             if k:
-                l2pow = _times_linear(l2pow, m22, m21)
-        return HomogPoly._raw(self.basis, n, r)
+                l2pow = [_accumulate(row, add).values() for row in _linear_rows(l2pow, t22, t21)]
+        return HomogPoly._raw(self.basis, n, [Scalar._raw(self.basis, _canonical(acc)) for acc in accs])
 
     def __eq__(self, other):
         return (
@@ -145,17 +164,18 @@ class HomogPoly:
         return "HomogPoly<%s>" % (" + ".join(bits) or "0")
 
 
-def _times_linear(v, u2, u1, a=None, w=None):
-    """Coefficient vector of (sum v_i Z1^i Z2^(d-i)) (u1 Z1 + u2 Z2), plus
-    a (sum w_i Z1^i Z2^(d+1-i)) when a scalar a and d+2 scalars w are given.
+def _linear_rows(v, u2, u1):
+    """The pairs of term collections whose products sum to each coefficient
+    of (sum v_i Z1^i Z2^(d-i)) (u1 Z1 + u2 Z2), for d + 1 collections v."""
+    return [[(v[0], u2)]] + [[(v[i], u2), (v[i - 1], u1)] for i in range(1, len(v))] + [[(v[-1], u1)]]
 
-    Each coefficient is one fused `sum_of_products`."""
-    d = len(v)
-    rows = [[(v[0], u2)]] + [[(v[i], u2), (v[i - 1], u1)] for i in range(1, d)] + [[(v[-1], u1)]]
-    if a is not None and a.terms:
-        for row, e in zip(rows, w):
-            row.append((a, e))
-    return [sum_of_products(row) for row in rows]
+
+def _powers(x: Scalar, k: int):
+    """[1, x, x^2, ..., x^k] (at least up to x), one product per power beyond x."""
+    out = [x.basis.one(), x]
+    for _ in range(k - 1):
+        out.append(out[-1] * x)
+    return out
 
 
 class Mat2:
@@ -311,7 +331,7 @@ class GroupElt:
         if other.p.is_zero():
             return GroupElt(self.g * other.g, self.p)
         g0inv = self.g.inverse()
-        return GroupElt(self.g * other.g, self.p + other.p.precompose(g0inv))
+        return GroupElt(self.g * other.g, other.p.precompose(g0inv, self.p))
 
     def inverse(self) -> "GroupElt":
         """(g, p)^{-1} = (g^{-1}, -p . g)."""
@@ -544,7 +564,7 @@ def random_group_elt(basis, n, rng, scale=3) -> GroupElt:
         x, y, z = a * d, c * b, b * d
         if not (x or y):
             return zero
-        g = math.gcd(x, y, z)
+        g = math.gcd(z, x, y)
         if g > 1:
             x, y, z = x // g, y // g, z // g
         return Scalar._raw(basis, ((_E00, x, y, z),))

@@ -78,7 +78,7 @@ class GaussRat:
         """(x + i y)/z from integers with z != 0, brought to canonical form."""
         if z < 0:
             x, y, z = -x, -y, -z
-        g = math.gcd(x, y, z)
+        g = math.gcd(z, x, y)
         if g > 1:
             x, y, z = x // g, y // g, z // g
         out = object.__new__(GaussRat)
@@ -781,12 +781,12 @@ def _canonical(acc, keys=None):
     """The sorted term tuple of acc, a dict from reduced key to term (key, x, y, z), z > 0.
 
     Only the terms on `keys` (every term when keys is None) may be off
-    canonical form, as a sum or a product of canonical coefficients:
-    each is brought to lowest terms, or dropped when zero.  Every other
-    term is kept as it is.  A Gaussian integer (z = 1) is in lowest
-    terms already, since gcd(x, y, 1) = 1.  Keys are distinct, so the
-    sort compares keys only.  The constructor, sums beyond two monomials
-    and `_products` end here.
+    canonical form, as any (x + i y)/z with z > 0: each is brought to
+    lowest terms, or dropped when zero.  Every other term is kept as it
+    is.  A Gaussian integer (z = 1) is in lowest terms already, since
+    gcd(x, y, 1) = 1.  Keys are distinct, so the sort compares keys
+    only.  The constructor, sums beyond two monomials, `_products` and
+    the coefficients of `HomogPoly.precompose` end here.
     """
     if keys is None:
         out = []
@@ -794,7 +794,7 @@ def _canonical(acc, keys=None):
             key, x, y, z = t
             if x or y:
                 if z != 1:
-                    g = math.gcd(x, y, z)
+                    g = math.gcd(z, x, y)
                     if g > 1:
                         t = (key, x // g, y // g, z // g)
                 out.append(t)
@@ -804,7 +804,7 @@ def _canonical(acc, keys=None):
         _, x, y, z = acc[key]
         if x or y:
             if z != 1:
-                g = math.gcd(x, y, z)
+                g = math.gcd(z, x, y)
                 if g > 1:
                     acc[key] = (key, x // g, y // g, z // g)
         else:
@@ -812,32 +812,45 @@ def _canonical(acc, keys=None):
     return tuple(sorted(acc.values()))
 
 
-def _products(pairs, add):
-    """The canonical terms of sum(a * b for a, b in pairs), for scalars
-    over one basis: the kernel of `Scalar.__mul__` and `sum_of_products`.
+def _accumulate(pairs, add):
+    """sum(a * b for a, b in pairs) for pairs of term collections, as an
+    unreduced dict from reduced key to term (key, x, y, z), z > 0.
 
-    Each term product is added straight into one dict on its key, found
-    in one step by `add` (`RelationLattice.add_reduced`, skipped for a
-    constant factor), with no list of products between.  Two Gaussian
-    integers (z = 1) on one key add without cross-multiplying by z, and
-    `_canonical` takes no gcd of a Gaussian integer, so the Kronecker
-    proof, whose coefficients are all Gaussian integers, takes none.
+    Each term product goes straight in on its key, found in one step by
+    `add` (`RelationLattice.add_reduced`, skipped for a constant factor).
+    Two terms on one key add over the lcm of their denominators (Knuth,
+    TAOCP vol. 2, 4.5.1): equal denominators, as two Gaussian integers
+    have, add numerators only; others are first divided by gcd(w, z).
+    Nothing is reduced and zero terms stay, so the steps of
+    `HomogPoly.precompose` multiply the terms again as they stand.
     """
     acc = {}
-    for a, b in pairs:
-        for e1, x1, y1, z1 in a.terms:
-            for e2, x2, y2, z2 in b.terms:
+    for ts, us in pairs:
+        for e1, x1, y1, z1 in ts:
+            for e2, x2, y2, z2 in us:
                 key = e2 if e1 == _E00 else e1 if e2 == _E00 else add(e1, e2)
                 x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
                 t = acc.get(key)
                 if t is not None:
                     _, u, v, w = t
-                    if w == 1 and z == 1:
+                    if w == z:
                         x, y = u + x, v + y
                     else:
-                        x, y, z = u * z + x * w, v * z + y * w, w * z
+                        g = math.gcd(w, z)
+                        if g == 1:
+                            x, y, z = u * z + x * w, v * z + y * w, w * z
+                        else:
+                            wg, zg = w // g, z // g
+                            x, y, z = u * zg + x * wg, v * zg + y * wg, w * zg
                 acc[key] = (key, x, y, z)
-    return _canonical(acc)
+    return acc
+
+
+def _products(pairs, add):
+    """`_accumulate` brought to canonical form once: the kernel of
+    `Scalar.__mul__` and `sum_of_products`.  The Kronecker proof, whose
+    coefficients are all Gaussian integers, takes no gcd in it."""
+    return _canonical(_accumulate(pairs, add))
 
 
 def _shift(basis, term, ts):
@@ -854,7 +867,7 @@ def _shift(basis, term, ts):
     for e2, x2, y2, z2 in ts:
         x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
         if z != 1:
-            g = math.gcd(x, y, z)
+            g = math.gcd(z, x, y)
             if g > 1:
                 x, y, z = x // g, y // g, z // g
         # a constant factor keeps the other (canonical) key as it is
@@ -884,9 +897,10 @@ class Scalar:
     the keys both operands hold; a monomial factor only shifts the
     other's keys (`_shift`), so nothing merges; and other products, like
     the fused `sum_of_products`, add each term product into one
-    accumulator on its key (`_products`).  Those sums and products, and
-    the constructor, end in one helper, `_canonical`.  Neither it nor
-    `_shift` takes the gcd of a Gaussian-integer coefficient (z = 1).
+    accumulator on its key (`_accumulate`), as do the Horner steps of
+    `HomogPoly.precompose`, which build no scalar between steps.  Those
+    sums and products, and the constructor, end in `_canonical`.  Neither
+    it nor `_shift` takes the gcd of a Gaussian-integer coefficient.
     """
 
     __slots__ = ("basis", "terms")
@@ -987,7 +1001,7 @@ class Scalar:
             x, y, z = x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2
             if not (x or y):
                 return Scalar._raw(self.basis, ())
-            g = math.gcd(x, y, z)
+            g = math.gcd(z, x, y)
             if g > 1:
                 x, y, z = x // g, y // g, z // g
             return Scalar._raw(self.basis, ((e1, x, y, z),))
@@ -1035,7 +1049,7 @@ class Scalar:
                 (e1, x1, y1, z1), (e2, x2, y2, z2) = ts[0], to[0]
                 # Q(i) is a field, so the product of nonzero coefficients is nonzero
                 x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
-                g = math.gcd(x, y, z)
+                g = math.gcd(z, x, y)
                 if g > 1:
                     x, y, z = x // g, y // g, z // g
                 # a constant factor keeps the other (canonical) key as it is
@@ -1049,7 +1063,7 @@ class Scalar:
             return Scalar._raw(self.basis, _shift(self.basis, ts[0], to))
         if len(to) == 1:
             return Scalar._raw(self.basis, _shift(self.basis, to[0], ts))
-        return Scalar._raw(self.basis, _products(((self, other),), self.basis.lattice.add_reduced))
+        return Scalar._raw(self.basis, _products(((ts, to),), self.basis.lattice.add_reduced))
 
     __rmul__ = __mul__
 
@@ -1164,11 +1178,12 @@ def sum_of_products(pairs) -> Scalar:
     """sum(a * b for a, b in pairs), for a nonempty sequence of pairs of
     scalars over one basis.
 
-    The fused form of the dot products of the group layer (matrix
-    products, the steps of precomposition) and of the exact action:
-    every term product lands in one accumulator (`_products`), which is
-    brought to canonical form once, so no intermediate sum or product is
-    built.  A sum with at most one nonzero product is that product.
+    The fused form of the dot products of `Mat2` (its products and
+    determinant) and of the exact action and Kronecker proof of
+    `verify`: every term product lands in one accumulator
+    (`_products`), which is brought to canonical form once, so no
+    intermediate sum or product is built.  A sum with at most one
+    nonzero product is that product.
     """
     first = pairs[0][0]
     basis = first.basis
@@ -1182,7 +1197,8 @@ def sum_of_products(pairs) -> Scalar:
             live.append((a, b))
     if len(live) < 2:
         return live[0][0] * live[0][1] if live else basis.zero()
-    return Scalar._raw(basis, _products(live, basis.lattice.add_reduced))
+    terms = _products([(a.terms, b.terms) for a, b in live], basis.lattice.add_reduced)
+    return Scalar._raw(basis, terms)
 
 
 def is_root_of_unity(a: Scalar, n: int) -> bool:

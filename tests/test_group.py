@@ -285,30 +285,75 @@ def _expand_precompose(p, m):
     return HomogPoly(p.basis, n, out)
 
 
-def test_precompose_matches_reference_expansion():
-    b = EigenBasis(("l1", "l2"), [(1, 1)], (0.5, 2.0))
-    rng = random.Random(7)
-
-    def entry():
+def _random_entry(b, rng, bits=None, den=None):
+    """A monomial over b, plus l2 with probability 0.3.  Its coefficient has
+    small parts, or with `bits` parts of that many bits over the denominator
+    den, or over a fresh odd one of that size when den is None."""
+    if bits is None:
         c = GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-1, 1))
-        x = Scalar.monomial(b, c, (rng.randint(-1, 1), Fraction(rng.randint(-2, 2), 2)))
-        return x + b.gen(1) if rng.random() < 0.3 else x
+    else:
+        z = den or rng.getrandbits(bits) | 1
+        c = GaussRat(Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), z), Fraction(rng.getrandbits(bits), z))
+    x = Scalar.monomial(b, c, (rng.randint(-1, 1), Fraction(rng.randint(-2, 2), 2)))
+    return x + b.gen(1) if rng.random() < 0.3 else x
 
-    def matrix():
-        while True:
-            try:
-                m = Mat2(b, ((entry(), entry()), (entry(), entry())))
-            except ValueError:
-                continue
-            if not m.is_diagonal():
-                return m
 
-    for n in (1, 2, 3, 4):
-        for _ in range(8):
-            p = HomogPoly(b, n, [entry() for _ in range(n + 1)])
-            ma, mb = matrix(), matrix()
-            assert p.precompose(ma) == _expand_precompose(p, ma)
-            assert p.precompose(ma * mb) == p.precompose(ma).precompose(mb)
+def _random_matrix(shape, entry, unit=None):
+    """An invertible matrix of the shape "dense", "upper", "lower" or
+    "diagonal".  With `unit`, a function drawing nonzero monomials, it is
+    [[u, ub], [cu, cub + v]], whose determinant uv is a unit."""
+    while True:
+        (a, b), (c, d) = (entry(), entry()), (entry(), entry())
+        zero = a.basis.zero()
+        b = zero if shape in ("lower", "diagonal") else b
+        c = zero if shape in ("upper", "diagonal") else c
+        if shape == "dense" and not (b.terms and c.terms):
+            continue
+        if unit is not None:
+            u, v = unit(), unit()
+            return Mat2(a.basis, ((u, u * b), (c * u, c * u * b + v)))
+        try:
+            return Mat2(a.basis, ((a, b), (c, d)))
+        except ValueError:
+            continue
+
+
+def test_precompose_matches_reference_expansion():
+    # small parts over the free basis, a rank-1 one and a torsion one; then
+    # 64- and 256-bit parts over the rank-1 basis, with denominators D times
+    # 1, 2 or 3 (two terms on one key have equal denominators or a common
+    # factor) or fresh odd ones (mostly coprime), so both lcm merges run
+    rng = random.Random(7)
+    rank1 = ([(1, 1)], (0.5, 2.0))
+    cases = [(((), (0.5, 0.3)), None, False), (rank1, None, False), (([(0, 4)], (0.5, 1j)), None, False)]
+    cases += [(rank1, bits, shared) for bits in (64, 256) for shared in (True, False)]
+    for (relations, witness), bits, shared in cases:
+        b = EigenBasis(("l1", "l2"), relations, witness)
+        big = rng.getrandbits(bits) | 1 if bits else None
+
+        def entry():
+            return _random_entry(b, rng, bits, big * rng.randint(1, 3) if shared else None)
+
+        def poly(n):
+            return HomogPoly(b, n, [b.zero() if rng.random() < 0.25 else entry() for _ in range(n + 1)])
+
+        def unit():
+            c = GaussRat(rng.randint(1, 3), rng.randint(-2, 2))
+            return Scalar.monomial(b, c, (rng.randint(-1, 1), 0))
+
+        for n in (1, 2, 3, 4):
+            zero = HomogPoly.zero(b, n)
+            for shape in ("dense", "upper", "lower", "diagonal"):
+                for p in [zero] + [poly(n) for _ in range(3 if bits is None else 1)]:
+                    ma, mb = _random_matrix(shape, entry), _random_matrix("dense", entry)
+                    ref = _expand_precompose(p, ma)
+                    assert p.precompose(ma) == ref
+                    assert p.precompose(ma, zero) == ref
+                    q = poly(n)
+                    assert p.precompose(ma, q) == q + ref
+                    assert p.precompose(ma * mb) == p.precompose(ma).precompose(mb)
+                    x, y = GroupElt(_random_matrix(shape, entry, unit), q), GroupElt(ma, p)
+                    assert compose(x, y).p == x.p + _expand_precompose(y.p, x.g.inverse())
 
 
 def _plain_chordal(a, b):

@@ -212,10 +212,10 @@ def _fails(n=2):
 def test_group_axioms_catch_a_dropped_horner_term(monkeypatch):
     precompose = HomogPoly.precompose
 
-    def dropped(p, m):
+    def dropped(p, m, plus=None):
         # the Horner step that adds a_0 L2^n is skipped
         zero = p.basis.zero()
-        return precompose(HomogPoly._raw(p.basis, p.degree, (zero,) + p.coeffs[1:]), m)
+        return precompose(HomogPoly._raw(p.basis, p.degree, (zero,) + p.coeffs[1:]), m, plus)
 
     monkeypatch.setattr(HomogPoly, "precompose", dropped)
     assert _fails() == ("action", "action_big_cell")
@@ -236,14 +236,15 @@ def test_group_axioms_catch_a_wrong_matrix_inverse(monkeypatch):
 def test_group_axioms_catch_swapped_diagonal_exponents(monkeypatch, n):
     precompose = HomogPoly.precompose
 
-    def swapped(p, m):
+    def swapped(p, m, plus=None):
         (m11, m12), (m21, m22) = m.entries
         if m12.terms or m21.terms or p.is_zero():
-            return precompose(p, m)
+            return precompose(p, m, plus)
         # a_k scaled by m11^(n-k) m22^k instead of m11^k m22^(n-k)
         d = p.degree
         cs = [a * m11 ** (d - k) * m22**k for k, a in enumerate(p.coeffs)]
-        return HomogPoly._raw(p.basis, d, cs)
+        out = HomogPoly._raw(p.basis, d, cs)
+        return out if plus is None else plus + out
 
     monkeypatch.setattr(HomogPoly, "precompose", swapped)
     # n = 1 too: there the swap trades the diagonal entries of g^{-1}
@@ -334,10 +335,10 @@ def test_group_axioms_catch_a_compose_under_the_other_convention(monkeypatch):
 def test_group_axioms_catch_precomposition_by_the_inverse_transpose(monkeypatch):
     precompose = HomogPoly.precompose
 
-    def inverse_transpose(p, m):
+    def inverse_transpose(p, m, plus=None):
         # p(M^-T Z) is a right action too, so every group law still holds
         (a, b), (c, d) = m.inverse().entries
-        return precompose(p, Mat2._raw(m.basis, ((a, c), (b, d)), m.inverse().det()))
+        return precompose(p, Mat2._raw(m.basis, ((a, c), (b, d)), m.inverse().det()), plus)
 
     monkeypatch.setattr(HomogPoly, "precompose", inverse_transpose)
     for n in (1, 2, 3):
@@ -545,18 +546,20 @@ def test_group_axioms_make_few_composes(monkeypatch, n):
 
 
 def test_the_proof_at_the_adjugate_point_makes_few_term_products(monkeypatch):
-    # every product of the proof's multi-term scalars goes through
-    # scalars._products.  At a generic point (Z1, Z2, tau) the n = 3 proof
-    # takes 6,189 term products, most of them evaluating p_xy at g_xy Z; at
-    # Z = adj(g_xy) W it evaluates p_xy and p_x at monomials
+    # every product of the proof's multi-term scalars, and every step of a
+    # non-diagonal precomposition, goes through scalars._accumulate.  At a
+    # generic point (Z1, Z2, tau) the n = 3 proof takes 6,189 term products,
+    # most of them evaluating p_xy at g_xy Z; at Z = adj(g_xy) W it
+    # evaluates p_xy and p_x at monomials
     count = [0]
-    products = scalars._products
+    accumulate = scalars._accumulate
 
     def counting(pairs, add):
-        count[0] += sum(len(a.terms) * len(b.terms) for a, b in pairs)
-        return products(pairs, add)
+        count[0] += sum(len(a) * len(b) for a, b in pairs)
+        return accumulate(pairs, add)
 
-    monkeypatch.setattr(scalars, "_products", counting)
+    monkeypatch.setattr(scalars, "_accumulate", counting)
+    monkeypatch.setattr(group, "_accumulate", counting)
     assert _prove_group_law(3) is None
     assert 0 < count[0] < 6189 // 3
 

@@ -173,9 +173,15 @@ MUTANTS = (
     # the group layer
     Mutant(
         "compose-precomposes-by-g", "group.py",
-        "self.p + other.p.precompose(g0inv)",
-        "self.p + other.p.precompose(self.g)",
+        "other.p.precompose(g0inv, self.p)",
+        "other.p.precompose(self.g, self.p)",
         "(g0, p0)(g1, p1) = (g0 g1, p0 + p1 . g0^-1)",
+    ),
+    Mutant(
+        "horner-drops-plus", "group.py",
+        "                    row.append((q.terms, _ONE_TERMS))\n",
+        "                    pass\n",
+        "the addend of precompose joins its last Horner step",
     ),
     Mutant(
         "eq-ignores-the-root-of-unity", "group.py",
@@ -227,6 +233,13 @@ MUTANTS = (
         "w1 + [k1], w2 + [k2], [0] * len(w1) + [4]]",
         "w1 + [k1], w2 + [k2]]",
         "the unit exponents k are read modulo 4",
+    ),
+    # scalar arithmetic (scalars)
+    Mutant(
+        "lcm-merge-wrong-cofactor", "scalars.py",
+        "x, y, z = u * zg + x * wg, v * zg + y * wg, w * zg",
+        "x, y, z = u * wg + x * zg, v * wg + y * zg, w * zg",
+        "two terms on one key add as u/w + x/z over lcm(w, z)",
     ),
     # sections
     Mutant(
