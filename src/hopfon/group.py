@@ -185,7 +185,8 @@ class Mat2:
     result from that of their operands (det(AB) = det A det B), so the
     invertibility check costs one scalar product instead of a fresh
     2x2 determinant.  The inverse is computed once and kept.  Each
-    entry of a product is one fused `sum_of_products`.
+    entry of a product is one accumulator of term products
+    (`scalars._accumulate`), brought to canonical form once.
     """
 
     __slots__ = ("basis", "entries", "_det", "_inv")
@@ -221,13 +222,14 @@ class Mat2:
 
     @classmethod
     def identity(cls, basis):
-        return cls.diag(basis.one(), basis.one(), basis)
+        return cls.diag(basis.one(), basis.one())
 
     @classmethod
-    def diag(cls, a, d, basis=None):
-        basis = basis or a.basis
-        z = basis.zero()
-        return cls(basis, ((a, z), (z, d)))
+    def diag(cls, a, d):
+        """diag(a, d) for scalars over one basis: a * d refuses two bases,
+        and `_set` a zero determinant."""
+        z = a.basis.zero()
+        return cls._raw(a.basis, ((a, z), (z, d)), a * d)
 
     @classmethod
     def from_gauss(cls, basis, rows):
@@ -239,13 +241,19 @@ class Mat2:
     def __mul__(self, other: "Mat2") -> "Mat2":
         if other.basis is not self.basis and other.basis != self.basis:
             raise BasisMismatchError("matrices over different bases")
+        basis = self.basis
+        add = basis.lattice.add_reduced
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
+        a, b, c, d = a.terms, b.terms, c.terms, d.terms
+        e, f, g, h = e.terms, f.terms, g.terms, h.terms
         rows = (
-            (sum_of_products(((a, e), (b, g))), sum_of_products(((a, f), (b, h)))),
-            (sum_of_products(((c, e), (d, g))), sum_of_products(((c, f), (d, h)))),
+            (Scalar._raw(basis, _canonical(_accumulate(((a, e), (b, g)), add))),
+             Scalar._raw(basis, _canonical(_accumulate(((a, f), (b, h)), add)))),
+            (Scalar._raw(basis, _canonical(_accumulate(((c, e), (d, g)), add))),
+             Scalar._raw(basis, _canonical(_accumulate(((c, f), (d, h)), add)))),
         )
-        return Mat2._raw(self.basis, rows, self._det * other._det)
+        return Mat2._raw(basis, rows, self._det * other._det)
 
     def inverse(self) -> "Mat2":
         """adj(g)/det g, for a monomial determinant, kept on the matrix."""

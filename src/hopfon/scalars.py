@@ -12,6 +12,9 @@ A scalar keeps its terms flat, as integer tuples (key, x, y, z) for
 ((x + i y)/z) l1^key[0] l2^key[1] in the canonical form of GaussRat, so
 that sums and products of scalars run on integers and build no
 GaussRat; one is built only where a caller asks for a coefficient.
+Sums and products merge their terms in one kernel, `_accumulate` and
+then `_canonical`; only two monomials add and multiply directly, since
+most products of the resonance searches are of that kind.
 
 Each generator also carries a numeric witness (a complex double) used
 only for floating-point evaluation; witnesses never influence exact
@@ -777,47 +780,35 @@ class EigenBasis:
 # Scalars
 
 
-def _canonical(acc, keys=None):
+def _canonical(acc):
     """The sorted term tuple of acc, a dict from reduced key to term (key, x, y, z), z > 0.
 
-    Only the terms on `keys` (every term when keys is None) may be off
-    canonical form, as any (x + i y)/z with z > 0: each is brought to
-    lowest terms, or dropped when zero.  Every other term is kept as it
-    is.  A Gaussian integer (z = 1) is in lowest terms already, since
-    gcd(x, y, 1) = 1.  Keys are distinct, so the sort compares keys
-    only.  The constructor, sums beyond two monomials, `_products` and
-    the coefficients of `HomogPoly.precompose` end here.
+    Each term, any (x + i y)/z with z > 0, is brought to lowest terms, or
+    dropped when zero.  A Gaussian integer (z = 1) is in lowest terms
+    already, since gcd(x, y, 1) = 1.  Keys are distinct, so the sort
+    compares keys only.
     """
-    if keys is None:
-        out = []
-        for t in acc.values():
-            key, x, y, z = t
-            if x or y:
-                if z != 1:
-                    g = math.gcd(z, x, y)
-                    if g > 1:
-                        t = (key, x // g, y // g, z // g)
-                out.append(t)
-        out.sort()
-        return tuple(out)
-    for key in keys:
-        _, x, y, z = acc[key]
+    out = []
+    for t in acc.values():
+        key, x, y, z = t
         if x or y:
             if z != 1:
                 g = math.gcd(z, x, y)
                 if g > 1:
-                    acc[key] = (key, x // g, y // g, z // g)
-        else:
-            del acc[key]
-    return tuple(sorted(acc.values()))
+                    t = (key, x // g, y // g, z // g)
+            out.append(t)
+    out.sort()
+    return tuple(out)
 
 
 def _accumulate(pairs, add):
     """sum(a * b for a, b in pairs) for pairs of term collections, as an
     unreduced dict from reduced key to term (key, x, y, z), z > 0.
 
-    Each term product goes straight in on its key, found in one step by
-    `add` (`RelationLattice.add_reduced`, skipped for a constant factor).
+    The one place where two terms on one key merge: a sum pairs each
+    operand with the terms of 1 (`_ONE_TERMS`).  Each term product goes
+    straight in on its key, found in one step by `add`
+    (`RelationLattice.add_reduced`, skipped for a constant factor).
     Two terms on one key add over the lcm of their denominators (Knuth,
     TAOCP vol. 2, 4.5.1): equal denominators, as two Gaussian integers
     have, add numerators only; others are first divided by gcd(w, z).
@@ -846,43 +837,6 @@ def _accumulate(pairs, add):
     return acc
 
 
-def _products(pairs, add):
-    """`_accumulate` brought to canonical form once: the kernel of
-    `Scalar.__mul__` and `sum_of_products`.  The Kronecker proof, whose
-    coefficients are all Gaussian integers, takes no gcd in it."""
-    return _canonical(_accumulate(pairs, add))
-
-
-def _shift(basis, term, ts):
-    """The canonical terms of the monomial `term` times the canonical terms ts.
-
-    Multiplying by a monomial shifts every key by the same exponent, and
-    distinct cosets stay distinct, so no two terms merge and, in the
-    field Q(i), none vanishes.  The keys keep their order at rank 0,
-    where reduction is the identity, and when the shift is 0.
-    """
-    e1, x1, y1, z1 = term
-    add = basis.lattice.add_reduced
-    out = []
-    for e2, x2, y2, z2 in ts:
-        x, y, z = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, z1 * z2
-        if z != 1:
-            g = math.gcd(z, x, y)
-            if g > 1:
-                x, y, z = x // g, y // g, z // g
-        # a constant factor keeps the other (canonical) key as it is
-        if e1 == _E00:
-            key = e2
-        elif e2 == _E00:
-            key = e1
-        else:
-            key = add(e1, e2)
-        out.append((key, x, y, z))
-    if e1 != _E00 and basis.lattice.rows and len(out) > 1:
-        out.sort()
-    return tuple(out)
-
-
 class Scalar:
     """A finite sum of eigenvalue monomials over a fixed basis.
 
@@ -893,14 +847,12 @@ class Scalar:
     and never zero, so zero is the empty sum.  Single-term values are
     the units of the ring; only those admit inverses and roots.
 
-    Two monomials add directly.  Otherwise a sum adds and reduces only
-    the keys both operands hold; a monomial factor only shifts the
-    other's keys (`_shift`), so nothing merges; and other products, like
-    the fused `sum_of_products`, add each term product into one
-    accumulator on its key (`_accumulate`), as do the Horner steps of
-    `HomogPoly.precompose`, which build no scalar between steps.  Those
-    sums and products, and the constructor, end in `_canonical`.  Neither
-    it nor `_shift` takes the gcd of a Gaussian-integer coefficient.
+    Terms merge in one kernel: the constructor, sums, products and
+    `sum_of_products` add their term products into one accumulator on
+    their keys (`_accumulate`), as the Horner steps of
+    `HomogPoly.precompose` do, and bring it to canonical form once
+    (`_canonical`).  Only two monomials add or multiply directly,
+    because most products of the resonance searches are of that kind.
     """
 
     __slots__ = ("basis", "terms")
@@ -908,19 +860,9 @@ class Scalar:
     def __init__(self, basis: EigenBasis, terms):
         """The canonical sum of (GaussRat coefficient, exponent pair) terms."""
         reduce = basis.lattice.reduce_exponents
-        acc, merged = {}, set()
-        for c, e in terms:
-            if c.x or c.y:
-                key = reduce(e)
-                t = acc.get(key)
-                if t is None:
-                    acc[key] = (key, c.x, c.y, c.z)
-                else:
-                    _, a, b, z = t
-                    acc[key] = (key, a * c.z + c.x * z, b * c.z + c.y * z, z * c.z)
-                    merged.add(key)
+        ts = [(reduce(e), c.x, c.y, c.z) for c, e in terms]
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "terms", _canonical(acc, merged))
+        object.__setattr__(self, "terms", _canonical(_accumulate(((ts, _ONE_TERMS),), None)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -1005,23 +947,7 @@ class Scalar:
             if g > 1:
                 x, y, z = x // g, y // g, z // g
             return Scalar._raw(self.basis, ((e1, x, y, z),))
-        # both operands are canonical: only a key they share is added and reduced
-        acc = {t[0]: t for t in ts}
-        shared = []
-        for t in to:
-            key = t[0]
-            s = acc.get(key)
-            if s is None:
-                acc[key] = t
-            else:
-                _, x1, y1, z1 = s
-                _, x2, y2, z2 = t
-                if z1 == 1 and z2 == 1:
-                    acc[key] = (key, x1 + x2, y1 + y2, 1)
-                else:
-                    acc[key] = (key, x1 * z2 + x2 * z1, y1 * z2 + y2 * z1, z1 * z2)
-                shared.append(key)
-        return Scalar._raw(self.basis, _canonical(acc, shared))
+        return Scalar._raw(self.basis, _canonical(_accumulate(((ts, _ONE_TERMS), (to, _ONE_TERMS)), None)))
 
     __radd__ = __add__
 
@@ -1060,10 +986,7 @@ class Scalar:
                 else:
                     e = self.basis.lattice.add_reduced(e1, e2)
                 return Scalar._raw(self.basis, ((e, x, y, z),))
-            return Scalar._raw(self.basis, _shift(self.basis, ts[0], to))
-        if len(to) == 1:
-            return Scalar._raw(self.basis, _shift(self.basis, to[0], ts))
-        return Scalar._raw(self.basis, _products(((ts, to),), self.basis.lattice.add_reduced))
+        return Scalar._raw(self.basis, _canonical(_accumulate(((ts, to),), self.basis.lattice.add_reduced)))
 
     __rmul__ = __mul__
 
@@ -1178,27 +1101,14 @@ def sum_of_products(pairs) -> Scalar:
     """sum(a * b for a, b in pairs), for a nonempty sequence of pairs of
     scalars over one basis.
 
-    The fused form of the dot products of `Mat2` (its products and
-    determinant) and of the exact action and Kronecker proof of
-    `verify`: every term product lands in one accumulator
-    (`_products`), which is brought to canonical form once, so no
-    intermediate sum or product is built.  A sum with at most one
-    nonzero product is that product.
+    The dot products of the exact action and Kronecker proof of `verify`
+    and the determinant of `Mat2`: every term product lands in one
+    accumulator (`_accumulate`), which is brought to canonical form once,
+    so no intermediate sum or product is built.
     """
-    first = pairs[0][0]
-    basis = first.basis
-    live = []
-    for a, b in pairs:
-        if type(a) is not Scalar or a.basis is not basis:
-            a = first._check(a)
-        if type(b) is not Scalar or b.basis is not basis:
-            b = first._check(b)
-        if a.terms and b.terms:
-            live.append((a, b))
-    if len(live) < 2:
-        return live[0][0] * live[0][1] if live else basis.zero()
-    terms = _products([(a.terms, b.terms) for a, b in live], basis.lattice.add_reduced)
-    return Scalar._raw(basis, terms)
+    basis = pairs[0][0].basis
+    acc = _accumulate([(a.terms, b.terms) for a, b in pairs], basis.lattice.add_reduced)
+    return Scalar._raw(basis, _canonical(acc))
 
 
 def is_root_of_unity(a: Scalar, n: int) -> bool:

@@ -20,7 +20,7 @@ from hopfon.group import (
     inverse,
     random_group_elt,
 )
-from hopfon.scalars import EigenBasis, GaussRat, Scalar
+from hopfon.scalars import BasisMismatchError, EigenBasis, GaussRat, Scalar
 
 
 def free_basis():
@@ -247,26 +247,57 @@ def test_product_with_zero_determinant_raises():
 
 
 def test_carried_determinant_matches_entries():
-    # det of products, inverses and rescalings agrees with ad - bc of the entries
-    b = EigenBasis(("l1", "l2"), [(1, 1)], (0.5, 2.0))
-    one, l1, l2 = b.one(), b.gen(0), b.gen(1)
-    mats = [
-        Mat2(b, ((one + l1, l2), (b.gauss(2), l1))),
-        Mat2(b, ((l1, b.gauss(3)), (b.zero(), one - l2))),
-        Mat2.from_gauss(b, ((1, 2), (GaussRat(0, 1), 5))),
+    # det of products, inverses and rescalings agrees with ad - bc of the
+    # entries, and each entry of a product is the p e + q g of Scalar's own
+    # * and +, over the four lattice ranks of test_scalars' KERNEL_BASES
+    bases = [
+        EigenBasis(("l1", "l2"), (), (0.5, 0.3)),
+        EigenBasis(("l1", "l2"), [(1, 1)], (0.5, 2.0)),
+        EigenBasis(("l1", "l2"), [(0, 3)], (0.5, 1.0)),
+        EigenBasis(("l1", "l2"), [(2, 0), (1, 3)], (-1, -1)),
     ]
+    half = Fraction(1, 2)
 
     def entry_det(m):
         (p, q), (r, s) = m.entries
         return p * s - q * r
 
-    for x, y in itertools.product(mats, repeat=2):
-        assert (x * y).det() == entry_det(x * y)
-    for m in mats:
-        assert m.scale(one + l2).det() == entry_det(m.scale(one + l2))
-        if m.det().is_unit():
-            assert m.inverse().det() == entry_det(m.inverse())
-            assert m * m.inverse() == Mat2.identity(b)
+    for b in bases:
+        one, l1, l2 = b.one(), b.gen(0), b.gen(1)
+        # multi-term entries with coefficients off the Gaussian integers
+        u = Scalar(
+            b, [(GaussRat(half, 1), (half, 0)), (GaussRat(-3), (1, -1)), (GaussRat(0, Fraction(2, 3)), (0, 2))]
+        )
+        v = Scalar(b, [(GaussRat(Fraction(1, 3)), (0, 0)), (GaussRat(1, -half), (1, 0))])
+        mats = [
+            Mat2(b, ((one + l1, l2), (b.gauss(2), l1))),
+            Mat2(b, ((l1, b.gauss(3)), (b.zero(), one - l2))),
+            Mat2.from_gauss(b, ((1, 2), (GaussRat(0, 1), 5))),
+            Mat2(b, ((u, v), (v * l2, one - u))),  # dense
+            Mat2(b, ((u, b.zero()), (l2 + v, v))),  # lower triangular
+            Mat2(b, ((v, u * u), (b.zero(), u + l1))),  # upper triangular
+            Mat2.diag(u, one + l1 * v),  # diagonal
+        ]
+        for x, y in itertools.product(mats, repeat=2):
+            xy = x * y
+            assert xy.det() == entry_det(xy)
+            (p, q), (r, s) = x.entries
+            (e, f), (g, h) = y.entries
+            want = ((p * e + q * g, p * f + q * h), (r * e + s * g, r * f + s * h))
+            for got_row, want_row in zip(xy.entries, want):
+                assert [c.terms for c in got_row] == [c.terms for c in want_row]
+        for m in mats:
+            assert m.scale(one + l2).det() == entry_det(m.scale(one + l2))
+            if m.det().is_unit():
+                assert m.inverse().det() == entry_det(m.inverse())
+                assert m * m.inverse() == Mat2.identity(b)
+        for a, d in ((u, v), (l1, u + one), (b.gauss(2), l2)):
+            assert Mat2.diag(a, d).det() == a * d
+        other = bases[bases.index(b) - 1]  # another lattice
+        with pytest.raises(BasisMismatchError):
+            Mat2.diag(u, other.gen(1))
+        with pytest.raises(ValueError):
+            Mat2.diag(b.zero(), v)
 
 
 def _expand_precompose(p, m):

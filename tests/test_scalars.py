@@ -622,7 +622,8 @@ def test_nth_root_recovers_seeded_exact_powers():
 
 # ---------------------------------------------------------------------------
 # The accumulate-and-canonicalise kernel against a dict model with Fraction
-# coefficients: sums, products, the fused sum_of_products and add_reduced.
+# coefficients: the constructor, sums, products, sum_of_products and
+# add_reduced, which all merge terms in that one kernel.
 
 KERNEL_BASES = [
     EigenBasis(("l1", "l2"), (), (0.5, 0.3)),  # rank 0
@@ -706,7 +707,7 @@ def test_kernel_matches_fraction_model(basis, p, q, r, cancel):
 def test_kernel_check_catches_a_merge_without_gcd(monkeypatch):
     # negative control: terms merged on a shared key but not brought to
     # lowest terms, (1/2 + 1/2) l2 kept as (2 + 0i)/4 l2
-    def no_gcd(acc, keys=None):
+    def no_gcd(acc):
         return tuple(sorted(t for t in acc.values() if t[1] or t[2]))
 
     basis = KERNEL_BASES[0]

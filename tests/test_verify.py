@@ -546,11 +546,12 @@ def test_group_axioms_make_few_composes(monkeypatch, n):
 
 
 def test_the_proof_at_the_adjugate_point_makes_few_term_products(monkeypatch):
-    # every product of the proof's multi-term scalars, and every step of a
-    # non-diagonal precomposition, goes through scalars._accumulate.  At a
-    # generic point (Z1, Z2, tau) the n = 3 proof takes 6,189 term products,
-    # most of them evaluating p_xy at g_xy Z; at Z = adj(g_xy) W it
-    # evaluates p_xy and p_x at monomials
+    # every sum and product of the proof's scalars, save those of two
+    # monomials, every dot product and every step of a non-diagonal
+    # precomposition goes through scalars._accumulate.  At a generic point
+    # (Z1, Z2, tau) the n = 3 proof makes 6,189 term products of two
+    # multi-term scalars, most of them evaluating p_xy at g_xy Z; at
+    # Z = adj(g_xy) W it evaluates p_xy and p_x at monomials
     count = [0]
     accumulate = scalars._accumulate
 

@@ -6,7 +6,7 @@ Run from the root of a source checkout.  The parent's ``src/`` is taken
 with ``git archive`` into a temporary directory, and each side runs in a
 process of its own, since both packages are named ``hopfon``.  Each side
 runs three groups of commands in process, through ``hopfon.cli.main``,
-and one group of checks:
+and two groups of checks:
 
 * ``cli-verify``: the 140 ``hopfon verify`` ops of the benchmark's
   ``cli-verify`` workload for seeds 0-9 (``bench/workloads.py``, imported
@@ -26,15 +26,23 @@ and one group of checks:
   the axis map (z1, z1 - 2 z2^2) on (1/4, 1/2), the homothety
   automorphism (z1, z1 - 2 z2), the double-root map with P1 = (u - 2)^2
   on (1/4, 1/2), and the identity with P1 = Q1 = P2 = 2^400 on the
-  generic surface: 90 records, each the report's JSON.
+  generic surface: 90 records, each the report's JSON;
+* ``exact``: the exact values of the benchmark's ``group-laws`` and
+  ``resonance`` ops for seeds 0-4, which reach lattice bases with
+  multi-term scalars: for each ``group-laws`` op, the canonical ``.terms``
+  of the matrix entries and coefficients of compose(x, y),
+  compose(compose(x, y), z), compose(x, compose(y, z)) and inverse(x),
+  with x, y, z built by ``GroupLaws._build``; for each ``resonance`` op,
+  the ``repr`` of what its ``execute`` returns.  Each of the 20,000
+  entries is kept as the SHA-256 of its ``repr``.
 
 For each group it prints how many outputs (stdout, stderr and exit code)
 are byte-identical and which JSON keys changed, list indices written as
 ``[]``, with the number of commands in which each changed; for ``maps``
-it also names each record that changed.  The exit code is 1 when some
-command changed its exit code or a ``passed`` flag, and 0 otherwise: a
-``maps`` record is not a command, and a change there is for the reader
-to judge by its name.
+and ``exact`` it also names each record that changed.  The exit code is
+1 when some command changed its exit code or a ``passed`` flag, or some
+``exact`` entry changed, and 0 otherwise: a ``maps`` record is not a
+command, and a change there is for the reader to judge by its name.
 """
 
 from __future__ import annotations
@@ -132,6 +140,41 @@ def _map_checks():
     ]
 
 
+def _exact_checks():
+    """[group, name, 0, SHA-256 of the value's repr, ""] of each entry of the
+    ``exact`` group."""
+    import hashlib
+
+    from workloads import GroupLaws, Resonance
+    from hopfon import compose, inverse
+
+    def terms(x):
+        return [e.terms for row in x.g.entries for e in row], [c.terms for c in x.p.coeffs]
+
+    def resonance_op(inp):
+        try:
+            return resonance.execute(inp, resonance.new_pass())
+        except Exception as exc:  # an exception is a value like any other
+            return "raised %s" % type(exc).__name__
+
+    laws, resonance, out = GroupLaws(), Resonance(), []
+    for seed in range(5):
+        bases = laws.new_pass()
+        for i, inp in enumerate(laws.make_inputs(seed)):
+            n, basis = inp["n"], bases[inp["basis"]]
+            x, y, z = (laws._build(basis, inp["kind"], n, e) for e in inp["elts"])
+            xy = compose(x, y)
+            values = (
+                ("xy", xy), ("(xy)z", compose(xy, z)), ("x(yz)", compose(x, compose(y, z))), ("x^-1", inverse(x))
+            )
+            out += [("group-laws seed %d #%d %s" % (seed, i, label), terms(v)) for label, v in values]
+        out += [
+            ("resonance seed %d #%d" % (seed, i), resonance_op(inp))
+            for i, inp in enumerate(resonance.make_inputs(seed))
+        ]
+    return [["exact", name, 0, hashlib.sha256(repr(v).encode()).hexdigest(), ""] for name, v in out]
+
+
 def _worker(work, result_path):
     """Run every command and check with the hopfon on sys.path and write the
     results as JSON."""
@@ -150,7 +193,7 @@ def _worker(work, result_path):
                 code = "raised %s" % type(exc).__name__
                 traceback.print_exc()
         results.append([group, name, code, stdout.getvalue(), stderr.getvalue()])
-    results += _map_checks()
+    results += _map_checks() + _exact_checks()
     with open(result_path, "w") as fh:
         json.dump(results, fh)
 
@@ -225,17 +268,19 @@ def main(argv):
             keys = _diff(a, b)
             identical += not keys
             counts.update(keys)
-            if group != "maps" and ("<exit code>" in keys or any(k.endswith(".passed") for k in keys)):
+            if group == "exact" and keys or group != "maps" and (
+                "<exit code>" in keys or any(k.endswith(".passed") for k in keys)
+            ):
                 verdicts_changed.append("%s: %s" % (group, a[1]))
         print("%s: %d of %d outputs byte-identical" % (group, identical, len(pairs)))
         for key, count in sorted(counts.items()):
             print("    %s changed in %d" % (key, count))
-        if group == "maps":
+        if group in ("maps", "exact"):
             for a, b in pairs:
                 if _diff(a, b):
                     print("    record changed: %s" % a[1])
     for name in verdicts_changed:
-        print("exit code or passed flag changed: %s" % name)
+        print("exit code, passed flag or exact value changed: %s" % name)
     return 1 if verdicts_changed else 0
 
 

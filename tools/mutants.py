@@ -241,6 +241,18 @@ MUTANTS = (
         "x, y, z = u * wg + x * zg, v * wg + y * zg, w * zg",
         "two terms on one key add as u/w + x/z over lcm(w, z)",
     ),
+    Mutant(
+        "canonical-keeps-zero-terms", "scalars.py",
+        "        key, x, y, z = t\n        if x or y:\n",
+        "        key, x, y, z = t\n        if True:\n",
+        "a canonical scalar has no zero term",
+    ),
+    Mutant(
+        "monomial-sum-key-order", "scalars.py",
+        "(ts[0], to[0]) if e1 < e2 else (to[0], ts[0])",
+        "(ts[0], to[0]) if e1 > e2 else (to[0], ts[0])",
+        "the terms of a sum of two monomials are sorted by key",
+    ),
     # sections
     Mutant(
         "exceptional-power-drops-l2", "sections.py",
