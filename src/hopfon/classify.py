@@ -30,9 +30,10 @@ do not decide unbranchedness (ROADMAP item 1,
 `test_is_admissible_rejects_the_branched_m2_n_m1_map`).
 
 `reproduce_case_table` derives the feasible degree pattern for every
-exponent-slot combination in closed form from the A, B, C, D
-relations: one free polynomial per feasible row, whose only excluded
-degree is the positive-integer root of D.
+exponent-slot combination by evaluating the gate's own exponent
+constants (`devmaps.exponent_constants` at the (k2, l2) of
+`devmaps.z2_exponents`): one free polynomial per feasible row, whose
+only excluded degree is the positive-integer root of D.
 """
 
 from __future__ import annotations
@@ -396,23 +397,28 @@ def _pool_polys(roots, degrees):
 # `_relation` lists its terms.
 _MONOMIALS = ("m1", "m2", "n*m1", "n*m2")
 
+# the free polynomials in table order, each with the index of its clause
+# expression in `exponent_constants`' (A, B, C, D)
+_POLYS = {"P1": 0, "Q1": 2, "P2": 1}
 
-def _clause_constants(k1, l1, kt2, lt2):
-    """The clause constant of each polynomial at degree 0, symbolic in n, m1, m2.
 
-    A = m1 l2 + l1 m2 for P1, B = m1 k2 + k1 m2 for P2 and C = n B - A
-    for Q1, with k2 = k2~ and l2 = l2~ when every degree is 0.  Only
-    l2~ takes the value 'minus_n', so B has no term in n.
+def _constants(combo, poly, t, n, m1, m2):
+    """The gate's (A, B, C, D) at (n, m1, m2) for the combination's map whose
+    polynomial poly has degree t and the other two degree 0."""
+    k1, l1, kt2, lt2 = (-n if v == "minus_n" else v for v in combo)
+    k2, l2 = z2_exponents(kt2, lt2, [t if p == poly else 0 for p in _POLYS], (m1, m2), n)
+    return exponent_constants(k1, k2, l1, l2, m1, m2, n)
+
+
+def _clause_coefficients(combo, poly):
+    """The clause constant of poly over the monomials (m1, m2, n*m1, n*m2).
+
+    It is linear in them, so its values at (n, m1, m2) = (0, 1, 0),
+    (0, 0, 1), (1, 1, 0) and (1, 0, 1) give the coefficients.
     """
-    A = (0, l1, -1, 0) if lt2 == "minus_n" else (lt2, l1, 0, 0)
-    B = (kt2, k1, 0, 0)
-    C = tuple(b - a for a, b in zip(A, (0, 0, kt2, k1)))
-    return {"P1": A, "Q1": C, "P2": B}
-
-
-def _clause_value(c, n, m1, m2) -> int:
-    """The clause constant c at (n, m1, m2)."""
-    return c[0] * m1 + c[1] * m2 + n * (c[2] * m1 + c[3] * m2)
+    points = ((0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))
+    c1, c2, c3, c4 = (_constants(combo, poly, 0, *p)[_POLYS[poly]] for p in points)
+    return (c1, c2, c3 - c1, c4 - c2)
 
 
 def _sign_definite(c) -> bool:
@@ -467,9 +473,6 @@ _COMBOS = (
     (1, 0, 1, 0),
 )
 
-# the free polynomials in table order
-_POLYS = ("P1", "Q1", "P2")
-
 
 def reproduce_case_table(n: int, m1: int, m2: int):
     """Derive the feasible degree pattern for each exponent-slot combination.
@@ -484,25 +487,19 @@ def reproduce_case_table(n: int, m1: int, m2: int):
     """
     if n < 1 or m1 < 1 or m2 < 1:
         raise ClassifyError("n, m1, m2 must be positive")
-    # (k2, l2) gained per unit degree: k2 = k2~ + m2 (d1 - dq), l2 = l2~ + m2 (d3 - n dq)
-    step = {"P1": (m2, 0), "Q1": (-m2, -n * m2), "P2": (0, m2)}
     rows = []
     for combo in _COMBOS:
-        k1, l1, kt2, lt2 = (-n if v == "minus_n" else v for v in combo)
-        clauses = _clause_constants(*combo)
-        row = None
-        relational_failure = False
-        for poly in _POLYS:
-            clause = clauses[poly]
+        row, relational_failure = None, False
+        for poly, i in _POLYS.items():
+            clause = _clause_coefficients(combo, poly)
             if _sign_definite(clause):
                 continue
-            if _clause_value(clause, n, m1, m2):
+            at0 = _constants(combo, poly, 0, n, m1, m2)
+            if at0[i]:
                 relational_failure = True
                 continue
-            # D(t) = k1 l2 - l1 k2 = d0 + slope * t
-            dk, dl = step[poly]
-            d0 = k1 * lt2 - l1 * kt2
-            slope = k1 * dl - l1 * dk
+            # D is affine in the degree t: D(t) = d0 + slope * t
+            d0, slope = at0[3], _constants(combo, poly, 1, n, m1, m2)[3] - at0[3]
             if not (d0 or slope):
                 continue
             excluded = []

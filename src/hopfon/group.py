@@ -68,13 +68,13 @@ class HomogPoly:
 
     @classmethod
     def zero(cls, basis, degree):
-        return cls(basis, degree, [basis.zero()] * (degree + 1))
+        return cls._raw(basis, degree, [basis.zero()] * (degree + 1))
 
     @classmethod
     def monomial(cls, basis, degree, k, coeff):
         cs = [basis.zero()] * (degree + 1)
         cs[k] = coeff if isinstance(coeff, Scalar) else basis.gauss(coeff)
-        return cls(basis, degree, cs)
+        return cls._raw(basis, degree, cs)
 
     def is_zero(self):
         for c in self.coeffs:

@@ -342,33 +342,22 @@ def _bezout(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _hnf(rows):
-    """Row Hermite normal form of an integer 2-column matrix, rank <= 2.
-
-    Rows are folded one at a time into a pivot row (a, b) and a second
-    row (0, c): the unimodular step that puts g = gcd(a, r0) into the
-    pivot leaves (0, (r0 b - a r1)/g) behind, whose entry joins c.
-    """
-    a = b = c = 0
-    for r0, r1 in ((int(r[0]), int(r[1])) for r in rows):
-        g, s, t = _bezout(a, r0)
-        if g == 0:
-            c = math.gcd(c, r1)
-            continue
-        a, b, c = g, s * b + t * r1, math.gcd(c, (r0 * b - a * r1) // g)
-    if a < 0:
-        a, b = -a, -b
-    pivot = [(a, b % c if c else b)] if a else []
-    return tuple(pivot + ([(0, c)] if c else []))
-
-
 class RelationLattice:
-    """A subgroup of Z^2 given by a canonical (HNF) basis of rank 0..2."""
+    """A subgroup of Z^2 given by a canonical (HNF) basis of rank 0..2.
+
+    The rows are the pivots of `_echelon`, normalised to (a, b) with
+    a > 0, (0, c) with c > 0 and, at rank 2, 0 <= b < c.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, generators=()):
-        object.__setattr__(self, "rows", _hnf(generators))
+        gens = [(int(r[0]), int(r[1])) for r in generators]
+        pivots = _echelon(gens)[0] if gens else ()
+        rows = [(row[0], row[1]) if row[col] > 0 else (-row[0], -row[1]) for col, row in pivots]
+        if len(rows) == 2:
+            rows[0] = (rows[0][0], rows[0][1] % rows[1][1])
+        object.__setattr__(self, "rows", tuple(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("RelationLattice is immutable")
@@ -1199,9 +1188,11 @@ def exact_divide(a: Scalar, d: Scalar) -> Scalar:
             return nv[0] * e[0] + nv[1] * e[1]
 
         top = max(phi(term[0]) for term in rhs.terms)
-        x, rest = basis.zero(), rhs
+        x, rest, low = basis.zero(), rhs, None
         while rest:
-            low = min(phi(term[0]) for term in rest.terms)
+            last, low = low, min(phi(term[0]) for term in rest.terms)
+            # a pass removes the level `last` and adds terms only above it
+            assert last is None or low > last, "exact_divide: the lowest level did not rise"
             if low > top:
                 raise ScalarDomainError("scalar not divisible by binomial")
             m = Scalar._raw(basis, tuple(term for term in rest.terms if phi(term[0]) == low))

@@ -24,7 +24,7 @@ differ by hyperresonance shifts), and (0, k) on an exceptional one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .hopf import HopfSurface
 from .scalars import EigenBasis, Scalar, as_gauss
@@ -121,29 +121,16 @@ def line_bundle_sections(s: HopfSurface, a: Scalar) -> SectionFamily:
     """The meromorphic-section family of the line bundle twisted by a != 0."""
     if a.is_zero():
         raise SectionError("the twist must be nonzero")
-    hyper = s.hyperresonance()
-    if s.kind == "exceptional":
-        k = _solve_exceptional_power(s, a)
-        if k is None:
-            return SectionFamily("zero", surface=s)
-        return SectionFamily(
-            "monomial", exponents=(k, 0), free_constant=True, surface=s
-        )
     hit = solve_power_product(s.basis, a)
     if hit is None:
         return SectionFamily("zero", surface=s)
+    if s.kind == "exceptional":
+        # both generators name lam, so the power is the total exponent
+        hit = (hit[0] + hit[1], 0)
+    hyper = s.hyperresonance()
     if hyper is None:
         return SectionFamily("monomial", exponents=hit, free_constant=True, surface=s)
     return SectionFamily("monomial_times_rational", exponents=hit, hyper=hyper, surface=s)
-
-
-def _solve_exceptional_power(s: HopfSurface, a: Scalar):
-    """Integer k with a = lam^k on an exceptional surface, or None."""
-    hit = solve_power_product(s.basis, a)
-    if hit is None:
-        return None
-    # both generators name lam, so the power is the total exponent
-    return hit[0] + hit[1]
 
 
 def proj_bundle_sections(s: HopfSurface, g) -> SectionFamily:
@@ -166,14 +153,7 @@ def proj_bundle_sections(s: HopfSurface, g) -> SectionFamily:
         base = line_bundle_sections(s, ratio)
         if base.variant == "zero":
             return SectionFamily("zero_and_infinity", includes_infinity=True, surface=s)
-        return SectionFamily(
-            base.variant,
-            exponents=base.exponents,
-            free_constant=base.free_constant,
-            includes_infinity=True,
-            hyper=base.hyper,
-            surface=s,
-        )
+        return replace(base, includes_infinity=True)
     if a11 != a22:
         raise SectionError("non-diagonal g must be a single Jordan block [[a,b],[0,a]]")
     if s.kind == "diagonal":

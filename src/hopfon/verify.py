@@ -52,6 +52,7 @@ from .group import (
     HomogPoly,
     Mat2,
     _numeric_action,
+    _powers,
     act_affine,
     chordal,
     compose,
@@ -449,13 +450,9 @@ def _act_exact(x: GroupElt, point):
     if x.p.is_zero():
         return (w1, w2, tau)
     n = x.degree
-    one = w1.basis.one()
-    pow1, pow2 = [one, w1], [one, w2]  # w^k for k = 0..n, one product each
-    for _ in range(n - 1):
-        pow1.append(pow1[-1] * w1)
-        pow2.append(pow2[-1] * w2)
+    pow1, pow2 = _powers(w1, n), _powers(w2, n)
     terms = [(coeff, pow1[k] * pow2[n - k]) for k, coeff in enumerate(x.p.coeffs) if coeff.terms]
-    return (w1, w2, sum_of_products([(tau, one)] + terms))
+    return (w1, w2, sum_of_products([(tau, pow1[0])] + terms))
 
 
 def _kronecker_span(n: int) -> int:

@@ -458,10 +458,10 @@ _CLAUSE_TABLE = {
 
 @pytest.mark.parametrize("combo", sorted(_CLAUSE_TABLE, key=repr))
 def test_clause_constants_table(combo):
-    from hopfon.classify import _clause_constants, _clause_value, _relation, _sign_definite
+    from hopfon.classify import _clause_coefficients, _constants, _relation, _sign_definite
     from hopfon.devmaps import exponent_constants
 
-    clauses = _clause_constants(*combo)
+    clauses = {p: _clause_coefficients(combo, p) for p in ("P1", "Q1", "P2")}
     got = tuple((_relation(clauses[p]), _sign_definite(clauses[p])) for p in ("P1", "Q1", "P2"))
     assert got == _CLAUSE_TABLE[combo]
     # at degree 0 (k2, l2) = (k2~, l2~), and the constants are the A (P1),
@@ -469,4 +469,9 @@ def test_clause_constants_table(combo):
     for n, m1, m2 in itertools.product((1, 2, 3), (1, 2, 5), (1, 3, 4)):
         k1, l1, kt2, lt2 = (-n if v == "minus_n" else v for v in combo)
         A, B, C, _ = exponent_constants(k1, kt2, l1, lt2, m1, m2, n)
-        assert [_clause_value(clauses[p], n, m1, m2) for p in ("P1", "Q1", "P2")] == [A, C, B]
+        values = [c[0] * m1 + c[1] * m2 + n * (c[2] * m1 + c[3] * m2) for c in clauses.values()]
+        assert values == [A, C, B]
+        # the clause expression has no term in its polynomial's degree
+        for t in (1, 3):
+            at = [_constants(combo, p, t, n, m1, m2)[i] for p, i in (("P1", 0), ("Q1", 2), ("P2", 1))]
+            assert at == values

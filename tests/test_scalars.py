@@ -108,6 +108,33 @@ def test_minimal_pair_rank1():
     assert RelationLattice([]).minimal_positive_pair() is None
 
 
+def _reference_hnf(rows):
+    """Row Hermite normal form of an integer 2-column matrix, rank <= 2: rows
+    folded one at a time into a pivot row (a, b) and a second row (0, c)."""
+    a = b = c = 0
+    for r0, r1 in ((int(r[0]), int(r[1])) for r in rows):
+        g, s, t = scalars._bezout(a, r0)
+        if g == 0:
+            c = math.gcd(c, r1)
+            continue
+        a, b, c = g, s * b + t * r1, math.gcd(c, (r0 * b - a * r1) // g)
+    if a < 0:
+        a, b = -a, -b
+    pivot = [(a, b % c if c else b)] if a else []
+    return tuple(pivot + ([(0, c)] if c else []))
+
+
+def test_relation_lattice_rows_match_a_reference_hnf():
+    rng = random.Random(47)
+
+    def entry():
+        return 0 if rng.random() < 1 / 3 else rng.randint(-30, 30)
+
+    for _ in range(2000):
+        gens = [(entry(), entry()) for _ in range(rng.randint(0, 4))]
+        assert RelationLattice(gens).rows == _reference_hnf(gens), gens
+
+
 def test_find_relations_bounded_search():
     lat = find_relations(ValuationSystem(GaussRat(Fraction(1, 2)), GaussRat(Fraction(1, 4))))
     assert lat.minimal_positive_pair() == (2, 1)

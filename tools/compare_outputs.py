@@ -5,7 +5,7 @@
 Run from the root of a source checkout.  The parent's ``src/`` is taken
 with ``git archive`` into a temporary directory, and each side runs in a
 process of its own, since both packages are named ``hopfon``.  Each side
-runs three groups of commands in process, through ``hopfon.cli.main``,
+runs five groups of commands in process, through ``hopfon.cli.main``,
 and two groups of checks:
 
 * ``cli-verify``: the 140 ``hopfon verify`` ops of the benchmark's
@@ -19,6 +19,15 @@ and two groups of checks:
   ``--params "2;2,3"``), each with the default annulus and with the
   annuli (0.5, 1), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159) and
   (1e120, 1e121): 108 commands;
+* ``cases``: ``hopfon cases`` for n, m1, m2 = 1..4: 64 commands;
+* ``sections``: ``hopfon sections`` on two exceptional surfaces
+  (lambda = 1/2 with m = 1, lambda = (1 + i)/3 with m = 2), the
+  hyperresonant (1/4, 1/2), the generic (1/2, 1/3) and a formal surface
+  with the relation l1^2 = l2, each with 40 bundles: ``--power`` k for
+  k = -3..3, eight ``--powers`` pairs, ten ``--twist`` values, eight
+  diagonal ``--bundle`` classes, four ``--jordan`` values and three Jordan
+  ``--bundle`` classes [[a, 5], [0, a]]: 200 commands, the ones a surface
+  rejects included;
 * ``maps``: ``check_immersion`` with the default configuration on maps
   that no command builds, each on its surface: the swapped-chart map
   ``hat()`` of each of the 86 maps of the five ``cli-verify`` surfaces
@@ -39,10 +48,11 @@ and two groups of checks:
 For each group it prints how many outputs (stdout, stderr and exit code)
 are byte-identical and which JSON keys changed, list indices written as
 ``[]``, with the number of commands in which each changed; for ``maps``
-and ``exact`` it also names each record that changed.  The exit code is
-1 when some command changed its exit code or a ``passed`` flag, or some
-``exact`` entry changed, and 0 otherwise: a ``maps`` record is not a
-command, and a change there is for the reader to judge by its name.
+and the exact groups (``cases``, ``sections`` and ``exact``) it also
+names each record that changed.  The exit code is 1 when some command
+changed its exit code or a ``passed`` flag, or some output of an exact
+group changed, and 0 otherwise: a ``maps`` record is not a command, and
+a change there is for the reader to judge by its name.
 """
 
 from __future__ import annotations
@@ -60,8 +70,27 @@ import traceback
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the groups of exact outputs, in which any change is a changed verdict
+EXACT_GROUPS = ("cases", "sections", "exact")
 
 ANNULI = (None, (0.5, 1.0), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159), (1e120, 1e121))
+SECTION_SURFACES = (
+    ("exceptional-m1", {"type": "exceptional", "lambda": [1, 2, 0, 1], "m": 1}),
+    ("exceptional-m2", {"type": "exceptional", "lambda": [1, 3, 1, 3], "m": 2}),
+    ("hyper-4-2", {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}),
+    ("generic", {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1]}),
+    ("formal", {"type": "diagonal", "formal": {"relations": [[2, -1]], "witness": [[0.5, 0], [0.25, 0]]}}),
+)
+QUADS = ([1, 1, 0, 1], [1, 2, 0, 1], [1, 4, 0, 1], [2, 1, 0, 1], [1, 6, 0, 1], [3, 1, 0, 1],
+         [1, 8, 0, 1], [1, 3, 1, 3], [0, 1, 1, 2], [5, 1, 0, 1])
+SECTION_FLAGS = (
+    [["--power", str(k)] for k in range(-3, 4)]
+    + [["--powers", "%d,%d" % k] for k in ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-1, 3), (3, 2), (-2, -2))]
+    + [["--twist", json.dumps(q)] for q in QUADS]
+    + [["--bundle", json.dumps([[q, [0, 1, 0, 1]], [[0, 1, 0, 1], [1, 1, 0, 1]]])] for q in QUADS[1:9]]
+    + [["--jordan", json.dumps(q)] for q in QUADS[1:5]]
+    + [["--bundle", json.dumps([[q, [5, 1, 0, 1]], [[0, 1, 0, 1], q]])] for q in QUADS[1:4]]
+)
 SURFACES = (
     ("generic", {"type": "diagonal", "lambda1": [1, 2, 0, 1], "lambda2": [1, 3, 0, 1]}),
     ("hyper-4-2", {"type": "diagonal", "lambda1": [1, 4, 0, 1], "lambda2": [1, 2, 0, 1]}),
@@ -104,6 +133,18 @@ def _commands(work):
             for n in (1, 2, 3):
                 argv = ["verify", "--spec", path, "--n", str(n), "--compact", "--seed", "3"] + params
                 out.append(("extreme-annulus", "%s %s n=%d" % (label, annulus, n), argv, work))
+    for n in range(1, 5):
+        for m1 in range(1, 5):
+            for m2 in range(1, 5):
+                argv = ["cases", "--n", str(n), "--m1", str(m1), "--m2", str(m2)]
+                out.append(("cases", " ".join(argv), argv, work))
+    for label, spec in SECTION_SURFACES:
+        path = os.path.join(work, "sections", label + ".json")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        for flags in SECTION_FLAGS:
+            out.append(("sections", "%s %s" % (label, " ".join(flags)), ["sections", "--spec", path] + flags, work))
     return out
 
 
@@ -268,14 +309,14 @@ def main(argv):
             keys = _diff(a, b)
             identical += not keys
             counts.update(keys)
-            if group == "exact" and keys or group != "maps" and (
+            if group in EXACT_GROUPS and keys or group != "maps" and (
                 "<exit code>" in keys or any(k.endswith(".passed") for k in keys)
             ):
                 verdicts_changed.append("%s: %s" % (group, a[1]))
         print("%s: %d of %d outputs byte-identical" % (group, identical, len(pairs)))
         for key, count in sorted(counts.items()):
             print("    %s changed in %d" % (key, count))
-        if group in ("maps", "exact"):
+        if group == "maps" or group in EXACT_GROUPS:
             for a, b in pairs:
                 if _diff(a, b):
                     print("    record changed: %s" % a[1])

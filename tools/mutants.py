@@ -94,6 +94,12 @@ MUTANTS = (
         "    return ((-1, -n), (0, 0), (1, 0))\n",
         "the allowed exponent slots",
     ),
+    Mutant(
+        "exponent-C-sign", "devmaps.py",
+        "    return A, B, n * B - A, k1 * l2 - l1 * k2\n",
+        "    return A, B, n * B + A, k1 * l2 - l1 * k2\n",
+        "C = n B - A, in the gate and in the case table alike",
+    ),
     # the exact Jacobian N and the float kernel (devmaps)
     Mutant(
         "N-B-term-sign", "devmaps.py",
@@ -234,6 +240,12 @@ MUTANTS = (
         "w1 + [k1], w2 + [k2]]",
         "the unit exponents k are read modulo 4",
     ),
+    Mutant(
+        "lattice-b-unreduced", "scalars.py",
+        "rows[0] = (rows[0][0], rows[0][1] % rows[1][1])",
+        "rows[0] = (rows[0][0], rows[0][1])",
+        "a rank-2 lattice's pivot row (a, b) has 0 <= b < c",
+    ),
     # scalar arithmetic (scalars)
     Mutant(
         "lcm-merge-wrong-cofactor", "scalars.py",
@@ -256,8 +268,8 @@ MUTANTS = (
     # sections
     Mutant(
         "exceptional-power-drops-l2", "sections.py",
-        "    return hit[0] + hit[1]\n",
-        "    return hit[0]\n",
+        "        hit = (hit[0] + hit[1], 0)\n",
+        "        hit = (hit[0], 0)\n",
         "on an exceptional surface the power of lam is the total exponent",
     ),
     Mutant(
