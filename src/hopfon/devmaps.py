@@ -183,11 +183,11 @@ _FIELDS = ("k1", "k2", "l1", "l2", "P1", "Q1", "P2", "hyper", "n")
 class DevMap:
     """A candidate developing map in monomial-times-rational form.
 
-    `_kernel` is an unset slot until the map's first float evaluation;
-    then it holds the map's float evaluation (`map_kernel`).
+    A map holds its fields alone; its float evaluation is built from them
+    at each `map_kernel` call.
     """
 
-    __slots__ = _FIELDS + ("_kernel",)
+    __slots__ = _FIELDS
 
     def __init__(self, k1, k2, l1, l2, P1, Q1, P2, hyper, n):
         if n < 1:
@@ -494,8 +494,8 @@ def _homog_sum(terms, z1, z2):
 
 
 def map_kernel(d: DevMap) -> SimpleNamespace:
-    """d's float evaluation, built on the first call and kept in `d._kernel`:
-    three readers, each raising what its float operations raise.
+    """d's float evaluation, a new kernel on each call: three readers, each
+    raising what its float operations raise.
 
     * `point(z1, z2)`: the value (chart, c1, c2) anywhere, as
       `eval_devmap` describes it;
@@ -503,8 +503,8 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
       (z1, z2 + h2) and (z1, z2 - h2), eight values: each point read
       from `point`, in chart T as `AffinePoint.in_chart` forms it, so
       that s1 = 0 raises ZeroDivisionError;
-    * `jacobian()`: the reader det(z1, z2, chart) of det t', built and
-      kept on the first call from one `det_jacobian(d)`: N / D^(n+2) with
+    * `jacobian()`: the reader det(z1, z2, chart) of det t', built on
+      each call from one `det_jacobian(d)`: N / D^(n+2) with
       D = Q1 in chart T, and -N, P1 in chart S (module docstring), read
       as (N / c^(n+2)) / (D / c)^(n+2), c = lead(D), homogenized like the
       map.  Chart T is built on the call, so an N with no float form
@@ -521,9 +521,6 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
     `_chart_value`, which forms K**p at each point, so an overflowing
     K**n raises there.
     """
-    kern = getattr(d, "_kernel", None)
-    if kern is not None:
-        return kern
     m1, m2 = d._m()
     H1, K, H2 = (_homogenized(p, m1, m2) for p in (d.P1, d.Q1, d.P2))
     k1, l1, n = d.k1, d.l1, d.n
@@ -598,12 +595,9 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
             hd = _homog_sum(HD, z1, z2) if HD.__class__ is tuple else HD
             return z1**a * z2**b * (hn / hd**p)
 
-        kern.jacobian = lambda: read
         return read
 
-    kern = SimpleNamespace(point=point, stencil=stencil, jacobian=jacobian)
-    object.__setattr__(d, "_kernel", kern)
-    return kern
+    return SimpleNamespace(point=point, stencil=stencil, jacobian=jacobian)
 
 
 def eval_devmap(d: DevMap, z):
@@ -619,7 +613,7 @@ def eval_devmap(d: DevMap, z):
     a finite value.  The value is the kernel's `point` (`map_kernel`)
     as an `AffinePoint`.
     """
-    return AffinePoint._raw(*map_kernel(d).point(complex(z[0]), complex(z[1])))
+    return AffinePoint._make(map_kernel(d).point(complex(z[0]), complex(z[1])))
 
 
 def _chart_value(z1, a, z2, b, H, K, p):

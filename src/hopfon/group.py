@@ -23,6 +23,7 @@ A general element acts as (I, p) after (g, 0), since (g, p) =
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from math import hypot, inf, isinf, sqrt
 
 from .scalars import (
@@ -299,11 +300,11 @@ class Mat2:
 class GroupElt:
     """An element (g, p): matrix modulo n-th roots of unity plus degree-n polynomial.
 
-    `_numeric_action` keeps the element's float action function in
-    `_act`, an unset slot until the element first acts on a point.
+    An element holds g and p alone; its float action is built from them
+    at each `act_affine` call (`_numeric_action`).
     """
 
-    __slots__ = ("g", "p", "_act")
+    __slots__ = ("g", "p")
 
     def __init__(self, g: Mat2, p: HomogPoly):
         if g.basis is not p.basis and g.basis != p.basis:
@@ -380,29 +381,17 @@ class GroupElt:
 # Affine points and the numeric action
 
 
-class AffinePoint:
-    """A point of O(n) in one of the two affine charts."""
+class AffinePoint(namedtuple("AffinePoint", "chart c1 c2")):
+    """A point (chart, c1, c2) of O(n) in one of the two affine charts, the
+    triple that every float kernel passes.  The constructor checks the
+    chart and coerces c1, c2 to complex; `_make` takes a triple as it is."""
 
-    __slots__ = ("chart", "c1", "c2")
+    __slots__ = ()
 
-    def __init__(self, chart: str, c1: complex, c2: complex):
+    def __new__(cls, chart: str, c1: complex, c2: complex):
         if chart not in ("T", "S"):
             raise ValueError("chart must be 'T' or 'S'")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "c1", complex(c1))
-        object.__setattr__(self, "c2", complex(c2))
-
-    @classmethod
-    def _raw(cls, chart, c1, c2):
-        """Internal constructor for a chart name "T" or "S" and two complexes."""
-        out = object.__new__(cls)
-        _set_chart(out, chart)
-        _set_c1(out, c1)
-        _set_c2(out, c2)
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePoint is immutable")
+        return super().__new__(cls, chart, complex(c1), complex(c2))
 
     def in_chart(self, chart: str, n: int) -> "AffinePoint":
         """The same point in the requested chart; (s1, s2) = (1/t1, t2/t1^n)."""
@@ -410,15 +399,7 @@ class AffinePoint:
             return self
         if self.c1 == 0:
             raise ZeroDivisionError("point is not visible in the other chart")
-        return AffinePoint._raw(chart, 1 / self.c1, self.c2 / self.c1**n)
-
-    def __repr__(self):
-        return "AffinePoint(%s, %r, %r)" % (self.chart, self.c1, self.c2)
-
-
-# The slots' own setters, for `AffinePoint._raw`: the numeric checks build
-# points by the thousand, and these are cheaper than object.__setattr__.
-_set_chart, _set_c1, _set_c2 = (AffinePoint.__dict__[name].__set__ for name in AffinePoint.__slots__)
+        return AffinePoint._make((chart, 1 / self.c1, self.c2 / self.c1**n))
 
 
 def chordal(a: complex, b: complex) -> float:
@@ -471,33 +452,26 @@ _DEN_MIN = 1e-9
 def act_affine(x: GroupElt, pt: AffinePoint, n: int = None) -> AffinePoint:
     """Numeric action of a group element on an affine point of O(n).
 
-    The action is x's one action function (`_numeric_action`), which
-    the equivariance check also calls on bare chart values.
+    The action is x's action function (`_numeric_action`), built on each
+    call; the equivariance check builds it once and calls it on bare
+    (chart, c1, c2) triples.
     """
     if n is None:
         n = x.degree
     elif n != x.degree:
         raise ValueError("point and element live on different O(n)")
-    try:
-        act = x._act
-    except AttributeError:
-        act = _numeric_action(x, n)
-    chart, c1, c2 = act(pt.chart, pt.c1, pt.c2)
-    return AffinePoint._raw(chart, c1, c2)
+    return AffinePoint._make(_numeric_action(x, n)(*pt))
 
 
 def _numeric_action(x: GroupElt, n: int):
-    """x's float action (chart, c1, c2) -> (chart, c1, c2) on O(n), built on
-    first use and kept in `_act`.
+    """x's float action (chart, c1, c2) -> (chart, c1, c2) on O(n), a new
+    function on each call.
 
     The image is in chart T unless it is large or the chart denominator
     is unsafe, in which case chart S is used.  For a diagonal matrix the
     action only involves the quotient-invariant pair (a/d, d^n), so it
     is independent of the root-of-unity representative.
     """
-    act = getattr(x, "_act", None)
-    if act is not None:
-        return act
     (ea, eb), (ec, ed) = x.g.entries
     diagonal = x.g.is_diagonal()
     if diagonal:
@@ -539,7 +513,6 @@ def _numeric_action(x: GroupElt, n: int):
             c2 = c2 + total
         return chart, c1, c2
 
-    object.__setattr__(x, "_act", act)
     return act
 
 

@@ -731,12 +731,7 @@ class EigenBasis:
         return out
 
     def gauss(self, c):
-        if isinstance(c, int) and -16 <= c <= 16:
-            out = self._cache.get(c)
-            if out is None:
-                out = self._cache[c] = Scalar.monomial(self, c)
-            return out
-        return Scalar.monomial(self, as_gauss(c))
+        return Scalar.monomial(self, c)
 
     def gen(self, i: int, power=1):
         """The generator l1 (i=0) or l2 (i=1) raised to a rational power."""

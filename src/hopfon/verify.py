@@ -127,14 +127,9 @@ def _sample_annulus(rng, lo, hi, count):
     ]
 
 
-def point_residual(p: AffinePoint, q: AffinePoint, n: int, fiber: str = "abs") -> float:
-    """`_residual` of two affine points."""
-    return _residual((p.chart, p.c1, p.c2), (q.chart, q.c1, q.c2), n, fiber)
-
-
-def _residual(p, q, n: int, fiber: str = "abs") -> float:
+def point_residual(p, q, n: int, fiber: str = "abs") -> float:
     """Chordal distance of base directions plus a fiber difference, for two
-    points (chart, c1, c2) of O(n).
+    points (chart, c1, c2) of O(n), plain triples or `AffinePoint`s.
 
     The fiber components a, b are compared after aligning charts, by
     the scaled absolute difference |a - b| / max(1, |a|, |b|) (the
@@ -178,7 +173,7 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
     """dev(F(z)) = hol . dev(z) at annulus samples, with resampling on zero loci.
 
     Each sample compares the kernel's `point` at F(z) with the holonomy's
-    action on `point` at z (`_residual`); a residual not below the
+    action on `point` at z (`point_residual`); a residual not below the
     tolerance, NaN included, fails and is listed.  A batch of samples
     holds no more than the draws still allowed, so the samples are those
     of drawing one at a time.
@@ -210,7 +205,7 @@ def check_equivariance(rec, s: HopfSurface, cfg: VerifyConfig = None) -> VerifyR
                 if not (z[0] or z[1]):
                     raise SurfaceError("the contraction acts on C^2 minus the origin") from None
                 continue
-            res = _residual(lhs, rhs, n)
+            res = point_residual(lhs, rhs, n)
             if res > worst or res != res:  # max(), except that a NaN is kept
                 worst = res
             if not res < tol:
@@ -369,7 +364,7 @@ def _action_cases(n: int):
     s1 = 1/3 - i/4 (S to T) and the pole s1 = -c/d (S to S).  Every
     case runs with p = 0 and with p != 0, so each of the 12 paths of
     `act_affine` is reached twice.  The elements are built on every
-    call: `act_affine` keeps an element's float action on it.
+    call, and each `act_affine` call builds its element's float action.
     """
     basis = EigenBasis(("l1", "l2"), (), (0.5, 0.3))
 
@@ -407,13 +402,11 @@ def _check_numeric_action(cases, n: int):
     for path, x, chart, (c1, c2) in cases:
         one = x.basis.one()
         try:
-            out = act_affine(x, AffinePoint._raw(chart, c1.numeric(), c2.numeric()), n)
+            out = act_affine(x, AffinePoint._make((chart, c1.numeric(), c2.numeric())), n)
             w1, w2, tau = _act_exact(x, (c1, one, c2) if chart == "T" else (one, c1, c2))
             # chart T reads (Z1/Z2, tau/Z2^n), chart S (Z2/Z1, tau/Z1^n)
             top, bottom = (w1, w2) if out.chart == "T" else (w2, w1)
-            exact = AffinePoint._raw(
-                out.chart, (top / bottom).numeric(), (tau / bottom**n).numeric()
-            )
+            exact = (out.chart, (top / bottom).numeric(), (tau / bottom**n).numeric())
         except ArithmeticError as exc:
             paths.append(path)
             error = error or "%s: %s" % (type(exc).__name__, exc)

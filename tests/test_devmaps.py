@@ -25,6 +25,7 @@ from hopfon.devmaps import (
     z2_exponents,
 )
 from hopfon import devmaps
+from hopfon.group import AffinePoint
 from hopfon.scalars import GaussRat
 from hopfon.verify import VerifyConfig, _sample_annulus, check_immersion
 
@@ -481,28 +482,43 @@ def test_the_kernel_reads_chart_s_as_the_swapped_map_jacobian_bit_for_bit():
     assert checked > len(maps)
 
 
-def test_immersion_expands_the_jacobian_once_per_map(monkeypatch):
+def test_immersion_expands_the_jacobian_once_per_map(monkeypatch, instrument_kernel):
     # at three seeds, with samples in chart S for some of the maps
     calls = []
     expand = devmaps.det_jacobian
     monkeypatch.setattr(devmaps, "det_jacobian", lambda d: calls.append(d) or expand(d))
+    log = instrument_kernel()
     maps_in_chart_s = 0
     for d in _cli_verify_maps():
         for seed in range(3):
-            dev = DevMap.from_record(d.to_record())
-            kern, charts = map_kernel(dev), []
-
-            def recorded(z1, z2, point=kern.point):
-                out = point(z1, z2)
-                charts.append(out[0])
-                return out
-
-            kern.point = recorded
             calls.clear()
-            check_immersion(dev, VerifyConfig(seed=seed))
+            log.point.clear()
+            check_immersion(d, VerifyConfig(seed=seed))
             assert len(calls) == 1, (d, seed)
-            maps_in_chart_s += "S" in charts
+            maps_in_chart_s += "S" in [p[0] for p in log.point]
     assert maps_in_chart_s > 0
+
+
+def test_affine_point_is_the_kernels_triple():
+    pt = AffinePoint("T", 2, 3)
+    assert pt == AffinePoint._make(("T", 2 + 0j, 3 + 0j)) == ("T", 2 + 0j, 3 + 0j)
+    assert hash(pt) == hash(AffinePoint._make(("T", 2 + 0j, 3 + 0j)))
+    assert type(pt.c1) is complex and type(pt.c2) is complex
+    # eval_devmap is the kernel's point, as an AffinePoint, at an annulus
+    # point and on an axis, where some maps read in chart S
+    charts = set()
+    for d in _cli_verify_maps():
+        for z in ((0.7 + 0.2j, 0.5 - 0.4j), (0.6 - 0.3j, 0j)):
+            out = eval_devmap(d, z)
+            assert type(out) is AffinePoint and out == map_kernel(d).point(*z), (d, z)
+            charts.add(out.chart)
+    assert charts == {"T", "S"}
+    with pytest.raises(ValueError, match="chart"):
+        AffinePoint("X", 2, 3)
+    with pytest.raises(AttributeError):
+        pt.c1 = 0
+    with pytest.raises(AttributeError):
+        pt.extra = 0
 
 
 def test_det_jacobian_runs_no_gcd_and_no_division(monkeypatch):

@@ -626,7 +626,7 @@ def test_nan_determinants_and_differences_fail_immersion():
     json.dumps(out, allow_nan=False)
 
 
-def test_infinite_determinant_fails_immersion(monkeypatch):
+def test_infinite_determinant_fails_immersion(instrument_kernel):
     # the [2] family on (1/4, 1/2), whose P1 is nonconstant: each sample reads
     # its determinant from the kernel's determinant reader
     s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
@@ -636,14 +636,17 @@ def test_infinite_determinant_fails_immersion(monkeypatch):
     clean = check_immersion(rec, cfg, s)
     assert clean.passed
     calls = []
-    kern = map_kernel(rec.dev)
-    det = kern.jacobian()
 
-    def infinite_at_third_sample(z1, z2, chart):
-        calls.append((z1, z2))
-        return complex("inf") if len(calls) == 3 else det(z1, z2, chart)
+    def infinite_at_third_sample(jacobian):
+        det = jacobian()
 
-    monkeypatch.setattr(kern, "jacobian", lambda: infinite_at_third_sample)
+        def read(z1, z2, chart):
+            calls.append((z1, z2))
+            return complex("inf") if len(calls) == 3 else det(z1, z2, chart)
+
+        return lambda: read
+
+    instrument_kernel(jacobian=infinite_at_third_sample)
     rep = check_immersion(rec, cfg, s)
     assert not rep.passed
     # the minimum over the samples is still finite; the infinite one is listed
@@ -752,6 +755,30 @@ def test_a_nan_action_residual_fails_the_group_axioms(monkeypatch):
     assert rep.to_record()["max_equivariance_residual"] is None
 
 
+def test_value_types_hold_no_hidden_state(monkeypatch):
+    # a map, its holonomy and the elements of the group-axiom check hold
+    # their fields alone after the checks and the float action ran on them
+    s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
+    rec = next(r for r in enumerate_structures(s, 2, hyper_params=[[2]]) if not r.dev.P1.is_constant())
+    cases, build = [], verify._action_cases
+
+    def recorded(n):
+        cases.extend(build(n))
+        return cases
+
+    monkeypatch.setattr(verify, "_action_cases", recorded)
+    assert all(rep.passed for rep in verify_structure(rec, s))
+    assert check_group_axioms(2).passed and len(cases) == 24
+    act_affine(rec.hol, AffinePoint("T", 0.5, 1))
+    assert DevMap.__slots__ == devmaps._FIELDS
+    assert GroupElt.__slots__ == ("g", "p")
+    for obj in [rec.dev, rec.hol] + [x for _, x, _, _ in cases]:
+        assert not hasattr(obj, "__dict__")
+        for name in type(obj).__slots__ + ("_kernel", "_act", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
+
 def test_annulus_validation():
     with pytest.raises(ValueError):
         VerifyConfig(annulus=(1.0, 0.5)).resolve_annulus()
@@ -760,9 +787,9 @@ def test_annulus_validation():
 # ---------------------------------------------------------------------------
 # Bit parity of the numeric evaluation with a per-call reference.
 # The reference converts every exact coefficient to a float on each call,
-# as evaluation did before the floats were kept on the objects, and goes
-# through the helper calls and closures that the evaluators have since
-# inlined; `eval_devmap`, the map kernels, `act_affine`,
+# where a map kernel or an action function converts them once when it is
+# built, and goes through the helper calls and closures that the
+# evaluators have since inlined; `eval_devmap`, the map kernels, `act_affine`,
 # `AffinePoint.in_chart`, `point_residual`, `chordal`, `_sample_annulus`,
 # and `check_equivariance` and `check_immersion` as a whole must repeat
 # its float operations in the same order.  The reference shares no code
@@ -1378,11 +1405,6 @@ def _check_mismatches(rec, s, cfg):
     return bad
 
 
-def _fresh(rec):
-    """rec with a copy of its map, whose kernel is built on the copy's first use."""
-    return types.SimpleNamespace(dev=DevMap.from_record(rec.dev.to_record()), hol=rec.hol)
-
-
 # default annuli and the extreme ones, where powers underflow or overflow
 _ANNULI = (None, (0.5, 1.0), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159), (1e120, 1e121))
 
@@ -1396,7 +1418,6 @@ def _check_cases(draw):
     pairs = _check_records()
     if draw(st.booleans()):
         s, rec = draw(st.sampled_from(pairs))
-        rec = _fresh(rec)
     else:
         n = draw(st.integers(1, 3))
         exps = [draw(st.integers(-3, 3)) for _ in range(4)]
@@ -1453,79 +1474,69 @@ def _count_calls(monkeypatch, module, name, *also):
     return calls
 
 
-def _kernel_results(monkeypatch, dev, name):
-    """The results of each call of `name` of dev's kernel, built now."""
-    kern, results = map_kernel(dev), []
-    func = getattr(kern, name)
-
-    def recorded(*args):
-        results.append(func(*args))
-        return results[-1]
-
-    monkeypatch.setattr(kern, name, recorded)
-    return results
-
-
-def test_immersion_evaluates_the_map_once_per_sample(monkeypatch):
+def test_immersion_evaluates_the_map_once_per_sample(monkeypatch, instrument_kernel):
     # 200 samples and 8 axis points.  Each sample evaluates the map once, by
     # the kernel's point, and each annulus sample its four stencil points in
     # one call; a map with constant polynomials is in chart T at every
     # annulus sample, and no sample calls eval_devmap or in_chart
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    rec = _fresh(next(r for r in enumerate_structures(s, 2) if r.kind == "radial"))
+    rec = next(r for r in enumerate_structures(s, 2) if r.kind == "radial")
     assert all(p.is_constant() for p in (rec.dev.P1, rec.dev.Q1, rec.dev.P2))
-    point, stencil = (_kernel_results(monkeypatch, rec.dev, name) for name in ("point", "stencil"))
+    log = instrument_kernel()
     calls = _count_calls(monkeypatch, devmaps, "eval_devmap")
     in_chart = _count_calls(monkeypatch, AffinePoint, "in_chart")
     rep = check_immersion(rec, VerifyConfig(), s)
     assert rep.passed and rep.checks["fd_samples"] == 200
-    assert len(point) == 208 and {p[0] for p in point[:200]} == {"T"}
-    assert len(stencil) == 200 and all(len(values) == 8 for values in stencil)
+    assert len(log.kernels) == 1
+    assert len(log.point) == 208 and {p[0] for p in log.point[:200]} == {"T"}
+    assert len(log.stencil) == 200 and all(len(values) == 8 for values in log.stencil)
     assert calls == [] and in_chart == []
 
 
-def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monkeypatch):
+def test_immersion_builds_the_chart_s_jacobian_only_when_a_sample_needs_it(monkeypatch, instrument_kernel):
     # N is expanded once per map.  Chart T homogenizes N and reuses the
     # kernel's Q1, which is monic; chart S homogenizes -N at its first
     # sample and reuses the kernel's P1
     s = HopfSurface.diagonal(Fraction(1, 2), Fraction(1, 3))
-    recs = {r.provenance: _fresh(r) for r in enumerate_structures(s, 2)}
+    recs = {r.provenance: r for r in enumerate_structures(s, 2)}
     calls = _count_calls(monkeypatch, devmaps, "det_jacobian")
     homogenized = _count_calls(monkeypatch, devmaps, "_homogenized")
+    log = instrument_kernel()
     # the eigenstructure along axis 1 evaluates every sample in chart T,
-    # axis points included
+    # axis points included; its kernel homogenizes P1, Q1 and P2
     rec = recs["eigenstructure along axis 1"]
-    point = _kernel_results(monkeypatch, rec.dev, "point")
-    homogenized.clear()
     assert check_immersion(rec, VerifyConfig(), s).passed
-    assert len(point) == 208 and {p[0] for p in point} == {"T"}
-    assert len(calls) == 1 and len(homogenized) == 1
+    assert len(log.point) == 208 and {p[0] for p in log.point} == {"T"}
+    assert len(calls) == 1
+    assert [h[0] for h in homogenized] == [rec.dev.P1, rec.dev.Q1, rec.dev.P2, det_jacobian(rec.dev).N]
     # the radial structure has samples in chart S
     calls.clear()
-    rec = recs["radial structure on a linear surface"]
-    point = _kernel_results(monkeypatch, rec.dev, "point")
+    log.point.clear()
     homogenized.clear()
+    rec = recs["radial structure on a linear surface"]
     assert check_immersion(rec, VerifyConfig(), s).passed
-    assert [p[0] for p in point].count("S") > 1 and len(calls) == 1
-    assert [h[0] for h in homogenized] == [det_jacobian(rec.dev).N, -det_jacobian(rec.dev).N]
+    assert [p[0] for p in log.point].count("S") > 1 and len(calls) == 1
+    N = det_jacobian(rec.dev).N
+    assert [h[0] for h in homogenized] == [rec.dev.P1, rec.dev.Q1, rec.dev.P2, N, -N]
 
 
-def test_numeric_plan_is_built_once_per_map(monkeypatch):
+def test_numeric_plan_is_built_once_per_map(monkeypatch, instrument_kernel):
     s = HopfSurface.diagonal(Fraction(1, 4), Fraction(1, 2))
-    recs = [_fresh(r) for r in enumerate_structures(s, 2, hyper_params=[[2]])]
+    recs = enumerate_structures(s, 2, hyper_params=[[2]])
     assert any(not r.dev.P1.is_constant() for r in recs)
     calls = _count_calls(monkeypatch, devmaps, "_homogenized")
     dets = _count_calls(monkeypatch, devmaps, "det_jacobian")
+    log = instrument_kernel()
     built = []
     for rec in recs:
-        before, jacobians = len(calls), len(dets)
+        before, jacobians, kernels = len(calls), len(dets), len(log.kernels)
         assert all(rep.passed for rep in verify_structure(rec, s, VerifyConfig(samples=20)))
-        built.append((len(calls) - before, len(dets) - jacobians))
-        assert devmaps.map_kernel(rec.dev) is rec.dev._kernel
-    # P1, Q1, P2 of rec.dev once, for its kernel, and N of its one exact
-    # Jacobian for chart T, and -N where a sample lies in chart S; Q1 and P1
-    # are monic, so the determinant reuses the kernel's
-    assert built == [(5, 1), (4, 1), (4, 1), (5, 1)]
+        built.append((len(calls) - before, len(dets) - jacobians, len(log.kernels) - kernels))
+    # one kernel per check, each homogenizing P1, Q1 and P2 of rec.dev, and
+    # for the immersion check N of its one exact Jacobian for chart T, and
+    # -N where a sample lies in chart S; Q1 and P1 are monic, so the
+    # determinant reuses the kernel's
+    assert built == [(8, 1, 2), (7, 1, 2), (7, 1, 2), (8, 1, 2)]
 
 
 def ref_random_entries(n, rng, scale=3):

@@ -6,7 +6,7 @@ Run from the root of a source checkout.  The parent's ``src/`` is taken
 with ``git archive`` into a temporary directory, and each side runs in a
 process of its own, since both packages are named ``hopfon``.  Each side
 runs five groups of commands in process, through ``hopfon.cli.main``,
-and two groups of checks:
+and three groups of checks:
 
 * ``cli-verify``: the 140 ``hopfon verify`` ops of the benchmark's
   ``cli-verify`` workload for seeds 0-9 (``bench/workloads.py``, imported
@@ -43,12 +43,19 @@ and two groups of checks:
   compose(compose(x, y), z), compose(x, compose(y, z)) and inverse(x),
   with x, y, z built by ``GroupLaws._build``; for each ``resonance`` op,
   the ``repr`` of what its ``execute`` returns.  Each of the 20,000
-  entries is kept as the SHA-256 of its ``repr``.
+  entries is kept as the SHA-256 of its ``repr``;
+* ``float``: the float values that no command prints: for each
+  ``group-laws`` op of seeds 0-4, the two sides ``act_affine(xy, pt)`` and
+  ``act_affine(x, act_affine(y, pt))`` of its action law, with x, y built
+  by ``GroupLaws._build``, and ``eval_devmap`` of the 86 ``cli-verify``
+  maps at eight fixed points, four off the axes and two on each axis.
+  Each entry is the SHA-256 of the ``repr`` of a plain (chart, c1, c2)
+  tuple, or of the name of the exception raised.
 
 For each group it prints how many outputs (stdout, stderr and exit code)
 are byte-identical and which JSON keys changed, list indices written as
 ``[]``, with the number of commands in which each changed; for ``maps``
-and the exact groups (``cases``, ``sections`` and ``exact``) it also
+and the exact groups (``cases``, ``sections``, ``exact`` and ``float``) it also
 names each record that changed.  The exit code is 1 when some command
 changed its exit code or a ``passed`` flag, or some output of an exact
 group changed, and 0 otherwise: a ``maps`` record is not a command, and
@@ -71,7 +78,7 @@ from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the groups of exact outputs, in which any change is a changed verdict
-EXACT_GROUPS = ("cases", "sections", "exact")
+EXACT_GROUPS = ("cases", "sections", "exact", "float")
 
 ANNULI = (None, (0.5, 1.0), (1e-9, 1e-8), (1e8, 1e9), (1e-160, 1e-159), (1e120, 1e121))
 SECTION_SURFACES = (
@@ -148,25 +155,37 @@ def _commands(work):
     return out
 
 
+def _cli_verify_structures():
+    """(name, map, surface) of each structure of the five ``cli-verify``
+    surfaces, for n = 1..3 (n = 2, 3 for m = 2): 43 maps."""
+    from workloads import CLI_SURFACES
+    from hopfon import cli
+    from hopfon.classify import enumerate_structures
+
+    out = []
+    for label, spec, _, ns in CLI_SURFACES:
+        s = cli._surface_from_spec(spec)
+        params = [[2], [2, 3]] if spec["type"] == "diagonal" else None
+        for n in ns:
+            for i, rec in enumerate(enumerate_structures(s, n, hyper_params=params)):
+                out.append(("%s n=%d #%d" % (label, n, i), rec.dev, s))
+    return out
+
+
 def _map_checks():
     """[group, name, 0, report JSON, ""] of each check of the ``maps`` group."""
     from fractions import Fraction
 
     from workloads import CLI_SURFACES
     from hopfon import cli
-    from hopfon.classify import enumerate_structures
     from hopfon.devmaps import DevMap, UniPoly
     from hopfon.hopf import HopfSurface
     from hopfon.verify import VerifyConfig, check_immersion
 
     cases = []
-    for label, spec, _, ns in CLI_SURFACES:
-        s = cli._surface_from_spec(spec)
-        params = [[2], [2, 3]] if spec["type"] == "diagonal" else None
-        for n in ns:
-            for i, rec in enumerate(enumerate_structures(s, n, hyper_params=params)):
-                for name, d in (("hat()", rec.dev), ("hat().hat()", rec.dev.hat())):
-                    cases.append(("%s n=%d #%d %s" % (label, n, i, name), d.hat(), s))
+    for prefix, dev, s in _cli_verify_structures():
+        for name, d in (("hat()", dev), ("hat().hat()", dev.hat())):
+            cases.append(("%s %s" % (prefix, name), d.hat(), s))
     quarter, half = (HopfSurface.diagonal(Fraction(1, k), Fraction(1, 2)) for k in (4, 2))
     one, big = UniPoly([1]), UniPoly([2**400])
     cases += [
@@ -216,6 +235,43 @@ def _exact_checks():
     return [["exact", name, 0, hashlib.sha256(repr(v).encode()).hexdigest(), ""] for name, v in out]
 
 
+def _float_checks():
+    """[group, name, 0, SHA-256 of the value's repr, ""] of each entry of the
+    ``float`` group."""
+    import hashlib
+
+    from workloads import GroupLaws
+    from hopfon import AffinePoint, act_affine, compose
+    from hopfon.devmaps import eval_devmap
+
+    def value(point):
+        """point() as a plain (chart, c1, c2), or the exception it raised."""
+        try:
+            out = point()
+        except Exception as exc:  # an exception is a value like any other
+            return "raised %s" % type(exc).__name__
+        return (out.chart, out.c1, out.c2)
+
+    laws, out = GroupLaws(), []
+    for seed in range(5):
+        bases = laws.new_pass()
+        for i, inp in enumerate(laws.make_inputs(seed)):
+            n, basis = inp["n"], bases[inp["basis"]]
+            x, y = (laws._build(basis, inp["kind"], n, e) for e in inp["elts"][:2])
+            pt = AffinePoint("T", *inp["point"])
+            name = "group-laws seed %d #%d" % (seed, i)
+            out.append((name + " lhs", value(lambda: act_affine(compose(x, y), pt, n))))
+            out.append((name + " rhs", value(lambda: act_affine(x, act_affine(y, pt, n), n))))
+    points = (
+        (0.7 + 0.2j, 0.5 - 0.4j), (-1.3 + 0.9j, 0.25j), (0.05 - 0.3j, -2.0 + 1.0j), (3.5, -0.6 - 0.6j),
+        (0.6 - 0.3j, 0j), (-2.5j, 0j), (0j, 0.6 - 0.3j), (0j, -1.5 + 0.5j),
+    )
+    for prefix, dev, _ in _cli_verify_structures():
+        for name, d in ((prefix, dev), (prefix + " hat()", dev.hat())):
+            out += [("%s at %r" % (name, z), value(lambda: eval_devmap(d, z))) for z in points]
+    return [["float", name, 0, hashlib.sha256(repr(v).encode()).hexdigest(), ""] for name, v in out]
+
+
 def _worker(work, result_path):
     """Run every command and check with the hopfon on sys.path and write the
     results as JSON."""
@@ -234,7 +290,7 @@ def _worker(work, result_path):
                 code = "raised %s" % type(exc).__name__
                 traceback.print_exc()
         results.append([group, name, code, stdout.getvalue(), stderr.getvalue()])
-    results += _map_checks() + _exact_checks()
+    results += _map_checks() + _exact_checks() + _float_checks()
     with open(result_path, "w") as fh:
         json.dump(results, fh)
 

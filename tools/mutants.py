@@ -13,8 +13,9 @@ mutant applied to that copy alone and undone after its run.  Each run
 leaves out ``tests/test_mutants.py``, which checks the list itself.
 
 A mutant is killed when some test fails or errors, or when its run takes
-longer than ``TIMEOUT_S``.  The tool prints each verdict with the tests
-that killed it and ends with the score, killed of total.  It changes
+longer than ``TIMEOUT_S``.  The tool prints each verdict with the three
+slowest tests of its run (pytest's ``--durations=3``) and the tests that
+killed it, and ends with the score, killed of total.  It changes
 nothing in the checkout, and its exit code is 0 whatever the score.
 NAME arguments run only the named mutants; ``--list`` prints the list
 and runs nothing.  Each Tier-1 run takes about 30 s on a 2-core host.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -195,7 +197,13 @@ MUTANTS = (
         "    return True\n",
         "(g, p) = (zg, p) only for an n-th root of unity z",
     ),
-    # the float action (group)
+    # the float action and its points (group)
+    Mutant(
+        "affine-point-skips-chart-check", "group.py",
+        "        if chart not in (\"T\", \"S\"):\n            raise ValueError(\"chart must be 'T' or 'S'\")\n",
+        "",
+        "a point's chart is T or S",
+    ),
     Mutant(
         "float-action-diagonal-T", "group.py",
         'chart, c1, c2 = "T", ratio * c1, c2 / dn',
@@ -295,21 +303,24 @@ def _copy_tree(dest):
 
 
 def _run_tests(tree, tests):
-    """(passed, killing test ids, last line of the pytest report) of one run."""
+    """(passed, killing test ids, last line of the pytest report, the three
+    slowest tests as "seconds test id, ...") of one run."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     # the list's own smoke test fails on every mutant, so it is left out
     cmd = [
         sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-        "--continue-on-collection-errors", "--tb=no", "-rfE",
+        "--continue-on-collection-errors", "--tb=no", "-rfE", "--durations=3",
         "--ignore", os.path.join(tree, "tests", "test_mutants.py"), *tests,
     ]
     try:
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return False, [], "timed out after %d s" % TIMEOUT_S
+        return False, [], "timed out after %d s" % TIMEOUT_S, "none"
     lines = proc.stdout.strip().splitlines()
     failed = [ln.split()[1] for ln in lines if ln.startswith(("FAILED ", "ERROR "))]
-    return proc.returncode == 0, failed, lines[-1] if lines else proc.stderr.strip()
+    # a durations line reads "12.34s call     tests/test_x.py::test_y"
+    slowest = [" ".join(ln.split()[::2]) for ln in lines if re.match(r"\d+\.\d+s (setup|call|teardown) ", ln)]
+    return proc.returncode == 0, failed, lines[-1] if lines else proc.stderr.strip(), ", ".join(slowest) or "none"
 
 
 def main(argv=None):
@@ -330,8 +341,8 @@ def main(argv=None):
         return 0
     with tempfile.TemporaryDirectory() as tree:
         _copy_tree(tree)
-        passed, failed, summary = _run_tests(tree, args.tests)
-        print("unmutated: %s" % summary, flush=True)
+        passed, failed, summary, slowest = _run_tests(tree, args.tests)
+        print("unmutated: %s; slowest: %s" % (summary, slowest), flush=True)
         if not passed:
             print("the unmutated tree fails %s; no mutant was run" % (", ".join(failed) or summary))
             return 2
@@ -346,12 +357,13 @@ def main(argv=None):
             with open(path, "w") as fh:
                 fh.write(text.replace(m.old, m.new))
             try:
-                passed, failed, summary = _run_tests(tree, args.tests)
+                passed, failed, summary, slowest = _run_tests(tree, args.tests)
             finally:
                 with open(path, "w") as fh:
                     fh.write(text)
             killed += not passed
-            print("%s %s (%s): %s" % ("killed" if not passed else "SURVIVED", m.name, m.breaks, summary))
+            verdict = "killed" if not passed else "SURVIVED"
+            print("%s %s (%s): %s; slowest: %s" % (verdict, m.name, m.breaks, summary, slowest))
             for test in failed:
                 print("    " + test)
             sys.stdout.flush()
