@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .group import AffinePoint
-from .scalars import GR_ONE, GR_ZERO, GaussRat, _power, as_gauss
+from .scalars import GR_ONE, GR_ZERO, GaussRat, _Frozen, _power, as_gauss
 
 
 def exponent_list(n: int):
@@ -42,7 +42,7 @@ def exponent_list(n: int):
     return ((-1, -n), (0, 0), (0, 1), (1, 0))
 
 
-class UniPoly:
+class UniPoly(_Frozen):
     """Polynomial in one variable with Gaussian-rational coefficients.
 
     Its float form is the homogenized one in (z1, z2) (`_homogenized`),
@@ -56,9 +56,6 @@ class UniPoly:
         while len(cs) > 1 and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs) if cs else (GR_ZERO,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def from_roots(cls, roots, lead=1):
@@ -180,7 +177,7 @@ class DevMapError(ValueError):
 _FIELDS = ("k1", "k2", "l1", "l2", "P1", "Q1", "P2", "hyper", "n")
 
 
-class DevMap:
+class DevMap(_Frozen):
     """A candidate developing map in monomial-times-rational form.
 
     A map holds its fields alone; its float evaluation is built from them
@@ -215,9 +212,6 @@ class DevMap:
         object.__setattr__(self, "P2", P2)
         object.__setattr__(self, "hyper", hyper)
         object.__setattr__(self, "n", int(n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DevMap is immutable")
 
     # -- named constant maps -------------------------------------------------
 
@@ -540,8 +534,6 @@ def map_kernel(d: DevMap) -> SimpleNamespace:
             if not (z1 or z2):
                 raise EvalError("the developing map lives on C^2 minus the origin")
             z1, z2 = z1 or 0j, z2 or 0j
-        elif constant:
-            return ("T", z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)
         # z2^(m2 deg p) p(u) = sum p_i z1^(m1 i) z2^(m2 (deg - i)): no exponent is negative
         h1 = _homog_sum(H1, z1, z2) if H1.__class__ is tuple else H1
         hq = _homog_sum(K, z1, z2) if K.__class__ is tuple else K

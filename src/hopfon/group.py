@@ -29,6 +29,7 @@ from math import hypot, inf, isinf, sqrt
 from .scalars import (
     _E00,
     _ONE_TERMS,
+    _Frozen,
     BasisMismatchError,
     EigenBasis,
     Scalar,
@@ -39,7 +40,7 @@ from .scalars import (
 )
 
 
-class HomogPoly:
+class HomogPoly(_Frozen):
     """Homogeneous polynomial sum(a_k Z1^k Z2^(n-k)) with scalar coefficients."""
 
     __slots__ = ("basis", "degree", "coeffs")
@@ -63,9 +64,6 @@ class HomogPoly:
         object.__setattr__(out, "degree", degree)
         object.__setattr__(out, "coeffs", tuple(coeffs))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogPoly is immutable")
 
     @classmethod
     def zero(cls, basis, degree):
@@ -179,7 +177,7 @@ def _powers(x: Scalar, k: int):
     return out
 
 
-class Mat2:
+class Mat2(_Frozen):
     """Invertible 2x2 matrix of scalars, carrying its (nonzero) determinant.
 
     Products, inverses and rescalings derive the determinant of the
@@ -217,9 +215,6 @@ class Mat2:
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_det", det)
         object.__setattr__(self, "_inv", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
 
     @classmethod
     def identity(cls, basis):
@@ -297,7 +292,7 @@ class Mat2:
         return "Mat2(%r)" % (self.entries,)
 
 
-class GroupElt:
+class GroupElt(_Frozen):
     """An element (g, p): matrix modulo n-th roots of unity plus degree-n polynomial.
 
     An element holds g and p alone; its float action is built from them
@@ -311,9 +306,6 @@ class GroupElt:
             raise BasisMismatchError("matrix and polynomial over different bases")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElt is immutable")
 
     @property
     def degree(self) -> int:

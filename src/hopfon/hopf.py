@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import EigenBasis, GaussRat, Scalar, as_gauss
+from .scalars import EigenBasis, GaussRat, Scalar, _Frozen, as_gauss
 
 
 class SurfaceError(ValueError):
@@ -54,7 +54,7 @@ def witness_pair(value):
     return [complex(re, im) for re, im in value]
 
 
-class HopfSurface:
+class HopfSurface(_Frozen):
     """Contraction data for a primary Hopf surface, diagonal or exceptional."""
 
     __slots__ = ("kind", "basis", "m")
@@ -78,9 +78,6 @@ class HopfSurface:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HopfSurface is immutable")
 
     # -- constructors ------------------------------------------------------
 

@@ -37,6 +37,24 @@ class BasisMismatchError(ValueError):
     """Operands were built over different eigenvalue bases."""
 
 
+class _Frozen:
+    """Base of the value types: setting or deleting an attribute raises.
+
+    A subclass fills its slots while it is built, in one of two ways:
+    `object.__setattr__(self, name, value)` in `__init__`, or the slot
+    descriptor's `__set__` (`_set_x`, `_set_basis`, ...) in the `_raw`
+    constructors, which is the faster of the two.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -60,7 +78,7 @@ _E00 = (0, 0)
 _ONE_TERMS = ((_E00, 1, 0, 1),)
 
 
-class GaussRat:
+class GaussRat(_Frozen):
     """A Gaussian rational re + i*im, stored as an integer triple.
 
     The value is (x + i y)/z with z > 0 and gcd(x, y, z) = 1, which
@@ -89,9 +107,6 @@ class GaussRat:
         _set_y(out, y)
         _set_z(out, z)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -261,8 +276,8 @@ class GaussRat:
         return "GaussRat(%s, %s)" % (self.re, self.im)
 
 
-# Slot setters for the internal constructors, which bypass the
-# immutability guard in __setattr__ (and are faster than object.__setattr__).
+# Slot setters for the internal constructors, which bypass the guard of
+# _Frozen (and are faster than object.__setattr__).
 _set_x, _set_y, _set_z = GaussRat.x.__set__, GaussRat.y.__set__, GaussRat.z.__set__
 
 
@@ -342,7 +357,7 @@ def _bezout(a: int, b: int):
     return old_r, old_s, old_t
 
 
-class RelationLattice:
+class RelationLattice(_Frozen):
     """A subgroup of Z^2 given by a canonical (HNF) basis of rank 0..2.
 
     The rows are the pivots of `_echelon`, normalised to (a, b) with
@@ -358,9 +373,6 @@ class RelationLattice:
         if len(rows) == 2:
             rows[0] = (rows[0][0], rows[0][1] % rows[1][1])
         object.__setattr__(self, "rows", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelationLattice is immutable")
 
     @property
     def rank(self) -> int:
@@ -604,7 +616,7 @@ def _echelon(rows):
     return pivots, [r[m:] for r in active]
 
 
-class ValuationSystem:
+class ValuationSystem(_Frozen):
     """The equation v1^a v2^b = c for fixed nonzero Gaussian rationals v1
     and v2, set up once and then solved for any c.
 
@@ -630,9 +642,6 @@ class ValuationSystem:
         object.__setattr__(self, "base", tuple(base))
         object.__setattr__(self, "pivots", tuple((col, tuple(row)) for col, row in pivots))
         object.__setattr__(self, "lattice", RelationLattice(x[:2] for x in kernel))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ValuationSystem is immutable")
 
     def solve(self, value: GaussRat):
         """Every (a, b) with v1^a v2^b == value, exactly, as (h, lattice) for
@@ -665,7 +674,7 @@ def find_relations(system: ValuationSystem) -> RelationLattice:
     return lattice
 
 
-class EigenBasis:
+class EigenBasis(_Frozen):
     """Two eigenvalue generators with a relation lattice and witnesses.
 
     A formal basis declares its relations, and its witnesses are checked:
@@ -702,9 +711,6 @@ class EigenBasis:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "valuations", valuations)
         object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EigenBasis is immutable")
 
     @classmethod
     def from_gauss_values(cls, v1, v2):
@@ -821,7 +827,7 @@ def _accumulate(pairs, add):
     return acc
 
 
-class Scalar:
+class Scalar(_Frozen):
     """A finite sum of eigenvalue monomials over a fixed basis.
 
     The canonical form is a tuple of terms (key, x, y, z), one per
@@ -847,9 +853,6 @@ class Scalar:
         ts = [(reduce(e), c.x, c.y, c.z) for c, e in terms]
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _canonical(_accumulate(((ts, _ONE_TERMS),), None)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     @staticmethod
     def _raw(basis, terms):

@@ -772,11 +772,25 @@ def test_value_types_hold_no_hidden_state(monkeypatch):
     act_affine(rec.hol, AffinePoint("T", 0.5, 1))
     assert DevMap.__slots__ == devmaps._FIELDS
     assert GroupElt.__slots__ == ("g", "p")
-    for obj in [rec.dev, rec.hol] + [x for _, x, _, _ in cases]:
+    # one value of each immutable type refuses both setting and deleting
+    # each of its slots by name, and still reads as before
+    dev, hol, basis = rec.dev, rec.hol, s.basis
+    values = [s, basis, basis.lattice, basis.valuations, dev, dev.P1, dev.P1.coeffs[0],
+              hol, hol.g, hol.p, hol.g.entries[0][0]] + [x for _, x, _, _ in cases]
+    assert {type(v).__name__ for v in values} == {
+        "HopfSurface", "EigenBasis", "RelationLattice", "ValuationSystem", "DevMap", "UniPoly",
+        "GaussRat", "GroupElt", "Mat2", "HomogPoly", "Scalar",
+    }
+    for obj in values:
+        cls = type(obj).__name__
         assert not hasattr(obj, "__dict__")
         for name in type(obj).__slots__ + ("_kernel", "_act", "extra"):
-            with pytest.raises(AttributeError):
+            before = getattr(obj, name, AttributeError)
+            with pytest.raises(AttributeError, match="^%s is immutable$" % cls):
                 setattr(obj, name, None)
+            with pytest.raises(AttributeError, match="^%s is immutable$" % cls):
+                delattr(obj, name)
+            assert getattr(obj, name, AttributeError) is before
 
 
 def test_annulus_validation():
@@ -1440,12 +1454,13 @@ def test_checks_match_per_point_reference(case):
     assert _check_mismatches(*case) == []
 
 
-# chart T in the constant branch of the kernel's point, and its stencil's
-# powers of z2 for (z1 +- h1, z2), with k2~ and l2~ swapped
+# chart T of the kernel's point off the axes, which gives every value of a
+# constant map there, and the stencil's powers of z2 for (z1 +- h1, z2),
+# with k2~ and l2~ swapped
 _SWAPPED_EXPONENTS = {
     "point": (
-        'return ("T", z1**k1 * z2**kt2 * H1 / den1, z1**l1 * z2**lt2 * H2 / denn)',
-        'return ("T", z1**k1 * z2**lt2 * H1 / den1, z1**l1 * z2**kt2 * H2 / denn)',
+        'return ("T", z1**k1 * z2**kt2 * h1 / den1, z1**l1 * z2**lt2 * h2 / denn)',
+        'return ("T", z1**k1 * z2**lt2 * h1 / den1, z1**l1 * z2**kt2 * h2 / denn)',
     ),
     "stencil": ("z2**kt2, z2**lt2\n", "z2**lt2, z2**kt2\n"),
 }

@@ -273,6 +273,13 @@ MUTANTS = (
         "(ts[0], to[0]) if e1 > e2 else (to[0], ts[0])",
         "the terms of a sum of two monomials are sorted by key",
     ),
+    # immutable values (scalars)
+    Mutant(
+        "frozen-base-allows-del", "scalars.py",
+        '\n    def __delattr__(self, name):\n        raise AttributeError("%s is immutable" % type(self).__name__)\n',
+        "",
+        "deleting an attribute of a value type raises",
+    ),
     # sections
     Mutant(
         "exceptional-power-drops-l2", "sections.py",
